@@ -12,8 +12,8 @@ evaluations are exact per piece: the cdf, its left limits, the running
 integral ``integral(theta) = int_0^theta cdf(t) dt``, densities away from
 atoms, and the quantile function used for inverse-transform sampling.
 Storing evaluators rather than sampled grids keeps breakpoints exact, which
-the double-integral machinery in :mod:`thresholdgame.inversion` relies on to
-split its integration domain.
+the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
+its integration domain.
 
 Conventions:
 
@@ -45,7 +45,9 @@ def _as_float_array(theta) -> tuple[np.ndarray, bool]:
 
 
 def _check_domain(arr: np.ndarray) -> None:
-    if arr.size and (np.min(arr) < -1e-12 or np.max(arr) > 1 + 1e-12):
+    # Phrased as "not inside" so that NaN, which fails every comparison, is
+    # rejected as well.
+    if arr.size and not (np.min(arr) >= -1e-12 and np.max(arr) <= 1 + 1e-12):
         raise ValueError("threshold outside [0, 1]")
 
 
@@ -56,17 +58,22 @@ class PolyPiece:
     lo: float
     hi: float
     coeffs: tuple[float, ...]
+    _dcoeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    _anti: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        poly = np.polynomial.polynomial
+        object.__setattr__(self, "_dcoeffs", poly.polyder(self.coeffs))
+        object.__setattr__(self, "_anti", poly.polyint(self.coeffs))
 
     def value(self, theta):
         return np.polynomial.polynomial.polyval(theta, self.coeffs)
 
     def density(self, theta):
-        dcoeffs = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(theta, dcoeffs)
+        return np.polynomial.polynomial.polyval(theta, self._dcoeffs)
 
     def antiderivative(self, theta):
-        anti = np.polynomial.polynomial.polyint(self.coeffs)
-        return np.polynomial.polynomial.polyval(theta, anti)
+        return np.polynomial.polynomial.polyval(theta, self._anti)
 
     def integral(self, t0: float, t1: float) -> float:
         return float(self.antiderivative(t1) - self.antiderivative(t0))
@@ -88,8 +95,9 @@ class PolyPiece:
 
         return np.vectorize(solve)(u)
 
-    def is_increasing_at(self, theta: float) -> bool:
-        return float(self.density(theta)) > 1e-12
+    def is_increasing_at(self, theta):
+        """Elementwise: the density at ``theta`` is positive."""
+        return np.asarray(self.density(theta)) > 1e-12
 
     def to_segment_dict(self) -> dict:
         return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": list(self.coeffs)}
@@ -136,8 +144,9 @@ class ArcPiece:
         q = g / np.sqrt(2.0 - g * g)
         return 0.5 * (1.0 + q)
 
-    def is_increasing_at(self, theta: float) -> bool:
-        return self.scale > 0.0
+    def is_increasing_at(self, theta):
+        """Elementwise: the density at ``theta`` is positive."""
+        return np.full(np.shape(theta), self.scale > 0.0)
 
     def to_segment_dict(self) -> dict:
         return {
@@ -176,6 +185,7 @@ class MixedCdf:
     atoms: tuple[tuple[float, float], ...] = ()
     family: tuple | None = None
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -187,6 +197,11 @@ class MixedCdf:
         self._validate()
         edges = np.array([p.lo for p in self.pieces], dtype=float)
         object.__setattr__(self, "_edges", edges)
+        # _prefix[i] == cdf_integral(pieces[i].lo)
+        prefix = np.concatenate(
+            ([0.0], np.cumsum([p.integral(p.lo, p.hi) for p in self.pieces]))
+        )
+        object.__setattr__(self, "_prefix", prefix)
 
     # -- validation ---------------------------------------------------------
 
@@ -293,11 +308,8 @@ class MixedCdf:
         arr, scalar = _as_float_array(theta)
         _check_domain(arr)
         flat = np.clip(arr.ravel(), 0.0, 1.0)
-        prefix = np.concatenate(
-            ([0.0], np.cumsum([p.integral(p.lo, p.hi) for p in self.pieces]))
-        )
         idx = self._piece_index(flat)
-        out = prefix[idx].copy()
+        out = self._prefix[idx]
         for i, piece in enumerate(self.pieces):
             mask = idx == i
             if mask.any():
@@ -316,16 +328,24 @@ class MixedCdf:
         pts = {p.lo for p in self.pieces} | {1.0} | {loc for loc, _ in self.atoms}
         return tuple(sorted(pts))
 
-    def support_contains(self, theta: float) -> bool:
-        """True when ``theta`` carries mass: an atom, or an increasing piece
-        adjacent to ``theta``."""
-        theta = float(theta)
-        if self.atom_mass(theta) > 0.0:
-            return True
+    def support_mask(self, thetas) -> np.ndarray:
+        """Elementwise: ``theta`` carries mass, being an atom or lying in a
+        piece ``lo <= theta <= hi`` that is increasing at ``theta``."""
+        arr = np.asarray(thetas, dtype=float)
+        _check_domain(arr)
+        flat = arr.ravel()
+        mask = np.zeros(flat.shape, dtype=bool)
+        for loc, _ in self.atoms:
+            mask |= flat == loc
         for piece in self.pieces:
-            if piece.lo <= theta <= piece.hi and piece.is_increasing_at(theta):
-                return True
-        return False
+            inside = (piece.lo <= flat) & (flat <= piece.hi)
+            if inside.any():
+                mask[inside] |= piece.is_increasing_at(flat[inside])
+        return mask.reshape(arr.shape)
+
+    def support_contains(self, theta: float) -> bool:
+        """Scalar form of :meth:`support_mask`."""
+        return bool(self.support_mask(float(theta)))
 
     # -- sampling -----------------------------------------------------------
 

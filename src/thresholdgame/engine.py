@@ -288,7 +288,7 @@ class SimulationSummary:
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    key = (seed & _MASK64) + (chunk_index << 64)
+    key = seed + (chunk_index << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -343,8 +343,9 @@ def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIAL
     if trials < 1:
         raise ValueError("trials must be positive")
     seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if not 0 <= seed <= _MASK64:
+        # Philox keys hold 64 bits of seed; a larger one would alias another.
+        raise ValueError("seed must lie in [0, 2**64)")
     n = _rule_firm_count(rule, n_firms)
 
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS

@@ -286,7 +286,7 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
             pts.add(float(mid))
     thetas = np.union1d(np.linspace(a, b, grid_size), sorted(pts))
     payoff = selection_probabilities(thetas, dist)
-    on_support = np.array([dist.support_contains(t) for t in thetas])
+    on_support = dist.support_mask(thetas)
 
     support_dev = 0.0
     if on_support.any():

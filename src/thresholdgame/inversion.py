@@ -2,10 +2,18 @@
 
 When both firms draw tests i.i.d. from a cdf ``G`` over [0, 1], the chance of
 selecting the worse product is the double integral over the ordered-quality
-triangle ``{0 <= y <= x <= 1}`` of ``(1 - G(x) + G(y))^2``.  The integrand is
-smooth except along the cdf's breakpoints, so the triangle is partitioned by
-every breakpoint in both coordinates and each cell is handled with adaptive
-tensor Gauss-Legendre quadrature (a Duffy transform on the diagonal cells).
+triangle ``{0 <= y <= x <= 1}`` of ``(1 - G(x) + G(y))^2``.  Integrating out
+``y`` with ``Gamma(x) = int_0^x G`` leaves the one-dimensional form
+
+    I(G) = int_0^1 [x (1 - G)^2 + 2 (1 - G) Gamma + (1 - x) G^2] dx,
+
+whose integrand is smooth on every piece of the cdf (atoms sit only at piece
+junctions), so a fixed-order Gauss-Legendre sum per piece evaluates it to
+rounding error.  The same reduction serves every integrand over the triangle
+that separates into functions of ``x`` alone and of ``y`` alone
+(:func:`_separable_triangle`).  :func:`triangle_integral`, adaptive tensor
+quadrature of a general ``f(x, y)`` over the triangle, stays as an
+independent check of these reductions.
 
 The module also provides the exact pairwise formula for deterministic
 threshold lists, the optimal-value formula for correlated tests, the
@@ -39,6 +47,13 @@ __all__ = [
 
 #: Error probability of the optimal i.i.d. rule (uniform tests on [1/4, 3/4]).
 OPTIMAL_IID_VALUE = Fraction(5, 24)
+
+#: Gauss-Legendre nodes per cdf piece for the one-dimensional reductions.
+#: Exact on polynomial pieces (the integrand of a degree-k piece has degree
+#: 2k + 1 <= 59 for k <= 29).  The arc pieces' nearest singularities, at
+#: (1 +- i) / 2, lie 1/2 away from [0, 1], so the rule converges far below
+#: rounding error on them.
+_PIECE_ORDER = 30
 
 _LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -128,19 +143,43 @@ def triangle_integral(f: Callable, breaks, tol: float = 1e-9, order: int = 20,
     return total
 
 
+def _piece_nodes(breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on every interval between the
+    distinct ``breaks``, which must include 0 and 1."""
+    edges = np.array(sorted(breaks), dtype=float)
+    u, w = _unit_nodes(_PIECE_ORDER)
+    width = np.diff(edges)[:, None]
+    return (edges[:-1, None] + width * u).ravel(), (width * w).ravel()
+
+
+def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s) -> float:
+    """Integral over ``{0 <= y <= x <= 1}`` of a separable integrand.
+
+    The integrand is ``P(x)R(x) + P(x)S(y) + Q(y)R(x) + Q(y)S(y)``; ``p``,
+    ``r``, ``q``, ``s`` hold those functions at the nodes ``x``, and
+    ``gamma_q``, ``gamma_s`` their running integrals ``int_0^x Q`` and
+    ``int_0^x S``.  Integrating out ``y`` leaves
+    ``int_0^1 [x P R + P Gamma_S + R Gamma_Q + (1 - x) Q S] dx``, which the
+    weights ``w`` evaluate.
+    """
+    return float(np.dot(w, x * p * r + p * gamma_s + r * gamma_q + (1.0 - x) * q * s))
+
+
 # ---------------------------------------------------------------------------
 # The error functional
 # ---------------------------------------------------------------------------
 
 
 def inversion_iid(d: MixedCdf) -> InversionEstimate:
-    """Error probability when both firms draw tests i.i.d. from ``d``."""
+    """Error probability when both firms draw tests i.i.d. from ``d``.
 
-    def integrand(x, y):
-        diff = 1.0 - d.cdf(x) + d.cdf(y)
-        return diff * diff
-
-    value = triangle_integral(integrand, d.breakpoints, tol=1e-9)
+    The integrand ``(1 - G(x) + G(y))^2`` is separable, with
+    ``P = R = 1 - G`` and ``Q = S = G``.
+    """
+    x, w = _piece_nodes(d.breakpoints)
+    g = d.cdf(x)
+    gamma = d.cdf_integral(x)
+    value = _separable_triangle(x, w, 1.0 - g, 1.0 - g, g, g, gamma, gamma)
     return InversionEstimate(value=value, method="quadrature")
 
 
@@ -212,21 +251,23 @@ def _optimal_cdf() -> MixedCdf:
 
 
 def hybrid_decompose(d: MixedCdf) -> HybridCoefficients:
-    """Linear and quadratic error coefficients of ``d`` against the optimum."""
+    """Linear and quadratic error coefficients of ``d`` against the optimum.
+
+    With ``D = G_opt - d``, the coefficients are triangle integrals of
+    ``(1 - G_opt(x) + G_opt(y)) (D(x) - D(y))`` (times 2) and of
+    ``(D(x) - D(y))^2``, both separable.
+    """
     g0 = _optimal_cdf()
-    breaks = sorted(set(d.breakpoints) | set(g0.breakpoints))
+    x, w = _piece_nodes(set(d.breakpoints) | set(g0.breakpoints))
+    g0_x = g0.cdf(x)
+    g0_gamma = g0.cdf_integral(x)
+    delta = g0_x - d.cdf(x)
+    delta_gamma = g0_gamma - d.cdf_integral(x)
 
-    def cross(x, y):
-        base = 1.0 - g0.cdf(x) + g0.cdf(y)
-        delta = (g0.cdf(x) - d.cdf(x)) - (g0.cdf(y) - d.cdf(y))
-        return base * delta
-
-    def square(x, y):
-        delta = (g0.cdf(x) - d.cdf(x)) - (g0.cdf(y) - d.cdf(y))
-        return delta * delta
-
-    a = 2.0 * triangle_integral(cross, breaks, tol=5e-10)
-    b = triangle_integral(square, breaks, tol=5e-10)
+    a = 2.0 * _separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
+                                  g0_gamma, -delta_gamma)
+    b = _separable_triangle(x, w, delta, delta, -delta, -delta,
+                            -delta_gamma, -delta_gamma)
     return HybridCoefficients(a_coeff=a, b_coeff=b)
 
 

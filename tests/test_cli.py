@@ -182,6 +182,12 @@ class TestSimulate:
         assert len(data["win_rates"]) == 2
         assert abs(sum(data["win_rates"]) - 1.0) < 1e-12
 
+    def test_seed_beyond_64_bits_exits_2(self, capsys):
+        code, out = run_cli(capsys, "simulate", "--rule", "iid:eq", "--trials",
+                            "1000", "--seed", str(2**64))
+        assert code == 2
+        assert out == ""
+
 
 class TestArgumentErrors:
     def test_missing_subcommand_exits_2(self):

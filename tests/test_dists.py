@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
-from thresholdgame.dists import ArcPiece, MixedCdf, quantile_to_quality
+from thresholdgame.dists import ArcPiece, MixedCdf, PolyPiece, quantile_to_quality
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 
 
@@ -39,6 +39,14 @@ class TestCdfEval:
             d.cdf(1.5)
         with pytest.raises(ValueError):
             d.cdf(-0.2)
+
+    @pytest.mark.parametrize("method", ["cdf", "left_limit", "cdf_integral"])
+    @pytest.mark.parametrize("theta", [math.nan, [0.2, math.nan, 0.7]],
+                             ids=["scalar", "array"])
+    def test_rejects_nan(self, method, theta):
+        d = MixedCdf.uniform(0.25, 0.75)
+        with pytest.raises(ValueError):
+            getattr(d, method)(theta)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -203,6 +211,60 @@ class TestInvariants:
                 pieces=(constant_piece(0.0, 0.5, 0.0), constant_piece(0.5, 1.0, 1.0)),
                 atoms=(),
             )
+
+
+def _support_contains_scalar(d: MixedCdf, theta: float) -> bool:
+    """Reference support rule, one threshold at a time: an atom at ``theta``,
+    or a piece with ``lo <= theta <= hi`` whose density there is positive."""
+    if d.atom_mass(theta) > 0.0:
+        return True
+    for piece in d.pieces:
+        if not piece.lo <= theta <= piece.hi:
+            continue
+        if isinstance(piece, ArcPiece):
+            increasing = piece.scale > 0.0
+        else:
+            slope = np.polynomial.polynomial.polyder(piece.coeffs)
+            increasing = float(np.polynomial.polynomial.polyval(theta, slope)) > 1e-12
+        if increasing:
+            return True
+    return False
+
+
+SUPPORT_CASES = (
+    [random_mixed_piecewise_linear(np.random.default_rng(300 + k)) for k in range(8)]
+    + [equilibrium_unrestricted().dist, MixedCdf.uniform(0.25, 0.75),
+       MixedCdf.step(0.0), MixedCdf.step(1.0)]
+    + [equilibrium_interval(a, b).dist
+       for a, b in ((0.0, 0.79), (0.3, 0.9), (0.2, 0.5), (0.4, 0.7))]
+)
+
+
+class TestSupportMask:
+    @pytest.mark.parametrize("d", SUPPORT_CASES)
+    def test_matches_scalar_rule(self, d):
+        plateaus = [0.5 * (p.lo + p.hi) for p in d.pieces
+                    if isinstance(p, PolyPiece) and len(p.coeffs) == 1]
+        thetas = np.concatenate((np.linspace(0.0, 1.0, 1001), d.breakpoints,
+                                 [loc for loc, _ in d.atoms], plateaus))
+        expected = [_support_contains_scalar(d, float(t)) for t in thetas]
+        assert d.support_mask(thetas).tolist() == expected
+        assert [d.support_contains(float(t)) for t in thetas] == expected
+
+    def test_step_regime_is_the_atom_alone(self):
+        sol = equilibrium_interval(0.2, 0.5)
+        assert sol.regime == "step_at_b"
+        thetas = np.linspace(0.2, 0.5, 1000)
+        np.testing.assert_array_equal(sol.dist.support_mask(thetas), thetas == 0.5)
+        assert sol.dist.support_contains(0.5)
+
+    def test_shape_and_domain(self):
+        d = equilibrium_interval(0.0, 0.79).dist
+        assert d.support_mask(np.full((2, 3), 0.5)).shape == (2, 3)
+        with pytest.raises(ValueError):
+            d.support_mask([0.5, math.nan])
+        with pytest.raises(ValueError):
+            d.support_contains(1.5)
 
 
 class TestSerialization:

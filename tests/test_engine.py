@@ -204,3 +204,11 @@ class TestMonteCarlo:
             simulate(SameTest(0.5), n_firms=1, trials=10)
         with pytest.raises(ValueError):
             simulate(SameTest(0.5), trials=0)
+
+    def test_seed_must_fit_64_bits(self):
+        # Philox keys hold 64 bits of seed; 2**64 would replay seed 0.
+        rule = parse_rule("iid:eq")
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError):
+                simulate(rule, trials=100, seed=seed)
+        assert simulate(rule, trials=100, seed=2**64 - 1).seed == 2**64 - 1

@@ -10,7 +10,7 @@ from scipy.integrate import dblquad, quad
 from conftest import random_mixed_piecewise_linear
 from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import IidRule, mc_inversion
-from thresholdgame.equilibrium import equilibrium_unrestricted
+from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import (
     hybrid_decompose,
     inversion_fixed,
@@ -35,6 +35,41 @@ class TestTriangleIntegral:
         assert triangle_integral(lambda x, y: x * x * y, (0.3, 0.7)) == pytest.approx(
             0.1, abs=1e-12
         )
+
+
+# Cdfs on which the one-dimensional reductions are checked against the 2-D
+# adaptive quadrature of the original triangle integrands.
+ORACLE_CASES = (
+    [random_mixed_piecewise_linear(np.random.default_rng(3000 + k)) for k in range(6)]
+    + [equilibrium_interval(0.0, 0.79).dist, equilibrium_interval(0.3, 0.9).dist]
+)
+
+
+class TestOneDimensionalReductions:
+    @pytest.mark.parametrize("d", ORACLE_CASES)
+    def test_inversion_iid(self, d):
+        def integrand(x, y):
+            return (1.0 - d.cdf(x) + d.cdf(y)) ** 2
+
+        reference = triangle_integral(integrand, d.breakpoints, tol=1e-11)
+        assert inversion_iid(d).value == pytest.approx(reference, abs=1e-9)
+
+    @pytest.mark.parametrize("d", ORACLE_CASES)
+    def test_hybrid_decompose(self, d):
+        g0 = MixedCdf.uniform(0.25, 0.75)
+        breaks = set(d.breakpoints) | set(g0.breakpoints)
+
+        def delta(x, y):
+            return (g0.cdf(x) - d.cdf(x)) - (g0.cdf(y) - d.cdf(y))
+
+        def cross(x, y):
+            return (1.0 - g0.cdf(x) + g0.cdf(y)) * delta(x, y)
+
+        coeffs = hybrid_decompose(d)
+        a_ref = 2.0 * triangle_integral(cross, breaks, tol=1e-11)
+        b_ref = triangle_integral(lambda x, y: delta(x, y) ** 2, breaks, tol=1e-11)
+        assert coeffs.a_coeff == pytest.approx(a_ref, abs=1e-9)
+        assert coeffs.b_coeff == pytest.approx(b_ref, abs=1e-9)
 
 
 class TestInversionIid:
