@@ -184,14 +184,11 @@ def _cmd_verify(args) -> int:
     rule = engine.parse_rule(args.rule)
     if not isinstance(rule, IidRule):
         raise ValueError("verify applies to iid rules only (e.g. iid:eq:0,0.79)")
-    head = args.rule.split(":", 2)[1]
-    if head == "eq":
-        rest = args.rule.split(":", 2)
-        if len(rest) == 3:
-            a, b = (float(v) for v in rest[2].split(","))
-            sol = equilibrium.equilibrium_interval(a, b)
-        else:
-            sol = equilibrium.equilibrium_unrestricted()
+    family = rule.dist.family or (None,)
+    if family[0] == "eq_unrestricted":
+        sol = equilibrium.equilibrium_unrestricted()
+    elif family[0] == "eq_interval":
+        sol = equilibrium.equilibrium_interval(*family[1:])
     else:
         sol = equilibrium.candidate_solution(rule.dist)
     report = equilibrium.verify_equilibrium(sol, grid_size=args.grid, tol=args.tol)

@@ -44,11 +44,11 @@ def _as_float_array(theta) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _check_domain(arr: np.ndarray) -> None:
+def _check_domain(arr: np.ndarray, name: str = "threshold") -> None:
     # Phrased as "not inside" so that NaN, which fails every comparison, is
     # rejected as well.
     if arr.size and not (np.min(arr) >= -1e-12 and np.max(arr) <= 1 + 1e-12):
-        raise ValueError("threshold outside [0, 1]")
+        raise ValueError(f"{name} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -365,8 +365,9 @@ class MixedCdf:
         return records
 
     def inverse(self, u):
-        """Quantile function (generalized inverse of the cdf)."""
+        """Quantile function (generalized inverse of the cdf); u must lie in [0, 1]."""
         u = np.asarray(u, dtype=float)
+        _check_domain(u, "probability u")
         records = self._inversion_table()
         uppers = np.array([r[1] for r in records])
         idx = np.searchsorted(uppers, u, side="right")

@@ -11,6 +11,14 @@ Monte Carlo estimates use a counter-based generator (Philox) keyed by
 each chunk, so results are reproducible bit-for-bit for a given seed and
 independent of how chunks would be scheduled across workers.  Chunk sums are
 reduced with numpy's pairwise summation in a fixed order.
+
+The Monte Carlo kernel sorts nothing.  For every pair of firms it decides
+which one ranks higher: a lone passer, else the harder test, else the random
+tie key (a single fair draw per play when there are two firms).  It then
+counts the pair as inverted when the lower-ranked firm has the strictly
+higher quality.  A total order is fixed by its pairs, so the inversion
+count and the winner equal those of a stable sort on (passed, threshold,
+tie key), for any number of firms.
 """
 
 from __future__ import annotations
@@ -80,6 +88,12 @@ class GameOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _check_unit(values: Sequence[float]) -> None:
+    # "not inside" so that NaN is rejected too.
+    if any(not 0.0 <= v <= 1.0 for v in values):
+        raise ValueError("inputs must lie in [0, 1]")
+
+
 def select_two(theta_x: float, theta_y: float, x: float, y: float,
                coin: np.random.Generator) -> int:
     """Winner index (0 or 1) between two firms.
@@ -87,9 +101,7 @@ def select_two(theta_x: float, theta_y: float, x: float, y: float,
     Exactly one passer wins outright; otherwise the higher threshold wins,
     with a fair coin when both outcome and threshold tie.
     """
-    for v in (theta_x, theta_y, x, y):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("inputs must lie in [0, 1]")
+    _check_unit((theta_x, theta_y, x, y))
     pass_x = x >= theta_x
     pass_y = y >= theta_y
     if pass_x != pass_y:
@@ -114,6 +126,7 @@ def play_game(thresholds: Sequence[float], qualities: Sequence[float],
         raise ValueError("thresholds and qualities must have the same length")
     if n < 2:
         raise ValueError("need at least two firms")
+    _check_unit(thresholds + qualities)
     passed = tuple(q >= t for q, t in zip(qualities, thresholds))
     tie_keys = coin.random(n)
     order = sorted(
@@ -136,6 +149,8 @@ def kendall_tau_fraction(ranking: Sequence[int], qualities: Sequence[float]) -> 
         raise ValueError("ranking is not a permutation")
     if len(qualities) != n:
         raise ValueError("ranking and qualities must have the same length")
+    if n < 2:
+        raise ValueError("need at least two firms")
     inversions = 0
     for p in range(n):
         for q in range(p + 1, n):
@@ -306,35 +321,49 @@ def _chunk_thresholds(rule: Rule, gen: np.random.Generator, m: int, n: int) -> n
     return thr
 
 
+def _score_chunk(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray):
+    """Score one chunk of plays; returns (sum_frac, sum_frac_sq, win_counts).
+
+    ``qual`` and ``thr`` are (plays, firms) arrays.  ``tie`` orders firms that
+    tie on (passed, threshold): with two firms it holds one draw per play and
+    firm 0 ranks first when that draw is below 0.5; otherwise it holds one key
+    per firm, a larger key ranks first and equal keys keep index order.
+
+    No play is sorted: each pair i < j is decided on its own, on firm-major
+    copies so that every row read is contiguous.  Everything is elementwise
+    boolean algebra: ``np.where`` on a random mask mispredicts branches and
+    costs far more per element.
+    """
+    m, n = qual.shape
+    q = np.ascontiguousarray(qual.T)
+    t = np.ascontiguousarray(thr.T)
+    passed = q >= t
+    if tie.ndim == 1:
+        # The single draw as a key per firm: firm 0 leads when it is below 0.5.
+        keys = np.stack([tie < 0.5, tie >= 0.5])
+    else:
+        keys = np.ascontiguousarray(tie.T)
+    pairs = n * (n - 1) // 2
+    inv = np.zeros(m, dtype=np.min_scalar_type(pairs))  # exact counts
+    top = np.ones((n, m), dtype=bool)  # firm ranks above every other
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            by_test = (t[i] > t[j]) | ((t[i] == t[j]) & (keys[i] >= keys[j]))
+            ahead = (passed[i] > passed[j]) | ((passed[i] == passed[j]) & by_test)
+            behind = ~ahead
+            inv += (ahead & (q[j] > q[i])) | (behind & (q[i] > q[j]))
+            top[i] &= ahead
+            top[j] &= behind
+    frac = inv / pairs
+    return float(np.sum(frac)), float(np.sum(frac * frac)), np.count_nonzero(top, axis=1)
+
+
 def _simulate_chunk(rule: Rule, n: int, gen: np.random.Generator, m: int):
     """One chunk of plays; returns (sum_frac, sum_frac_sq, win_counts)."""
     qual = gen.random((m, n))
     thr = _chunk_thresholds(rule, gen, m, n)
-    if n == 2:
-        tie = gen.random(m)
-        q0, q1 = qual[:, 0], qual[:, 1]
-        t0, t1 = thr[:, 0], thr[:, 1]
-        p0 = q0 >= t0
-        p1 = q1 >= t1
-        first_wins = np.where(p0 != p1, p0, np.where(t0 != t1, t0 > t1, tie < 0.5))
-        frac = np.where(first_wins, q1 > q0, q0 > q1).astype(float)
-        wins0 = np.count_nonzero(first_wins)
-        win_counts = np.array([wins0, m - wins0], dtype=np.int64)
-    else:
-        tie = gen.random((m, n))
-        passed = qual >= thr
-        rows = np.repeat(np.arange(m), n)
-        order = np.lexsort(
-            ((-tie).ravel(), (-thr).ravel(), (~passed).ravel(), rows)
-        )
-        ranking = order.reshape(m, n) - (np.arange(m) * n)[:, None]
-        ranked_qual = np.take_along_axis(qual, ranking, axis=1)
-        inv = np.zeros(m)
-        for p in range(n - 1):
-            inv += np.sum(ranked_qual[:, p + 1:] > ranked_qual[:, p:p + 1], axis=1)
-        frac = inv / (n * (n - 1) / 2)
-        win_counts = np.bincount(ranking[:, 0], minlength=n)
-    return float(np.sum(frac)), float(np.sum(frac * frac)), win_counts
+    tie = gen.random(m) if n == 2 else gen.random((m, n))
+    return _score_chunk(qual, thr, tie)
 
 
 def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIALS,

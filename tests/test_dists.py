@@ -334,6 +334,21 @@ class TestQuantileFunction:
         t = self.DIST.inverse(u)
         assert np.all(np.diff(t) >= -1e-12)
 
+    @pytest.mark.parametrize("u", [1.5, -0.2, math.nan])
+    def test_rejects_scalar_outside_unit_interval(self, u):
+        with pytest.raises(ValueError, match="probability u"):
+            MixedCdf.uniform(0.25, 0.75).inverse(u)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
+    def test_rejects_array_entry_outside_unit_interval(self, bad):
+        # Clipping used to turn -0.2 into 0.15, outside the support [0.25, 0.75].
+        with pytest.raises(ValueError, match="probability u"):
+            MixedCdf.uniform(0.25, 0.75).inverse(np.array([0.1, bad, 0.9]))
+
+    def test_accepts_closed_unit_interval(self):
+        t = MixedCdf.uniform(0.25, 0.75).inverse(np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_allclose(t, [0.25, 0.5, 0.75])
+
 
 class TestPieces:
     def test_arc_inverse_round_trip(self):
