@@ -94,8 +94,12 @@ def search_best_interval(a_grid=None, b_grid=None, refine: bool = True,
 
     Coarse scan over the mixed-equilibrium region ``(1 - a) * b > 1/2`` (plus
     the step-regime boundary cells) followed by coordinate-wise
-    golden-section refinement around the best cell.
+    golden-section refinement around the best cell.  ``resolution``, the
+    grid step and the refinement half-width, must be a number in (0, 1].
     """
+    resolution = float(resolution)
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError("resolution must lie in (0, 1]")
     if a_grid is None:
         a_grid = np.arange(0.0, 1.0, resolution)
     if b_grid is None:
@@ -114,6 +118,8 @@ def search_best_interval(a_grid=None, b_grid=None, refine: bool = True,
                 best = (value, float(a), float(b))
 
     value, a_star, b_star = best
+    if value == np.inf:
+        raise ValueError("the grids hold no interval [a, b] with a < b")
     if refine:
         for _ in range(2):
             b_lo = max(b_star - resolution, a_star + 1e-6)

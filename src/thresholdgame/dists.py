@@ -7,10 +7,13 @@ ones that matter here are *mixed*: an absolutely continuous part described by
 closed-form pieces, plus finitely many point masses (atoms).
 
 :class:`MixedCdf` stores the cumulative distribution function as an ordered
-tiling of [0, 1] by analytic pieces together with an explicit atom list.  All
-evaluations are exact per piece: the cdf, its left limits, the running
-integral ``integral(theta) = int_0^theta cdf(t) dt``, densities away from
-atoms, and the quantile function used for inverse-transform sampling.
+tiling of [0, 1] by analytic pieces together with an explicit atom list.  A
+piece is a polynomial of degree <= 1 (:class:`PolyPiece`) or an arc of the
+equilibrium family (:class:`ArcPiece`).  All evaluations are exact per piece:
+the cdf, its left limits, the running integral
+``integral(theta) = int_0^theta cdf(t) dt``, densities away from atoms, and
+the quantile function used for inverse-transform sampling, which inverts
+both kinds of piece in closed form.
 Storing evaluators rather than sampled grids keeps breakpoints exact, which
 the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
 its integration domain.
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ArcPiece",
@@ -51,53 +53,57 @@ def _check_domain(arr: np.ndarray, name: str = "threshold") -> None:
         raise ValueError(f"{name} outside [0, 1]")
 
 
+def _check_finite(kind: str, *values) -> None:
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise ValueError(f"{kind} parameters must be finite")
+
+
 @dataclass(frozen=True)
 class PolyPiece:
-    """Polynomial cdf piece: ``cdf(t) = sum_k coeffs[k] * t**k`` on [lo, hi)."""
+    """Polynomial cdf piece of degree <= 1: ``cdf(t) = coeffs[0] + coeffs[1] * t``
+    on [lo, hi).
+
+    ``coeffs`` holds one coefficient (a constant piece) or two (a linear
+    piece), so the running integral and the quantile are closed-form.
+    """
 
     lo: float
     hi: float
     coeffs: tuple[float, ...]
-    _dcoeffs: np.ndarray = field(init=False, repr=False, compare=False)
-    _anti: np.ndarray = field(init=False, repr=False, compare=False)
+    _level: float = field(init=False, repr=False, compare=False)
+    _slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        poly = np.polynomial.polynomial
-        object.__setattr__(self, "_dcoeffs", poly.polyder(self.coeffs))
-        object.__setattr__(self, "_anti", poly.polyint(self.coeffs))
+        if not 1 <= len(self.coeffs) <= 2:
+            raise ValueError("a poly piece has degree <= 1: one or two coefficients")
+        _check_finite("poly piece", self.lo, self.hi, *self.coeffs)
+        level, slope = (*self.coeffs, 0.0)[:2]
+        object.__setattr__(self, "_level", float(level))
+        object.__setattr__(self, "_slope", float(slope))
 
     def value(self, theta):
-        return np.polynomial.polynomial.polyval(theta, self.coeffs)
+        return self._level + self._slope * np.asarray(theta, dtype=float)
 
     def density(self, theta):
-        return np.polynomial.polynomial.polyval(theta, self._dcoeffs)
+        return np.full(np.shape(theta), self._slope)
 
     def antiderivative(self, theta):
-        return np.polynomial.polynomial.polyval(theta, self._anti)
+        theta = np.asarray(theta, dtype=float)
+        return (self._level + 0.5 * self._slope * theta) * theta
 
     def integral(self, t0: float, t1: float) -> float:
         return float(self.antiderivative(t1) - self.antiderivative(t0))
 
     def inverse(self, u):
-        # Quantile restricted to this piece; linear pieces invert exactly,
-        # higher degrees fall back to bracketed root finding.
+        # Quantile restricted to this piece; a flat piece sends every u to hi.
         u = np.asarray(u, dtype=float)
-        if len(self.coeffs) <= 2:
-            c0 = self.coeffs[0]
-            c1 = self.coeffs[1] if len(self.coeffs) == 2 else 0.0
-            if c1 <= 0.0:
-                return np.full_like(u, self.hi)
-            return (u - c0) / c1
-        lo, hi = self.lo, self.hi
-
-        def solve(target: float) -> float:
-            return brentq(lambda t: float(self.value(t)) - target, lo, hi, xtol=1e-14)
-
-        return np.vectorize(solve)(u)
+        if self._slope <= 0.0:
+            return np.full_like(u, self.hi)
+        return (u - self._level) / self._slope
 
     def is_increasing_at(self, theta):
         """Elementwise: the density at ``theta`` is positive."""
-        return np.asarray(self.density(theta)) > 1e-12
+        return np.full(np.shape(theta), self._slope > 1e-12)
 
     def to_segment_dict(self) -> dict:
         return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": list(self.coeffs)}
@@ -115,6 +121,9 @@ class ArcPiece:
     hi: float
     offset: float
     scale: float
+
+    def __post_init__(self):
+        _check_finite("arc piece", self.lo, self.hi, self.offset, self.scale)
 
     @staticmethod
     def _radius(theta):
@@ -214,6 +223,11 @@ class MixedCdf:
                 raise ValueError("pieces must be contiguous")
             if right.lo <= left.lo:
                 raise ValueError("pieces must have positive width and be ordered")
+        # Every piece is linear or an arc, hence monotone, so comparing its
+        # ends decides whether the cdf decreases along it.
+        for piece in pieces:
+            if float(piece.value(piece.hi)) < float(piece.value(piece.lo)) - _JUNCTION_TOL:
+                raise ValueError(f"cdf decreases on [{piece.lo}, {piece.hi}]")
 
         atom_at = dict(self.atoms)
         if len(atom_at) != len(self.atoms):
@@ -221,7 +235,7 @@ class MixedCdf:
         for loc, mass in self.atoms:
             if not 0.0 <= loc <= 1.0:
                 raise ValueError("atom location outside [0, 1]")
-            if mass <= 0.0:
+            if not mass > 0.0:  # NaN included
                 raise ValueError("atom mass must be positive")
 
         # Jumps at piece junctions (and at 0 and 1) must match declared atoms.

@@ -58,6 +58,16 @@ class TestSearch:
         assert result.value < 0.22975  # the true optimum beats the [0, 0.79] value
         assert result.value > float(EQUILIBRIUM_FLOOR)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5, 2.0, float("nan"), float("inf")])
+    def test_rejects_resolution_outside_unit_interval(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            search_best_interval(resolution=resolution)
+
+    @pytest.mark.parametrize("a_grid", [[], [float("nan")], [0.9]], ids=["empty", "nan", "above-b"])
+    def test_rejects_grids_without_an_interval(self, a_grid):
+        with pytest.raises(ValueError, match="no interval"):
+            search_best_interval(a_grid=a_grid, b_grid=[0.8])
+
     def test_objective_continuity_along_b(self):
         # Regime misclassification would show up as a jump between adjacent
         # cells; the observed increments must stay near the local slope scale.

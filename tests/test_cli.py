@@ -1,9 +1,14 @@
 """Tests for the command-line frontend."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thresholdgame
 from thresholdgame.cli import main
 from thresholdgame.dists import MixedCdf
 
@@ -171,6 +176,14 @@ class TestPoaAndSearch:
         assert code == 0
         assert data["eq_restricted_best"]["value"] <= data["eq_unrestricted"]
 
+    @pytest.mark.parametrize("resolution", ["0", "-0.1", "2", "nan", "inf"])
+    @pytest.mark.parametrize("command", [("search",), ("poa", "--search")],
+                             ids=["search", "poa"])
+    def test_bad_resolution_exits_2(self, capsys, command, resolution):
+        code, out = run_cli(capsys, *command, "--resolution", resolution)
+        assert code == 2
+        assert out == ""
+
 
 class TestSimulate:
     def test_summary_fields(self, capsys):
@@ -219,3 +232,15 @@ class TestReproducibility:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_import_leaves_scipy_unloaded():
+    # The runtime needs only numpy; scipy is a test-only oracle.
+    src = str(Path(thresholdgame.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, thresholdgame.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -361,3 +361,57 @@ class TestPieces:
         piece = ArcPiece(0.0, 1.0, offset=0.5, scale=0.5)
         numeric, _ = quad(lambda t: float(piece.value(t)), 0.1, 0.9)
         assert piece.integral(0.1, 0.9) == pytest.approx(numeric, abs=1e-10)
+
+
+def _poly_segments(coeffs):
+    return {"segments": [{"kind": "poly", "lo": 0.0, "hi": 1.0, "coeffs": coeffs}]}
+
+
+class TestPieceValidation:
+    @pytest.mark.parametrize("coeffs", [(), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0)],
+                             ids=["empty", "quadratic", "cubic"])
+    def test_poly_degree_at_most_one(self, coeffs):
+        with pytest.raises(ValueError, match="degree"):
+            PolyPiece(0.0, 1.0, coeffs)
+        with pytest.raises(ValueError, match="degree"):
+            MixedCdf.from_dict(_poly_segments(list(coeffs)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lo", "hi", "c0", "c1"])
+    def test_poly_rejects_non_finite(self, field, bad):
+        args = {"lo": 0.0, "hi": 1.0, "c0": 0.0, "c1": 1.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            PolyPiece(args["lo"], args["hi"], (args["c0"], args["c1"]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lo", "hi", "offset", "scale"])
+    def test_arc_rejects_non_finite(self, field, bad):
+        args = {"lo": 0.0, "hi": 1.0, "offset": 0.5, "scale": 0.5, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            ArcPiece(**args)
+
+    def test_from_dict_rejects_nan_coefficient(self):
+        with pytest.raises(ValueError, match="finite"):
+            MixedCdf.from_dict(_poly_segments([math.nan, 1.0]))
+
+    def test_rejects_nan_atom_mass(self):
+        data = {"segments": [{"kind": "poly", "lo": 0.0, "hi": 0.5, "coeffs": [0.0]},
+                             {"kind": "poly", "lo": 0.5, "hi": 1.0, "coeffs": [1.0]}],
+                "atoms": [[0.5, math.nan]]}
+        with pytest.raises(ValueError, match="atom mass"):
+            MixedCdf.from_dict(data)
+
+    def test_rejects_piece_along_which_cdf_decreases(self):
+        # Both junctions match the declared atoms, yet cdf(0) = 0.5 > cdf(0.9).
+        data = {**_poly_segments([0.5, -0.5]), "atoms": [[0.0, 0.5], [1.0, 1.0]]}
+        with pytest.raises(ValueError, match="decreases"):
+            MixedCdf.from_dict(data)
+        with pytest.raises(ValueError, match="decreases"):
+            MixedCdf((ArcPiece(0.0, 1.0, offset=0.5, scale=-0.5),), ((0.0, 1.0), (1.0, 1.0)))
+
+    def test_every_search_cell_builds(self):
+        # The cells search_best_interval(resolution=0.01) may visit.
+        grid = np.round(np.arange(0.0, 1.0 + 0.005, 0.01), 12)
+        for a in grid:
+            for b in grid[grid > a]:
+                assert equilibrium_interval(float(a), float(b)).dist.cdf(1.0) == 1.0
