@@ -52,7 +52,13 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class PoaReport:
-    """Fig-1 style five-regime comparison for ``n`` firms."""
+    """Fig-1 style five-regime comparison for ``n`` firms.
+
+    Only ``correlated`` depends on ``n``.  ``eq_unrestricted`` and
+    ``eq_restricted_best`` are the errors of the two-firm equilibria whatever
+    ``n`` is, so ``poa_vs_iid`` and ``poa_vs_correlated`` divide a two-firm
+    equilibrium value too; no n-firm equilibrium is computed yet.
+    """
 
     n: int
     same_test: float

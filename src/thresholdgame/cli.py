@@ -185,12 +185,10 @@ def _cmd_verify(args) -> int:
     if not isinstance(rule, IidRule):
         raise ValueError("verify applies to iid rules only (e.g. iid:eq:0,0.79)")
     family = rule.dist.family or (None,)
-    if family[0] == "eq_unrestricted":
-        sol = equilibrium.equilibrium_unrestricted()
-    elif family[0] == "eq_interval":
-        sol = equilibrium.equilibrium_interval(*family[1:])
-    else:
-        sol = equilibrium.candidate_solution(rule.dist)
+    # A restricted equilibrium is checked on its own interval; its cut point
+    # is a breakpoint of the cdf, so the candidate's grid is the same.
+    interval = family[1:] if family[0] == "eq_interval" else (0.0, 1.0)
+    sol = equilibrium.candidate_solution(rule.dist, interval)
     report = equilibrium.verify_equilibrium(sol, grid_size=args.grid, tol=args.tol)
     payload = {"rule": args.rule, "interval": list(sol.interval), **report.to_dict()}
     print(_emit(payload, args.format))
@@ -295,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("poa", help="five-regime comparison and PoA ratios")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2,
+                   help="firm count of the correlated optimum; the equilibrium "
+                        "entries and the PoA numerators stay two-firm values")
     p.add_argument("--search", action="store_true",
                    help="search for the best restriction interval")
     p.add_argument("--resolution", type=float, default=0.01)

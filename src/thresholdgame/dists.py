@@ -18,6 +18,17 @@ Storing evaluators rather than sampled grids keeps breakpoints exact, which
 the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
 its integration domain.
 
+Construction evaluates each piece's two end values once; the validation of
+monotonicity and junction jumps and the quantile table read them, so
+sampling reuses a table built with the cdf.  The cdf, its left limits, the
+running integral and the density all go through one per-piece evaluation.
+
+A cdf built from a named family (uniform, step, the unrestricted equilibrium
+or its restriction to [a, b]) records that recipe in ``MixedCdf.family``.
+``_FAMILY_FIELDS`` names each family's parameters, which are also its
+serialized keys, and :meth:`MixedCdf.from_family` is the one place that
+turns a recipe back into a cdf: JSON and the rule grammar both go through it.
+
 Conventions:
 
 * cdfs are right-continuous and nondecreasing with ``cdf(1) == 1``;
@@ -178,6 +189,15 @@ def linear_piece(lo: float, hi: float, v_lo: float, v_hi: float) -> PolyPiece:
 
 _JUNCTION_TOL = 1e-9
 
+#: The recipes a cdf can be built from (``MixedCdf.family``): each kind maps
+#: to its parameter names, which are also its serialized keys.
+_FAMILY_FIELDS = {
+    "uniform": ("lo", "hi"),
+    "step": ("at",),
+    "eq_unrestricted": (),
+    "eq_interval": ("a", "b"),
+}
+
 
 @dataclass(frozen=True)
 class MixedCdf:
@@ -194,7 +214,10 @@ class MixedCdf:
     atoms: tuple[tuple[float, float], ...] = ()
     family: tuple | None = None
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _ends: tuple = field(init=False, repr=False, compare=False)
+    _anti_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
+    _quantile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -203,14 +226,20 @@ class MixedCdf:
         object.__setattr__(
             self, "atoms", tuple((float(t), float(m)) for t, m in self.atoms)
         )
+        # (cdf at lo, cdf at hi) of each piece, evaluated once.
+        object.__setattr__(self, "_ends", tuple(
+            (float(p.value(p.lo)), float(p.value(p.hi))) for p in self.pieces
+        ))
         self._validate()
         edges = np.array([p.lo for p in self.pieces], dtype=float)
         object.__setattr__(self, "_edges", edges)
+        anti_lo = np.array([float(p.antiderivative(p.lo)) for p in self.pieces])
+        anti_hi = np.array([float(p.antiderivative(p.hi)) for p in self.pieces])
+        object.__setattr__(self, "_anti_lo", anti_lo)
         # _prefix[i] == cdf_integral(pieces[i].lo)
-        prefix = np.concatenate(
-            ([0.0], np.cumsum([p.integral(p.lo, p.hi) for p in self.pieces]))
-        )
+        prefix = np.concatenate(([0.0], np.cumsum(anti_hi - anti_lo)))
         object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_quantile", self._quantile_table())
 
     # -- validation ---------------------------------------------------------
 
@@ -225,8 +254,8 @@ class MixedCdf:
                 raise ValueError("pieces must have positive width and be ordered")
         # Every piece is linear or an arc, hence monotone, so comparing its
         # ends decides whether the cdf decreases along it.
-        for piece in pieces:
-            if float(piece.value(piece.hi)) < float(piece.value(piece.lo)) - _JUNCTION_TOL:
+        for piece, (v_lo, v_hi) in zip(pieces, self._ends):
+            if v_hi < v_lo - _JUNCTION_TOL:
                 raise ValueError(f"cdf decreases on [{piece.lo}, {piece.hi}]")
 
         atom_at = dict(self.atoms)
@@ -239,11 +268,11 @@ class MixedCdf:
                 raise ValueError("atom mass must be positive")
 
         # Jumps at piece junctions (and at 0 and 1) must match declared atoms.
-        junctions = [(0.0, 0.0, float(pieces[0].value(0.0)))]
-        for left, right in zip(pieces, pieces[1:]):
-            t = left.hi
-            junctions.append((t, float(left.value(t)), float(right.value(t))))
-        junctions.append((1.0, float(pieces[-1].value(1.0)), 1.0))
+        ends = self._ends
+        junctions = [(0.0, 0.0, ends[0][0])]
+        junctions += [(p.hi, left[1], right[0])
+                      for p, left, right in zip(pieces, ends, ends[1:])]
+        junctions.append((1.0, ends[-1][1], 1.0))
         seen = set()
         for t, lo_val, hi_val in junctions:
             jump = hi_val - lo_val
@@ -261,42 +290,36 @@ class MixedCdf:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _piece_index(self, arr: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._edges, arr, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+    def _by_piece(self, arr: np.ndarray, method: str, side: str = "right"):
+        """Check ``arr`` against [0, 1], clip it and apply ``method`` of each
+        point's piece; ``side="left"`` puts a junction in the piece on its left.
+        Returns the flat points, their piece indices and the flat values."""
+        _check_domain(arr)
+        flat = np.clip(arr.ravel(), 0.0, 1.0)
+        idx = np.searchsorted(self._edges, flat, side=side) - 1
+        idx = np.clip(idx, 0, len(self.pieces) - 1)
+        out = np.empty_like(flat)
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if mask.any():
+                out[mask] = getattr(piece, method)(flat[mask])
+        return flat, idx, out
 
     def cdf(self, theta):
         """Right-continuous cumulative probability at ``theta``."""
         arr, scalar = _as_float_array(theta)
-        _check_domain(arr)
-        flat = np.clip(arr.ravel(), 0.0, 1.0)
-        out = np.empty_like(flat)
-        idx = self._piece_index(flat)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = piece.value(flat[mask])
+        flat, _, out = self._by_piece(arr, "value")
         out[flat == 1.0] = 1.0
-        out = out.reshape(arr.shape)
-        return float(out) if scalar else out
+        return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def left_limit(self, theta):
         """``lim_{t -> theta^-} cdf(t)``, evaluated analytically."""
         arr, scalar = _as_float_array(theta)
-        _check_domain(arr)
-        flat = np.clip(arr.ravel(), 0.0, 1.0)
-        out = np.empty_like(flat)
-        # A point on a junction belongs to the piece on its left; elsewhere the
-        # cdf is continuous and the left limit is the value itself.
-        idx = np.searchsorted(self._edges, flat, side="left") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = piece.value(flat[mask])
+        # Away from junctions the cdf is continuous and the left limit is the
+        # value itself.
+        flat, _, out = self._by_piece(arr, "value", side="left")
         out[flat == 0.0] = 0.0
-        out = out.reshape(arr.shape)
-        return float(out) if scalar else out
+        return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def atom_mass(self, theta: float) -> float:
         for loc, mass in self.atoms:
@@ -311,27 +334,14 @@ class MixedCdf:
             raise ValueError("threshold outside [0, 1]")
         if self.atom_mass(theta) > 0.0:
             return None
-        if theta == 1.0:
-            piece = self.pieces[-1]
-        else:
-            piece = self.pieces[int(self._piece_index(np.array([theta]))[0])]
-        return float(piece.density(theta))
+        return float(self._by_piece(np.array([theta]), "density")[2][0])
 
     def cdf_integral(self, theta):
         """``int_0^theta cdf(t) dt``, closed form per piece."""
         arr, scalar = _as_float_array(theta)
-        _check_domain(arr)
-        flat = np.clip(arr.ravel(), 0.0, 1.0)
-        idx = self._piece_index(flat)
-        out = self._prefix[idx]
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] += piece.antiderivative(flat[mask]) - piece.antiderivative(
-                    piece.lo
-                )
-        out = out.reshape(arr.shape)
-        return float(out) if scalar else out
+        _, idx, out = self._by_piece(arr, "antiderivative")
+        out = self._prefix[idx] + (out - self._anti_lo[idx])
+        return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def failure_probability(self) -> float:
         """Mean of the distribution: the chance a firm fails its own sampled test."""
@@ -363,38 +373,35 @@ class MixedCdf:
 
     # -- sampling -----------------------------------------------------------
 
-    def _inversion_table(self):
-        records = []
+    def _quantile_table(self) -> tuple[np.ndarray, tuple]:
+        # One record per stretch of u that maps to a single piece or atom: its
+        # upper end in u, and the atom location or the piece to invert.
+        uppers, targets = [], []
         atom_at = dict(self.atoms)
         if 0.0 in atom_at:
-            records.append((0.0, atom_at[0.0], "atom", 0.0))
-        for piece in self.pieces:
-            v_lo = float(piece.value(piece.lo))
-            v_hi = float(piece.value(piece.hi))
+            uppers.append(atom_at[0.0])
+            targets.append(0.0)
+        for piece, (v_lo, v_hi) in zip(self.pieces, self._ends):
             if v_hi > v_lo:
-                records.append((v_lo, v_hi, "piece", piece))
+                uppers.append(v_hi)
+                targets.append(piece)
             t = piece.hi
             if t in atom_at and t != 0.0:
-                records.append((v_hi, v_hi + atom_at[t], "atom", t))
-        return records
+                uppers.append(v_hi + atom_at[t])
+                targets.append(float(t))
+        return np.array(uppers), tuple(targets)
 
     def inverse(self, u):
         """Quantile function (generalized inverse of the cdf); u must lie in [0, 1]."""
         u = np.asarray(u, dtype=float)
         _check_domain(u, "probability u")
-        records = self._inversion_table()
-        uppers = np.array([r[1] for r in records])
-        idx = np.searchsorted(uppers, u, side="right")
-        idx = np.clip(idx, 0, len(records) - 1)
+        uppers, targets = self._quantile
+        idx = np.clip(np.searchsorted(uppers, u, side="right"), 0, len(targets) - 1)
         out = np.empty_like(u, dtype=float)
-        for i, (v_lo, v_hi, kind, payload) in enumerate(records):
+        for i, target in enumerate(targets):
             mask = idx == i
-            if not mask.any():
-                continue
-            if kind == "atom":
-                out[mask] = payload
-            else:
-                out[mask] = payload.inverse(u[mask])
+            if mask.any():
+                out[mask] = target if isinstance(target, float) else target.inverse(u[mask])
         return np.clip(out, 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -407,17 +414,8 @@ class MixedCdf:
 
     def to_dict(self) -> dict:
         if self.family is not None:
-            kind = self.family[0]
-            if kind == "uniform":
-                segments = [{"kind": "uniform", "lo": self.family[1], "hi": self.family[2]}]
-            elif kind == "step":
-                segments = [{"kind": "step", "at": self.family[1]}]
-            elif kind == "eq_unrestricted":
-                segments = [{"kind": "eq_unrestricted"}]
-            elif kind == "eq_interval":
-                segments = [{"kind": "eq_interval", "a": self.family[1], "b": self.family[2]}]
-            else:  # pragma: no cover - families are constructed internally
-                raise ValueError(f"unknown family {kind!r}")
+            kind, *values = self.family
+            segments = [{"kind": kind, **dict(zip(_FAMILY_FIELDS[kind], values))}]
         else:
             segments = [p.to_segment_dict() for p in self.pieces]
         return {"segments": segments, "atoms": [[loc, mass] for loc, mass in self.atoms]}
@@ -429,25 +427,10 @@ class MixedCdf:
     def from_dict(cls, data: dict) -> "MixedCdf":
         segments = data["segments"]
         atoms = [tuple(a) for a in data.get("atoms", [])]
-        if len(segments) == 1 and segments[0]["kind"] != "poly":
+        if len(segments) == 1 and segments[0]["kind"] not in ("poly", "arc"):
             seg = segments[0]
-            kind = seg["kind"]
-            if kind == "uniform":
-                return cls.uniform(seg["lo"], seg["hi"])
-            if kind == "step":
-                return cls.step(seg["at"])
-            if kind == "eq_unrestricted":
-                from thresholdgame.equilibrium import equilibrium_unrestricted
-
-                return equilibrium_unrestricted().dist
-            if kind == "eq_interval":
-                from thresholdgame.equilibrium import equilibrium_interval
-
-                return equilibrium_interval(seg["a"], seg["b"]).dist
-            if kind == "arc":
-                pieces = (ArcPiece(seg["lo"], seg["hi"], seg["offset"], seg["scale"]),)
-                return cls(pieces, tuple(atoms))
-            raise ValueError(f"unknown segment kind {kind!r}")
+            fields = _FAMILY_FIELDS.get(seg["kind"], ())
+            return cls.from_family(seg["kind"], *(seg[name] for name in fields))
         pieces = []
         for seg in segments:
             if seg["kind"] == "poly":
@@ -461,6 +444,22 @@ class MixedCdf:
     @classmethod
     def from_json(cls, text: str) -> "MixedCdf":
         return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_family(cls, kind: str, *values) -> "MixedCdf":
+        """Rebuild a cdf from its recipe, ``MixedCdf.from_family(*d.family)``."""
+        if kind not in _FAMILY_FIELDS:
+            raise ValueError(f"unknown segment kind {kind!r}")
+        if kind == "uniform":
+            return cls.uniform(*values)
+        if kind == "step":
+            return cls.step(*values)
+        # The equilibrium module builds on this one, hence the late import.
+        from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
+
+        if kind == "eq_interval":
+            return equilibrium_interval(*values).dist
+        return equilibrium_unrestricted(*values).dist
 
     # -- constructors -------------------------------------------------------
 

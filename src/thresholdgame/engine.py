@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from thresholdgame.dists import MixedCdf
+from thresholdgame.dists import _FAMILY_FIELDS, MixedCdf
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -230,28 +230,19 @@ def _rule_firm_count(rule: Rule, n_firms: int | None) -> int:
 def parse_dist(spec: str) -> MixedCdf:
     """Parse a distribution spec: ``uniform:lo,hi`` | ``eq`` | ``eq:a,b`` | ``step:t``."""
     head, _, rest = spec.partition(":")
-    if head == "uniform":
-        try:
-            lo, hi = (float(v) for v in rest.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad uniform spec {spec!r}") from exc
-        return MixedCdf.uniform(lo, hi)
-    if head == "step":
-        try:
-            return MixedCdf.step(float(rest))
-        except ValueError as exc:
-            raise ValueError(f"bad step spec {spec!r}") from exc
-    if head == "eq":
-        from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
-
-        if not rest:
-            return equilibrium_unrestricted().dist
-        try:
-            a, b = (float(v) for v in rest.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad equilibrium spec {spec!r}") from exc
-        return equilibrium_interval(a, b).dist
-    raise ValueError(f"unknown distribution kind {head!r}")
+    if head not in ("uniform", "step", "eq"):
+        raise ValueError(f"unknown distribution kind {head!r}")
+    kind = ("eq_interval" if rest else "eq_unrestricted") if head == "eq" else head
+    try:
+        values = tuple(float(v) for v in rest.split(",")) if rest else ()
+        if len(values) != len(_FAMILY_FIELDS[kind]):
+            raise ValueError(f"{kind} takes {len(_FAMILY_FIELDS[kind])} parameters")
+        if head == "step":  # a step outside [0, 1] is a bad spec, too
+            return MixedCdf.from_family(kind, *values)
+    except ValueError as exc:
+        label = "equilibrium" if head == "eq" else head
+        raise ValueError(f"bad {label} spec {spec!r}") from exc
+    return MixedCdf.from_family(kind, *values)
 
 
 def parse_rule(spec: str) -> Rule:

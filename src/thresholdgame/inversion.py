@@ -11,9 +11,8 @@ whose integrand is smooth on every piece of the cdf (atoms sit only at piece
 junctions), so a fixed-order Gauss-Legendre sum per piece evaluates it to
 rounding error.  The same reduction serves every integrand over the triangle
 that separates into functions of ``x`` alone and of ``y`` alone
-(:func:`_separable_triangle`).  :func:`triangle_integral`, adaptive tensor
-quadrature of a general ``f(x, y)`` over the triangle, stays as an
-independent check of these reductions.
+(:func:`_separable_triangle`).  The tests check these reductions against
+adaptive 2-D quadrature of the original integrands over the triangle.
 
 The module also provides the exact pairwise formula for deterministic
 threshold lists, the optimal-value formula for correlated tests, the
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "inversion_iid",
     "optimal_value_correlated",
     "suboptimality_bound",
-    "triangle_integral",
 ]
 
 #: Error probability of the optimal i.i.d. rule (uniform tests on [1/4, 3/4]).
@@ -64,83 +62,6 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(order)
         _LEG_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
     return _LEG_CACHE[order]
-
-
-def _rect(f, x0, x1, y0, y1, order):
-    u, w = _unit_nodes(order)
-    xs = x0 + (x1 - x0) * u
-    ys = y0 + (y1 - y0) * u
-    values = f(xs[:, None], ys[None, :])
-    return (x1 - x0) * (y1 - y0) * float(np.einsum("i,j,ij->", w, w, values))
-
-
-def _tri(f, x0, x1, order):
-    # Duffy transform of the triangle {x0 <= y <= x <= x1}: x = x0 + h*xi,
-    # y = x0 + h*xi*eta, Jacobian h^2 * xi.  Keeps the integrand smooth on a
-    # square whenever it is smooth on the closed triangle.
-    u, w = _unit_nodes(order)
-    h = x1 - x0
-    xs = x0 + h * u
-    ys = x0 + h * u[:, None] * u[None, :]
-    values = f(xs[:, None], ys)
-    return h * h * float(np.einsum("i,j,ij->", w * u, w, values))
-
-
-def _adaptive_rect(f, x0, x1, y0, y1, tol, order, depth):
-    coarse = _rect(f, x0, x1, y0, y1, order)
-    xm = 0.5 * (x0 + x1)
-    ym = 0.5 * (y0 + y1)
-    parts = [
-        (x0, xm, y0, ym),
-        (x0, xm, ym, y1),
-        (xm, x1, y0, ym),
-        (xm, x1, ym, y1),
-    ]
-    fine = sum(_rect(f, *p, order) for p in parts)
-    if abs(fine - coarse) <= tol or depth <= 0:
-        return fine
-    return sum(_adaptive_rect(f, *p, tol / 4.0, order, depth - 1) for p in parts)
-
-
-def _adaptive_tri(f, x0, x1, tol, order, depth):
-    coarse = _tri(f, x0, x1, order)
-    xm = 0.5 * (x0 + x1)
-    fine = (
-        _tri(f, x0, xm, order)
-        + _tri(f, xm, x1, order)
-        + _rect(f, xm, x1, x0, xm, order)
-    )
-    if abs(fine - coarse) <= tol or depth <= 0:
-        return fine
-    return (
-        _adaptive_tri(f, x0, xm, tol / 3.0, order, depth - 1)
-        + _adaptive_tri(f, xm, x1, tol / 3.0, order, depth - 1)
-        + _adaptive_rect(f, xm, x1, x0, xm, tol / 3.0, order, depth - 1)
-    )
-
-
-def triangle_integral(f: Callable, breaks, tol: float = 1e-9, order: int = 20,
-                      max_depth: int = 12) -> float:
-    """Integrate ``f(x, y)`` over ``{0 <= y <= x <= 1}``.
-
-    ``breaks`` lists interior smoothness boundaries; the domain is split at
-    every break in both coordinates so each cell sees an analytic integrand.
-    ``f`` must accept broadcastable numpy arrays.
-    """
-    edges = sorted({0.0, 1.0} | {float(b) for b in breaks if 0.0 < float(b) < 1.0})
-    n_int = len(edges) - 1
-    n_cells = n_int * (n_int + 1) // 2
-    cell_tol = tol / max(n_cells, 1)
-    total = 0.0
-    for j in range(n_int):
-        x0, x1 = edges[j], edges[j + 1]
-        for i in range(j + 1):
-            y0, y1 = edges[i], edges[i + 1]
-            if i == j:
-                total += _adaptive_tri(f, x0, x1, cell_tol, order, max_depth)
-            else:
-                total += _adaptive_rect(f, x0, x1, y0, y1, cell_tol, order, max_depth)
-    return total
 
 
 def _piece_nodes(breaks) -> tuple[np.ndarray, np.ndarray]:

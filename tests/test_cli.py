@@ -244,3 +244,16 @@ def test_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# Exact stdout captured from an earlier commit: the 11 benchmark CLI calls,
+# plus verify on eq[0, 1], eq[0.2, 0.4] (step regime) and a step, and the
+# equilibrium on [0, 1].  `search` is left out: its ninth digit is noise.
+GOLDEN_STDOUT = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_STDOUT, ids=lambda case: " ".join(case["argv"]))
+def test_stdout_matches_golden_bytes(capsys, case):
+    code, out = run_cli(capsys, *case["argv"])
+    assert code == case["exit_code"]
+    assert out == case["stdout"]

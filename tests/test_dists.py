@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
 from thresholdgame.dists import ArcPiece, MixedCdf, PolyPiece, quantile_to_quality
+from thresholdgame.engine import parse_dist
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 
 
@@ -295,6 +297,96 @@ class TestSerialization:
         data = json.loads(MixedCdf.step(0.5).to_json())
         assert data["segments"] == [{"kind": "step", "at": 0.5}]
         assert data["atoms"] == [[0.5, 1.0]]
+
+
+class TestRecipe:
+    FAMILIES = {
+        "uniform:0.25,0.75": MixedCdf.uniform(0.25, 0.75),
+        "step:0": MixedCdf.step(0.0),
+        "step:0.5": MixedCdf.step(0.5),
+        "step:1": MixedCdf.step(1.0),
+        "eq": equilibrium_unrestricted().dist,
+        "eq:0,0.79": equilibrium_interval(0.0, 0.79).dist,
+        "eq:0.2,0.4": equilibrium_interval(0.2, 0.4).dist,
+    }
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_every_route_rebuilds_the_same_cdf(self, spec):
+        d = self.FAMILIES[spec]
+        grid = np.union1d(np.linspace(0.0, 1.0, 257), d.breakpoints)
+        for rebuilt in (MixedCdf.from_dict(d.to_dict()), parse_dist(spec),
+                        MixedCdf.from_family(*d.family)):
+            assert rebuilt.family == d.family
+            assert rebuilt.cdf(grid).tobytes() == d.cdf(grid).tobytes()
+            assert rebuilt.inverse(grid).tobytes() == d.inverse(grid).tobytes()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("bogus:1", "unknown distribution kind 'bogus'"),
+        ("uniform:0.3", "bad uniform spec 'uniform:0.3'"),
+        ("uniform:0.1,0.2,0.3", "bad uniform spec 'uniform:0.1,0.2,0.3'"),
+        ("uniform:0.5,0.2", "need 0 <= lo < hi <= 1"),
+        ("step:", "bad step spec 'step:'"),
+        ("step:0.5,0.6", "bad step spec 'step:0.5,0.6'"),
+        ("step:2", "bad step spec 'step:2'"),
+        ("eq:0.5", "bad equilibrium spec 'eq:0.5'"),
+        ("eq:a,b", "bad equilibrium spec 'eq:a,b'"),
+        ("eq:0.9,0.1", "need 0 <= a < b <= 1"),
+    ])
+    def test_parse_dist_rejects(self, spec, message):
+        with pytest.raises(ValueError) as excinfo:
+            parse_dist(spec)
+        assert str(excinfo.value) == message
+
+    def test_from_dict_rejects_unknown_and_mixed_segments(self):
+        with pytest.raises(ValueError, match="^unknown segment kind 'bogus'$"):
+            MixedCdf.from_dict({"segments": [{"kind": "bogus"}]})
+        mixed = [{"kind": "poly", "lo": 0.0, "hi": 0.5, "coeffs": [0.0, 2.0]},
+                 {"kind": "uniform", "lo": 0.5, "hi": 1.0}]
+        with pytest.raises(ValueError, match="^family segments cannot be mixed"):
+            MixedCdf.from_dict({"segments": mixed})
+        with pytest.raises(KeyError):
+            MixedCdf.from_dict({"segments": [{"kind": "uniform", "lo": 0.25}]})
+
+    def test_from_family_rejects_unknown_kind_and_wrong_count(self):
+        with pytest.raises(ValueError, match="^unknown segment kind 'bogus'$"):
+            MixedCdf.from_family("bogus", 0.5)
+        for family in [("uniform", 0.25), ("step",), ("eq_unrestricted", 0.5),
+                       ("eq_interval", 0.0, 0.5, 0.9)]:
+            with pytest.raises(TypeError):
+                MixedCdf.from_family(*family)
+
+
+GOLDEN_EVALUATIONS = json.loads(
+    (Path(__file__).parent / "golden" / "cdf_float_hex.json").read_text()
+)
+
+
+class TestEvaluationGoldens:
+    """Float-hex values captured from an earlier commit, at 0, 1, every
+    breakpoint and a grid; u covers a grid and the cdf's values at every
+    breakpoint from both sides."""
+
+    CASES = {
+        "eq": lambda: equilibrium_unrestricted().dist,
+        "eq[0,0.79]": lambda: equilibrium_interval(0.0, 0.79).dist,
+        "eq[0.2,0.4]": lambda: equilibrium_interval(0.2, 0.4).dist,
+        "random seed 3": lambda: random_mixed_piecewise_linear(np.random.default_rng(3)),
+        "random seed 8": lambda: random_mixed_piecewise_linear(np.random.default_rng(8)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_bits_match(self, name):
+        golden = GOLDEN_EVALUATIONS[name]
+        d = self.CASES[name]()
+        assert d.to_json() == golden["json"]
+        theta = [float.fromhex(h) for h in golden["theta"]]
+        for method in ("cdf", "left_limit", "cdf_integral"):
+            evaluate = getattr(d, method)
+            assert [v.hex() for v in evaluate(np.array(theta)).tolist()] == golden[method]
+            assert [evaluate(t).hex() for t in theta] == golden[method]
+        assert [None if (p := d.pdf(t)) is None else p.hex() for t in theta] == golden["pdf"]
+        u = np.array([float.fromhex(h) for h in golden["u"]])
+        assert [v.hex() for v in d.inverse(u).tolist()] == golden["inverse"]
 
 
 class TestQuantileToQuality:

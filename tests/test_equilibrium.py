@@ -199,6 +199,19 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError):
             verify_equilibrium(equilibrium_unrestricted(), grid_size=100)
 
+    @pytest.mark.parametrize(
+        "sol",
+        [equilibrium_unrestricted()]
+        + [equilibrium_interval(a, b) for a in (0.0, 0.2, 0.4, 0.6, 0.8)
+           for b in (0.2, 0.4, 0.6, 0.8, 1.0) if a < b],
+        ids=lambda sol: f"{sol.regime}[{sol.interval[0]},{sol.interval[1]}]",
+    )
+    def test_candidate_wrapper_reports_the_same(self, sol):
+        # The cut point is a breakpoint of the cdf, so wrapping the bare cdf
+        # with its interval checks the same grid.
+        candidate = candidate_solution(sol.dist, sol.interval)
+        assert verify_equilibrium(candidate) == verify_equilibrium(sol)
+
 
 class TestBestResponse:
     def test_against_equilibrium(self):

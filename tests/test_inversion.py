@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from conftest import random_mixed_piecewise_linear
+from oracles import triangle_integral
 from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import IidRule, mc_inversion
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
@@ -17,7 +18,6 @@ from thresholdgame.inversion import (
     inversion_iid,
     optimal_value_correlated,
     suboptimality_bound,
-    triangle_integral,
 )
 
 # Reference value computed independently at 30-digit precision by nested
@@ -35,6 +35,11 @@ class TestTriangleIntegral:
         assert triangle_integral(lambda x, y: x * x * y, (0.3, 0.7)) == pytest.approx(
             0.1, abs=1e-12
         )
+
+    def test_raises_when_a_cell_misses_its_tolerance(self):
+        # A jump that is not declared as a break never converges.
+        with pytest.raises(RuntimeError, match="max_depth"):
+            triangle_integral(lambda x, y: (x > 0.3137) + 0.0 * y, (), max_depth=3)
 
 
 # Cdfs on which the one-dimensional reductions are checked against the 2-D
