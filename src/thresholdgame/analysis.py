@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,9 +81,8 @@ class PoaReport:
         }
 
 
-@lru_cache(maxsize=None)
 def _interval_inversion(a: float, b: float) -> float:
-    """Error probability of the [a, b] equilibrium, verified then cached."""
+    """Error probability of the [a, b] equilibrium, verified first."""
     sol = equilibrium_interval(a, b)
     report = verify_equilibrium(sol, grid_size=1000, tol=1e-8)
     if not report.passed:
@@ -94,8 +92,7 @@ def _interval_inversion(a: float, b: float) -> float:
     return inversion_iid(sol.dist).value
 
 
-def search_best_interval(a_grid=None, b_grid=None, refine: bool = True,
-                         resolution: float = 0.01) -> SearchResult:
+def search_best_interval(refine: bool = True, resolution: float = 0.01) -> SearchResult:
     """Minimize the equilibrium error probability over intervals [a, b].
 
     Coarse scan over the mixed-equilibrium region ``(1 - a) * b > 1/2`` (plus
@@ -106,17 +103,18 @@ def search_best_interval(a_grid=None, b_grid=None, refine: bool = True,
     resolution = float(resolution)
     if not 0.0 < resolution <= 1.0:
         raise ValueError("resolution must lie in (0, 1]")
-    if a_grid is None:
-        a_grid = np.arange(0.0, 1.0, resolution)
-    if b_grid is None:
-        b_grid = np.arange(resolution, 1.0 + resolution / 2.0, resolution)
-    a_grid = np.asarray(a_grid, dtype=float)
-    b_grid = np.asarray(b_grid, dtype=float)
+    a_grid = np.arange(0.0, 1.0, resolution)
+    b_grid = np.arange(resolution, 1.0 + resolution / 2.0, resolution)
+    # The last step overshoots 1 when resolution lies in (1/k, 2/(2k-1)) for
+    # an integer k; rounding as the cells do keeps 1 + 2e-16 as 1.
+    b_grid = b_grid[np.round(b_grid, 12) <= 1.0]
 
     best = (np.inf, 0.0, 1.0)
     for a in a_grid:
-        interior = [b for b in b_grid if b > a and (1.0 - a) * b > 0.5]
-        boundary = [b for b in b_grid if b > a and (1.0 - a) * b <= 0.5]
+        # a < b after the rounding: 0.954 and 0.954 + 1e-16 make no interval.
+        above = [b for b in b_grid if round(float(b), 12) > round(float(a), 12)]
+        interior = [b for b in above if (1.0 - a) * b > 0.5]
+        boundary = [b for b in above if (1.0 - a) * b <= 0.5]
         candidates = interior + boundary[-1:]
         for b in candidates:
             value = _interval_inversion(round(float(a), 12), round(float(b), 12))
@@ -124,8 +122,6 @@ def search_best_interval(a_grid=None, b_grid=None, refine: bool = True,
                 best = (value, float(a), float(b))
 
     value, a_star, b_star = best
-    if value == np.inf:
-        raise ValueError("the grids hold no interval [a, b] with a < b")
     if refine:
         for _ in range(2):
             b_lo = max(b_star - resolution, a_star + 1e-6)
@@ -144,12 +140,11 @@ def search_best_interval(a_grid=None, b_grid=None, refine: bool = True,
     return SearchResult(a=a_star, b=b_star, value=value)
 
 
-def poa_report(n: int = 2, restricted_interval=BEST_KNOWN_INTERVAL,
-               run_search: bool = False, resolution: float = 0.01) -> PoaReport:
+def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -> PoaReport:
     """Assemble the five-regime comparison and the Price-of-Anarchy ratios.
 
-    ``restricted_interval`` pins the restricted-equilibrium entry; pass
-    ``run_search=True`` to find it by grid search instead.
+    The restricted-equilibrium entry is the one on ``BEST_KNOWN_INTERVAL``;
+    pass ``run_search=True`` to find it by grid search instead.
     """
     n = int(n)
     if n < 2:
@@ -160,9 +155,8 @@ def poa_report(n: int = 2, restricted_interval=BEST_KNOWN_INTERVAL,
     if run_search:
         restricted = search_best_interval(resolution=resolution)
     else:
-        a, b = restricted_interval
-        restricted = SearchResult(a=float(a), b=float(b),
-                                  value=_interval_inversion(float(a), float(b)))
+        a, b = BEST_KNOWN_INTERVAL
+        restricted = SearchResult(a=a, b=b, value=_interval_inversion(a, b))
     return PoaReport(
         n=n,
         same_test=0.25,

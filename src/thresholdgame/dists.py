@@ -102,9 +102,6 @@ class PolyPiece:
         theta = np.asarray(theta, dtype=float)
         return (self._level + 0.5 * self._slope * theta) * theta
 
-    def integral(self, t0: float, t1: float) -> float:
-        return float(self.antiderivative(t1) - self.antiderivative(t0))
-
     def inverse(self, u):
         # Quantile restricted to this piece; a flat piece sends every u to hi.
         u = np.asarray(u, dtype=float)
@@ -112,9 +109,9 @@ class PolyPiece:
             return np.full_like(u, self.hi)
         return (u - self._level) / self._slope
 
-    def is_increasing_at(self, theta):
-        """Elementwise: the density at ``theta`` is positive."""
-        return np.full(np.shape(theta), self._slope > 1e-12)
+    @property
+    def increasing(self) -> bool:
+        return self._slope > 1e-12
 
     def to_segment_dict(self) -> dict:
         return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": list(self.coeffs)}
@@ -153,9 +150,6 @@ class ArcPiece:
         theta = np.asarray(theta, dtype=float)
         return self.offset * theta + self.scale * self._radius(theta)
 
-    def integral(self, t0: float, t1: float) -> float:
-        return float(self.antiderivative(t1) - self.antiderivative(t0))
-
     def inverse(self, u):
         # value(t) = u  <=>  (2t-1)/sqrt(t^2+(1-t)^2) = g with g = (u-offset)/scale;
         # substituting q = 2t-1 gives q = g / sqrt(2 - g^2).
@@ -164,9 +158,9 @@ class ArcPiece:
         q = g / np.sqrt(2.0 - g * g)
         return 0.5 * (1.0 + q)
 
-    def is_increasing_at(self, theta):
-        """Elementwise: the density at ``theta`` is positive."""
-        return np.full(np.shape(theta), self.scale > 0.0)
+    @property
+    def increasing(self) -> bool:
+        return self.scale > 0.0
 
     def to_segment_dict(self) -> dict:
         return {
@@ -197,6 +191,11 @@ _FAMILY_FIELDS = {
     "eq_unrestricted": (),
     "eq_interval": ("a", "b"),
 }
+
+#: The keys a serialized segment holds besides ``kind``: a family's
+#: parameters, or the fields of a piece.
+_SEGMENT_FIELDS = {**_FAMILY_FIELDS, "poly": ("lo", "hi", "coeffs"),
+                   "arc": ("lo", "hi", "offset", "scale")}
 
 
 @dataclass(frozen=True)
@@ -353,8 +352,8 @@ class MixedCdf:
         return tuple(sorted(pts))
 
     def support_mask(self, thetas) -> np.ndarray:
-        """Elementwise: ``theta`` carries mass, being an atom or lying in a
-        piece ``lo <= theta <= hi`` that is increasing at ``theta``."""
+        """Elementwise: ``theta`` carries mass, being an atom or lying in an
+        increasing piece ``lo <= theta <= hi``."""
         arr = np.asarray(thetas, dtype=float)
         _check_domain(arr)
         flat = arr.ravel()
@@ -362,9 +361,8 @@ class MixedCdf:
         for loc, _ in self.atoms:
             mask |= flat == loc
         for piece in self.pieces:
-            inside = (piece.lo <= flat) & (flat <= piece.hi)
-            if inside.any():
-                mask[inside] |= piece.is_increasing_at(flat[inside])
+            if piece.increasing:
+                mask |= (piece.lo <= flat) & (flat <= piece.hi)
         return mask.reshape(arr.shape)
 
     def support_contains(self, theta: float) -> bool:
@@ -427,10 +425,19 @@ class MixedCdf:
     def from_dict(cls, data: dict) -> "MixedCdf":
         segments = data["segments"]
         atoms = [tuple(a) for a in data.get("atoms", [])]
-        if len(segments) == 1 and segments[0]["kind"] not in ("poly", "arc"):
-            seg = segments[0]
-            fields = _FAMILY_FIELDS.get(seg["kind"], ())
-            return cls.from_family(seg["kind"], *(seg[name] for name in fields))
+        for seg in segments:
+            kind = seg["kind"]
+            if kind not in _SEGMENT_FIELDS:
+                raise ValueError(f"unknown segment kind {kind!r}")
+            extra = set(seg) - {"kind", *_SEGMENT_FIELDS[kind]}
+            if extra:
+                raise ValueError(f"unknown keys {sorted(extra)} in a {kind!r} segment")
+        if len(segments) == 1 and kind in _FAMILY_FIELDS:  # seg is the only one
+            d = cls.from_family(kind, *(seg[name] for name in _FAMILY_FIELDS[kind]))
+            # A family's atoms follow from its parameters; given ones must agree.
+            if "atoms" in data and atoms != list(d.atoms):
+                raise ValueError(f"atoms {atoms} differ from {kind!r}'s {list(d.atoms)}")
+            return d
         pieces = []
         for seg in segments:
             if seg["kind"] == "poly":

@@ -80,7 +80,6 @@ class GameOutcome:
     qualities: tuple[float, ...]
     passed: tuple[bool, ...]
     ranking: tuple[int, ...]
-    coin_flips_used: int
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +95,8 @@ def _check_unit(values: Sequence[float]) -> None:
 
 def select_two(theta_x: float, theta_y: float, x: float, y: float,
                coin: np.random.Generator) -> int:
-    """Winner index (0 or 1) between two firms.
-
-    Exactly one passer wins outright; otherwise the higher threshold wins,
-    with a fair coin when both outcome and threshold tie.
-    """
-    _check_unit((theta_x, theta_y, x, y))
-    pass_x = x >= theta_x
-    pass_y = y >= theta_y
-    if pass_x != pass_y:
-        return 0 if pass_x else 1
-    if theta_x != theta_y:
-        return 0 if theta_x > theta_y else 1
-    return 0 if coin.random() < 0.5 else 1
+    """Winner index (0 or 1) between two firms: the first of their ranking."""
+    return play_game((theta_x, theta_y), (x, y), coin).ranking[0]
 
 
 def rank_firms(thresholds: Sequence[float], qualities: Sequence[float],
@@ -134,12 +122,7 @@ def play_game(thresholds: Sequence[float], qualities: Sequence[float],
         key=lambda i: (passed[i], thresholds[i], tie_keys[i]),
         reverse=True,
     )
-    groups: dict[tuple[bool, float], int] = {}
-    for i in range(n):
-        key = (passed[i], thresholds[i])
-        groups[key] = groups.get(key, 0) + 1
-    flips = sum(1 for count in groups.values() if count >= 2)
-    return GameOutcome(thresholds, qualities, passed, tuple(order), flips)
+    return GameOutcome(thresholds, qualities, passed, tuple(order))
 
 
 def kendall_tau_fraction(ranking: Sequence[int], qualities: Sequence[float]) -> float:

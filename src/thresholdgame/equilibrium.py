@@ -23,7 +23,7 @@ deviation against any candidate distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,21 +144,11 @@ def equilibrium_unrestricted() -> EquilibriumSolution:
     """The unique equilibrium when any test in [0, 1] may be chosen.
 
     The cdf is ``(1 - (1-2t)/sqrt(t^2+(1-t)^2)) / 2``: continuous, full
-    support, symmetric about 1/2, with failure probability exactly 1/2.
+    support, symmetric about 1/2, with failure probability exactly 1/2.  It is
+    the [0, 1] member of :func:`equilibrium_interval`, under its own name.
     """
-    dist = MixedCdf(
-        pieces=(ArcPiece(0.0, 1.0, offset=0.5, scale=0.5),),
-        atoms=(),
-        family=("eq_unrestricted",),
-    )
-    return EquilibriumSolution(
-        dist=dist,
-        interval=(0.0, 1.0),
-        regime="interior",
-        cut_point=1.0,
-        atom_b=0.0,
-        failure_prob=0.5,
-    )
+    sol = equilibrium_interval(0.0, 1.0)
+    return replace(sol, dist=replace(sol.dist, family=("eq_unrestricted",)))
 
 
 def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
@@ -168,8 +158,7 @@ def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
         raise ValueError("need 0 <= a < b <= 1")
 
     if (1.0 - a) * b <= 0.5:
-        dist = MixedCdf.step(b)
-        dist = MixedCdf(dist.pieces, dist.atoms, family=("eq_interval", a, b))
+        dist = replace(MixedCdf.step(b), family=("eq_interval", a, b))
         return EquilibriumSolution(
             dist=dist,
             interval=(a, b),
@@ -274,6 +263,8 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
+    if not 0.0 <= tol < math.inf:  # NaN included
+        raise ValueError("tol must be finite and nonnegative")
     a, b = sol.interval
     dist = sol.dist
     pts = {a, b, float(sol.cut_point)}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,22 +54,20 @@ OPTIMAL_IID_VALUE = Fraction(5, 24)
 #: rounding error on them.
 _PIECE_ORDER = 30
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights rescaled to [0, 1]."""
-    if order not in _LEG_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _LEG_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _LEG_CACHE[order]
+@cache
+def _unit_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights rescaled to [0, 1], built on first use
+    so that importing the package does not load ``numpy.polynomial``."""
+    x, w = np.polynomial.legendre.leggauss(_PIECE_ORDER)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _piece_nodes(breaks) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on every interval between the
     distinct ``breaks``, which must include 0 and 1."""
     edges = np.array(sorted(breaks), dtype=float)
-    u, w = _unit_nodes(_PIECE_ORDER)
+    u, w = _unit_nodes()
     width = np.diff(edges)[:, None]
     return (edges[:-1, None] + width * u).ravel(), (width * w).ravel()
 

@@ -63,10 +63,14 @@ class TestSearch:
         with pytest.raises(ValueError, match="resolution"):
             search_best_interval(resolution=resolution)
 
-    @pytest.mark.parametrize("a_grid", [[], [float("nan")], [0.9]], ids=["empty", "nan", "above-b"])
-    def test_rejects_grids_without_an_interval(self, a_grid):
-        with pytest.raises(ValueError, match="no interval"):
-            search_best_interval(a_grid=a_grid, b_grid=[0.8])
+    @pytest.mark.parametrize("resolution", [0.35, 0.6, 0.053])
+    def test_grid_cells_are_intervals(self, resolution):
+        # At 0.35 and 0.6 the b grid's last step lands at 1.05 and 1.2; at
+        # 0.053 the a and b grids both hold 0.954, one of them 1e-16 above.
+        result = search_best_interval(resolution=resolution)
+        assert 0.0 <= result.a < result.b <= 1.0
+        assert result.a == pytest.approx(0.014708, abs=1e-6)
+        assert result.b == pytest.approx(0.79973, abs=1e-5)
 
     def test_objective_continuity_along_b(self):
         # Regime misclassification would show up as a jump between adjacent

@@ -150,6 +150,12 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--rule", "same:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        code, out = run_cli(capsys, "verify", "--rule", "iid:eq", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+
 
 class TestPoaAndSearch:
     def test_poa_values(self, capsys):
@@ -175,6 +181,16 @@ class TestPoaAndSearch:
         data = json.loads(out)
         assert code == 0
         assert data["eq_restricted_best"]["value"] <= data["eq_unrestricted"]
+
+    @pytest.mark.parametrize("resolution", ["0.35", "0.6", "0.053"])
+    @pytest.mark.parametrize("command", [("search",), ("poa", "--search")],
+                             ids=["search", "poa"])
+    def test_grid_cells_are_intervals(self, capsys, command, resolution):
+        code, out = run_cli(capsys, *command, "--resolution", resolution)
+        assert code == 0
+        data = json.loads(out)
+        best = data.get("eq_restricted_best", data)
+        assert 0.0 <= best["a"] < best["b"] <= 1.0
 
     @pytest.mark.parametrize("resolution", ["0", "-0.1", "2", "nan", "inf"])
     @pytest.mark.parametrize("command", [("search",), ("poa", "--search")],

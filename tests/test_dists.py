@@ -314,8 +314,9 @@ class TestRecipe:
     def test_every_route_rebuilds_the_same_cdf(self, spec):
         d = self.FAMILIES[spec]
         grid = np.union1d(np.linspace(0.0, 1.0, 257), d.breakpoints)
-        for rebuilt in (MixedCdf.from_dict(d.to_dict()), parse_dist(spec),
-                        MixedCdf.from_family(*d.family)):
+        for rebuilt in (MixedCdf.from_dict(d.to_dict()), MixedCdf.from_json(d.to_json()),
+                        parse_dist(spec), MixedCdf.from_family(*d.family)):
+            assert rebuilt.atoms == d.atoms
             assert rebuilt.family == d.family
             assert rebuilt.cdf(grid).tobytes() == d.cdf(grid).tobytes()
             assert rebuilt.inverse(grid).tobytes() == d.inverse(grid).tobytes()
@@ -346,6 +347,27 @@ class TestRecipe:
             MixedCdf.from_dict({"segments": mixed})
         with pytest.raises(KeyError):
             MixedCdf.from_dict({"segments": [{"kind": "uniform", "lo": 0.25}]})
+
+    @pytest.mark.parametrize("segment", [
+        {"kind": "uniform", "lo": 0.25, "hi": 0.75, "bogus": 1},
+        {"kind": "eq_unrestricted", "a": 0.0},
+        {"kind": "step", "at": 0.5, "lo": 0.0},
+        {"kind": "arc", "lo": 0.0, "hi": 1.0, "offset": 0.5, "scale": 0.5, "coeffs": [0.0]},
+        {"kind": "poly", "lo": 0.0, "hi": 1.0, "coeffs": [1.0], "offset": 0.0},
+    ])
+    def test_from_dict_rejects_unknown_segment_keys(self, segment):
+        with pytest.raises(ValueError, match="^unknown keys"):
+            MixedCdf.from_dict({"segments": [segment]})
+
+    @pytest.mark.parametrize("segment, atoms", [
+        ({"kind": "uniform", "lo": 0.25, "hi": 0.75}, [[0.5, 0.3]]),
+        ({"kind": "step", "at": 0.5}, []),
+        ({"kind": "step", "at": 0.5}, [[0.5, 0.9]]),
+        ({"kind": "eq_interval", "a": 0.0, "b": 0.79}, [[0.79, 0.5]]),
+    ])
+    def test_from_dict_rejects_atoms_the_family_lacks(self, segment, atoms):
+        with pytest.raises(ValueError, match="^atoms .* differ from"):
+            MixedCdf.from_dict({"segments": [segment], "atoms": atoms})
 
     def test_from_family_rejects_unknown_kind_and_wrong_count(self):
         with pytest.raises(ValueError, match="^unknown segment kind 'bogus'$"):
@@ -452,7 +474,8 @@ class TestPieces:
     def test_arc_integral_matches_quadrature(self):
         piece = ArcPiece(0.0, 1.0, offset=0.5, scale=0.5)
         numeric, _ = quad(lambda t: float(piece.value(t)), 0.1, 0.9)
-        assert piece.integral(0.1, 0.9) == pytest.approx(numeric, abs=1e-10)
+        integral = piece.antiderivative(0.9) - piece.antiderivative(0.1)
+        assert integral == pytest.approx(numeric, abs=1e-10)
 
 
 def _poly_segments(coeffs):

@@ -49,6 +49,16 @@ class TestSelectTwo:
         with pytest.raises(ValueError):
             select_two(1.2, 0.5, 0.5, 0.5, rng)
 
+    @given(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+           st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_first_of_play_game(self, quarters, seed):
+        # Values on a grid of quarters, so outcome and threshold ties occur.
+        theta_x, theta_y, x, y = (q / 4 for q in quarters)
+        winner = select_two(theta_x, theta_y, x, y, np.random.default_rng(seed))
+        outcome = play_game((theta_x, theta_y), (x, y), np.random.default_rng(seed))
+        assert winner == outcome.ranking[0]
+
 
 class TestRankFirms:
     def test_all_pass_descending_threshold(self):

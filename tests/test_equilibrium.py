@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
-from thresholdgame.dists import MixedCdf
+from thresholdgame.dists import ArcPiece, MixedCdf
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
     best_response_value,
@@ -114,6 +114,15 @@ class TestUnrestrictedEquilibrium:
         assert sol.failure_prob == 0.5
         assert sol.interval == (0.0, 1.0)
 
+    def test_is_the_unit_interval_member(self):
+        sol, member = equilibrium_unrestricted(), equilibrium_interval(0.0, 1.0)
+        assert sol.dist.family == ("eq_unrestricted",)
+        assert member.dist.family == ("eq_interval", 0.0, 1.0)
+        assert sol.dist.pieces == member.dist.pieces == (ArcPiece(0.0, 1.0, 0.5, 0.5),)
+        assert sol.dist.atoms == member.dist.atoms == ()
+        for name in ("interval", "regime", "cut_point", "atom_b", "failure_prob"):
+            assert getattr(sol, name) == getattr(member, name)
+
 
 class TestIntervalEquilibrium:
     def test_step_regime(self):
@@ -198,6 +207,15 @@ class TestVerifyEquilibrium:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             verify_equilibrium(equilibrium_unrestricted(), grid_size=100)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_tol_outside_zero_to_infinity(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_equilibrium(equilibrium_unrestricted(), tol=tol)
+
+    def test_zero_tol_is_allowed(self):
+        report = verify_equilibrium(candidate_solution(MixedCdf.uniform(0.25, 0.75)), tol=0.0)
+        assert report.tol == 0.0 and not report.passed
 
     @pytest.mark.parametrize(
         "sol",
