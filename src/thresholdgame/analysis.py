@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from thresholdgame._golden import golden_section_min
+from thresholdgame.engine import _as_count
 from thresholdgame.equilibrium import (
     EquilibriumSolution,
     equilibrium_interval,
@@ -146,7 +147,7 @@ def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -
     The restricted-equilibrium entry is the one on ``BEST_KNOWN_INTERVAL``;
     pass ``run_search=True`` to find it by grid search instead.
     """
-    n = int(n)
+    n = _as_count(n, "n")
     if n < 2:
         raise ValueError("need at least two firms")
     correlated = float(optimal_value_correlated(n))

@@ -9,19 +9,18 @@ closed-form pieces, plus finitely many point masses (atoms).
 :class:`MixedCdf` stores the cumulative distribution function as an ordered
 tiling of [0, 1] by analytic pieces together with an explicit atom list.  A
 piece is a polynomial of degree <= 1 (:class:`PolyPiece`) or an arc of the
-equilibrium family (:class:`ArcPiece`).  All evaluations are exact per piece:
-the cdf, its left limits, the running integral
-``integral(theta) = int_0^theta cdf(t) dt``, densities away from atoms, and
-the quantile function used for inverse-transform sampling, which inverts
-both kinds of piece in closed form.
-Storing evaluators rather than sampled grids keeps breakpoints exact, which
+equilibrium family (:class:`ArcPiece`); either is one row ``(c0, c1, c2)``,
+``(level, slope, 0)`` or ``(offset, 0, scale)``, of the cdf
+``c0 + c1 t + c2 (2t-1) / r`` with ``r = sqrt(t^2 + (1-t)^2)``, whose running
+integral is ``(c0 + c1 t / 2) t + c2 r`` and whose density is
+``c1 + c2 / r^3``.  The cdf, its left limits, the running integral
+``int_0^theta cdf(t) dt`` and the density each gather the rows of the points'
+pieces and apply one formula; construction reads the piece ends and prefix
+integrals from the same formulas.  The quantile function inverts each atom,
+line or arc in closed form from a table of records built with the cdf.
+Storing formulas rather than sampled grids keeps breakpoints exact, which
 the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
 its integration domain.
-
-Construction evaluates each piece's two end values once; the validation of
-monotonicity and junction jumps and the quantile table read them, so
-sampling reuses a table built with the cdf.  The cdf, its left limits, the
-running integral and the density all go through one per-piece evaluation.
 
 A cdf built from a named family (uniform, step, the unrestricted equilibrium
 or its restriction to [a, b]) records that recipe in ``MixedCdf.family``.
@@ -52,11 +51,6 @@ __all__ = [
 ]
 
 
-def _as_float_array(theta) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(theta, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _check_domain(arr: np.ndarray, name: str = "threshold") -> None:
     # Phrased as "not inside" so that NaN, which fails every comparison, is
     # rejected as well.
@@ -69,49 +63,41 @@ def _check_finite(kind: str, *values) -> None:
         raise ValueError(f"{kind} parameters must be finite")
 
 
+def _radius(theta):
+    return np.sqrt(theta * theta + (1.0 - theta) * (1.0 - theta))
+
+
+def _row_cdf(c0, c1, c2, theta):
+    """The cdf at ``theta`` of the pieces with rows ``(c0, c1, c2)``."""
+    return c0 + c1 * theta + c2 * (2.0 * theta - 1.0) / _radius(theta)
+
+
+def _row_integral(c0, c1, c2, theta):
+    # An antiderivative of _row_cdf: d r / dt = (2t-1) / r.
+    return (c0 + 0.5 * c1 * theta) * theta + c2 * _radius(theta)
+
+
 @dataclass(frozen=True)
 class PolyPiece:
     """Polynomial cdf piece of degree <= 1: ``cdf(t) = coeffs[0] + coeffs[1] * t``
     on [lo, hi).
 
     ``coeffs`` holds one coefficient (a constant piece) or two (a linear
-    piece), so the running integral and the quantile are closed-form.
+    piece); its row is ``(level, slope, 0)``.
     """
 
     lo: float
     hi: float
     coeffs: tuple[float, ...]
-    _level: float = field(init=False, repr=False, compare=False)
-    _slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.coeffs) <= 2:
             raise ValueError("a poly piece has degree <= 1: one or two coefficients")
         _check_finite("poly piece", self.lo, self.hi, *self.coeffs)
+
+    def row(self) -> tuple[float, float, float]:
         level, slope = (*self.coeffs, 0.0)[:2]
-        object.__setattr__(self, "_level", float(level))
-        object.__setattr__(self, "_slope", float(slope))
-
-    def value(self, theta):
-        return self._level + self._slope * np.asarray(theta, dtype=float)
-
-    def density(self, theta):
-        return np.full(np.shape(theta), self._slope)
-
-    def antiderivative(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return (self._level + 0.5 * self._slope * theta) * theta
-
-    def inverse(self, u):
-        # Quantile restricted to this piece; a flat piece sends every u to hi.
-        u = np.asarray(u, dtype=float)
-        if self._slope <= 0.0:
-            return np.full_like(u, self.hi)
-        return (u - self._level) / self._slope
-
-    @property
-    def increasing(self) -> bool:
-        return self._slope > 1e-12
+        return float(level), float(slope), 0.0
 
     def to_segment_dict(self) -> dict:
         return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": list(self.coeffs)}
@@ -122,7 +108,8 @@ class ArcPiece:
     """Equilibrium-family cdf piece ``offset + scale * (2t-1) / sqrt(t^2 + (1-t)^2)``.
 
     The antiderivative of ``(2t-1)/sqrt(t^2+(1-t)^2)`` is ``sqrt(t^2+(1-t)^2)``,
-    so the running integral and the quantile function are both closed-form.
+    so the running integral and the quantile function are both closed-form;
+    its row is ``(offset, 0, scale)``.
     """
 
     lo: float
@@ -133,34 +120,8 @@ class ArcPiece:
     def __post_init__(self):
         _check_finite("arc piece", self.lo, self.hi, self.offset, self.scale)
 
-    @staticmethod
-    def _radius(theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.sqrt(theta * theta + (1.0 - theta) * (1.0 - theta))
-
-    def value(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.offset + self.scale * (2.0 * theta - 1.0) / self._radius(theta)
-
-    def density(self, theta):
-        r = self._radius(theta)
-        return self.scale / (r * r * r)
-
-    def antiderivative(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.offset * theta + self.scale * self._radius(theta)
-
-    def inverse(self, u):
-        # value(t) = u  <=>  (2t-1)/sqrt(t^2+(1-t)^2) = g with g = (u-offset)/scale;
-        # substituting q = 2t-1 gives q = g / sqrt(2 - g^2).
-        u = np.asarray(u, dtype=float)
-        g = np.clip((u - self.offset) / self.scale, -1.0, 1.0)
-        q = g / np.sqrt(2.0 - g * g)
-        return 0.5 * (1.0 + q)
-
-    @property
-    def increasing(self) -> bool:
-        return self.scale > 0.0
+    def row(self) -> tuple[float, float, float]:
+        return float(self.offset), 0.0, float(self.scale)
 
     def to_segment_dict(self) -> dict:
         return {
@@ -202,7 +163,7 @@ _SEGMENT_FIELDS = {**_FAMILY_FIELDS, "poly": ("lo", "hi", "coeffs"),
 class MixedCdf:
     """A mixed (continuous + atoms) distribution over [0, 1].
 
-    ``pieces`` tile [0, 1]; each piece evaluates the full cdf on the closure
+    ``pieces`` tile [0, 1]; each piece's row gives the full cdf on the closure
     of its interval.  ``atoms`` lists the jump locations and masses; every
     jump between adjacent pieces (or before the first / after the last piece)
     must be declared as an atom.  ``family`` optionally records the recipe
@@ -212,7 +173,9 @@ class MixedCdf:
     pieces: tuple
     atoms: tuple[tuple[float, float], ...] = ()
     family: tuple | None = None
-    _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+    _rising: np.ndarray = field(init=False, repr=False, compare=False)
     _ends: tuple = field(init=False, repr=False, compare=False)
     _anti_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -225,20 +188,26 @@ class MixedCdf:
         object.__setattr__(
             self, "atoms", tuple((float(t), float(m)) for t, m in self.atoms)
         )
+        rows = [p.row() for p in self.pieces]
         # (cdf at lo, cdf at hi) of each piece, evaluated once.
         object.__setattr__(self, "_ends", tuple(
-            (float(p.value(p.lo)), float(p.value(p.hi))) for p in self.pieces
+            (float(_row_cdf(*r, p.lo)), float(_row_cdf(*r, p.hi)))
+            for p, r in zip(self.pieces, rows)
         ))
         self._validate()
-        edges = np.array([p.lo for p in self.pieces], dtype=float)
-        object.__setattr__(self, "_edges", edges)
-        anti_lo = np.array([float(p.antiderivative(p.lo)) for p in self.pieces])
-        anti_hi = np.array([float(p.antiderivative(p.hi)) for p in self.pieces])
+        object.__setattr__(self, "_bounds", np.array([p.lo for p in self.pieces] + [1.0]))
+        object.__setattr__(self, "_coef", np.array(rows).T.copy())
+        # Whether each piece carries mass; the closing False is what the index
+        # -1 or len(pieces) of a point outside [0, 1] reads (see support_mask).
+        object.__setattr__(self, "_rising", np.array(
+            [c1 > 1e-12 or c2 > 0.0 for _, c1, c2 in rows] + [False]))
+        anti_lo = np.array([float(_row_integral(*r, p.lo)) for p, r in zip(self.pieces, rows)])
+        anti_hi = np.array([float(_row_integral(*r, p.hi)) for p, r in zip(self.pieces, rows)])
         object.__setattr__(self, "_anti_lo", anti_lo)
         # _prefix[i] == cdf_integral(pieces[i].lo)
         prefix = np.concatenate(([0.0], np.cumsum(anti_hi - anti_lo)))
         object.__setattr__(self, "_prefix", prefix)
-        object.__setattr__(self, "_quantile", self._quantile_table())
+        object.__setattr__(self, "_quantile", self._quantile_table(rows))
 
     # -- validation ---------------------------------------------------------
 
@@ -289,36 +258,32 @@ class MixedCdf:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _by_piece(self, arr: np.ndarray, method: str, side: str = "right"):
-        """Check ``arr`` against [0, 1], clip it and apply ``method`` of each
-        point's piece; ``side="left"`` puts a junction in the piece on its left.
-        Returns the flat points, their piece indices and the flat values."""
+    def _rows_at(self, theta, side: str = "right"):
+        """Check ``theta`` against [0, 1] and clip it; return the flat points,
+        their piece indices, the rows ``(c0, c1, c2)`` of those pieces and the
+        input's shape.  ``side="left"`` puts a junction in the piece on its left."""
+        arr = np.asarray(theta, dtype=float)
         _check_domain(arr)
         flat = np.clip(arr.ravel(), 0.0, 1.0)
-        idx = np.searchsorted(self._edges, flat, side=side) - 1
+        idx = np.searchsorted(self._bounds, flat, side=side) - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
-        out = np.empty_like(flat)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = getattr(piece, method)(flat[mask])
-        return flat, idx, out
+        return flat, idx, self._coef[:, idx], arr.shape
 
     def cdf(self, theta):
         """Right-continuous cumulative probability at ``theta``."""
-        arr, scalar = _as_float_array(theta)
-        flat, _, out = self._by_piece(arr, "value")
+        flat, _, rows, shape = self._rows_at(theta)
+        out = _row_cdf(*rows, flat)
         out[flat == 1.0] = 1.0
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return float(out[0]) if shape == () else out.reshape(shape)
 
     def left_limit(self, theta):
         """``lim_{t -> theta^-} cdf(t)``, evaluated analytically."""
-        arr, scalar = _as_float_array(theta)
         # Away from junctions the cdf is continuous and the left limit is the
         # value itself.
-        flat, _, out = self._by_piece(arr, "value", side="left")
+        flat, _, rows, shape = self._rows_at(theta, side="left")
+        out = _row_cdf(*rows, flat)
         out[flat == 0.0] = 0.0
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return float(out[0]) if shape == () else out.reshape(shape)
 
     def atom_mass(self, theta: float) -> float:
         for loc, mass in self.atoms:
@@ -333,14 +298,15 @@ class MixedCdf:
             raise ValueError("threshold outside [0, 1]")
         if self.atom_mass(theta) > 0.0:
             return None
-        return float(self._by_piece(np.array([theta]), "density")[2][0])
+        flat, _, (_, c1, c2), _ = self._rows_at(theta)
+        r = _radius(flat)
+        return float((c1 + c2 / (r * r * r))[0])
 
     def cdf_integral(self, theta):
         """``int_0^theta cdf(t) dt``, closed form per piece."""
-        arr, scalar = _as_float_array(theta)
-        _, idx, out = self._by_piece(arr, "antiderivative")
-        out = self._prefix[idx] + (out - self._anti_lo[idx])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        flat, idx, rows, shape = self._rows_at(theta)
+        out = self._prefix[idx] + (_row_integral(*rows, flat) - self._anti_lo[idx])
+        return float(out[0]) if shape == () else out.reshape(shape)
 
     def failure_probability(self) -> float:
         """Mean of the distribution: the chance a firm fails its own sampled test."""
@@ -357,12 +323,13 @@ class MixedCdf:
         arr = np.asarray(thetas, dtype=float)
         _check_domain(arr)
         flat = arr.ravel()
-        mask = np.zeros(flat.shape, dtype=bool)
+        # The piece on the right of theta, and the one on its left when theta
+        # is a junction, which belongs to both.
+        right = np.searchsorted(self._bounds, flat, side="right") - 1
+        left = right - (self._bounds[right] == flat)
+        mask = self._rising[right] | self._rising[left]
         for loc, _ in self.atoms:
             mask |= flat == loc
-        for piece in self.pieces:
-            if piece.increasing:
-                mask |= (piece.lo <= flat) & (flat <= piece.hi)
         return mask.reshape(arr.shape)
 
     def support_contains(self, theta: float) -> bool:
@@ -371,35 +338,40 @@ class MixedCdf:
 
     # -- sampling -----------------------------------------------------------
 
-    def _quantile_table(self) -> tuple[np.ndarray, tuple]:
-        # One record per stretch of u that maps to a single piece or atom: its
-        # upper end in u, and the atom location or the piece to invert.
-        uppers, targets = [], []
+    def _quantile_table(self, rows) -> tuple[np.ndarray, tuple]:
+        # One record (upper, c0, s, kind) per stretch of u that maps to a
+        # single atom or piece: the stretch's upper end in u, then the atom
+        # location c0, the line (u - c0) / s, or the arc g = (u - c0) / s.
+        records = []
         atom_at = dict(self.atoms)
         if 0.0 in atom_at:
-            uppers.append(atom_at[0.0])
-            targets.append(0.0)
-        for piece, (v_lo, v_hi) in zip(self.pieces, self._ends):
+            records.append((atom_at[0.0], 0.0, 0.0, "atom"))
+        for piece, (c0, c1, c2), (v_lo, v_hi) in zip(self.pieces, rows, self._ends):
             if v_hi > v_lo:
-                uppers.append(v_hi)
-                targets.append(piece)
+                records.append((v_hi, c0, c2, "arc") if c2 else (v_hi, c0, c1, "line"))
             t = piece.hi
             if t in atom_at and t != 0.0:
-                uppers.append(v_hi + atom_at[t])
-                targets.append(float(t))
-        return np.array(uppers), tuple(targets)
+                records.append((v_hi + atom_at[t], float(t), 0.0, "atom"))
+        return np.array([r[0] for r in records]), tuple(records)
 
     def inverse(self, u):
         """Quantile function (generalized inverse of the cdf); u must lie in [0, 1]."""
         u = np.asarray(u, dtype=float)
         _check_domain(u, "probability u")
-        uppers, targets = self._quantile
-        idx = np.clip(np.searchsorted(uppers, u, side="right"), 0, len(targets) - 1)
+        uppers, records = self._quantile
+        idx = np.clip(np.searchsorted(uppers, u, side="right"), 0, len(records) - 1)
         out = np.empty_like(u, dtype=float)
-        for i, target in enumerate(targets):
+        for i, (_, c0, s, kind) in enumerate(records):
             mask = idx == i
-            if mask.any():
-                out[mask] = target if isinstance(target, float) else target.inverse(u[mask])
+            if kind == "atom":
+                out[mask] = c0
+            elif kind == "line":
+                out[mask] = (u[mask] - c0) / s
+            else:
+                # cdf(t) = u  <=>  (2t-1)/sqrt(t^2+(1-t)^2) = g with g = (u-c0)/s;
+                # substituting q = 2t-1 gives q = g / sqrt(2 - g^2).
+                g = np.clip((u[mask] - c0) / s, -1.0, 1.0)
+                out[mask] = 0.5 * (1.0 + g / np.sqrt(2.0 - g * g))
         return np.clip(out, 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -87,6 +87,17 @@ class GameOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _as_count(value, name: str) -> int:
+    """``value`` as an int, or ValueError unless it is a whole number:
+    ``int`` alone would truncate 2.5 to another count."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _check_unit(values: Sequence[float]) -> None:
     # "not inside" so that NaN is rejected too.
     if any(not 0.0 <= v <= 1.0 for v in values):
@@ -194,6 +205,8 @@ Rule = SameTest | FixedThresholds | IidRule | IndependentRule
 
 
 def _rule_firm_count(rule: Rule, n_firms: int | None) -> int:
+    if n_firms is not None:
+        n_firms = _as_count(n_firms, "n_firms")
     if isinstance(rule, FixedThresholds):
         implied = len(rule.thresholds)
     elif isinstance(rule, IndependentRule):
@@ -204,7 +217,7 @@ def _rule_firm_count(rule: Rule, n_firms: int | None) -> int:
         if n_firms is not None and n_firms != implied:
             raise ValueError(f"rule implies {implied} firms, got n_firms={n_firms}")
         return implied
-    n = 2 if n_firms is None else int(n_firms)
+    n = 2 if n_firms is None else n_firms
     if n < 2:
         raise ValueError("need at least two firms")
     return n
@@ -218,14 +231,13 @@ def parse_dist(spec: str) -> MixedCdf:
     kind = ("eq_interval" if rest else "eq_unrestricted") if head == "eq" else head
     try:
         values = tuple(float(v) for v in rest.split(",")) if rest else ()
-        if len(values) != len(_FAMILY_FIELDS[kind]):
-            raise ValueError(f"{kind} takes {len(_FAMILY_FIELDS[kind])} parameters")
-        if head == "step":  # a step outside [0, 1] is a bad spec, too
-            return MixedCdf.from_family(kind, *values)
+        n = len(_FAMILY_FIELDS[kind])
+        if len(values) != n:
+            raise ValueError(f"expected {n} value{'s' * (n != 1)}, got {len(values)}")
+        return MixedCdf.from_family(kind, *values)
     except ValueError as exc:
         label = "equilibrium" if head == "eq" else head
-        raise ValueError(f"bad {label} spec {spec!r}") from exc
-    return MixedCdf.from_family(kind, *values)
+        raise ValueError(f"bad {label} spec {spec!r}: {exc}") from exc
 
 
 def parse_rule(spec: str) -> Rule:
@@ -343,9 +355,10 @@ def _simulate_chunk(rule: Rule, n: int, gen: np.random.Generator, m: int):
 def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIALS,
              seed: int = 0) -> SimulationSummary:
     """Play ``trials`` seeded games and summarize inversions and win rates."""
+    trials = _as_count(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be positive")
-    seed = int(seed)
+    seed = _as_count(seed, "seed")
     if not 0 <= seed <= _MASK64:
         # Philox keys hold 64 bits of seed; a larger one would alias another.
         raise ValueError("seed must lie in [0, 2**64)")

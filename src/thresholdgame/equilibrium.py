@@ -23,12 +23,13 @@ deviation against any candidate distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from thresholdgame._golden import golden_section_max
-from thresholdgame.dists import ArcPiece, MixedCdf, constant_piece
+from thresholdgame.dists import ArcPiece, MixedCdf, _row_cdf, constant_piece
+from thresholdgame.engine import _as_count
 
 __all__ = [
     "EquilibriumSolution",
@@ -63,6 +64,17 @@ class PayoffProfile:
     win_total: float
 
 
+def _opponent_terms(thetas: np.ndarray, opponent: MixedCdf):
+    """The opponent quantities a firm's payoff reads at each of ``thetas``:
+    the failure probability ``phi``, ``T = cdf - atom_mass / 2`` (an exact
+    tie on the test is won half the time) and ``Gamma = int_0^theta cdf``."""
+    t_val = opponent.cdf(thetas)
+    half_atom = np.zeros_like(t_val)
+    for loc, mass in opponent.atoms:
+        half_atom[thetas == loc] = 0.5 * mass
+    return opponent.failure_probability(), t_val - half_atom, opponent.cdf_integral(thetas)
+
+
 def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     """Selection probabilities conditioned on passing/failing a test of ``theta``.
 
@@ -73,9 +85,8 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     theta = float(theta)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("threshold outside [0, 1]")
-    phi = opponent.failure_probability()
-    t_val = opponent.cdf(theta) - 0.5 * opponent.atom_mass(theta)
-    gamma = opponent.cdf_integral(theta)
+    phi, (t_val,), (gamma,) = _opponent_terms(np.array([theta]), opponent)
+    t_val, gamma = float(t_val), float(gamma)
     win_pass = phi + (1.0 - theta) * t_val + gamma
     win_fail = theta * t_val - gamma
     total = (1.0 - theta) * win_pass + theta * win_fail
@@ -86,11 +97,7 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
 def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
     """Vectorized overall selection probability for each ``theta``."""
     thetas = np.asarray(thetas, dtype=float)
-    phi = opponent.failure_probability()
-    t_val = opponent.cdf(thetas).astype(float, copy=True)
-    for loc, mass in opponent.atoms:
-        t_val[thetas == loc] -= 0.5 * mass
-    gamma = opponent.cdf_integral(thetas)
+    phi, t_val, gamma = _opponent_terms(thetas, opponent)
     return ((1.0 - thetas) * phi
             + ((1.0 - thetas) ** 2 + thetas**2) * t_val
             + (1.0 - 2.0 * thetas) * gamma)
@@ -147,8 +154,7 @@ def equilibrium_unrestricted() -> EquilibriumSolution:
     support, symmetric about 1/2, with failure probability exactly 1/2.  It is
     the [0, 1] member of :func:`equilibrium_interval`, under its own name.
     """
-    sol = equilibrium_interval(0.0, 1.0)
-    return replace(sol, dist=replace(sol.dist, family=("eq_unrestricted",)))
+    return _equilibrium(0.0, 1.0, ("eq_unrestricted",))
 
 
 def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
@@ -156,58 +162,53 @@ def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
     a, b = float(a), float(b)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
+    return _equilibrium(a, b, ("eq_interval", a, b))
 
-    if (1.0 - a) * b <= 0.5:
-        dist = replace(MixedCdf.step(b), family=("eq_interval", a, b))
-        return EquilibriumSolution(
-            dist=dist,
-            interval=(a, b),
-            regime="step_at_b",
-            cut_point=b,
-            atom_b=1.0,
-            failure_prob=b,
-        )
 
-    phi = 1.0 / (2.0 * (1.0 - a))
-    spread = math.sqrt(a * a + (1.0 - a) * (1.0 - a))
-    arc = ArcPiece(lo=a, hi=b, offset=phi * (1.0 - 2.0 * a), scale=phi * spread)
-    atom_b = (1.0 - a * (1.0 - b) - b * (1.0 - a)) / (
-        (1.0 - a) * ((1.0 - b) ** 2 + b * b)
-    )
-    cut = (1.0 - a - 2.0 * b + 4.0 * a * b - 2.0 * a * b * b) / (
-        1.0 - 4.0 * (1.0 - a) * b + 2.0 * (1.0 - 2.0 * a) * b * b
-    )
-
+def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
+    """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
     pieces: list = []
     atoms: list[tuple[float, float]] = []
-    if a > 0.0:
-        pieces.append(constant_piece(0.0, a, 0.0))
-    if atom_b <= 1e-15:
-        # Continuous case (only [0, 1] itself): the arc reaches 1 at b.
-        atom_b = 0.0
-        cut = b
-        pieces.append(ArcPiece(a, b, arc.offset, arc.scale))
-        if b < 1.0:
-            pieces.append(constant_piece(b, 1.0, 1.0))
+    if (1.0 - a) * b <= 0.5:
+        # Both firms choose b: all mass sits there.
+        regime, phi, cut, atom_b = "step_at_b", b, b, 1.0
+        pieces.append(constant_piece(0.0, b, 0.0))
+        atoms.append((b, 1.0))
     else:
-        plateau = float(arc.value(cut))
-        if abs(plateau - (1.0 - atom_b)) > 1e-9:
-            raise AssertionError(
-                "equilibrium cut point and point mass formulas disagree: "
-                f"cdf({cut}) = {plateau}, 1 - atom = {1.0 - atom_b}"
-            )
-        atom_b = 1.0 - plateau
-        pieces.append(ArcPiece(a, cut, arc.offset, arc.scale))
-        pieces.append(constant_piece(cut, b, plateau))
-        atoms.append((b, atom_b))
-        if b < 1.0:
-            pieces.append(constant_piece(b, 1.0, 1.0))
-
-    dist = MixedCdf(tuple(pieces), tuple(atoms), family=("eq_interval", a, b))
+        regime = "interior"
+        phi = 1.0 / (2.0 * (1.0 - a))
+        spread = math.sqrt(a * a + (1.0 - a) * (1.0 - a))
+        arc = ArcPiece(lo=a, hi=b, offset=phi * (1.0 - 2.0 * a), scale=phi * spread)
+        atom_b = (1.0 - a * (1.0 - b) - b * (1.0 - a)) / (
+            (1.0 - a) * ((1.0 - b) ** 2 + b * b)
+        )
+        cut = (1.0 - a - 2.0 * b + 4.0 * a * b - 2.0 * a * b * b) / (
+            1.0 - 4.0 * (1.0 - a) * b + 2.0 * (1.0 - 2.0 * a) * b * b
+        )
+        if a > 0.0:
+            pieces.append(constant_piece(0.0, a, 0.0))
+        if atom_b <= 1e-15:
+            # Continuous case (only [0, 1] itself): the arc reaches 1 at b.
+            atom_b = 0.0
+            cut = b
+            pieces.append(arc)
+        else:
+            plateau = float(_row_cdf(*arc.row(), cut))
+            if abs(plateau - (1.0 - atom_b)) > 1e-9:
+                raise AssertionError(
+                    "equilibrium cut point and point mass formulas disagree: "
+                    f"cdf({cut}) = {plateau}, 1 - atom = {1.0 - atom_b}"
+                )
+            atom_b = 1.0 - plateau
+            pieces.append(ArcPiece(a, cut, arc.offset, arc.scale))
+            pieces.append(constant_piece(cut, b, plateau))
+            atoms.append((b, atom_b))
+    if b < 1.0:
+        pieces.append(constant_piece(b, 1.0, 1.0))
     return EquilibriumSolution(
-        dist=dist,
+        dist=MixedCdf(tuple(pieces), tuple(atoms), family=family),
         interval=(a, b),
-        regime="interior",
+        regime=regime,
         cut_point=cut,
         atom_b=atom_b,
         failure_prob=phi,
@@ -261,6 +262,7 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
     must equal 1/2 (within ``tol``); everywhere else on the allowed interval
     it must not exceed 1/2 + ``tol``.
     """
+    grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     if not 0.0 <= tol < math.inf:  # NaN included
@@ -303,6 +305,7 @@ def best_response_value(opponent: MixedCdf, grid_size: int = 1000,
     just off each atom, where the payoff jumps) refined by golden section on
     the winning bracket.
     """
+    grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     lo, hi = float(interval[0]), float(interval[1])

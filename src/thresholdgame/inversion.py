@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from thresholdgame.dists import MixedCdf
-from thresholdgame.engine import InversionEstimate
+from thresholdgame.engine import InversionEstimate, _as_count
 
 __all__ = [
     "HybridCoefficients",
@@ -131,7 +131,7 @@ def inversion_fixed(thresholds) -> float | Fraction:
 
 def optimal_value_correlated(n: int) -> Fraction:
     """Best achievable fraction of inverted pairs with n correlated tests."""
-    n = int(n)
+    n = _as_count(n, "n")
     if n < 2:
         raise ValueError("need at least two firms")
     return Fraction(5 * n - 4, 12 * (2 * n - 1))
@@ -197,6 +197,7 @@ def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBo
     The scan covers a uniform grid plus every breakpoint of either cdf, with
     left limits at the breakpoints so jumps are measured from both sides.
     """
+    grid_size = _as_count(grid_size, "grid_size")
     g0 = _optimal_cdf()
     special = np.array(sorted(set(d.breakpoints) | set(g0.breakpoints)))
     grid = np.linspace(0.0, 1.0, grid_size + 1)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from thresholdgame.dists import MixedCdf
+from thresholdgame.engine import _as_count
 from thresholdgame.inversion import optimal_value_correlated
 
 __all__ = ["CorrelatedOptimum", "SameTestOptimum", "optimal_correlated",
@@ -40,7 +41,7 @@ def optimal_correlated(n: int = 2) -> CorrelatedOptimum:
     Thresholds are evenly spaced, symmetric about 1/2, and spread over an
     interval that widens toward [1/4, 3/4] as ``n`` grows.
     """
-    n = int(n)
+    n = _as_count(n, "n")
     if n < 2:
         raise ValueError("need at least two firms")
     thresholds = tuple(Fraction(n + 2 * (i - 1), 4 * n - 2) for i in range(1, n + 1))

@@ -1,0 +1,59 @@
+"""Every public count or seed parameter takes whole numbers only.
+
+``int`` would turn 2.5 into another count (2 firms, seed 1 for 1.7) or fail
+with TypeError or OverflowError; each entry point raises ValueError instead.
+"""
+
+import math
+
+import pytest
+
+from thresholdgame.analysis import poa_report
+from thresholdgame.dists import MixedCdf
+from thresholdgame.engine import IidRule, simulate
+from thresholdgame.equilibrium import (
+    best_response_value,
+    equilibrium_unrestricted,
+    verify_equilibrium,
+)
+from thresholdgame.inversion import optimal_value_correlated, suboptimality_bound
+from thresholdgame.optimal import optimal_correlated
+
+RULE = IidRule(MixedCdf.uniform(0.25, 0.75))
+EQ = equilibrium_unrestricted()
+
+#: name -> (call taking the count, a value the parameter accepts)
+CALLS = {
+    "optimal_value_correlated(n)": (optimal_value_correlated, 2),
+    "optimal_correlated(n)": (optimal_correlated, 2),
+    "poa_report(n)": (lambda v: poa_report(n=v), 2),
+    "simulate(n_firms)": (lambda v: simulate(RULE, n_firms=v, trials=10), 2),
+    "simulate(trials)": (lambda v: simulate(RULE, trials=v), 1000),
+    "simulate(seed)": (lambda v: simulate(RULE, trials=10, seed=v), 1),
+    "verify_equilibrium(grid_size)": (lambda v: verify_equilibrium(EQ, grid_size=v), 1000),
+    "best_response_value(grid_size)": (lambda v: best_response_value(EQ.dist, grid_size=v),
+                                       1000),
+    "suboptimality_bound(grid_size)": (lambda v: suboptimality_bound(EQ.dist, grid_size=v),
+                                       1000),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("offset", [0.5, 0.7, math.nan, math.inf])
+def test_rejects_a_value_that_is_not_a_whole_number(name, offset):
+    call, good = CALLS[name]
+    with pytest.raises(ValueError, match="must be a whole number"):
+        call(good + offset)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_rejects_a_string(name):
+    call, good = CALLS[name]
+    with pytest.raises(ValueError, match="must be a whole number"):
+        call(str(good))
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_accepts_a_whole_float(name):
+    call, good = CALLS[name]
+    assert call(float(good)) == call(good)

@@ -321,7 +321,25 @@ class TestRecipe:
             assert rebuilt.cdf(grid).tobytes() == d.cdf(grid).tobytes()
             assert rebuilt.inverse(grid).tobytes() == d.inverse(grid).tobytes()
 
-    @pytest.mark.parametrize("spec, message", [
+    #: The whole error text for each rejected spec: ``bad <kind> spec
+    #: '<spec>': <reason>``, the same shape for every family.
+    REJECTIONS = {
+        "bogus:1": "unknown distribution kind 'bogus'",
+        "uniform:0.3": "bad uniform spec 'uniform:0.3': expected 2 values, got 1",
+        "uniform:0.1,0.2,0.3":
+            "bad uniform spec 'uniform:0.1,0.2,0.3': expected 2 values, got 3",
+        "uniform:0.5,0.2": "bad uniform spec 'uniform:0.5,0.2': need 0 <= lo < hi <= 1",
+        "step:": "bad step spec 'step:': expected 1 value, got 0",
+        "step:0.5,0.6": "bad step spec 'step:0.5,0.6': expected 1 value, got 2",
+        "step:2": "bad step spec 'step:2': step location outside [0, 1]",
+        "eq:0.5": "bad equilibrium spec 'eq:0.5': expected 2 values, got 1",
+        "eq:a,b": "bad equilibrium spec 'eq:a,b': could not convert string to float: 'a'",
+        "eq:0.9,0.1": "bad equilibrium spec 'eq:0.9,0.1': need 0 <= a < b <= 1",
+    }
+
+    # Each row also names one part of its text, the spec or the reason, so
+    # that neither half can go missing from the message.
+    @pytest.mark.parametrize("spec, part", [
         ("bogus:1", "unknown distribution kind 'bogus'"),
         ("uniform:0.3", "bad uniform spec 'uniform:0.3'"),
         ("uniform:0.1,0.2,0.3", "bad uniform spec 'uniform:0.1,0.2,0.3'"),
@@ -333,10 +351,11 @@ class TestRecipe:
         ("eq:a,b", "bad equilibrium spec 'eq:a,b'"),
         ("eq:0.9,0.1", "need 0 <= a < b <= 1"),
     ])
-    def test_parse_dist_rejects(self, spec, message):
+    def test_parse_dist_rejects(self, spec, part):
         with pytest.raises(ValueError) as excinfo:
             parse_dist(spec)
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == self.REJECTIONS[spec]
+        assert part in str(excinfo.value)
 
     def test_from_dict_rejects_unknown_and_mixed_segments(self):
         with pytest.raises(ValueError, match="^unknown segment kind 'bogus'$"):
@@ -394,6 +413,10 @@ class TestEvaluationGoldens:
         "eq[0.2,0.4]": lambda: equilibrium_interval(0.2, 0.4).dist,
         "random seed 3": lambda: random_mixed_piecewise_linear(np.random.default_rng(3)),
         "random seed 8": lambda: random_mixed_piecewise_linear(np.random.default_rng(8)),
+        "uniform[0.25,0.75]": lambda: MixedCdf.uniform(0.25, 0.75),
+        "step(0)": lambda: MixedCdf.step(0.0),
+        "step(1)": lambda: MixedCdf.step(1.0),
+        "eq[0.3,0.9]": lambda: equilibrium_interval(0.3, 0.9).dist,
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -465,17 +488,22 @@ class TestQuantileFunction:
 
 
 class TestPieces:
+    # A single arc piece, read through MixedCdf: the unrestricted equilibrium.
+    ARC = MixedCdf((ArcPiece(0.0, 1.0, offset=0.5, scale=0.5),))
+
     def test_arc_inverse_round_trip(self):
-        piece = ArcPiece(0.0, 1.0, offset=0.5, scale=0.5)
         thetas = np.linspace(0.0, 1.0, 33)
-        values = piece.value(thetas)
-        np.testing.assert_allclose(piece.inverse(values), thetas, atol=1e-12)
+        np.testing.assert_allclose(self.ARC.inverse(self.ARC.cdf(thetas)), thetas, atol=1e-12)
 
     def test_arc_integral_matches_quadrature(self):
-        piece = ArcPiece(0.0, 1.0, offset=0.5, scale=0.5)
-        numeric, _ = quad(lambda t: float(piece.value(t)), 0.1, 0.9)
-        integral = piece.antiderivative(0.9) - piece.antiderivative(0.1)
+        numeric, _ = quad(self.ARC.cdf, 0.1, 0.9)
+        integral = self.ARC.cdf_integral(0.9) - self.ARC.cdf_integral(0.1)
         assert integral == pytest.approx(numeric, abs=1e-10)
+
+    def test_rows(self):
+        assert PolyPiece(0.0, 1.0, (0.25,)).row() == (0.25, 0.0, 0.0)
+        assert PolyPiece(0.0, 1.0, (-0.5, 2.0)).row() == (-0.5, 2.0, 0.0)
+        assert ArcPiece(0.0, 1.0, offset=0.5, scale=0.25).row() == (0.5, 0.0, 0.25)
 
 
 def _poly_segments(coeffs):

@@ -124,6 +124,26 @@ class TestUnrestrictedEquilibrium:
             assert getattr(sol, name) == getattr(member, name)
 
 
+@pytest.mark.parametrize("build", [
+    equilibrium_unrestricted,
+    lambda: equilibrium_interval(0.0, 1.0),
+    lambda: equilibrium_interval(0.0, 0.79),
+    lambda: equilibrium_interval(0.2, 0.5),  # the step regime
+    lambda: equilibrium_interval(0.6, 1.0),  # the step regime at b = 1
+], ids=["unrestricted", "[0,1]", "[0,0.79]", "[0.2,0.5]", "[0.6,1]"])
+def test_builds_its_cdf_once(build, monkeypatch):
+    families = []
+    post_init = MixedCdf.__post_init__
+
+    def counting(self):
+        families.append(self.family)
+        post_init(self)
+
+    monkeypatch.setattr(MixedCdf, "__post_init__", counting)
+    sol = build()
+    assert families == [sol.dist.family]
+
+
 class TestIntervalEquilibrium:
     def test_step_regime(self):
         sol = equilibrium_interval(0.0, 0.4)

@@ -174,13 +174,15 @@ def _hybrid_linear_oracle(d: MixedCdf) -> float:
     def c(z):
         return 2.0 * (z * _upsilon(1 - z) + (1 - z) * _upsilon(z))
 
+    # Atoms sit only at piece junctions, which quad never samples, so the
+    # density is defined wherever it looks.
     mean = sum(mass * c(loc) for loc, mass in d.atoms)
     for piece in d.pieces:
-        density = piece.density(0.5 * (piece.lo + piece.hi))
+        density = d.pdf(0.5 * (piece.lo + piece.hi))
         if density == 0.0:
             continue
         kinks = [p for p in (0.25, 0.75) if piece.lo < p < piece.hi]
-        part, _ = quad(lambda t: c(t) * float(piece.density(t)), piece.lo, piece.hi,
+        part, _ = quad(lambda t: c(t) * d.pdf(t), piece.lo, piece.hi,
                        points=kinks or None, limit=200)
         mean += part
     return 0.125 - mean
