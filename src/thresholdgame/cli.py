@@ -170,6 +170,7 @@ def _deterministic_estimate(rule) -> engine.InversionEstimate:
 
 def _cmd_inversion(args) -> int:
     rule = engine.parse_rule(args.rule)
+    engine._rule_firm_count(rule, args.n_firms)
     if args.mc:
         est = engine.mc_inversion(rule, n_firms=args.n_firms, trials=args.trials,
                                   seed=args.seed)

@@ -32,6 +32,13 @@ Conventions:
 
 * cdfs are right-continuous and nondecreasing with ``cdf(1) == 1``;
 * an atom of mass ``m`` at ``t`` appears as a jump: ``cdf(t) - left_limit(t) == m``;
+* an evaluation point, a ``theta`` where a cdf, integral, density, atom
+  mass, support or payoff is read or the ``u`` of :meth:`MixedCdf.inverse`,
+  may lie up to 1e-12 outside [0, 1]: it is clipped to the nearest end once,
+  before anything reads it, and NaN or a point further out raises;
+* a parameter (a rule threshold, a quality, a step or atom location, a
+  threshold of ``inversion_fixed``) must lie in [0, 1] exactly, as a float
+  or a ``Fraction``;
 * values are immutable after construction and safe to share across threads.
 """
 
@@ -51,10 +58,24 @@ __all__ = [
 ]
 
 
-def _check_domain(arr: np.ndarray, name: str = "threshold") -> None:
-    # Phrased as "not inside" so that NaN, which fails every comparison, is
-    # rejected as well.
-    if arr.size and not (np.min(arr) >= -1e-12 and np.max(arr) <= 1 + 1e-12):
+def _unit_points(values, name: str = "threshold") -> np.ndarray:
+    """``values`` as evaluation points (see Conventions): a float array on
+    [0, 1], copied only when a point needs clipping."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size:
+        lo, hi = np.min(arr), np.max(arr)
+        # Phrased as "not inside" so that NaN, which fails every comparison,
+        # is rejected as well.
+        if not (lo >= -1e-12 and hi <= 1 + 1e-12):
+            raise ValueError(f"{name} outside [0, 1]")
+        if lo < 0.0 or hi > 1.0:
+            arr = np.clip(arr, 0.0, 1.0)
+    return arr
+
+
+def _check_unit_params(name: str, *values) -> None:
+    """Raise unless every parameter lies in [0, 1] (see Conventions)."""
+    if any(not 0 <= v <= 1 for v in values):  # NaN included
         raise ValueError(f"{name} outside [0, 1]")
 
 
@@ -64,7 +85,8 @@ def _check_finite(kind: str, *values) -> None:
 
 
 def _radius(theta):
-    return np.sqrt(theta * theta + (1.0 - theta) * (1.0 - theta))
+    rest = 1.0 - theta
+    return np.sqrt(theta * theta + rest * rest)
 
 
 def _row_cdf(c0, c1, c2, theta):
@@ -176,7 +198,7 @@ class MixedCdf:
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
     _rising: np.ndarray = field(init=False, repr=False, compare=False)
-    _ends: tuple = field(init=False, repr=False, compare=False)
+    _ends: list = field(init=False, repr=False, compare=False)
     _anti_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _quantile: tuple = field(init=False, repr=False, compare=False)
@@ -188,26 +210,26 @@ class MixedCdf:
         object.__setattr__(
             self, "atoms", tuple((float(t), float(m)) for t, m in self.atoms)
         )
-        rows = [p.row() for p in self.pieces]
-        # (cdf at lo, cdf at hi) of each piece, evaluated once.
-        object.__setattr__(self, "_ends", tuple(
-            (float(_row_cdf(*r, p.lo)), float(_row_cdf(*r, p.hi)))
-            for p, r in zip(self.pieces, rows)
-        ))
+        coef = np.array([p.row() for p in self.pieces]).T.copy()
+        object.__setattr__(self, "_coef", coef)
+        lo = [p.lo for p in self.pieces]
+        # The ends (lo, hi) of every piece and the cdf there, the latter as
+        # floats for the loops over pieces in _validate and _quantile_table.
+        edges = np.array([lo, [p.hi for p in self.pieces]], dtype=float)
+        object.__setattr__(self, "_ends", _row_cdf(*coef, edges).tolist())
         self._validate()
-        object.__setattr__(self, "_bounds", np.array([p.lo for p in self.pieces] + [1.0]))
-        object.__setattr__(self, "_coef", np.array(rows).T.copy())
+        object.__setattr__(self, "_bounds", np.array(lo + [1.0]))
         # Whether each piece carries mass; the closing False is what the index
-        # -1 or len(pieces) of a point outside [0, 1] reads (see support_mask).
-        object.__setattr__(self, "_rising", np.array(
-            [c1 > 1e-12 or c2 > 0.0 for _, c1, c2 in rows] + [False]))
-        anti_lo = np.array([float(_row_integral(*r, p.lo)) for p, r in zip(self.pieces, rows)])
-        anti_hi = np.array([float(_row_integral(*r, p.hi)) for p, r in zip(self.pieces, rows)])
+        # -1 (left of 0) or len(pieces) (right of 1) reads in support_mask.
+        rising = np.zeros(len(lo) + 1, dtype=bool)
+        rising[:-1] = (coef[1] > 1e-12) | (coef[2] > 0.0)
+        object.__setattr__(self, "_rising", rising)
+        anti_lo, anti_hi = _row_integral(*coef, edges)
         object.__setattr__(self, "_anti_lo", anti_lo)
         # _prefix[i] == cdf_integral(pieces[i].lo)
         prefix = np.concatenate(([0.0], np.cumsum(anti_hi - anti_lo)))
         object.__setattr__(self, "_prefix", prefix)
-        object.__setattr__(self, "_quantile", self._quantile_table(rows))
+        object.__setattr__(self, "_quantile", self._quantile_table())
 
     # -- validation ---------------------------------------------------------
 
@@ -222,25 +244,23 @@ class MixedCdf:
                 raise ValueError("pieces must have positive width and be ordered")
         # Every piece is linear or an arc, hence monotone, so comparing its
         # ends decides whether the cdf decreases along it.
-        for piece, (v_lo, v_hi) in zip(pieces, self._ends):
-            if v_hi < v_lo - _JUNCTION_TOL:
+        v_lo, v_hi = self._ends
+        for piece, lo_val, hi_val in zip(pieces, v_lo, v_hi):
+            if hi_val < lo_val - _JUNCTION_TOL:
                 raise ValueError(f"cdf decreases on [{piece.lo}, {piece.hi}]")
 
         atom_at = dict(self.atoms)
         if len(atom_at) != len(self.atoms):
             raise ValueError("duplicate atom location")
         for loc, mass in self.atoms:
-            if not 0.0 <= loc <= 1.0:
-                raise ValueError("atom location outside [0, 1]")
+            _check_unit_params("atom location", loc)
             if not mass > 0.0:  # NaN included
                 raise ValueError("atom mass must be positive")
 
         # Jumps at piece junctions (and at 0 and 1) must match declared atoms.
-        ends = self._ends
-        junctions = [(0.0, 0.0, ends[0][0])]
-        junctions += [(p.hi, left[1], right[0])
-                      for p, left, right in zip(pieces, ends, ends[1:])]
-        junctions.append((1.0, ends[-1][1], 1.0))
+        junctions = [(0.0, 0.0, v_lo[0])]
+        junctions += [(p.hi, left, right) for p, left, right in zip(pieces, v_hi, v_lo[1:])]
+        junctions.append((1.0, v_hi[-1], 1.0))
         seen = set()
         for t, lo_val, hi_val in junctions:
             jump = hi_val - lo_val
@@ -259,12 +279,11 @@ class MixedCdf:
     # -- evaluation ---------------------------------------------------------
 
     def _rows_at(self, theta, side: str = "right"):
-        """Check ``theta`` against [0, 1] and clip it; return the flat points,
+        """Return ``theta`` as flat evaluation points (see :func:`_unit_points`),
         their piece indices, the rows ``(c0, c1, c2)`` of those pieces and the
         input's shape.  ``side="left"`` puts a junction in the piece on its left."""
-        arr = np.asarray(theta, dtype=float)
-        _check_domain(arr)
-        flat = np.clip(arr.ravel(), 0.0, 1.0)
+        arr = _unit_points(theta)
+        flat = arr.ravel()
         idx = np.searchsorted(self._bounds, flat, side=side) - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         return flat, idx, self._coef[:, idx], arr.shape
@@ -286,19 +305,13 @@ class MixedCdf:
         return float(out[0]) if shape == () else out.reshape(shape)
 
     def atom_mass(self, theta: float) -> float:
-        for loc, mass in self.atoms:
-            if loc == theta:
-                return mass
-        return 0.0
+        return dict(self.atoms).get(float(_unit_points(float(theta))), 0.0)
 
     def pdf(self, theta: float) -> float | None:
         """Density at ``theta`` (right-sided at kinks), or ``None`` at an atom."""
-        theta = float(theta)
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("threshold outside [0, 1]")
-        if self.atom_mass(theta) > 0.0:
+        flat, _, (_, c1, c2), _ = self._rows_at(float(theta))
+        if self.atom_mass(flat[0]) > 0.0:
             return None
-        flat, _, (_, c1, c2), _ = self._rows_at(theta)
         r = _radius(flat)
         return float((c1 + c2 / (r * r * r))[0])
 
@@ -320,8 +333,7 @@ class MixedCdf:
     def support_mask(self, thetas) -> np.ndarray:
         """Elementwise: ``theta`` carries mass, being an atom or lying in an
         increasing piece ``lo <= theta <= hi``."""
-        arr = np.asarray(thetas, dtype=float)
-        _check_domain(arr)
+        arr = _unit_points(thetas)
         flat = arr.ravel()
         # The piece on the right of theta, and the one on its left when theta
         # is a junction, which belongs to both.
@@ -338,7 +350,7 @@ class MixedCdf:
 
     # -- sampling -----------------------------------------------------------
 
-    def _quantile_table(self, rows) -> tuple[np.ndarray, tuple]:
+    def _quantile_table(self) -> tuple[np.ndarray, tuple]:
         # One record (upper, c0, s, kind) per stretch of u that maps to a
         # single atom or piece: the stretch's upper end in u, then the atom
         # location c0, the line (u - c0) / s, or the arc g = (u - c0) / s.
@@ -346,7 +358,7 @@ class MixedCdf:
         atom_at = dict(self.atoms)
         if 0.0 in atom_at:
             records.append((atom_at[0.0], 0.0, 0.0, "atom"))
-        for piece, (c0, c1, c2), (v_lo, v_hi) in zip(self.pieces, rows, self._ends):
+        for piece, c0, c1, c2, v_lo, v_hi in zip(self.pieces, *self._coef.tolist(), *self._ends):
             if v_hi > v_lo:
                 records.append((v_hi, c0, c2, "arc") if c2 else (v_hi, c0, c1, "line"))
             t = piece.hi
@@ -356,8 +368,7 @@ class MixedCdf:
 
     def inverse(self, u):
         """Quantile function (generalized inverse of the cdf); u must lie in [0, 1]."""
-        u = np.asarray(u, dtype=float)
-        _check_domain(u, "probability u")
+        u = _unit_points(u, "probability u")
         uppers, records = self._quantile
         idx = np.clip(np.searchsorted(uppers, u, side="right"), 0, len(records) - 1)
         out = np.empty_like(u, dtype=float)
@@ -460,8 +471,7 @@ class MixedCdf:
     def step(cls, at: float) -> "MixedCdf":
         """Deterministic test: all mass at ``at``."""
         at = float(at)
-        if not 0.0 <= at <= 1.0:
-            raise ValueError("step location outside [0, 1]")
+        _check_unit_params("step location", at)
         if at == 0.0:
             pieces = (constant_piece(0.0, 1.0, 1.0),)
         elif at == 1.0:
@@ -506,9 +516,7 @@ def quantile_to_quality(theta: float, prior_inverse_cdf: Callable[[float], float
     ``prior_inverse_cdf`` must be strictly increasing on [0, 1] (priors with
     atoms or flat stretches are rejected rather than silently resolved).
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("threshold outside [0, 1]")
+    theta = float(_unit_points(float(theta)))
     probe = np.linspace(0.0, 1.0, 101)
     values = np.array([prior_inverse_cdf(p) for p in probe], dtype=float)
     if np.any(np.diff(values) <= 0.0):

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from thresholdgame.dists import _FAMILY_FIELDS, MixedCdf
+from thresholdgame.dists import _FAMILY_FIELDS, MixedCdf, _check_unit_params, _unit_points
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -66,8 +66,7 @@ class InversionEstimate:
     trials: int = 0
 
     def __post_init__(self):
-        if not -1e-12 <= self.value <= 1 + 1e-12:
-            raise ValueError("estimate outside [0, 1]")
+        _unit_points(self.value, "estimate")
         if self.std_error < 0.0:
             raise ValueError("negative standard error")
 
@@ -98,12 +97,6 @@ def _as_count(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
-def _check_unit(values: Sequence[float]) -> None:
-    # "not inside" so that NaN is rejected too.
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ValueError("inputs must lie in [0, 1]")
-
-
 def select_two(theta_x: float, theta_y: float, x: float, y: float,
                coin: np.random.Generator) -> int:
     """Winner index (0 or 1) between two firms: the first of their ranking."""
@@ -125,7 +118,8 @@ def play_game(thresholds: Sequence[float], qualities: Sequence[float],
         raise ValueError("thresholds and qualities must have the same length")
     if n < 2:
         raise ValueError("need at least two firms")
-    _check_unit(thresholds + qualities)
+    _check_unit_params("threshold", *thresholds)
+    _check_unit_params("quality", *qualities)
     passed = tuple(q >= t for q, t in zip(qualities, thresholds))
     tie_keys = coin.random(n)
     order = sorted(
@@ -145,6 +139,7 @@ def kendall_tau_fraction(ranking: Sequence[int], qualities: Sequence[float]) -> 
         raise ValueError("ranking and qualities must have the same length")
     if n < 2:
         raise ValueError("need at least two firms")
+    _check_unit_params("quality", *qualities)
     inversions = 0
     for p in range(n):
         for q in range(p + 1, n):
@@ -165,8 +160,7 @@ class SameTest:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("threshold outside [0, 1]")
+        _check_unit_params("threshold", self.theta)
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,7 @@ class FixedThresholds:
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         if len(self.thresholds) < 2:
             raise ValueError("need at least two thresholds")
-        if any(not 0.0 <= t <= 1.0 for t in self.thresholds):
-            raise ValueError("threshold outside [0, 1]")
+        _check_unit_params("threshold", *self.thresholds)
 
 
 @dataclass(frozen=True)

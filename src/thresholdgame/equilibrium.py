@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from thresholdgame._golden import golden_section_max
-from thresholdgame.dists import ArcPiece, MixedCdf, _row_cdf, constant_piece
+from thresholdgame.dists import ArcPiece, MixedCdf, _row_cdf, _unit_points, constant_piece
 from thresholdgame.engine import _as_count
 
 __all__ = [
@@ -64,15 +64,24 @@ class PayoffProfile:
     win_total: float
 
 
-def _opponent_terms(thetas: np.ndarray, opponent: MixedCdf):
-    """The opponent quantities a firm's payoff reads at each of ``thetas``:
-    the failure probability ``phi``, ``T = cdf - atom_mass / 2`` (an exact
-    tie on the test is won half the time) and ``Gamma = int_0^theta cdf``."""
+def _opponent_terms(thetas, opponent: MixedCdf):
+    """The one payoff evaluation: ``thetas`` as evaluation points (clipped,
+    see :mod:`thresholdgame.dists`), the opponent's failure probability
+    ``phi``, ``T = cdf - atom_mass / 2`` (an exact tie on the test is won
+    half the time), ``Gamma = int_0^theta cdf`` and the selection probability."""
+    thetas = _unit_points(thetas)
     t_val = opponent.cdf(thetas)
     half_atom = np.zeros_like(t_val)
     for loc, mass in opponent.atoms:
         half_atom[thetas == loc] = 0.5 * mass
-    return opponent.failure_probability(), t_val - half_atom, opponent.cdf_integral(thetas)
+    t_val = t_val - half_atom
+    phi, gamma = opponent.failure_probability(), opponent.cdf_integral(thetas)
+    # Expanded, not (1-theta) win_pass + theta win_fail, which rounds
+    # differently: verify prints these bits.
+    total = ((1.0 - thetas) * phi
+             + ((1.0 - thetas) ** 2 + thetas**2) * t_val
+             + (1.0 - 2.0 * thetas) * gamma)
+    return thetas, phi, t_val, gamma, total
 
 
 def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
@@ -82,33 +91,20 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     strictly easier tests, plus half of the exact ties; failing only beats
     failers with strictly easier tests, plus half of those ties.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("threshold outside [0, 1]")
-    phi, (t_val,), (gamma,) = _opponent_terms(np.array([theta]), opponent)
-    t_val, gamma = float(t_val), float(gamma)
-    win_pass = phi + (1.0 - theta) * t_val + gamma
-    win_fail = theta * t_val - gamma
-    total = (1.0 - theta) * win_pass + theta * win_fail
-    return PayoffProfile(theta=theta, win_pass=win_pass, win_fail=win_fail,
-                         win_total=total)
+    (theta,), phi, (t_val,), (gamma,), (total,) = _opponent_terms([float(theta)], opponent)
+    theta, t_val, gamma = float(theta), float(t_val), float(gamma)
+    return PayoffProfile(theta=theta, win_pass=phi + (1.0 - theta) * t_val + gamma,
+                         win_fail=theta * t_val - gamma, win_total=float(total))
 
 
 def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
     """Vectorized overall selection probability for each ``theta``."""
-    thetas = np.asarray(thetas, dtype=float)
-    phi, t_val, gamma = _opponent_terms(thetas, opponent)
-    return ((1.0 - thetas) * phi
-            + ((1.0 - thetas) ** 2 + thetas**2) * t_val
-            + (1.0 - 2.0 * thetas) * gamma)
+    return _opponent_terms(thetas, opponent)[-1]
 
 
 def selection_probability(theta: float, opponent: MixedCdf) -> float:
     """Overall probability of being selected when playing ``theta``."""
-    theta = float(theta)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("threshold outside [0, 1]")
-    return float(selection_probabilities(np.array([theta]), opponent)[0])
+    return float(selection_probabilities([float(theta)], opponent)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
         regime = "interior"
         phi = 1.0 / (2.0 * (1.0 - a))
         spread = math.sqrt(a * a + (1.0 - a) * (1.0 - a))
-        arc = ArcPiece(lo=a, hi=b, offset=phi * (1.0 - 2.0 * a), scale=phi * spread)
+        offset, scale = phi * (1.0 - 2.0 * a), phi * spread
         atom_b = (1.0 - a * (1.0 - b) - b * (1.0 - a)) / (
             (1.0 - a) * ((1.0 - b) ** 2 + b * b)
         )
@@ -191,16 +187,16 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
             # Continuous case (only [0, 1] itself): the arc reaches 1 at b.
             atom_b = 0.0
             cut = b
-            pieces.append(arc)
+            pieces.append(ArcPiece(a, b, offset, scale))
         else:
-            plateau = float(_row_cdf(*arc.row(), cut))
+            plateau = float(_row_cdf(offset, 0.0, scale, cut))
             if abs(plateau - (1.0 - atom_b)) > 1e-9:
                 raise AssertionError(
                     "equilibrium cut point and point mass formulas disagree: "
                     f"cdf({cut}) = {plateau}, 1 - atom = {1.0 - atom_b}"
                 )
             atom_b = 1.0 - plateau
-            pieces.append(ArcPiece(a, cut, arc.offset, arc.scale))
+            pieces.append(ArcPiece(a, cut, offset, scale))
             pieces.append(constant_piece(cut, b, plateau))
             atoms.append((b, atom_b))
     if b < 1.0:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from thresholdgame.dists import MixedCdf
+from thresholdgame.dists import MixedCdf, _check_unit_params
 from thresholdgame.engine import InversionEstimate, _as_count
 
 __all__ = [
@@ -114,9 +114,7 @@ def inversion_fixed(thresholds) -> float | Fraction:
     n = len(seq)
     if n < 2:
         raise ValueError("need at least two thresholds")
-    for t in seq:
-        if not 0 <= t <= 1:
-            raise ValueError("threshold outside [0, 1]")
+    _check_unit_params("threshold", *seq)
     for lo, hi in zip(seq, seq[1:]):
         if lo > hi:
             raise ValueError("thresholds must be sorted ascending")

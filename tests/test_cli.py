@@ -118,6 +118,22 @@ class TestInversion:
         assert data["trials"] == 50000
         assert abs(data["value"] - 0.25) < 4 * data["std_error"]
 
+    @pytest.mark.parametrize("rule, n_firms", [("fixed:0.2,0.5", "3"), ("iid:eq", "1"),
+                                               ("same:0.3", "0")])
+    @pytest.mark.parametrize("mc", [(), ("--mc", "--trials", "1000")])
+    def test_bad_firm_count_exits_2(self, capsys, rule, n_firms, mc):
+        code, out = run_cli(capsys, "inversion", "--rule", rule, "--n-firms", n_firms, *mc)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("rule, n_firms", [("fixed:0.2,0.5", "2"), ("iid:eq", "3"),
+                                               ("same:0.3", "5")])
+    def test_valid_firm_count_keeps_stdout(self, capsys, rule, n_firms):
+        # Every pair is decided by its own two firms, so the closed forms
+        # hold for any firm count the rule admits.
+        _, plain = run_cli(capsys, "inversion", "--rule", rule)
+        code, out = run_cli(capsys, "inversion", "--rule", rule, "--n-firms", n_firms)
+        assert code == 0 and out == plain
+
     def test_bad_rule_exits_2(self, capsys):
         code, _ = run_cli(capsys, "inversion", "--rule", "bogus:1")
         assert code == 2

@@ -147,6 +147,12 @@ class TestKendallTau:
         with pytest.raises(ValueError):
             kendall_tau_fraction(ranking, qualities)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_rejects_quality_outside_unit_interval(self, bad):
+        # NaN compares False against every quality, so it would count no inversion.
+        with pytest.raises(ValueError, match="quality outside"):
+            kendall_tau_fraction((0, 1), (bad, 0.5))
+
 
 class TestParseRule:
     def test_same(self):

@@ -57,11 +57,14 @@ class TestWinProbabilities:
 
     @pytest.mark.parametrize("name", ["uniform", "step", "eq", "eq_interval"])
     def test_consistency_with_selection_probability(self, name):
-        # Two independent formulas for the same quantity.
+        # win_total is selection_probability's formula, so the two agree bit
+        # for bit; recombining win_pass and win_fail, an independent formula
+        # for the same quantity, rounds differently in the last place.
         opponent = OPPONENTS[name]
         for theta in np.linspace(0.0, 1.0, 41):
             profile = win_probabilities(float(theta), opponent)
             direct = selection_probability(float(theta), opponent)
+            assert profile.win_total == direct
             combined = (1 - theta) * profile.win_pass + theta * profile.win_fail
             assert direct == pytest.approx(combined, abs=1e-12)
 
