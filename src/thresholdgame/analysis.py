@@ -10,7 +10,7 @@ the principal likes best.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +47,8 @@ class SearchResult:
     value: float
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "value": self.value}
+        """``dataclasses.asdict(self)``, the form `benchmarks/worker.py` reads."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,6 @@ class PoaReport:
     eq_unrestricted: float
     poa_vs_iid: float
     poa_vs_correlated: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "same_test": self.same_test,
-            "correlated": self.correlated,
-            "iid_opt": self.iid_opt,
-            "eq_restricted_best": self.eq_restricted_best.to_dict(),
-            "eq_unrestricted": self.eq_unrestricted,
-            "poa_vs_iid": self.poa_vs_iid,
-            "poa_vs_correlated": self.poa_vs_correlated,
-        }
 
 
 def _interval_inversion(a: float, b: float) -> float:

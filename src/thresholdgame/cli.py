@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -80,15 +81,6 @@ def _flatten(payload, prefix=""):
     else:
         items.append((prefix.rstrip("."), payload))
     return items
-
-
-def _estimate_dict(est: engine.InversionEstimate) -> dict:
-    return {
-        "value": est.value,
-        "method": est.method,
-        "std_error": est.std_error,
-        "trials": est.trials,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +168,7 @@ def _cmd_inversion(args) -> int:
                                   seed=args.seed)
     else:
         est = _deterministic_estimate(rule)
-    payload = {"rule": args.rule, **_estimate_dict(est)}
+    payload = {"rule": args.rule, **asdict(est)}
     print(_emit(payload, args.format))
     return 0
 
@@ -213,14 +205,14 @@ def _cmd_poa(args) -> int:
         lines.append(f"poa_vs_correlated = {report.poa_vs_correlated:.12g}")
         print("\n".join(lines))
         return 0
-    print(_emit(report.to_dict(), args.format))
+    print(_emit(asdict(report), args.format))
     return 0
 
 
 def _cmd_search(args) -> int:
     result = analysis.search_best_interval(refine=not args.no_refine,
                                            resolution=args.resolution)
-    print(_emit(result.to_dict(), args.format))
+    print(_emit(asdict(result), args.format))
     return 0
 
 
@@ -228,16 +220,7 @@ def _cmd_simulate(args) -> int:
     rule = engine.parse_rule(args.rule)
     summary = engine.simulate(rule, n_firms=args.n_firms, trials=args.trials,
                               seed=args.seed)
-    payload = {
-        "rule": args.rule,
-        "n_firms": summary.n_firms,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "inversion_mean": summary.inversion_mean,
-        "inversion_std_error": summary.inversion_std_error,
-        "win_rates": list(summary.win_rates),
-        "win_rate_std_errors": list(summary.win_rate_std_errors),
-    }
+    payload = {"rule": args.rule, **asdict(summary)}
     print(_emit(payload, args.format))
     return 0
 

@@ -8,14 +8,16 @@ closed-form pieces, plus finitely many point masses (atoms).
 
 :class:`MixedCdf` stores the cumulative distribution function as an ordered
 tiling of [0, 1] by analytic pieces together with an explicit atom list.  A
-piece is a polynomial of degree <= 1 (:class:`PolyPiece`) or an arc of the
-equilibrium family (:class:`ArcPiece`); either is one row ``(c0, c1, c2)``,
-``(level, slope, 0)`` or ``(offset, 0, scale)``, of the cdf
-``c0 + c1 t + c2 (2t-1) / r`` with ``r = sqrt(t^2 + (1-t)^2)``, whose running
-integral is ``(c0 + c1 t / 2) t + c2 r`` and whose density is
-``c1 + c2 / r^3``.  The cdf, its left limits, the running integral
-``int_0^theta cdf(t) dt`` and the density each gather the rows of the points'
-pieces and apply one formula; construction reads the piece ends and prefix
+:class:`Piece` is one row ``(c0, c1, c2)`` of the cdf
+``c0 + c1 t + c2 (2t-1) / r`` with ``r = sqrt(t^2 + (1-t)^2)``: a line
+``(level, slope, 0)`` or an arc of the equilibrium family
+``(offset, 0, scale)``.  Uniforms, steps and piecewise-linear cdfs build their
+lines from ``(theta, value)`` knots along one path.  In JSON an arc is an
+``arc`` segment with its ``offset`` and ``scale`` and a line a ``poly``
+segment with ``coeffs: [c0, c1]``.  The cdf's running integral is
+``(c0 + c1 t / 2) t + c2 r`` and its density ``c1 + c2 / r^3``.  The cdf, its
+left limits, the running integral ``int_0^theta cdf(t) dt`` and the density
+each gather the rows of the points' pieces and apply one formula; construction reads the piece ends and prefix
 integrals from the same formulas.  The quantile function inverts each atom,
 line or arc in closed form from a table of records built with the cdf.
 Storing formulas rather than sampled grids keeps breakpoints exact, which
@@ -45,15 +47,15 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ArcPiece",
     "MixedCdf",
-    "PolyPiece",
+    "Piece",
     "quantile_to_quality",
 ]
 
@@ -79,11 +81,6 @@ def _check_unit_params(name: str, *values) -> None:
         raise ValueError(f"{name} outside [0, 1]")
 
 
-def _check_finite(kind: str, *values) -> None:
-    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
-        raise ValueError(f"{kind} parameters must be finite")
-
-
 def _radius(theta):
     rest = 1.0 - theta
     return np.sqrt(theta * theta + rest * rest)
@@ -100,68 +97,41 @@ def _row_integral(c0, c1, c2, theta):
 
 
 @dataclass(frozen=True)
-class PolyPiece:
-    """Polynomial cdf piece of degree <= 1: ``cdf(t) = coeffs[0] + coeffs[1] * t``
-    on [lo, hi).
+class Piece:
+    """One cdf piece on [lo, hi): its row ``(c0, c1, c2)``, the cdf
+    ``c0 + c1 t + c2 (2t-1) / sqrt(t^2 + (1-t)^2)``.
 
-    ``coeffs`` holds one coefficient (a constant piece) or two (a linear
-    piece); its row is ``(level, slope, 0)``.
+    A line has ``c2 == 0`` and an arc of the equilibrium family ``c1 == 0``;
+    the quantile function inverts only these two, so ``c1`` and ``c2`` are
+    not both non-zero.
     """
 
     lo: float
     hi: float
-    coeffs: tuple[float, ...]
+    c0: float
+    c1: float = 0.0
+    c2: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= len(self.coeffs) <= 2:
-            raise ValueError("a poly piece has degree <= 1: one or two coefficients")
-        _check_finite("poly piece", self.lo, self.hi, *self.coeffs)
-
-    def row(self) -> tuple[float, float, float]:
-        level, slope = (*self.coeffs, 0.0)[:2]
-        return float(level), float(slope), 0.0
+        if not all(map(math.isfinite, (self.lo, self.hi, self.c0, self.c1, self.c2))):
+            raise ValueError("piece parameters must be finite")
+        if self.c1 and self.c2:
+            raise ValueError("a piece is a line (c2 == 0) or an arc (c1 == 0)")
 
     def to_segment_dict(self) -> dict:
-        return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": list(self.coeffs)}
+        if self.c2:
+            return {"kind": "arc", "lo": self.lo, "hi": self.hi,
+                    "offset": self.c0, "scale": self.c2}
+        return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": [self.c0, self.c1]}
 
 
-@dataclass(frozen=True)
-class ArcPiece:
-    """Equilibrium-family cdf piece ``offset + scale * (2t-1) / sqrt(t^2 + (1-t)^2)``.
-
-    The antiderivative of ``(2t-1)/sqrt(t^2+(1-t)^2)`` is ``sqrt(t^2+(1-t)^2)``,
-    so the running integral and the quantile function are both closed-form;
-    its row is ``(offset, 0, scale)``.
-    """
-
-    lo: float
-    hi: float
-    offset: float
-    scale: float
-
-    def __post_init__(self):
-        _check_finite("arc piece", self.lo, self.hi, self.offset, self.scale)
-
-    def row(self) -> tuple[float, float, float]:
-        return float(self.offset), 0.0, float(self.scale)
-
-    def to_segment_dict(self) -> dict:
-        return {
-            "kind": "arc",
-            "lo": self.lo,
-            "hi": self.hi,
-            "offset": self.offset,
-            "scale": self.scale,
-        }
-
-
-def constant_piece(lo: float, hi: float, level: float) -> PolyPiece:
-    return PolyPiece(lo, hi, (float(level),))
-
-
-def linear_piece(lo: float, hi: float, v_lo: float, v_hi: float) -> PolyPiece:
-    slope = (v_hi - v_lo) / (hi - lo)
-    return PolyPiece(lo, hi, (v_lo - slope * lo, slope))
+def _check_numbers(name: str, values) -> None:
+    """Raise unless ``values`` is a list of ints or floats, bools excluded:
+    the one type check of serialized input."""
+    if not isinstance(values, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+    ):
+        raise ValueError(f"{name}: expected numbers, got {values!r}")
 
 
 _JUNCTION_TOL = 1e-9
@@ -210,7 +180,7 @@ class MixedCdf:
         object.__setattr__(
             self, "atoms", tuple((float(t), float(m)) for t, m in self.atoms)
         )
-        coef = np.array([p.row() for p in self.pieces]).T.copy()
+        coef = np.array([(p.c0, p.c1, p.c2) for p in self.pieces], dtype=float).T.copy()
         object.__setattr__(self, "_coef", coef)
         lo = [p.lo for p in self.pieces]
         # The ends (lo, hi) of every piece and the cdf there, the latter as
@@ -406,8 +376,13 @@ class MixedCdf:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MixedCdf":
+        """Decode :meth:`to_dict`'s form.  Every value but a segment's ``kind``,
+        each coefficient and each atom entry must be an int or a float."""
         segments = data["segments"]
-        atoms = [tuple(a) for a in data.get("atoms", [])]
+        atoms = data.get("atoms", [])
+        for atom in atoms:
+            _check_numbers("atom", atom)
+        atoms = [tuple(a) for a in atoms]
         for seg in segments:
             kind = seg["kind"]
             if kind not in _SEGMENT_FIELDS:
@@ -415,6 +390,9 @@ class MixedCdf:
             extra = set(seg) - {"kind", *_SEGMENT_FIELDS[kind]}
             if extra:
                 raise ValueError(f"unknown keys {sorted(extra)} in a {kind!r} segment")
+            for name, value in seg.items():
+                if name != "kind":
+                    _check_numbers(name, value if name == "coeffs" else [value])
         if len(segments) == 1 and kind in _FAMILY_FIELDS:  # seg is the only one
             d = cls.from_family(kind, *(seg[name] for name in _FAMILY_FIELDS[kind]))
             # A family's atoms follow from its parameters; given ones must agree.
@@ -424,9 +402,11 @@ class MixedCdf:
         pieces = []
         for seg in segments:
             if seg["kind"] == "poly":
-                pieces.append(PolyPiece(seg["lo"], seg["hi"], tuple(seg["coeffs"])))
+                if not 1 <= len(seg["coeffs"]) <= 2:
+                    raise ValueError("a poly piece has degree <= 1: one or two coefficients")
+                pieces.append(Piece(seg["lo"], seg["hi"], *seg["coeffs"]))
             elif seg["kind"] == "arc":
-                pieces.append(ArcPiece(seg["lo"], seg["hi"], seg["offset"], seg["scale"]))
+                pieces.append(Piece(seg["lo"], seg["hi"], seg["offset"], 0.0, seg["scale"]))
             else:
                 raise ValueError("family segments cannot be mixed with piece segments")
         return cls(tuple(pieces), tuple(atoms))
@@ -459,26 +439,15 @@ class MixedCdf:
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError("need 0 <= lo < hi <= 1")
-        pieces = []
-        if lo > 0.0:
-            pieces.append(constant_piece(0.0, lo, 0.0))
-        pieces.append(linear_piece(lo, hi, 0.0, 1.0))
-        if hi < 1.0:
-            pieces.append(constant_piece(hi, 1.0, 1.0))
-        return cls(tuple(pieces), (), family=("uniform", lo, hi))
+        knots = [(0.0, 0.0), (lo, 0.0), (hi, 1.0), (1.0, 1.0)]
+        return cls._from_knots(knots, ("uniform", lo, hi))
 
     @classmethod
     def step(cls, at: float) -> "MixedCdf":
         """Deterministic test: all mass at ``at``."""
         at = float(at)
         _check_unit_params("step location", at)
-        if at == 0.0:
-            pieces = (constant_piece(0.0, 1.0, 1.0),)
-        elif at == 1.0:
-            pieces = (constant_piece(0.0, 1.0, 0.0),)
-        else:
-            pieces = (constant_piece(0.0, at, 0.0), constant_piece(at, 1.0, 1.0))
-        return cls(pieces, ((at, 1.0),), family=("step", at))
+        return cls._from_knots([(0.0, 0.0), (at, 0.0), (at, 1.0), (1.0, 1.0)], ("step", at))
 
     @classmethod
     def piecewise_linear(cls, knots: Sequence[tuple[float, float]]) -> "MixedCdf":
@@ -489,25 +458,27 @@ class MixedCdf:
         knot must be ``(0, v0)`` (``v0 > 0`` puts an atom at 0) and the last
         ``(1, 1)``.
         """
-        knots = [(float(t), float(v)) for t, v in knots]
+        return cls._from_knots([(float(t), float(v)) for t, v in knots])
+
+    @classmethod
+    def _from_knots(cls, knots: list[tuple[float, float]],
+                    family: tuple | None = None) -> "MixedCdf":
+        """:meth:`piecewise_linear` on float knots, labelled ``family``."""
         if knots[0][0] != 0.0 or knots[-1] != (1.0, 1.0):
             raise ValueError("knots must start at theta=0 and end at (1, 1)")
         pieces = []
-        atoms = []
+        atoms = {}
         if knots[0][1] > 0.0:
-            atoms.append((0.0, knots[0][1]))
+            atoms[0.0] = knots[0][1]
         for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
             if t1 < t0 or v1 < v0 - 1e-15:
                 raise ValueError("knots must be nondecreasing")
-            if t1 == t0:
-                if v1 > v0:
-                    atoms.append((t0, v1 - v0))
-                continue
-            pieces.append(linear_piece(t0, t1, v0, v1))
-        merged = {}
-        for loc, mass in atoms:
-            merged[loc] = merged.get(loc, 0.0) + mass
-        return cls(tuple(pieces), tuple(sorted(merged.items())))
+            if t1 > t0:
+                slope = (v1 - v0) / (t1 - t0)
+                pieces.append(Piece(t0, t1, v0 - slope * t0, slope))
+            elif v1 > v0:
+                atoms[t0] = atoms.get(t0, 0.0) + (v1 - v0)
+        return cls(tuple(pieces), tuple(sorted(atoms.items())), family=family)
 
 
 def quantile_to_quality(theta: float, prior_inverse_cdf: Callable[[float], float]) -> float:

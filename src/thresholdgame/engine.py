@@ -67,8 +67,12 @@ class InversionEstimate:
 
     def __post_init__(self):
         _unit_points(self.value, "estimate")
-        if self.std_error < 0.0:
-            raise ValueError("negative standard error")
+        if not 0.0 <= self.std_error < math.inf:  # NaN included
+            raise ValueError("std_error must be finite and nonnegative")
+        if _as_count(self.trials, "trials") < 0:
+            raise ValueError("trials must be nonnegative")
+        if self.method not in ("closed_form", "quadrature", "monte_carlo"):
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)

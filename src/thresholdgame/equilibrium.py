@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from thresholdgame._golden import golden_section_max
-from thresholdgame.dists import ArcPiece, MixedCdf, _row_cdf, _unit_points, constant_piece
+from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _unit_points
 from thresholdgame.engine import _as_count
 
 __all__ = [
@@ -168,7 +168,7 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
     if (1.0 - a) * b <= 0.5:
         # Both firms choose b: all mass sits there.
         regime, phi, cut, atom_b = "step_at_b", b, b, 1.0
-        pieces.append(constant_piece(0.0, b, 0.0))
+        pieces.append(Piece(0.0, b, 0.0))
         atoms.append((b, 1.0))
     else:
         regime = "interior"
@@ -182,12 +182,12 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
             1.0 - 4.0 * (1.0 - a) * b + 2.0 * (1.0 - 2.0 * a) * b * b
         )
         if a > 0.0:
-            pieces.append(constant_piece(0.0, a, 0.0))
+            pieces.append(Piece(0.0, a, 0.0))
         if atom_b <= 1e-15:
             # Continuous case (only [0, 1] itself): the arc reaches 1 at b.
             atom_b = 0.0
             cut = b
-            pieces.append(ArcPiece(a, b, offset, scale))
+            pieces.append(Piece(a, b, offset, 0.0, scale))
         else:
             plateau = float(_row_cdf(offset, 0.0, scale, cut))
             if abs(plateau - (1.0 - atom_b)) > 1e-9:
@@ -196,11 +196,11 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
                     f"cdf({cut}) = {plateau}, 1 - atom = {1.0 - atom_b}"
                 )
             atom_b = 1.0 - plateau
-            pieces.append(ArcPiece(a, cut, offset, scale))
-            pieces.append(constant_piece(cut, b, plateau))
+            pieces.append(Piece(a, cut, offset, 0.0, scale))
+            pieces.append(Piece(cut, b, plateau))
             atoms.append((b, atom_b))
     if b < 1.0:
-        pieces.append(constant_piece(b, 1.0, 1.0))
+        pieces.append(Piece(b, 1.0, 1.0))
     return EquilibriumSolution(
         dist=MixedCdf(tuple(pieces), tuple(atoms), family=family),
         interval=(a, b),

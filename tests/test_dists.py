@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
-from thresholdgame.dists import ArcPiece, MixedCdf, PolyPiece, quantile_to_quality
+from thresholdgame.dists import MixedCdf, Piece, quantile_to_quality
 from thresholdgame.engine import parse_dist
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 
@@ -206,13 +206,8 @@ class TestInvariants:
             MixedCdf.piecewise_linear([(0.0, 0.0), (0.5, 0.8), (0.6, 0.4), (1.0, 1.0)])
 
     def test_rejects_undeclared_jump(self):
-        from thresholdgame.dists import constant_piece
-
         with pytest.raises(ValueError):
-            MixedCdf(
-                pieces=(constant_piece(0.0, 0.5, 0.0), constant_piece(0.5, 1.0, 1.0)),
-                atoms=(),
-            )
+            MixedCdf(pieces=(Piece(0.0, 0.5, 0.0), Piece(0.5, 1.0, 1.0)), atoms=())
 
 
 def _support_contains_scalar(d: MixedCdf, theta: float) -> bool:
@@ -223,11 +218,9 @@ def _support_contains_scalar(d: MixedCdf, theta: float) -> bool:
     for piece in d.pieces:
         if not piece.lo <= theta <= piece.hi:
             continue
-        if isinstance(piece, ArcPiece):
-            increasing = piece.scale > 0.0
-        else:
-            slope = np.polynomial.polynomial.polyder(piece.coeffs)
-            increasing = float(np.polynomial.polynomial.polyval(theta, slope)) > 1e-12
+        # An arc (c2 != 0) rises where its scale is positive, a line where
+        # its slope is.
+        increasing = piece.c2 > 0.0 if piece.c2 else piece.c1 > 1e-12
         if increasing:
             return True
     return False
@@ -246,7 +239,7 @@ class TestSupportMask:
     @pytest.mark.parametrize("d", SUPPORT_CASES)
     def test_matches_scalar_rule(self, d):
         plateaus = [0.5 * (p.lo + p.hi) for p in d.pieces
-                    if isinstance(p, PolyPiece) and len(p.coeffs) == 1]
+                    if p.c1 == 0.0 and p.c2 == 0.0]
         thetas = np.concatenate((np.linspace(0.0, 1.0, 1001), d.breakpoints,
                                  [loc for loc, _ in d.atoms], plateaus))
         expected = [_support_contains_scalar(d, float(t)) for t in thetas]
@@ -289,6 +282,20 @@ class TestSerialization:
         assert rebuilt.to_json() == text
         grid = np.linspace(0, 1, 257)
         np.testing.assert_array_equal(rebuilt.cdf(grid), d.cdf(grid))
+
+    def test_lines_write_two_coefficients(self):
+        # A one-coefficient poly is read as the line (level, 0); an arc keeps
+        # its offset and scale.
+        segments = [{"kind": "poly", "lo": 0.0, "hi": 0.25, "coeffs": [0.0]},
+                    {"kind": "poly", "lo": 0.25, "hi": 0.5, "coeffs": [0.25]},
+                    {"kind": "arc", "lo": 0.5, "hi": 1.0, "offset": 0.5, "scale": 0.25}]
+        atoms = [[0.25, 0.25], [0.5, 0.25], [1.0, 0.25]]
+        d = MixedCdf.from_dict({"segments": segments, "atoms": atoms})
+        assert d.to_dict() == {"segments": [
+            {"kind": "poly", "lo": 0.0, "hi": 0.25, "coeffs": [0.0, 0.0]},
+            {"kind": "poly", "lo": 0.25, "hi": 0.5, "coeffs": [0.25, 0.0]},
+            segments[2],
+        ], "atoms": atoms}
 
     def test_tagged_structure(self):
         data = json.loads(MixedCdf.uniform(0.25, 0.75).to_json())
@@ -387,6 +394,22 @@ class TestRecipe:
     def test_from_dict_rejects_atoms_the_family_lacks(self, segment, atoms):
         with pytest.raises(ValueError, match="^atoms .* differ from"):
             MixedCdf.from_dict({"segments": [segment], "atoms": atoms})
+
+    @pytest.mark.parametrize("data", [
+        {"segments": [{"kind": "poly", "lo": 0.0, "hi": 1.0, "coeffs": ["0", "1"]}]},
+        {"segments": [{"kind": "poly", "lo": 0.0, "hi": 1.0, "coeffs": [False, True]}]},
+        {"segments": [{"kind": "poly", "lo": 0.0, "hi": 0.5, "coeffs": [0.0]},
+                      {"kind": "poly", "lo": 0.5, "hi": 1.0, "coeffs": [1.0]}],
+         "atoms": [["0.5", "1"]]},
+        {"segments": [{"kind": "uniform", "lo": "0.25", "hi": "0.75"}]},
+        {"segments": [{"kind": "step", "at": "0.5"}]},
+        {"segments": [{"kind": "eq_interval", "a": "0", "b": "0.79"}]},
+        {"segments": [{"kind": "poly", "lo": "0", "hi": 1.0, "coeffs": [0.0, 1.0]}]},
+    ], ids=["string coeffs", "bool coeffs", "string atom", "string uniform",
+            "string step", "string eq_interval", "string lo"])
+    def test_from_dict_rejects_non_numbers(self, data):
+        with pytest.raises(ValueError, match="expected numbers"):
+            MixedCdf.from_dict(data)
 
     def test_from_family_rejects_unknown_kind_and_wrong_count(self):
         with pytest.raises(ValueError, match="^unknown segment kind 'bogus'$"):
@@ -489,7 +512,7 @@ class TestQuantileFunction:
 
 class TestPieces:
     # A single arc piece, read through MixedCdf: the unrestricted equilibrium.
-    ARC = MixedCdf((ArcPiece(0.0, 1.0, offset=0.5, scale=0.5),))
+    ARC = MixedCdf((Piece(0.0, 1.0, 0.5, 0.0, 0.5),))
 
     def test_arc_inverse_round_trip(self):
         thetas = np.linspace(0.0, 1.0, 33)
@@ -501,9 +524,13 @@ class TestPieces:
         assert integral == pytest.approx(numeric, abs=1e-10)
 
     def test_rows(self):
-        assert PolyPiece(0.0, 1.0, (0.25,)).row() == (0.25, 0.0, 0.0)
-        assert PolyPiece(0.0, 1.0, (-0.5, 2.0)).row() == (-0.5, 2.0, 0.0)
-        assert ArcPiece(0.0, 1.0, offset=0.5, scale=0.25).row() == (0.5, 0.0, 0.25)
+        # A piece's fields are its row: a line (level, slope, 0) from knots,
+        # or an arc (offset, 0, scale).
+        d = MixedCdf.uniform(0.25, 0.75)
+        assert d.pieces == (Piece(0.0, 0.25, 0.0), Piece(0.25, 0.75, -0.5, 2.0),
+                            Piece(0.75, 1.0, 1.0))
+        for d in (d, self.ARC):
+            np.testing.assert_array_equal(d._coef.T, [(p.c0, p.c1, p.c2) for p in d.pieces])
 
 
 def _poly_segments(coeffs):
@@ -515,8 +542,6 @@ class TestPieceValidation:
                              ids=["empty", "quadratic", "cubic"])
     def test_poly_degree_at_most_one(self, coeffs):
         with pytest.raises(ValueError, match="degree"):
-            PolyPiece(0.0, 1.0, coeffs)
-        with pytest.raises(ValueError, match="degree"):
             MixedCdf.from_dict(_poly_segments(list(coeffs)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -524,14 +549,19 @@ class TestPieceValidation:
     def test_poly_rejects_non_finite(self, field, bad):
         args = {"lo": 0.0, "hi": 1.0, "c0": 0.0, "c1": 1.0, field: bad}
         with pytest.raises(ValueError, match="finite"):
-            PolyPiece(args["lo"], args["hi"], (args["c0"], args["c1"]))
+            Piece(**args)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lo", "hi", "offset", "scale"])
     def test_arc_rejects_non_finite(self, field, bad):
+        # An arc's offset and scale are the fields c0 and c2.
         args = {"lo": 0.0, "hi": 1.0, "offset": 0.5, "scale": 0.5, field: bad}
         with pytest.raises(ValueError, match="finite"):
-            ArcPiece(**args)
+            Piece(args["lo"], args["hi"], c0=args["offset"], c2=args["scale"])
+
+    def test_rejects_line_and_arc_at_once(self):
+        with pytest.raises(ValueError, match="line .* or an arc"):
+            Piece(0.0, 1.0, 0.0, 0.5, 0.5)
 
     def test_from_dict_rejects_nan_coefficient(self):
         with pytest.raises(ValueError, match="finite"):
@@ -550,7 +580,7 @@ class TestPieceValidation:
         with pytest.raises(ValueError, match="decreases"):
             MixedCdf.from_dict(data)
         with pytest.raises(ValueError, match="decreases"):
-            MixedCdf((ArcPiece(0.0, 1.0, offset=0.5, scale=-0.5),), ((0.0, 1.0), (1.0, 1.0)))
+            MixedCdf((Piece(0.0, 1.0, 0.5, 0.0, -0.5),), ((0.0, 1.0), (1.0, 1.0)))
 
     def test_every_search_cell_builds(self):
         # The cells search_best_interval(resolution=0.01) may visit.

@@ -12,6 +12,7 @@ from thresholdgame.engine import (
     FixedThresholds,
     IidRule,
     IndependentRule,
+    InversionEstimate,
     SameTest,
     kendall_tau_fraction,
     mc_inversion,
@@ -250,6 +251,18 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 simulate(rule, trials=100, seed=seed)
         assert simulate(rule, trials=100, seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestInversionEstimate:
+    @pytest.mark.parametrize("field, bad", [
+        ("std_error", math.nan), ("std_error", math.inf), ("std_error", -1e-3),
+        ("trials", -5), ("trials", 2.5), ("method", "bogus"),
+    ])
+    def test_rejects_invalid_field(self, field, bad):
+        fields = {"value": 0.2, "method": "monte_carlo", "std_error": 1e-3, "trials": 100}
+        InversionEstimate(**fields)
+        with pytest.raises(ValueError):
+            InversionEstimate(**{**fields, field: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
-from thresholdgame.dists import ArcPiece, MixedCdf
+from thresholdgame.dists import MixedCdf, Piece
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
     best_response_value,
@@ -121,7 +121,7 @@ class TestUnrestrictedEquilibrium:
         sol, member = equilibrium_unrestricted(), equilibrium_interval(0.0, 1.0)
         assert sol.dist.family == ("eq_unrestricted",)
         assert member.dist.family == ("eq_interval", 0.0, 1.0)
-        assert sol.dist.pieces == member.dist.pieces == (ArcPiece(0.0, 1.0, 0.5, 0.5),)
+        assert sol.dist.pieces == member.dist.pieces == (Piece(0.0, 1.0, 0.5, 0.0, 0.5),)
         assert sol.dist.atoms == member.dist.atoms == ()
         for name in ("interval", "regime", "cut_point", "atom_b", "failure_prob"):
             assert getattr(sol, name) == getattr(member, name)
