@@ -5,7 +5,10 @@ correlated tests, optimal i.i.d. tests, the best interval-restricted
 equilibrium, the unrestricted equilibrium, and the single-test baseline, plus
 the Price-of-Anarchy ratios between the equilibrium and the principal's
 optima.  Also searches over restriction intervals [a, b] for the equilibrium
-the principal likes best.
+the principal likes best.  The search scores and verifies each row of grid
+cells as one batch of (cells x theta) arrays built from the equilibrium's
+closed form (``equilibrium._interval_cells``), not one ``MixedCdf`` per cell;
+its golden-section refinement verifies every cell it visits the same way.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ import numpy as np
 
 from thresholdgame._golden import golden_section_min
 from thresholdgame.engine import _as_count
-from thresholdgame.equilibrium import (
-    EquilibriumSolution,
-    equilibrium_interval,
-    verify_equilibrium,
-)
+from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells
+from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
 from thresholdgame.inversion import OPTIMAL_IID_VALUE, inversion_iid, optimal_value_correlated
 
 __all__ = [
@@ -72,23 +72,22 @@ class PoaReport:
 
 
 def _interval_inversion(a: float, b: float) -> float:
-    """Error probability of the [a, b] equilibrium, verified first."""
-    sol = equilibrium_interval(a, b)
-    report = verify_equilibrium(sol, grid_size=1000, tol=1e-8)
-    if not report.passed:
-        raise RuntimeError(
-            f"constructed equilibrium on [{a}, {b}] failed verification: {report}"
-        )
-    return inversion_iid(sol.dist).value
+    """Error probability of the [a, b] equilibrium, verified first: the
+    one-cell view of :func:`thresholdgame.equilibrium._interval_cells`."""
+    return float(_interval_cells(np.array([a], dtype=float), np.array([b], dtype=float))[0][0])
 
 
 def search_best_interval(refine: bool = True, resolution: float = 0.01) -> SearchResult:
     """Minimize the equilibrium error probability over intervals [a, b].
 
     Coarse scan over the mixed-equilibrium region ``(1 - a) * b > 1/2`` (plus
-    the step-regime boundary cells) followed by coordinate-wise
-    golden-section refinement around the best cell.  ``resolution``, the
-    grid step and the refinement half-width, must be a number in (0, 1].
+    the step-regime boundary cell of each a) followed by two rounds of
+    coordinate-wise golden-section refinement around the best cell.
+    ``resolution``, the grid step and the refinement half-width, must be a
+    number in (0, 1].  Each a's row of cells is one batch; every cell the
+    scan or the refinement evaluates is verified as ``verify_equilibrium``
+    with grid size 1000 and tol 1e-8 would, and a failure raises
+    ``RuntimeError``.
     """
     resolution = float(resolution)
     if not 0.0 < resolution <= 1.0:
@@ -106,10 +105,12 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
         interior = [b for b in above if (1.0 - a) * b > 0.5]
         boundary = [b for b in above if (1.0 - a) * b <= 0.5]
         candidates = interior + boundary[-1:]
-        for b in candidates:
-            value = _interval_inversion(round(float(a), 12), round(float(b), 12))
+        # Python's round, not np.round, which rounds some cells differently.
+        values = _interval_cells(np.full(len(candidates), round(float(a), 12)),
+                                 np.array([round(float(b), 12) for b in candidates]))[0]
+        for b, value in zip(candidates, values):
             if value < best[0]:
-                best = (value, float(a), float(b))
+                best = (float(value), float(a), float(b))
 
     value, a_star, b_star = best
     if refine:

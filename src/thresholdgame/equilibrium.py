@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from thresholdgame._golden import golden_section_max
-from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _unit_points
+from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _row_integral, _unit_points
 from thresholdgame.engine import _as_count
+from thresholdgame.inversion import _separable_triangle, _unit_nodes
 
 __all__ = [
     "EquilibriumSolution",
@@ -65,23 +66,35 @@ class PayoffProfile:
 
 
 def _opponent_terms(thetas, opponent: MixedCdf):
-    """The one payoff evaluation: ``thetas`` as evaluation points (clipped,
-    see :mod:`thresholdgame.dists`), the opponent's failure probability
-    ``phi``, ``T = cdf - atom_mass / 2`` (an exact tie on the test is won
-    half the time), ``Gamma = int_0^theta cdf`` and the selection probability."""
+    """``thetas`` as evaluation points (clipped, see
+    :mod:`thresholdgame.dists`), the opponent's failure probability ``phi``,
+    ``T = cdf - atom_mass / 2`` (an exact tie on the test is won half the
+    time) and ``Gamma = int_0^theta cdf``: the arguments of :func:`_payoff`."""
     thetas = _unit_points(thetas)
     t_val = opponent.cdf(thetas)
     half_atom = np.zeros_like(t_val)
     for loc, mass in opponent.atoms:
         half_atom[thetas == loc] = 0.5 * mass
-    t_val = t_val - half_atom
-    phi, gamma = opponent.failure_probability(), opponent.cdf_integral(thetas)
+    return thetas, opponent.failure_probability(), t_val - half_atom, opponent.cdf_integral(thetas)
+
+
+def _payoff(thetas, phi, t_val, gamma):
+    """The one payoff formula: the selection probability at ``thetas``."""
     # Expanded, not (1-theta) win_pass + theta win_fail, which rounds
     # differently: verify prints these bits.
-    total = ((1.0 - thetas) * phi
-             + ((1.0 - thetas) ** 2 + thetas**2) * t_val
-             + (1.0 - 2.0 * thetas) * gamma)
-    return thetas, phi, t_val, gamma, total
+    return ((1.0 - thetas) * phi
+            + ((1.0 - thetas) ** 2 + thetas**2) * t_val
+            + (1.0 - 2.0 * thetas) * gamma)
+
+
+def _margins(thetas, phi, t_val, gamma, on_support, tol):
+    """The one verdict on payoffs, along the last axis: the largest
+    ``|payoff - 1/2|`` on the support, the largest ``payoff - 1/2`` off it
+    (at least 0) and whether both are within ``tol``."""
+    excess = _payoff(thetas, phi, t_val, gamma) - 0.5
+    support_dev = np.where(on_support, np.abs(excess), 0.0).max(axis=-1)
+    outside_gain = np.maximum(np.where(on_support, 0.0, excess).max(axis=-1), 0.0)
+    return support_dev, outside_gain, (support_dev <= tol) & (outside_gain <= tol)
 
 
 def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
@@ -91,15 +104,15 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     strictly easier tests, plus half of the exact ties; failing only beats
     failers with strictly easier tests, plus half of those ties.
     """
-    (theta,), phi, (t_val,), (gamma,), (total,) = _opponent_terms([float(theta)], opponent)
+    (theta,), phi, (t_val,), (gamma,) = terms = _opponent_terms([float(theta)], opponent)
     theta, t_val, gamma = float(theta), float(t_val), float(gamma)
     return PayoffProfile(theta=theta, win_pass=phi + (1.0 - theta) * t_val + gamma,
-                         win_fail=theta * t_val - gamma, win_total=float(total))
+                         win_fail=theta * t_val - gamma, win_total=float(_payoff(*terms)[0]))
 
 
 def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
     """Vectorized overall selection probability for each ``theta``."""
-    return _opponent_terms(thetas, opponent)[-1]
+    return _payoff(*_opponent_terms(thetas, opponent))
 
 
 def selection_probability(theta: float, opponent: MixedCdf) -> float:
@@ -161,50 +174,51 @@ def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
     return _equilibrium(a, b, ("eq_interval", a, b))
 
 
-def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
-    """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
-    pieces: list = []
-    atoms: list[tuple[float, float]] = []
-    if (1.0 - a) * b <= 0.5:
-        # Both firms choose b: all mass sits there.
-        regime, phi, cut, atom_b = "step_at_b", b, b, 1.0
-        pieces.append(Piece(0.0, b, 0.0))
-        atoms.append((b, 1.0))
-    else:
-        regime = "interior"
-        phi = 1.0 / (2.0 * (1.0 - a))
-        spread = math.sqrt(a * a + (1.0 - a) * (1.0 - a))
-        offset, scale = phi * (1.0 - 2.0 * a), phi * spread
-        atom_b = (1.0 - a * (1.0 - b) - b * (1.0 - a)) / (
-            (1.0 - a) * ((1.0 - b) ** 2 + b * b)
-        )
+def _interval_params(a, b):
+    """The [a, b] equilibrium's closed form for arrays of cells: ``step``
+    (``(1 - a) b <= 1/2``: both firms choose b), ``phi``, the arc row
+    ``(offset, 0, scale)`` on [a, cut) (zero if ``step``), the cut point, the
+    plateau ``cdf(cut)``, the point mass at b (none on [0, 1]) and ``sound``:
+    the cut point and mass formulas agree and the arc is 0 at a, both to
+    1e-9, the mass is positive and ``a < cut <= b``."""
+    step = (1.0 - a) * b <= 0.5
+    phi = np.where(step, b, 1.0 / (2.0 * (1.0 - a)))
+    spread = np.sqrt(a * a + (1.0 - a) * (1.0 - a))
+    offset = np.where(step, 0.0, phi * (1.0 - 2.0 * a))
+    scale = np.where(step, 0.0, phi * spread)
+    mass = (1.0 - a * (1.0 - b) - b * (1.0 - a)) / ((1.0 - a) * ((1.0 - b) ** 2 + b * b))
+    with np.errstate(divide="ignore", invalid="ignore"):  # step cells only
         cut = (1.0 - a - 2.0 * b + 4.0 * a * b - 2.0 * a * b * b) / (
             1.0 - 4.0 * (1.0 - a) * b + 2.0 * (1.0 - 2.0 * a) * b * b
         )
-        if a > 0.0:
-            pieces.append(Piece(0.0, a, 0.0))
-        if atom_b <= 1e-15:
-            # Continuous case (only [0, 1] itself): the arc reaches 1 at b.
-            atom_b = 0.0
-            cut = b
-            pieces.append(Piece(a, b, offset, 0.0, scale))
-        else:
-            plateau = float(_row_cdf(offset, 0.0, scale, cut))
-            if abs(plateau - (1.0 - atom_b)) > 1e-9:
-                raise AssertionError(
-                    "equilibrium cut point and point mass formulas disagree: "
-                    f"cdf({cut}) = {plateau}, 1 - atom = {1.0 - atom_b}"
-                )
-            atom_b = 1.0 - plateau
-            pieces.append(Piece(a, cut, offset, 0.0, scale))
-            pieces.append(Piece(cut, b, plateau))
-            atoms.append((b, atom_b))
+    continuous = ~step & (mass <= 1e-15)
+    cut = np.where(step | continuous, b, cut)
+    plateau = _row_cdf(offset, 0.0, scale, cut)
+    atom = np.where(step, 1.0, np.where(continuous, 0.0, 1.0 - plateau))
+    sound = step | ((np.abs(plateau - (1.0 - mass)) <= 1e-9)
+                    & (np.abs(_row_cdf(offset, 0.0, scale, a)) <= 1e-9)
+                    & ((atom > 0.0) | continuous) & (a < cut) & (cut <= b))
+    return step, phi, offset, scale, cut, plateau, atom, sound
+
+
+def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
+    """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
+    step, phi, offset, scale, cut, plateau, atom_b, sound = (
+        v.item() for v in _interval_params(np.array(a), np.array(b)))
+    if not sound:
+        raise AssertionError(f"the closed form on [{a}, {b}] fails its checks")
+    # In the step regime the arc row is zero and covers [0, b).
+    start = 0.0 if step else a
+    pieces = [Piece(0.0, a, 0.0)] if start > 0.0 else []
+    pieces.append(Piece(start, cut, offset, 0.0, scale))
+    if cut < b:
+        pieces.append(Piece(cut, b, plateau))
     if b < 1.0:
         pieces.append(Piece(b, 1.0, 1.0))
     return EquilibriumSolution(
-        dist=MixedCdf(tuple(pieces), tuple(atoms), family=family),
+        dist=MixedCdf(tuple(pieces), ((b, atom_b),) if atom_b else (), family=family),
         interval=(a, b),
-        regime=regime,
+        regime="step_at_b" if step else "interior",
         cut_point=cut,
         atom_b=atom_b,
         failure_prob=phi,
@@ -265,32 +279,73 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
         raise ValueError("tol must be finite and nonnegative")
     a, b = sol.interval
     dist = sol.dist
-    pts = {a, b, float(sol.cut_point)}
-    for p in dist.breakpoints:
-        if a <= p <= b:
-            pts.add(float(p))
-    for piece in dist.pieces:
-        mid = 0.5 * (piece.lo + piece.hi)
-        if a <= mid <= b:
-            pts.add(float(mid))
-    thetas = np.union1d(np.linspace(a, b, grid_size), sorted(pts))
-    payoff = selection_probabilities(thetas, dist)
-    on_support = dist.support_mask(thetas)
+    mids = [0.5 * (piece.lo + piece.hi) for piece in dist.pieces]
+    pts = [a, b, float(sol.cut_point)] + [t for t in (*dist.breakpoints, *mids) if a <= t <= b]
+    thetas = np.union1d(np.linspace(a, b, grid_size), pts)
+    dev, gain, passed = _margins(*_opponent_terms(thetas, dist), dist.support_mask(thetas), tol)
+    return VerificationReport(float(dev), float(gain), bool(passed), grid_size, tol)
 
-    support_dev = 0.0
-    if on_support.any():
-        support_dev = float(np.max(np.abs(payoff[on_support] - 0.5)))
-    outside_gain = 0.0
-    if (~on_support).any():
-        outside_gain = float(max(np.max(payoff[~on_support] - 0.5), 0.0))
-    passed = support_dev <= tol and outside_gain <= tol
-    return VerificationReport(
-        max_support_deviation=support_dev,
-        max_outside_gain=outside_gain,
-        passed=passed,
-        grid_size=grid_size,
-        tol=tol,
-    )
+
+#: Evaluation points per block of :func:`_interval_cells`: with the 1,005
+#: verification points and 120 quadrature nodes of a cell, 7 cells.
+_BLOCK_POINTS = 2**13
+
+
+def _interval_cells(a, b):
+    """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
+    equilibrium for arrays of cells, each checked as :func:`_interval_params`
+    and ``verify_equilibrium(sol, grid_size=1000, tol=1e-8)`` check it (same
+    points, same bits; the first failure raises ``RuntimeError``), with the
+    value summed as ``inversion_iid`` sums it: 30 Gauss-Legendre nodes a
+    piece.  Blocks of (cells x theta) arrays bound the memory."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
+        raise ValueError("need 0 <= a < b <= 1")
+    step, _, offset, scale, cut, plateau, atom, sound = _interval_params(a, b)
+    # Four pieces per cell, on [0, a), [a, cut), [cut, b) and [b, 1]: 0, the
+    # arc, the plateau and 1.  The regimes without a piece leave it empty.
+    zero, one = np.zeros_like(a), np.ones_like(a)
+    lo, hi = np.stack([zero, a, cut, b], axis=1), np.stack([a, cut, b, one], axis=1)
+    c0 = np.stack([zero, offset, plateau, one], axis=1)
+    c2 = np.stack([zero, scale, zero, zero], axis=1)
+    anti_lo = _row_integral(c0, 0.0, c2, lo)
+    run = _row_integral(c0, 0.0, c2, hi) - anti_lo
+    prefix = np.concatenate([zero[:, None], np.cumsum(run[:, :3], axis=1)], axis=1)
+    phi = 1.0 - (prefix[:, 3] + (1.0 - b))
+    # verify_equilibrium's points: a 1000-point grid, a, b, the cut point and
+    # the piece midpoints in [a, b] (a repeated point changes no maximum).
+    mid = np.where(0.5 * b >= a, 0.5 * b, a)
+    special = np.stack([a, b, cut, np.where(step, mid, 0.5 * (a + cut)),
+                        np.where(step, b, 0.5 * (cut + b))], axis=1)
+    u, w = _unit_nodes()
+    n = 1000 + special.shape[1]
+    value, support_dev, outside_gain = (np.empty_like(a) for _ in range(3))
+    per_block = max(1, _BLOCK_POINTS // (n + 4 * len(u)))
+    for s in range(0, len(a), per_block):
+        k = slice(s, s + per_block)
+        width = (hi[k] - lo[k])[:, :, None]
+        nodes = (lo[k][:, :, None] + width * u).reshape(len(width), -1)
+        theta = np.concatenate([np.linspace(a[k], b[k], 1000, axis=1), special[k], nodes], axis=1)
+        # The piece of each point, as MixedCdf._rows_at finds it, and its row.
+        piece = ((theta >= a[k, None]).astype(np.intp) + (theta >= cut[k, None])
+                 + (theta >= b[k, None]) + 4 * np.arange(len(theta))[:, None])
+        rows = c0[k].ravel()[piece], 0.0, c2[k].ravel()[piece]
+        g = _row_cdf(*rows, theta)  # 1 at theta = 1 exactly: the piece is [b, 1]
+        gamma = prefix[k].ravel()[piece] + (_row_integral(*rows, theta)
+                                            - anti_lo[k].ravel()[piece])
+        pts, at_b = theta[:, :n], theta[:, :n] == b[k, None]
+        on_support = ((scale[k, None] > 0.0) & (pts <= cut[k, None])) | at_b
+        t_val = g[:, :n] - np.where(at_b, 0.5 * atom[k, None], 0.0)
+        support_dev[k], outside_gain[k], passed = _margins(
+            pts, phi[k, None], t_val, gamma[:, :n], on_support, 1e-8)
+        q, gq = g[:, n:], gamma[:, n:]
+        value[k] = _separable_triangle(nodes, (width * w).reshape(q.shape),
+                                       1.0 - q, 1.0 - q, q, q, gq, gq)
+        if not np.all(passed & sound[k]):
+            i = s + np.argmin(passed & sound[k])
+            raise RuntimeError(f"constructed equilibrium on [{a[i]}, {b[i]}] failed verification"
+                               f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
+    return value, support_dev, outside_gain
 
 
 def best_response_value(opponent: MixedCdf, grid_size: int = 1000,

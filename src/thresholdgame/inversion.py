@@ -72,7 +72,7 @@ def _piece_nodes(breaks) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + width * u).ravel(), (width * w).ravel()
 
 
-def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s) -> float:
+def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
     """Integral over ``{0 <= y <= x <= 1}`` of a separable integrand.
 
     The integrand is ``P(x)R(x) + P(x)S(y) + Q(y)R(x) + Q(y)S(y)``; ``p``,
@@ -80,9 +80,10 @@ def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s) -> float:
     ``gamma_q``, ``gamma_s`` their running integrals ``int_0^x Q`` and
     ``int_0^x S``.  Integrating out ``y`` leaves
     ``int_0^1 [x P R + P Gamma_S + R Gamma_Q + (1 - x) Q S] dx``, which the
-    weights ``w`` evaluate.
+    weights ``w`` evaluate.  Each row of nodes along the last axis is one
+    integral; ``vecdot`` sums a row exactly as ``np.dot`` sums a vector.
     """
-    return float(np.dot(w, x * p * r + p * gamma_s + r * gamma_q + (1.0 - x) * q * s))
+    return np.vecdot(x * p * r + p * gamma_s + r * gamma_q + (1.0 - x) * q * s, w)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def inversion_iid(d: MixedCdf) -> InversionEstimate:
     g = d.cdf(x)
     gamma = d.cdf_integral(x)
     value = _separable_triangle(x, w, 1.0 - g, 1.0 - g, g, g, gamma, gamma)
-    return InversionEstimate(value=value, method="quadrature")
+    return InversionEstimate(value=float(value), method="quadrature")
 
 
 def inversion_fixed(thresholds) -> float | Fraction:
@@ -182,10 +183,10 @@ def hybrid_decompose(d: MixedCdf) -> HybridCoefficients:
     delta = g0_x - d.cdf(x)
     delta_gamma = g0_gamma - d.cdf_integral(x)
 
-    a = 2.0 * _separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
-                                  g0_gamma, -delta_gamma)
-    b = _separable_triangle(x, w, delta, delta, -delta, -delta,
-                            -delta_gamma, -delta_gamma)
+    a = 2.0 * float(_separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
+                                        g0_gamma, -delta_gamma))
+    b = float(_separable_triangle(x, w, delta, delta, -delta, -delta,
+                                  -delta_gamma, -delta_gamma))
     return HybridCoefficients(a_coeff=a, b_coeff=b)
 
 

@@ -1,10 +1,13 @@
 """Tests for the five-regime report and the restriction-interval search."""
 
+import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from thresholdgame import equilibrium
 from thresholdgame.analysis import (
     EQUILIBRIUM_FLOOR,
     _interval_inversion,
@@ -12,7 +15,13 @@ from thresholdgame.analysis import (
     search_best_interval,
     symmetric_equilibrium_floor_check,
 )
-from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
+from thresholdgame.equilibrium import (
+    _interval_cells,
+    equilibrium_interval,
+    equilibrium_unrestricted,
+    verify_equilibrium,
+)
+from thresholdgame.inversion import inversion_iid
 
 EQ_INVERSION_REFERENCE = 0.23052615844150636
 
@@ -98,3 +107,121 @@ class TestFloorCheck:
         sol = equilibrium_interval(0.2, 0.5)
         assert sol.regime == "step_at_b"
         assert symmetric_equilibrium_floor_check(sol)
+
+
+def grid_cells(resolution):
+    """The cells the grid phase of the search scans, in order, enumerated as
+    the search did when it built one equilibrium per cell."""
+    a_grid = np.arange(0.0, 1.0, resolution)
+    b_grid = np.arange(resolution, 1.0 + resolution / 2.0, resolution)
+    b_grid = b_grid[np.round(b_grid, 12) <= 1.0]
+    cells = []
+    for a in a_grid:
+        above = [b for b in b_grid if round(float(b), 12) > round(float(a), 12)]
+        interior = [b for b in above if (1.0 - a) * b > 0.5]
+        boundary = [b for b in above if (1.0 - a) * b <= 0.5]
+        cells += [(round(float(a), 12), round(float(b), 12)) for b in interior + boundary[-1:]]
+    return cells
+
+
+def patch_margins(monkeypatch, fail=None):
+    """Record the cells whose margins are reduced, each named by its verification
+    points' ends (a, b), with the tolerance; report ``fail`` as failed.
+    Returns the record."""
+    seen = []
+    original = equilibrium._margins
+
+    def margins(thetas, *args):
+        assert args[-1] == 1e-8
+        dev, gain, passed = original(thetas, *args)
+        cells = list(zip(np.min(thetas, axis=-1).ravel().tolist(),
+                         np.max(thetas, axis=-1).ravel().tolist()))
+        seen.extend(cells)
+        hit = np.array([cell == fail for cell in cells]).reshape(np.shape(passed))
+        return dev, gain, passed & ~hit
+
+    monkeypatch.setattr(equilibrium, "_margins", margins)
+    return seen
+
+
+class TestBatchedCells:
+    """The batched cells agree with one equilibrium, verification and quadrature per cell."""
+
+    CELLS = sorted(set(
+        [(a, b) for a, b in ((round(a, 12), round(b, 12))
+                             for a in np.arange(0.0, 1.0, 0.05)
+                             for b in np.arange(0.05, 1.0 + 0.025, 0.05)) if a < b]
+        + [(a, round(b, 12)) for a in (0.0, 0.01, 0.02)
+           for b in np.arange(0.01, 1.005, 0.01) if round(b, 12) > a]
+    ))
+
+    def test_cells_cover_both_regimes_and_the_edges(self):
+        a, b = np.array(self.CELLS).T
+        step = (1.0 - a) * b <= 0.5
+        assert step.any() and (~step).any()
+        assert (0.0, 1.0) in self.CELLS
+        assert np.sum(b == 1.0) == 20 + 3 - 1  # [0, 1] is in both grids
+
+    def test_agrees_with_one_cell_at_a_time(self):
+        a, b = np.array(self.CELLS).T
+        value, support_dev, outside_gain = _interval_cells(a, b)
+        for i, (lo, hi) in enumerate(self.CELLS):
+            sol = equilibrium_interval(lo, hi)
+            report = verify_equilibrium(sol, grid_size=1000, tol=1e-8)
+            assert report.passed  # and _interval_cells did not raise: passed alike
+            assert abs(value[i] - inversion_iid(sol.dist).value) <= 1e-15
+            assert abs(support_dev[i] - report.max_support_deviation) <= 1e-15
+            assert abs(outside_gain[i] - report.max_outside_gain) <= 1e-15
+
+    def test_verifies_on_the_points_verify_equilibrium_uses(self, monkeypatch):
+        points = []
+        original = equilibrium._margins
+        monkeypatch.setattr(equilibrium, "_margins",
+                            lambda thetas, *args: points.append(thetas) or original(thetas, *args))
+        cells = [(0.0, 1.0), (0.0, 0.79), (0.3, 0.9), (0.1, 1.0), (0.2, 0.5), (0.3, 0.5)]
+        for a, b in cells:
+            verify_equilibrium(equilibrium_interval(a, b), grid_size=1000, tol=1e-8)
+        _interval_cells(*np.array(cells).T)
+        assert len(points) == len(cells) + 1
+        for single, row in zip(points, points[-1]):
+            np.testing.assert_array_equal(np.unique(row), single)
+
+    def test_one_cell_view(self):
+        assert _interval_inversion(0.0, 0.79) == _interval_cells([0.0, 0.3], [0.79, 0.9])[0][0]
+        with pytest.raises(ValueError):
+            _interval_inversion(0.5, 0.5)
+
+    @pytest.mark.parametrize("resolution", [0.01, 0.053, 0.35, 0.6])
+    def test_grid_phase_visits_the_same_cells(self, monkeypatch, resolution):
+        seen = patch_margins(monkeypatch)
+        search_best_interval(resolution=resolution, refine=False)
+        assert seen == grid_cells(resolution)
+
+    def test_a_failing_grid_cell_raises(self, monkeypatch):
+        cells = grid_cells(0.05)
+        a, b = cell = cells[len(cells) // 2]
+        patch_margins(monkeypatch, fail=cell)
+        with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
+            search_best_interval(resolution=0.05)
+
+    def test_a_failing_refinement_cell_raises(self, monkeypatch):
+        seen = patch_margins(monkeypatch)
+        search_best_interval(resolution=0.05)
+        refined = [cell for cell in seen if cell not in set(grid_cells(0.05))]
+        assert len(refined) > 100
+        a, b = cell = refined[-1]
+        patch_margins(monkeypatch, fail=cell)
+        with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
+            search_best_interval(resolution=0.05)
+
+    def test_memory_is_set_by_the_block_not_the_cell_count(self):
+        search_best_interval(resolution=0.5, refine=False)  # load the node table first
+        peaks = []
+        for resolution in (0.01, 0.005):
+            tracemalloc.start()
+            try:
+                search_best_interval(resolution=resolution, refine=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20
