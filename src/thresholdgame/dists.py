@@ -19,7 +19,10 @@ segment with ``coeffs: [c0, c1]``.  The cdf's running integral is
 left limits, the running integral ``int_0^theta cdf(t) dt`` and the density
 each gather the rows of the points' pieces and apply one formula; construction reads the piece ends and prefix
 integrals from the same formulas.  The quantile function inverts each atom,
-line or arc in closed form from a table of records built with the cdf.
+line or arc in closed form from a table of records built with the cdf: it
+evaluates one record over all of u in place, with no ``searchsorted``, and
+patches the other records' stretches, read from comparisons of u against
+the records' upper ends.
 Storing formulas rather than sampled grids keeps breakpoints exact, which
 the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
 its integration domain.
@@ -94,6 +97,28 @@ def _row_cdf(c0, c1, c2, theta):
 def _row_integral(c0, c1, c2, theta):
     # An antiderivative of _row_cdf: d r / dt = (2t-1) / r.
     return (c0 + 0.5 * c1 * theta) * theta + c2 * _radius(theta)
+
+
+def _quantile_record(record, u, out, scratch=None) -> None:
+    """Write the quantile of one record ``(upper, c0, s, kind)`` of
+    ``MixedCdf._quantile_table`` at ``u`` into ``out``, which may be ``u``;
+    an arc uses ``scratch``, or a temporary, beside ``out``."""
+    _, c0, s, kind = record
+    if kind == "atom":
+        out[...] = c0
+        return
+    np.subtract(u, c0, out=out)
+    np.divide(out, s, out=out)
+    if kind == "arc":
+        # cdf(t) = u  <=>  (2t-1)/sqrt(t^2+(1-t)^2) = g with g = (u-c0)/s;
+        # substituting q = 2t-1 gives q = g / sqrt(2 - g^2).
+        np.clip(out, -1.0, 1.0, out=out)
+        root = np.multiply(out, out, out=scratch)
+        np.subtract(2.0, root, out=root)
+        np.sqrt(root, out=root)
+        np.divide(out, root, out=out)
+        np.add(1.0, out, out=out)
+        np.multiply(0.5, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -320,10 +345,14 @@ class MixedCdf:
 
     # -- sampling -----------------------------------------------------------
 
-    def _quantile_table(self) -> tuple[np.ndarray, tuple]:
+    def _quantile_table(self) -> tuple[list, tuple, int]:
         # One record (upper, c0, s, kind) per stretch of u that maps to a
         # single atom or piece: the stretch's upper end in u, then the atom
         # location c0, the line (u - c0) / s, or the arc g = (u - c0) / s.
+        # Record i covers uppers[i-1] <= u < uppers[i]; the first reaches
+        # down to 0 and the last up to 1.  _inverse_into evaluates the base
+        # record over every u: the widest line or arc, since an atom's
+        # stretch is patched without gathering its u, else the widest atom.
         records = []
         atom_at = dict(self.atoms)
         if 0.0 in atom_at:
@@ -334,26 +363,48 @@ class MixedCdf:
             t = piece.hi
             if t in atom_at and t != 0.0:
                 records.append((v_hi + atom_at[t], float(t), 0.0, "atom"))
-        return np.array([r[0] for r in records]), tuple(records)
+        uppers = [r[0] for r in records]
+        widths = [hi - lo for lo, hi in zip([0.0] + uppers, uppers[:-1] + [1.0])]
+        base = max(range(len(records)), key=lambda i: (records[i][3] != "atom", widths[i]))
+        return uppers, tuple(records), base
 
     def inverse(self, u):
         """Quantile function (generalized inverse of the cdf); u must lie in [0, 1]."""
         u = _unit_points(u, "probability u")
-        uppers, records = self._quantile
-        idx = np.clip(np.searchsorted(uppers, u, side="right"), 0, len(records) - 1)
-        out = np.empty_like(u, dtype=float)
-        for i, (_, c0, s, kind) in enumerate(records):
-            mask = idx == i
-            if kind == "atom":
-                out[mask] = c0
-            elif kind == "line":
-                out[mask] = (u[mask] - c0) / s
+        out = np.empty(u.size)
+        self._inverse_into(u.reshape(-1), out)
+        return out.reshape(u.shape)[()]
+
+    def _inverse_into(self, u, out, scratch=None) -> None:
+        """Write :meth:`inverse` of ``u``, an array already on [0, 1], into
+        ``out``, which may be ``u`` itself.  ``scratch``, a float array of
+        u's shape, spares the arc formula a temporary.
+
+        The base record is evaluated over all of u in place.  Every other
+        record's stretch and u values are read first, from comparisons of u
+        against the uppers, and written over the base values afterwards, so
+        a one-record table builds no mask at all.
+        """
+        uppers, records, base = self._quantile
+        last = len(records) - 1
+        others = []
+        for i, record in enumerate(records):
+            if i != base:
+                if i == 0:
+                    mask = u < uppers[0]
+                elif i == last:
+                    mask = u >= uppers[i - 1]
+                else:
+                    mask = (u >= uppers[i - 1]) & (u < uppers[i])
+                others.append((record, mask, None if record[3] == "atom" else u[mask]))
+        _quantile_record(records[base], u, out, scratch)
+        for record, mask, values in others:
+            if values is None:
+                out[mask] = record[1]
             else:
-                # cdf(t) = u  <=>  (2t-1)/sqrt(t^2+(1-t)^2) = g with g = (u-c0)/s;
-                # substituting q = 2t-1 gives q = g / sqrt(2 - g^2).
-                g = np.clip((u[mask] - c0) / s, -1.0, 1.0)
-                out[mask] = 0.5 * (1.0 + g / np.sqrt(2.0 - g * g))
-        return np.clip(out, 0.0, 1.0)
+                _quantile_record(record, values, values)
+                out[mask] = values
+        np.clip(out, 0.0, 1.0, out=out)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-transform sampling from a caller-supplied random stream."""

@@ -12,6 +12,15 @@ each chunk, so results are reproducible bit-for-bit for a given seed and
 independent of how chunks would be scheduled across workers.  Chunk sums are
 reduced with numpy's pairwise summation in a fixed order.
 
+A ``simulate`` call allocates its arrays once and every chunk refills them
+in place (``Generator.random(out=...)``, ``np.copyto``, ufuncs with
+``out=``); the uniforms of drawn thresholds are inverted where they lie.  A
+chunk is drawn and scored in row blocks of about 2**19 values, one block for
+up to eight firms, so memory does not grow with the firm count.  Each
+segment of a chunk's stream (qualities, uniforms, tie draws) is read through
+its own generator, placed with ``Philox.advance``, so the draws, and every
+seeded result, are those of one generator read straight through.
+
 The Monte Carlo kernel sorts nothing.  For every pair of firms it decides
 which one ranks higher: a lone passer, else the harder test, else the random
 tie key (a single fair draw per play when there are two firms).  It then
@@ -285,27 +294,72 @@ class SimulationSummary:
     win_rate_std_errors: tuple[float, ...]
 
 
-def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    key = seed + (chunk_index << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+#: Values (plays x firms) a block of a chunk holds: with n firms a chunk is
+#: drawn and scored ``max(1, _BLOCK_VALUES // n)`` plays at a time, so the
+#: arrays of a ``simulate`` call do not grow with the firm count.
+_BLOCK_VALUES = 1 << 19
 
 
-def _chunk_thresholds(rule: Rule, gen: np.random.Generator, m: int, n: int) -> np.ndarray:
+def _stream(seed: int, chunk: int, offset: int = 0) -> np.random.Generator:
+    """The generator of chunk ``chunk``, placed ``offset`` draws of
+    ``random()`` into its stream: a Philox counter step holds four draws."""
+    bits = np.random.Philox(key=seed + (chunk << 64))
+    bits.advance(offset // 4)
+    gen = np.random.Generator(bits)
+    gen.random(offset % 4)
+    return gen
+
+
+class _ChunkArrays:
+    """The arrays one ``simulate`` call reuses for each of its chunks of at
+    most ``plays`` plays.
+
+    A block of ``rows`` plays is drawn as (plays, firms) qualities, uniforms
+    (inverted in place into thresholds) and tie draws, and scored on
+    firm-major copies of them; ``inv`` holds a whole chunk's inversion counts
+    and ``frac`` its misordered fractions.  Short blocks and chunks use
+    leading slices.
+    """
+
+    def __init__(self, n: int, plays: int):
+        self.rows = rows = min(plays, max(1, _BLOCK_VALUES // n))
+        self.pairs = n * (n - 1) // 2
+        self.qual = np.empty((rows, n))
+        self.thr = np.empty((rows, n))
+        self.tie = np.empty(rows) if n == 2 else np.empty((rows, n))
+        self.q = np.empty((n, rows))
+        self.t = np.empty((n, rows))
+        # With two firms the keys are the two sides of the single draw.
+        self.keys = np.empty((2, rows), dtype=bool) if n == 2 else np.empty((n, rows))
+        self.passed = np.empty((n, rows), dtype=bool)
+        self.top = np.empty((n, rows), dtype=bool)
+        self.flags = np.empty((3, rows), dtype=bool)  # per-pair work rows
+        self.inv = np.empty(plays, dtype=np.min_scalar_type(self.pairs))  # exact counts
+        self.frac = np.empty((2, plays))
+
+
+def _chunk_thresholds(rule: Rule, gen: np.random.Generator, thr: np.ndarray,
+                      scratch: np.ndarray) -> None:
+    """Fill ``thr``, a (plays, firms) block, with the block's thresholds; a
+    drawn rule reads uniforms from ``gen`` and inverts them in place, with
+    ``scratch``, a float array of the same shape, as the inverse's work space."""
     if isinstance(rule, SameTest):
-        return np.full((m, n), rule.theta)
-    if isinstance(rule, FixedThresholds):
-        return np.tile(np.asarray(rule.thresholds), (m, 1))
-    if isinstance(rule, IidRule):
-        return rule.dist.inverse(gen.random((m, n)))
-    u = gen.random((m, n))
-    thr = np.empty_like(u)
-    for j, dist in enumerate(rule.dists):
-        thr[:, j] = dist.inverse(u[:, j])
-    return thr
+        thr[...] = rule.theta
+    elif isinstance(rule, FixedThresholds):
+        thr[...] = rule.thresholds
+    else:
+        gen.random(out=thr)
+        if isinstance(rule, IidRule):
+            rule.dist._inverse_into(thr, thr, scratch)
+        else:
+            for j, dist in enumerate(rule.dists):
+                dist._inverse_into(thr[:, j], thr[:, j], scratch[:, j])
 
 
-def _score_chunk(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray):
-    """Score one chunk of plays; returns (sum_frac, sum_frac_sq, win_counts).
+def _score_block(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray,
+                 arrays: _ChunkArrays, inv: np.ndarray) -> np.ndarray:
+    """Score one block of plays: write each play's inverted-pair count into
+    ``inv`` and return the firms' win counts.
 
     ``qual`` and ``thr`` are (plays, firms) arrays.  ``tie`` orders firms that
     tie on (passed, threshold): with two firms it holds one draw per play and
@@ -314,39 +368,71 @@ def _score_chunk(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray):
 
     No play is sorted: each pair i < j is decided on its own, on firm-major
     copies so that every row read is contiguous.  Everything is elementwise
-    boolean algebra: ``np.where`` on a random mask mispredicts branches and
-    costs far more per element.
+    boolean algebra written into reused rows: ``np.where`` on a random mask
+    mispredicts branches and costs far more per element.
     """
     m, n = qual.shape
-    q = np.ascontiguousarray(qual.T)
-    t = np.ascontiguousarray(thr.T)
-    passed = q >= t
-    if tie.ndim == 1:
+    q, t, keys = arrays.q[:, :m], arrays.t[:, :m], arrays.keys[:, :m]
+    passed, top = arrays.passed[:, :m], arrays.top[:, :m]
+    ahead, hit, other = arrays.flags[:, :m]
+    np.copyto(q, qual.T)
+    np.copyto(t, thr.T)
+    if n == 2:
         # The single draw as a key per firm: firm 0 leads when it is below 0.5.
-        keys = np.stack([tie < 0.5, tie >= 0.5])
+        np.less(tie, 0.5, out=keys[0])
+        np.greater_equal(tie, 0.5, out=keys[1])
     else:
-        keys = np.ascontiguousarray(tie.T)
-    pairs = n * (n - 1) // 2
-    inv = np.zeros(m, dtype=np.min_scalar_type(pairs))  # exact counts
-    top = np.ones((n, m), dtype=bool)  # firm ranks above every other
+        np.copyto(keys, tie.T)
+    np.greater_equal(q, t, out=passed)
+    inv[...] = 0
+    top[...] = True  # firm ranks above every other
     for i in range(n - 1):
         for j in range(i + 1, n):
-            by_test = (t[i] > t[j]) | ((t[i] == t[j]) & (keys[i] >= keys[j]))
-            ahead = (passed[i] > passed[j]) | ((passed[i] == passed[j]) & by_test)
-            behind = ~ahead
-            inv += (ahead & (q[j] > q[i])) | (behind & (q[i] > q[j]))
+            # ahead: i ranks above j, by a lone pass, else the harder test,
+            # else the tie key.
+            np.equal(t[i], t[j], out=ahead)
+            ahead &= np.greater_equal(keys[i], keys[j], out=other)
+            ahead |= np.greater(t[i], t[j], out=other)
+            ahead &= np.equal(passed[i], passed[j], out=other)
+            ahead |= np.greater(passed[i], passed[j], out=other)
             top[i] &= ahead
-            top[j] &= behind
-    frac = inv / pairs
-    return float(np.sum(frac)), float(np.sum(frac * frac)), np.count_nonzero(top, axis=1)
+            # Inverted: the firm ranked lower has the strictly higher quality.
+            np.greater(q[j], q[i], out=hit)
+            hit &= ahead
+            np.logical_not(ahead, out=ahead)
+            top[j] &= ahead
+            ahead &= np.greater(q[i], q[j], out=other)
+            hit |= ahead
+            inv += hit
+    return np.count_nonzero(top, axis=1)
 
 
-def _simulate_chunk(rule: Rule, n: int, gen: np.random.Generator, m: int):
-    """One chunk of plays; returns (sum_frac, sum_frac_sq, win_counts)."""
-    qual = gen.random((m, n))
-    thr = _chunk_thresholds(rule, gen, m, n)
-    tie = gen.random(m) if n == 2 else gen.random((m, n))
-    return _score_chunk(qual, thr, tie)
+def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
+                    arrays: _ChunkArrays):
+    """Chunk ``c`` of ``m`` plays; returns (sum_frac, sum_frac_sq, win_counts).
+
+    The chunk's stream holds its qualities, then any uniforms of drawn
+    thresholds, then its tie draws, each in (plays, firms) order.  Each of
+    the three segments gets its own generator, placed at its start, and
+    every block continues where the previous one stopped.
+    """
+    rows = arrays.rows
+    drawn = isinstance(rule, (IidRule, IndependentRule))
+    streams = [_stream(seed, c, p) for p in (0, m * n, m * n * (1 + drawn))]
+    wins = np.zeros(n, dtype=np.int64)
+    for r0 in range(0, m, rows):
+        b = min(rows, m - r0)
+        qual, thr, tie = arrays.qual[:b], arrays.thr[:b], arrays.tie[:b]
+        streams[0].random(out=qual)
+        # The firm-major thresholds are free until _score_block fills them.
+        _chunk_thresholds(rule, streams[1], thr,
+                          arrays.t.reshape(-1)[:b * n].reshape(b, n))
+        streams[2].random(out=tie)
+        wins += _score_block(qual, thr, tie, arrays, arrays.inv[r0:r0 + b])
+    frac, frac_sq = arrays.frac[:, :m]
+    np.divide(arrays.inv[:m], arrays.pairs, out=frac)
+    np.multiply(frac, frac, out=frac_sq)
+    return float(np.sum(frac)), float(np.sum(frac_sq)), wins
 
 
 def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIALS,
@@ -365,10 +451,10 @@ def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIAL
     sums = np.zeros(n_chunks)
     sq_sums = np.zeros(n_chunks)
     win_counts = np.zeros((n_chunks, n), dtype=np.int64)
+    arrays = _ChunkArrays(n, min(CHUNK_TRIALS, trials))
     for c in range(n_chunks):
         m = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-        gen = _chunk_generator(seed, c)
-        sums[c], sq_sums[c], win_counts[c] = _simulate_chunk(rule, n, gen, m)
+        sums[c], sq_sums[c], win_counts[c] = _simulate_chunk(rule, n, seed, c, m, arrays)
 
     total = float(np.sum(sums))
     total_sq = float(np.sum(sq_sums))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
+from oracles import quantile_reference
 from thresholdgame.dists import MixedCdf, Piece, quantile_to_quality
 from thresholdgame.engine import parse_dist
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
@@ -455,6 +456,50 @@ class TestEvaluationGoldens:
         assert [None if (p := d.pdf(t)) is None else p.hex() for t in theta] == golden["pdf"]
         u = np.array([float.fromhex(h) for h in golden["u"]])
         assert [v.hex() for v in d.inverse(u).tolist()] == golden["inverse"]
+
+
+class TestInverseAgainstOracle:
+    """``inverse`` evaluates one record over all of u in place and patches
+    the other records' stretches; the oracle loops over records with one
+    ``searchsorted`` mask each.  They must agree bit for bit."""
+
+    CASES = {
+        **{name: lambda name=name: MixedCdf.from_json(golden["json"])
+           for name, golden in GOLDEN_EVALUATIONS.items()},
+        "eq[0.2,0.5]": lambda: equilibrium_interval(0.2, 0.5).dist,  # a lone atom
+        "uniform[0,1]": lambda: MixedCdf.uniform(0.0, 1.0),
+    }
+
+    @staticmethod
+    def _points(d):
+        uppers = np.array(d._quantile[0])
+        edges = np.concatenate([uppers, np.nextafter(uppers, 0.0), np.nextafter(uppers, 2.0)])
+        band = [0.0, 1.0, -1e-12, 1e-12, 1.0 - 1e-12, 1.0 + 1e-12]
+        draws = np.random.default_rng(12).random(100_000)
+        return np.concatenate([np.clip(edges, 0.0, 1.0), band, draws])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_bits_match_the_oracle(self, name):
+        d = self.CASES[name]()
+        u = self._points(d)
+        assert d.inverse(u).tobytes() == quantile_reference(d, u).tobytes()
+        grid = u[-100_000:].reshape(-1, 4)
+        assert d.inverse(grid).tobytes() == quantile_reference(d, grid).tobytes()
+        assert d.inverse(grid).shape == grid.shape
+        for x in u[:40]:
+            got = d.inverse(x)
+            assert np.ndim(got) == 0
+            assert got.tobytes() == quantile_reference(d, x).tobytes()
+        listed = u[:40].tolist()
+        assert d.inverse(listed).tobytes() == quantile_reference(d, listed).tobytes()
+
+    def test_writes_in_place(self):
+        # The engine inverts its uniforms where they lie, with its own scratch.
+        d = equilibrium_interval(0.3, 0.9).dist
+        u = np.random.default_rng(4).random((500, 3))
+        want = quantile_reference(d, u)
+        d._inverse_into(u, u, np.empty_like(u))
+        assert u.tobytes() == want.tobytes()
 
 
 class TestQuantileToQuality:

@@ -1,6 +1,9 @@
 """Tests for the selection-game engine and Monte Carlo estimator."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from thresholdgame.engine import (
     simulate,
 )
 from thresholdgame.inversion import inversion_fixed
+
+from oracles import quantile_reference
 
 
 class TestSelectTwo:
@@ -270,10 +275,29 @@ class TestInversionEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _chunk_gen(seed, c):
+    """Chunk c's random stream: Philox keyed by (seed, chunk index)."""
+    return np.random.Generator(np.random.Philox(key=seed + (c << 64)))
+
+
+def _reference_thresholds(rule, gen, m, n):
+    """Thresholds of m plays drawn from ``gen``, as (plays, firms), through the
+    oracle quantile function."""
+    if isinstance(rule, SameTest):
+        return np.full((m, n), rule.theta)
+    if isinstance(rule, FixedThresholds):
+        return np.tile(np.asarray(rule.thresholds), (m, 1))
+    u = gen.random((m, n))
+    if isinstance(rule, IidRule):
+        return quantile_reference(rule.dist, u)
+    return np.column_stack([quantile_reference(d, u[:, j]) for j, d in enumerate(rule.dists)])
+
+
 def _lexsort_chunk(rule, n, gen, m):
-    """The sort-based chunk kernel, kept here as the reference of the pairwise one."""
+    """The sort-based chunk kernel, kept here as the reference of the pairwise
+    one: qualities, then thresholds, then tie draws, from one stream."""
     qual = gen.random((m, n))
-    thr = engine._chunk_thresholds(rule, gen, m, n)
+    thr = _reference_thresholds(rule, gen, m, n)
     if n == 2:
         tie = gen.random(m)
         q0, q1 = qual[:, 0], qual[:, 1]
@@ -313,6 +337,20 @@ KERNEL_CASES = [
 ]
 
 
+def _simulate_chunk(rule, n, seed, c, m):
+    return engine._simulate_chunk(rule, n, seed, c, m, engine._ChunkArrays(n, m))
+
+
+def _score_chunk(qual, thr, tie):
+    """Score (plays, firms) arrays as one block; returns the chunk triple."""
+    m, n = qual.shape
+    arrays = engine._ChunkArrays(n, m)
+    assert arrays.rows == m
+    wins = engine._score_block(qual, thr, tie, arrays, arrays.inv)
+    frac = arrays.inv / arrays.pairs
+    return float(np.sum(frac)), float(np.sum(frac * frac)), wins
+
+
 def _assert_same_chunk(got, want):
     assert got[0].hex() == want[0].hex()
     assert got[1].hex() == want[1].hex()
@@ -324,18 +362,16 @@ class TestPairwiseKernel:
     def test_full_chunks_match_sort_kernel(self, spec, n):
         rule = parse_rule(spec)
         for c in range(4):
-            got = engine._simulate_chunk(rule, n, engine._chunk_generator(7, c),
-                                         engine.CHUNK_TRIALS)
-            want = _lexsort_chunk(rule, n, engine._chunk_generator(7, c),
-                                  engine.CHUNK_TRIALS)
+            got = _simulate_chunk(rule, n, 7, c, engine.CHUNK_TRIALS)
+            want = _lexsort_chunk(rule, n, _chunk_gen(7, c), engine.CHUNK_TRIALS)
             _assert_same_chunk(got, want)
 
     @pytest.mark.parametrize("spec, n", [("iid:eq", 2), ("iid:uniform:0.1,0.9", 6)])
     def test_partial_chunk_matches_sort_kernel(self, spec, n):
         rule = parse_rule(spec)
         m = 12_345
-        got = engine._simulate_chunk(rule, n, engine._chunk_generator(3, 4), m)
-        want = _lexsort_chunk(rule, n, engine._chunk_generator(3, 4), m)
+        got = _simulate_chunk(rule, n, 3, 4, m)
+        want = _lexsort_chunk(rule, n, _chunk_gen(3, 4), m)
         _assert_same_chunk(got, want)
 
     @staticmethod
@@ -365,7 +401,7 @@ class TestPairwiseKernel:
         qual = rng.integers(0, 5, (m, n)) / 4
         thr = rng.integers(0, 3, (m, n)) / 2
         tie = rng.integers(0, 3, m) / 4 if n == 2 else rng.integers(0, 2, (m, n)) / 2
-        got = engine._score_chunk(qual, thr, tie)
+        got = _score_chunk(qual, thr, tie)
         _assert_same_chunk(got, self._sorted_reference(qual, thr, tie))
 
     def test_hand_built_chunk(self):
@@ -386,7 +422,7 @@ class TestPairwiseKernel:
                         [0.9, 0.5, 0.1]])
         # Rankings (1, 2, 0), (0, 1, 2), (0, 2, 1), (0, 1, 2), (2, 1, 0) invert
         # 1, 3, 1, 1 and 2 of the 3 pairs.
-        s, s2, wins = engine._score_chunk(qual, thr, tie)
+        s, s2, wins = _score_chunk(qual, thr, tie)
         assert s == pytest.approx(8 / 3)
         assert s2 == pytest.approx(16 / 9)
         assert list(wins) == [3, 1, 1]
@@ -418,3 +454,85 @@ def test_seeded_output_is_pinned(spec, n, seed, trials, mean, se, rates):
     assert summary.inversion_mean.hex() == mean
     assert summary.inversion_std_error.hex() == se
     assert tuple(r.hex() for r in summary.win_rates) == rates
+
+
+# ---------------------------------------------------------------------------
+# Whole simulations against the chunk-by-chunk reference
+# ---------------------------------------------------------------------------
+
+RULE_KINDS = [
+    ("same:0.4", 3),
+    ("fixed:0.1,0.3,0.5,0.7,0.9", 5),
+    ("iid:eq:0,0.79", 2),
+    ("indep:eq;uniform:0.2,0.6;step:0.5", 3),
+]
+
+
+def _summary_hex(summary):
+    return (summary.inversion_mean.hex(), summary.inversion_std_error.hex(),
+            tuple(r.hex() for r in summary.win_rates))
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("spec, n", RULE_KINDS)
+    def test_matches_chunk_by_chunk_reference(self, spec, n):
+        # Three full chunks and a partial one, all through the same arrays.
+        rule, seed = parse_rule(spec), 21
+        trials = 3 * engine.CHUNK_TRIALS + 12_345
+        chunks = [_lexsort_chunk(rule, n, _chunk_gen(seed, c),
+                                 min(engine.CHUNK_TRIALS, trials - c * engine.CHUNK_TRIALS))
+                  for c in range(4)]
+        total = float(np.sum([s for s, _, _ in chunks]))
+        total_sq = float(np.sum([s2 for _, s2, _ in chunks]))
+        var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
+        rates = np.sum([w for _, _, w in chunks], axis=0) / trials
+        got = simulate(rule, n_firms=n, trials=trials, seed=seed)
+        assert _summary_hex(got) == ((total / trials).hex(), math.sqrt(var / trials).hex(),
+                                     tuple(float(r).hex() for r in rates))
+
+    @pytest.mark.parametrize("spec, n, trials", [
+        ("iid:eq:0,0.79", 3, engine.CHUNK_TRIALS + 12_345),
+        ("indep:eq;uniform:0.2,0.6;step:0.5;eq:0.3,0.9;step:0.5", 5,
+         engine.CHUNK_TRIALS + 12_345),
+        ("fixed:0.3,0.3,0.5,0.7,0.7", 5, 12_345),
+        ("same:0.5", 2, 12_345),
+    ])
+    def test_row_blocks_keep_the_stream(self, monkeypatch, spec, n, trials):
+        # Blocks of 12,288 values split the partial chunk of 12,345 plays into
+        # at least three, so every segment of the stream is placed mid-chunk.
+        # Each rule ties on some thresholds, so the tie draws count too.
+        rule = parse_rule(spec)
+        whole = simulate(rule, n_firms=n, trials=trials, seed=9)
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", 3 * 4096)
+        assert math.ceil(12_345 / (engine._BLOCK_VALUES // n)) >= 3
+        assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=9)) == \
+            _summary_hex(whole)
+
+    def test_memory_is_bounded_in_the_firm_count(self):
+        # At n = 64 a chunk of 24,576 plays holds 1.5M values per array; in
+        # three blocks of 2**19 values the arrays of the call stay near 25 MiB.
+        tracemalloc.start()
+        try:
+            simulate(FixedThresholds(tuple(np.linspace(0.01, 0.99, 64))),
+                     trials=24_576, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_threads_sharing_a_rule_get_the_serial_results(self):
+        # Each call owns its arrays and MixedCdf is immutable, so concurrent
+        # calls on one rule cannot disturb each other.
+        rule = parse_rule("iid:eq:0.3,0.9")
+        seeds = range(6)
+        serial = [_summary_hex(simulate(rule, n_firms=3, trials=70_000, seed=s))
+                  for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(simulate, rule, 3, 70_000, s) for s in seeds]
+                threaded = [_summary_hex(f.result(timeout=120)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
