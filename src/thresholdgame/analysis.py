@@ -7,8 +7,9 @@ the Price-of-Anarchy ratios between the equilibrium and the principal's
 optima.  Also searches over restriction intervals [a, b] for the equilibrium
 the principal likes best.  The search scores and verifies each row of grid
 cells as one batch of (cells x theta) arrays built from the equilibrium's
-closed form (``equilibrium._interval_cells``), not one ``MixedCdf`` per cell;
-its golden-section refinement verifies every cell it visits the same way.
+closed form (``equilibrium._interval_cells``), not one ``MixedCdf`` per cell.
+Its refinement scores each round of nested grids (``equilibrium._nested_max``)
+as one batch of 7 cells and verifies them the same way.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from thresholdgame._golden import golden_section_min
 from thresholdgame.engine import _as_count
-from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells
+from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells, _nested_max
 from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
 from thresholdgame.inversion import OPTIMAL_IID_VALUE, inversion_iid, optimal_value_correlated
 
@@ -71,23 +71,35 @@ class PoaReport:
     poa_vs_correlated: float
 
 
-def _interval_inversion(a: float, b: float) -> float:
-    """Error probability of the [a, b] equilibrium, verified first: the
-    one-cell view of :func:`thresholdgame.equilibrium._interval_cells`."""
-    return float(_interval_cells(np.array([a], dtype=float), np.array([b], dtype=float))[0][0])
+def _round_cells(values) -> np.ndarray:
+    """``values`` rounded to 12 digits as the search's cells are, by Python's
+    round, not np.round, which rounds some of them differently."""
+    return np.array([round(float(v), 12) for v in values])
+
+
+def _refine(cells, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize the equilibrium error over one coordinate in (lo, hi):
+    ``cells`` maps an array of rounded coordinates to the ``(a, b)`` arrays
+    of their cells.  Returns the best coordinate, rounded as its cell was,
+    and its error."""
+    x, neg_value = _nested_max(lambda x: -_interval_cells(*cells(_round_cells(x)))[0], lo, hi,
+                               rounds=14)
+    return round(x, 12), -neg_value
 
 
 def search_best_interval(refine: bool = True, resolution: float = 0.01) -> SearchResult:
     """Minimize the equilibrium error probability over intervals [a, b].
 
     Coarse scan over the mixed-equilibrium region ``(1 - a) * b > 1/2`` (plus
-    the step-regime boundary cell of each a) followed by two rounds of
-    coordinate-wise golden-section refinement around the best cell.
+    the step-regime boundary cell of each a) followed by two passes of
+    coordinate-wise refinement around the best cell, b then a, each 14
+    rounds of nested grids that narrow the bracket by 4**-14.
     ``resolution``, the grid step and the refinement half-width, must be a
-    number in (0, 1].  Each a's row of cells is one batch; every cell the
-    scan or the refinement evaluates is verified as ``verify_equilibrium``
-    with grid size 1000 and tol 1e-8 would, and a failure raises
-    ``RuntimeError``.
+    number in (0, 1].  Cells are rounded to 12 digits, and the result is the
+    cell scored.  Each a's row of cells is one batch, and so is each round
+    of refinement; every cell the scan or the refinement evaluates is
+    verified as ``verify_equilibrium`` with grid size 1000 and tol 1e-8
+    would, and a failure raises ``RuntimeError``.
     """
     resolution = float(resolution)
     if not 0.0 < resolution <= 1.0:
@@ -104,30 +116,22 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
         above = [b for b in b_grid if round(float(b), 12) > round(float(a), 12)]
         interior = [b for b in above if (1.0 - a) * b > 0.5]
         boundary = [b for b in above if (1.0 - a) * b <= 0.5]
-        candidates = interior + boundary[-1:]
-        # Python's round, not np.round, which rounds some cells differently.
-        values = _interval_cells(np.full(len(candidates), round(float(a), 12)),
-                                 np.array([round(float(b), 12) for b in candidates]))[0]
-        for b, value in zip(candidates, values):
+        cell_a, cell_b = round(float(a), 12), _round_cells(interior + boundary[-1:])
+        values = _interval_cells(np.full(len(cell_b), cell_a), cell_b)[0]
+        for b, value in zip(cell_b, values):
             if value < best[0]:
-                best = (float(value), float(a), float(b))
+                best = (float(value), cell_a, float(b))
 
     value, a_star, b_star = best
     if refine:
         for _ in range(2):
-            b_lo = max(b_star - resolution, a_star + 1e-6)
-            b_hi = min(b_star + resolution, 1.0)
-            b_star, value = golden_section_min(
-                lambda b: _interval_inversion(a_star, round(float(b), 12)),
-                b_lo, b_hi, iterations=40,
-            )
+            b_star, value = _refine(lambda b: (np.full(len(b), a_star), b),
+                                    max(b_star - resolution, a_star + 1e-6),
+                                    min(b_star + resolution, 1.0))
             a_lo = max(a_star - resolution, 0.0)
             a_hi = min(a_star + resolution, b_star - 1e-6)
             if a_hi > a_lo:
-                a_star, value = golden_section_min(
-                    lambda a: _interval_inversion(round(float(a), 12), b_star),
-                    a_lo, a_hi, iterations=40,
-                )
+                a_star, value = _refine(lambda a: (a, np.full(len(a), b_star)), a_lo, a_hi)
     return SearchResult(a=a_star, b=b_star, value=value)
 
 
@@ -142,12 +146,10 @@ def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -
         raise ValueError("need at least two firms")
     correlated = float(optimal_value_correlated(n))
     iid_opt = float(OPTIMAL_IID_VALUE)
-    eq_unrestricted = _interval_inversion(0.0, 1.0)
-    if run_search:
-        restricted = search_best_interval(resolution=resolution)
-    else:
-        a, b = BEST_KNOWN_INTERVAL
-        restricted = SearchResult(a=a, b=b, value=_interval_inversion(a, b))
+    a, b = BEST_KNOWN_INTERVAL
+    known, eq_unrestricted = _interval_cells([a, 0.0], [b, 1.0])[0].tolist()
+    restricted = (search_best_interval(resolution=resolution) if run_search
+                  else SearchResult(a=a, b=b, value=known))
     return PoaReport(
         n=n,
         same_test=0.25,

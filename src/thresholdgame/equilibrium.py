@@ -16,8 +16,8 @@ game on [0, 1] and for games restricted to an interval [a, b]:
 
 The construction is verified numerically: on the support the selection
 probability must equal 1/2 and off the support it must not exceed 1/2, and a
-grid-plus-golden-section best response search confirms there is no profitable
-deviation against any candidate distribution.
+best response search (a grid, then nested grids around its best point)
+confirms there is no profitable deviation against any candidate distribution.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thresholdgame._golden import golden_section_max
 from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _row_integral, _unit_points
 from thresholdgame.engine import _as_count
 from thresholdgame.inversion import _separable_triangle, _unit_nodes
@@ -176,11 +175,16 @@ def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
 
 def _interval_params(a, b):
     """The [a, b] equilibrium's closed form for arrays of cells: ``step``
-    (``(1 - a) b <= 1/2``: both firms choose b), ``phi``, the arc row
-    ``(offset, 0, scale)`` on [a, cut) (zero if ``step``), the cut point, the
-    plateau ``cdf(cut)``, the point mass at b (none on [0, 1]) and ``sound``:
-    the cut point and mass formulas agree and the arc is 0 at a, both to
-    1e-9, the mass is positive and ``a < cut <= b``."""
+    (``(1 - a) b <= 1/2``: both firms choose b), ``phi``, the piece table,
+    the cut point, the point mass at b (none on [0, 1]) and ``sound``: the
+    cut point and mass formulas agree and the arc is 0 at a, both to 1e-9,
+    the mass is positive and ``a < cut <= b``.
+
+    The table is ``(lo, hi, c0, c2)``, four arrays with a last axis of four
+    pieces, each the row ``(c0, 0, c2)`` on [lo, hi): 0 on [0, a), the arc
+    ``(offset, 0, scale)`` on [a, cut), the plateau ``cdf(cut)`` on
+    [cut, b) and 1 on [b, 1].  In the step regime the zero row covers
+    [0, b).  A piece the cell lacks is empty (``lo == hi``)."""
     step = (1.0 - a) * b <= 0.5
     phi = np.where(step, b, 1.0 / (2.0 * (1.0 - a)))
     spread = np.sqrt(a * a + (1.0 - a) * (1.0 - a))
@@ -198,30 +202,28 @@ def _interval_params(a, b):
     sound = step | ((np.abs(plateau - (1.0 - mass)) <= 1e-9)
                     & (np.abs(_row_cdf(offset, 0.0, scale, a)) <= 1e-9)
                     & ((atom > 0.0) | continuous) & (a < cut) & (cut <= b))
-    return step, phi, offset, scale, cut, plateau, atom, sound
+    zero, one, start = np.zeros_like(a), np.ones_like(a), np.where(step, 0.0, a)
+    table = (np.stack([zero, start, cut, b], axis=-1), np.stack([start, cut, b, one], axis=-1),
+             np.stack([zero, offset, plateau, one], axis=-1),
+             np.stack([zero, scale, zero, zero], axis=-1))
+    return step, phi, table, cut, atom, sound
 
 
 def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
     """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
-    step, phi, offset, scale, cut, plateau, atom_b, sound = (
-        v.item() for v in _interval_params(np.array(a), np.array(b)))
+    step, phi, table, cut, atom_b, sound = _interval_params(np.array(a), np.array(b))
     if not sound:
         raise AssertionError(f"the closed form on [{a}, {b}] fails its checks")
-    # In the step regime the arc row is zero and covers [0, b).
-    start = 0.0 if step else a
-    pieces = [Piece(0.0, a, 0.0)] if start > 0.0 else []
-    pieces.append(Piece(start, cut, offset, 0.0, scale))
-    if cut < b:
-        pieces.append(Piece(cut, b, plateau))
-    if b < 1.0:
-        pieces.append(Piece(b, 1.0, 1.0))
+    pieces = tuple(Piece(lo, hi, c0, 0.0, c2)
+                   for lo, hi, c0, c2 in zip(*(column.tolist() for column in table)) if lo < hi)
+    atom_b = atom_b.item()
     return EquilibriumSolution(
-        dist=MixedCdf(tuple(pieces), ((b, atom_b),) if atom_b else (), family=family),
+        dist=MixedCdf(pieces, ((b, atom_b),) if atom_b else (), family=family),
         interval=(a, b),
         regime="step_at_b" if step else "interior",
-        cut_point=cut,
+        cut_point=cut.item(),
         atom_b=atom_b,
-        failure_prob=phi,
+        failure_prob=phi.item(),
     )
 
 
@@ -301,22 +303,17 @@ def _interval_cells(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
-    step, _, offset, scale, cut, plateau, atom, sound = _interval_params(a, b)
-    # Four pieces per cell, on [0, a), [a, cut), [cut, b) and [b, 1]: 0, the
-    # arc, the plateau and 1.  The regimes without a piece leave it empty.
-    zero, one = np.zeros_like(a), np.ones_like(a)
-    lo, hi = np.stack([zero, a, cut, b], axis=1), np.stack([a, cut, b, one], axis=1)
-    c0 = np.stack([zero, offset, plateau, one], axis=1)
-    c2 = np.stack([zero, scale, zero, zero], axis=1)
+    step, _, (lo, hi, c0, c2), cut, atom, sound = _interval_params(a, b)
     anti_lo = _row_integral(c0, 0.0, c2, lo)
     run = _row_integral(c0, 0.0, c2, hi) - anti_lo
-    prefix = np.concatenate([zero[:, None], np.cumsum(run[:, :3], axis=1)], axis=1)
+    prefix = np.concatenate([np.zeros_like(a)[:, None], np.cumsum(run[:, :3], axis=1)], axis=1)
     phi = 1.0 - (prefix[:, 3] + (1.0 - b))
     # verify_equilibrium's points: a 1000-point grid, a, b, the cut point and
-    # the piece midpoints in [a, b] (a repeated point changes no maximum).
-    mid = np.where(0.5 * b >= a, 0.5 * b, a)
-    special = np.stack([a, b, cut, np.where(step, mid, 0.5 * (a + cut)),
-                        np.where(step, b, 0.5 * (cut + b))], axis=1)
+    # the piece midpoints in [a, b], which only the two middle pieces can
+    # have; the step regime's [0, b) midpoint may lie below a, and a
+    # repeated point changes no maximum.
+    mids = np.maximum(0.5 * (lo[:, 1:3] + hi[:, 1:3]), a[:, None])
+    special = np.concatenate([np.stack([a, b, cut], axis=1), mids], axis=1)
     u, w = _unit_nodes()
     n = 1000 + special.shape[1]
     value, support_dev, outside_gain = (np.empty_like(a) for _ in range(3))
@@ -327,14 +324,14 @@ def _interval_cells(a, b):
         nodes = (lo[k][:, :, None] + width * u).reshape(len(width), -1)
         theta = np.concatenate([np.linspace(a[k], b[k], 1000, axis=1), special[k], nodes], axis=1)
         # The piece of each point, as MixedCdf._rows_at finds it, and its row.
-        piece = ((theta >= a[k, None]).astype(np.intp) + (theta >= cut[k, None])
-                 + (theta >= b[k, None]) + 4 * np.arange(len(theta))[:, None])
+        piece = ((theta >= lo[k, 1, None]).astype(np.intp) + (theta >= lo[k, 2, None])
+                 + (theta >= lo[k, 3, None]) + 4 * np.arange(len(theta))[:, None])
         rows = c0[k].ravel()[piece], 0.0, c2[k].ravel()[piece]
         g = _row_cdf(*rows, theta)  # 1 at theta = 1 exactly: the piece is [b, 1]
         gamma = prefix[k].ravel()[piece] + (_row_integral(*rows, theta)
                                             - anti_lo[k].ravel()[piece])
         pts, at_b = theta[:, :n], theta[:, :n] == b[k, None]
-        on_support = ((scale[k, None] > 0.0) & (pts <= cut[k, None])) | at_b
+        on_support = (~step[k, None] & (pts <= cut[k, None])) | at_b
         t_val = g[:, :n] - np.where(at_b, 0.5 * atom[k, None], 0.0)
         support_dev[k], outside_gain[k], passed = _margins(
             pts, phi[k, None], t_val, gamma[:, :n], on_support, 1e-8)
@@ -348,13 +345,31 @@ def _interval_cells(a, b):
     return value, support_dev, outside_gain
 
 
+def _nested_max(f, lo: float, hi: float, rounds: int):
+    """Approximate maximizer of ``f`` on (lo, hi) and ``f`` there, by nested
+    grids: each round passes the 7 inner points of an 8-part split of the
+    bracket to ``f``, which maps an array to an array, in one call, keeps the
+    best point scored and narrows the bracket to that point's two
+    neighbours, a quarter of its width."""
+    best_x, best_f = lo, -math.inf
+    for _ in range(rounds):
+        x = lo + (hi - lo) / 8.0 * np.arange(9)
+        fx = f(x[1:8])
+        k = int(np.argmax(fx))
+        if fx[k] > best_f:
+            best_x, best_f = float(x[k + 1]), float(fx[k])
+        lo, hi = float(x[k]), float(x[k + 2])
+    return best_x, best_f
+
+
 def best_response_value(opponent: MixedCdf, grid_size: int = 1000,
                         interval: tuple[float, float] = (0.0, 1.0)):
     """Approximate best-response threshold and payoff against ``opponent``.
 
     Grid scan (including the opponent's breakpoints, its atoms, and points
-    just off each atom, where the payoff jumps) refined by golden section on
-    the winning bracket.
+    just off each atom, where the payoff jumps) refined by 21 rounds of
+    nested grids (:func:`_nested_max`) on the winning bracket, which narrow
+    it by 4**-21, each round one :func:`selection_probabilities` call.
     """
     grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
@@ -362,28 +377,20 @@ def best_response_value(opponent: MixedCdf, grid_size: int = 1000,
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("need 0 <= lo < hi <= 1")
-    candidates = set(np.linspace(lo, hi, grid_size))
-    for p in opponent.breakpoints:
-        if lo <= p <= hi:
-            candidates.add(float(p))
-    for loc, _ in opponent.atoms:
-        for probe in (loc - 1e-9, loc + 1e-9):
-            if lo <= probe <= hi:
-                candidates.add(float(probe))
-    thetas = np.array(sorted(candidates))
+    probes = [*opponent.breakpoints,
+              *(loc + d for loc, _ in opponent.atoms for d in (-1e-9, 1e-9))]
+    thetas = np.union1d(np.linspace(lo, hi, grid_size), [p for p in probes if lo <= p <= hi])
     payoff = selection_probabilities(thetas, opponent)
     k = int(np.argmax(payoff))
     best_theta, best_payoff = float(thetas[k]), float(payoff[k])
 
     step = (hi - lo) / (grid_size - 1)
-    bracket_lo = max(lo, best_theta - step)
-    bracket_hi = min(hi, best_theta + step)
-    theta_gs, payoff_gs = golden_section_max(
-        lambda t: selection_probability(t, opponent), bracket_lo, bracket_hi,
-        iterations=60,
+    theta_refined, payoff_refined = _nested_max(
+        lambda t: selection_probabilities(t, opponent),
+        max(lo, best_theta - step), min(hi, best_theta + step), rounds=21,
     )
-    if payoff_gs > best_payoff:
-        best_theta, best_payoff = theta_gs, payoff_gs
+    if payoff_refined > best_payoff:
+        best_theta, best_payoff = theta_refined, payoff_refined
     return best_theta, best_payoff
 
 

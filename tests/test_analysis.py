@@ -10,7 +10,6 @@ import pytest
 from thresholdgame import equilibrium
 from thresholdgame.analysis import (
     EQUILIBRIUM_FLOOR,
-    _interval_inversion,
     poa_report,
     search_best_interval,
     symmetric_equilibrium_floor_check,
@@ -89,7 +88,7 @@ class TestSearch:
         # cells; the observed increments must stay near the local slope scale.
         a = 0.0
         bs = np.round(np.arange(0.48, 1.0001, 0.01), 10)
-        values = np.array([_interval_inversion(a, float(b)) for b in bs])
+        values = _interval_cells(np.full(len(bs), a), bs)[0]
         diffs = np.abs(np.diff(values))
         lipschitz = np.median(diffs) / 0.01
         assert np.max(diffs) < 10 * 0.01 * max(lipschitz, 0.05)
@@ -169,9 +168,11 @@ class TestBatchedCells:
             sol = equilibrium_interval(lo, hi)
             report = verify_equilibrium(sol, grid_size=1000, tol=1e-8)
             assert report.passed  # and _interval_cells did not raise: passed alike
+            # The two code paths sum the same Gauss-Legendre terms in a
+            # different order, so the values may round apart.
             assert abs(value[i] - inversion_iid(sol.dist).value) <= 1e-15
-            assert abs(support_dev[i] - report.max_support_deviation) <= 1e-15
-            assert abs(outside_gain[i] - report.max_outside_gain) <= 1e-15
+            assert support_dev[i] == report.max_support_deviation
+            assert outside_gain[i] == report.max_outside_gain
 
     def test_verifies_on_the_points_verify_equilibrium_uses(self, monkeypatch):
         points = []
@@ -187,15 +188,30 @@ class TestBatchedCells:
             np.testing.assert_array_equal(np.unique(row), single)
 
     def test_one_cell_view(self):
-        assert _interval_inversion(0.0, 0.79) == _interval_cells([0.0, 0.3], [0.79, 0.9])[0][0]
+        alone = _interval_cells([0.0], [0.79])[0][0]
+        assert alone == _interval_cells([0.0, 0.3], [0.79, 0.9])[0][0]
         with pytest.raises(ValueError):
-            _interval_inversion(0.5, 0.5)
+            _interval_cells([0.5], [0.5])
 
     @pytest.mark.parametrize("resolution", [0.01, 0.053, 0.35, 0.6])
     def test_grid_phase_visits_the_same_cells(self, monkeypatch, resolution):
         seen = patch_margins(monkeypatch)
         search_best_interval(resolution=resolution, refine=False)
         assert seen == grid_cells(resolution)
+
+    @pytest.mark.parametrize("resolution", [0.01, 0.013, 0.053])
+    def test_grid_phase_returns_the_cell_it_scored(self, resolution):
+        # At 0.013 the grid's best b is 0.8059999999999999, whose cell is 0.806.
+        result = search_best_interval(resolution=resolution, refine=False)
+        assert (result.a, result.b) in grid_cells(resolution)
+        assert result.value == _interval_cells([result.a], [result.b])[0][0]
+
+    @pytest.mark.parametrize("resolution", [0.01, 0.053, 0.35, 0.6, 1.0])
+    def test_refinement_returns_a_cell_no_worse_than_the_grid(self, resolution):
+        grid = search_best_interval(resolution=resolution, refine=False)
+        refined = search_best_interval(resolution=resolution)
+        assert refined.value <= grid.value
+        assert refined.value == _interval_cells([refined.a], [refined.b])[0][0]
 
     def test_a_failing_grid_cell_raises(self, monkeypatch):
         cells = grid_cells(0.05)

@@ -10,6 +10,7 @@ from conftest import random_mixed_piecewise_linear
 from thresholdgame.dists import MixedCdf, Piece
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
+    _nested_max,
     best_response_value,
     candidate_solution,
     equilibrium_interval,
@@ -255,6 +256,19 @@ class TestVerifyEquilibrium:
 
 
 class TestBestResponse:
+    @pytest.mark.parametrize("rounds", [1, 5, 14, 21])
+    def test_nested_grids_close_in_on_a_known_maximizer(self, rounds):
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return -(x - 0.1234567) ** 2
+
+        x, value = _nested_max(f, 0.05, 0.45, rounds)
+        assert calls == [7] * rounds
+        assert abs(x - 0.1234567) <= 0.4 * 4.0**-rounds  # the final bracket's width
+        assert value == f(np.array([x]))[0]
+
     def test_against_equilibrium(self):
         _, value = best_response_value(equilibrium_unrestricted().dist)
         assert value == pytest.approx(0.5, abs=1e-8)
