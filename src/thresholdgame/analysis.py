@@ -5,11 +5,11 @@ correlated tests, optimal i.i.d. tests, the best interval-restricted
 equilibrium, the unrestricted equilibrium, and the single-test baseline, plus
 the Price-of-Anarchy ratios between the equilibrium and the principal's
 optima.  Also searches over restriction intervals [a, b] for the equilibrium
-the principal likes best.  The search scores and verifies each row of grid
-cells as one batch of (cells x theta) arrays built from the equilibrium's
-closed form (``equilibrium._interval_cells``), not one ``MixedCdf`` per cell.
-Its refinement scores each round of nested grids (``equilibrium._nested_max``)
-as one batch of 7 cells and verifies them the same way.
+the principal likes best.  The search scores each row of grid cells, and
+each round of its refinement's nested grids (``equilibrium._nested_max``), as
+one batch of piece tables built from the equilibrium's closed form
+(``equilibrium._interval_cells``), verified and summed by the same routines
+as a single ``MixedCdf``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from thresholdgame.dists import _check_nonnegative
 from thresholdgame.engine import _as_count
 from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells, _nested_max
 from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
@@ -97,9 +98,9 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     ``resolution``, the grid step and the refinement half-width, must be a
     number in (0, 1].  Cells are rounded to 12 digits, and the result is the
     cell scored.  Each a's row of cells is one batch, and so is each round
-    of refinement; every cell the scan or the refinement evaluates is
-    verified as ``verify_equilibrium`` with grid size 1000 and tol 1e-8
-    would, and a failure raises ``RuntimeError``.
+    of refinement; every cell scored is verified by ``verify_equilibrium``'s
+    routine at grid size 1000 and tol 1e-8, and a failure raises
+    ``RuntimeError``.
     """
     resolution = float(resolution)
     if not 0.0 < resolution <= 1.0:
@@ -110,13 +111,15 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     # an integer k; rounding as the cells do keeps 1 + 2e-16 as 1.
     b_grid = b_grid[np.round(b_grid, 12) <= 1.0]
 
+    b_cells = _round_cells(b_grid)
     best = (np.inf, 0.0, 1.0)
     for a in a_grid:
+        cell_a = round(float(a), 12)
         # a < b after the rounding: 0.954 and 0.954 + 1e-16 make no interval.
-        above = [b for b in b_grid if round(float(b), 12) > round(float(a), 12)]
-        interior = [b for b in above if (1.0 - a) * b > 0.5]
-        boundary = [b for b in above if (1.0 - a) * b <= 0.5]
-        cell_a, cell_b = round(float(a), 12), _round_cells(interior + boundary[-1:])
+        above = b_cells > cell_a
+        interior = np.flatnonzero(above & ((1.0 - a) * b_grid > 0.5))
+        boundary = np.flatnonzero(above & ((1.0 - a) * b_grid <= 0.5))
+        cell_b = b_cells[np.concatenate([interior, boundary[-1:]])]
         values = _interval_cells(np.full(len(cell_b), cell_a), cell_b)[0]
         for b, value in zip(cell_b, values):
             if value < best[0]:
@@ -165,4 +168,5 @@ def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -
 def symmetric_equilibrium_floor_check(sol: EquilibriumSolution,
                                       slack: float = 1e-9) -> bool:
     """True when the equilibrium's error respects the symmetric floor."""
+    _check_nonnegative("slack", slack)
     return inversion_iid(sol.dist).value >= float(EQUILIBRIUM_FLOOR) - slack

@@ -15,14 +15,17 @@ tiling of [0, 1] by analytic pieces together with an explicit atom list.  A
 lines from ``(theta, value)`` knots along one path.  In JSON an arc is an
 ``arc`` segment with its ``offset`` and ``scale`` and a line a ``poly``
 segment with ``coeffs: [c0, c1]``.  The cdf's running integral is
-``(c0 + c1 t / 2) t + c2 r`` and its density ``c1 + c2 / r^3``.  The cdf, its
-left limits, the running integral ``int_0^theta cdf(t) dt`` and the density
-each gather the rows of the points' pieces and apply one formula; construction reads the piece ends and prefix
-integrals from the same formulas.  The quantile function inverts each atom,
-line or arc in closed form from a table of records built with the cdf: it
-evaluates one record over all of u in place, with no ``searchsorted``, and
-patches the other records' stretches, read from comparisons of u against
-the records' upper ends.
+``(c0 + c1 t / 2) t + c2 r`` and its density ``c1 + c2 / r^3``.  One piece
+table (``_piece_table``) holds the rows with a leading cells axis: a cdf is
+one cell, the batched interval search many, with empty pieces
+(``lo == hi``).  A point's piece is the count of piece lows after the first
+that it reaches (``>=``), or for left limits passes (``>``), so no empty
+piece is found.  The cdf, its left limits, the running integral
+``int_0^theta cdf(t) dt``, the density and the support each gather the rows
+of the points' pieces and apply one formula.  The quantile function inverts
+each atom, line or arc in closed form from records built with the cdf,
+evaluating one record over all of u in place and patching the other
+records' stretches, read from comparisons of u against their upper ends.
 Storing formulas rather than sampled grids keeps breakpoints exact, which
 the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
 its integration domain.
@@ -52,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,19 +88,25 @@ def _check_unit_params(name: str, *values) -> None:
         raise ValueError(f"{name} outside [0, 1]")
 
 
+def _check_nonnegative(name: str, value) -> None:
+    """Raise unless ``value``, a tolerance or an error, is finite and >= 0."""
+    if not 0.0 <= value < math.inf:  # NaN included
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def _radius(theta):
     rest = 1.0 - theta
     return np.sqrt(theta * theta + rest * rest)
 
 
-def _row_cdf(c0, c1, c2, theta):
-    """The cdf at ``theta`` of the pieces with rows ``(c0, c1, c2)``."""
-    return c0 + c1 * theta + c2 * (2.0 * theta - 1.0) / _radius(theta)
+def _row_cdf(c0, c1, c2, theta, r=None):
+    """The cdf at ``theta`` of rows ``(c0, c1, c2)``; ``r`` is ``_radius(theta)``."""
+    return c0 + c1 * theta + c2 * (2.0 * theta - 1.0) / (_radius(theta) if r is None else r)
 
 
-def _row_integral(c0, c1, c2, theta):
+def _row_integral(c0, c1, c2, theta, r=None):
     # An antiderivative of _row_cdf: d r / dt = (2t-1) / r.
-    return (c0 + 0.5 * c1 * theta) * theta + c2 * _radius(theta)
+    return (c0 + 0.5 * c1 * theta) * theta + c2 * (_radius(theta) if r is None else r)
 
 
 def _quantile_record(record, u, out, scratch=None) -> None:
@@ -119,6 +129,59 @@ def _quantile_record(record, u, out, scratch=None) -> None:
         np.divide(out, root, out=out)
         np.add(1.0, out, out=out)
         np.multiply(0.5, out, out=out)
+
+
+class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti_lo", "prefix",
+                                            "total", "atom_at", "atom_mass"])):
+    """One cdf per cell: (cells, pieces) arrays of the pieces [lo, hi), their
+    rows, ``_row_integral`` at lo and ``int_0^lo cdf``, ``int_0^1 cdf`` as a
+    column and (cells, atoms) arrays of the atoms."""
+
+    __slots__ = ()
+
+    def piece(self, theta, left: bool = False) -> np.ndarray:
+        """Flat indices of the pieces holding ``theta`` (see the module docs)."""
+        lows = self.lo.T[1:, :, None]
+        count = (theta > lows if left else theta >= lows).sum(axis=0)
+        return count + np.arange(0, self.lo.size, self.lo.shape[1])[:, None]
+
+    def rows(self, piece):
+        """The rows ``(c0, c1, c2)`` of the pieces at flat indices ``piece``."""
+        return self.c0.ravel()[piece], self.c1.ravel()[piece], self.c2.ravel()[piece]
+
+    def evaluate(self, theta, integral: bool = False, piece=None):
+        """The cdf at ``theta``, and ``int_0^theta cdf`` too with ``integral``;
+        ``piece``, when given, is ``self.piece(theta)``."""
+        piece = self.piece(theta) if piece is None else piece
+        rows, r = self.rows(piece), _radius(theta)
+        cdf = _row_cdf(*rows, theta, r)
+        cdf[theta == 1.0] = 1.0
+        if not integral:
+            return cdf
+        return cdf, self.prefix.ravel()[piece] + (_row_integral(*rows, theta, r)
+                                                  - self.anti_lo.ravel()[piece])
+
+    def left_limit(self, theta) -> np.ndarray:
+        out = _row_cdf(*self.rows(self.piece(theta, left=True)), theta)
+        out[theta == 0.0] = 0.0
+        return out
+
+    def support(self, theta, piece=None) -> np.ndarray:
+        """Whether each point is an atom or lies in a rising piece, ends
+        included; ``piece`` as for :meth:`evaluate`."""
+        rising = ((self.c1 > 1e-12) | (self.c2 > 0.0)).ravel()
+        piece = self.piece(theta) if piece is None else piece
+        return (rising[piece] | rising[self.piece(theta, left=True)]
+                | (theta == self.atom_at.T[:, :, None]).any(axis=0))
+
+
+def _piece_table(lo, hi, c0, c1, c2, atom_at, atom_mass) -> _PieceTable:
+    """The table of pieces [lo, hi) with rows (c0, c1, c2) and atoms; an
+    empty piece adds an exact 0 to the prefix integrals."""
+    anti_lo, anti_hi = _row_integral(c0, c1, c2, np.stack([lo, hi]))
+    runs = np.cumsum(anti_hi - anti_lo, axis=-1)
+    prefix = np.concatenate([np.zeros_like(runs[:, :1]), runs[:, :-1]], axis=-1)
+    return _PieceTable(lo, hi, c0, c1, c2, anti_lo, prefix, runs[:, -1:], atom_at, atom_mass)
 
 
 @dataclass(frozen=True)
@@ -190,12 +253,8 @@ class MixedCdf:
     pieces: tuple
     atoms: tuple[tuple[float, float], ...] = ()
     family: tuple | None = None
-    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
-    _coef: np.ndarray = field(init=False, repr=False, compare=False)
-    _rising: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: _PieceTable = field(init=False, repr=False, compare=False)
     _ends: list = field(init=False, repr=False, compare=False)
-    _anti_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _quantile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -205,25 +264,13 @@ class MixedCdf:
         object.__setattr__(
             self, "atoms", tuple((float(t), float(m)) for t, m in self.atoms)
         )
-        coef = np.array([(p.c0, p.c1, p.c2) for p in self.pieces], dtype=float).T.copy()
-        object.__setattr__(self, "_coef", coef)
-        lo = [p.lo for p in self.pieces]
-        # The ends (lo, hi) of every piece and the cdf there, the latter as
-        # floats for the loops over pieces in _validate and _quantile_table.
-        edges = np.array([lo, [p.hi for p in self.pieces]], dtype=float)
-        object.__setattr__(self, "_ends", _row_cdf(*coef, edges).tolist())
+        rows = np.array([(p.lo, p.hi, p.c0, p.c1, p.c2) for p in self.pieces], float)
+        rows = rows.T[:, None].copy()
+        atoms = np.array(self.atoms, dtype=float).reshape(-1, 2).T[:, None].copy()
+        object.__setattr__(self, "_table", _piece_table(*rows, *atoms))
+        # The cdf at every piece's (lo, hi), as floats for _validate and _quantile_table.
+        object.__setattr__(self, "_ends", _row_cdf(*rows[2:], rows[:2])[:, 0].tolist())
         self._validate()
-        object.__setattr__(self, "_bounds", np.array(lo + [1.0]))
-        # Whether each piece carries mass; the closing False is what the index
-        # -1 (left of 0) or len(pieces) (right of 1) reads in support_mask.
-        rising = np.zeros(len(lo) + 1, dtype=bool)
-        rising[:-1] = (coef[1] > 1e-12) | (coef[2] > 0.0)
-        object.__setattr__(self, "_rising", rising)
-        anti_lo, anti_hi = _row_integral(*coef, edges)
-        object.__setattr__(self, "_anti_lo", anti_lo)
-        # _prefix[i] == cdf_integral(pieces[i].lo)
-        prefix = np.concatenate(([0.0], np.cumsum(anti_hi - anti_lo)))
-        object.__setattr__(self, "_prefix", prefix)
         object.__setattr__(self, "_quantile", self._quantile_table())
 
     # -- validation ---------------------------------------------------------
@@ -273,52 +320,40 @@ class MixedCdf:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _rows_at(self, theta, side: str = "right"):
-        """Return ``theta`` as flat evaluation points (see :func:`_unit_points`),
-        their piece indices, the rows ``(c0, c1, c2)`` of those pieces and the
-        input's shape.  ``side="left"`` puts a junction in the piece on its left."""
+    def _on_table(self, evaluate, theta):
+        """``evaluate``, a method of the piece table, at evaluation points
+        ``theta``, in their shape."""
         arr = _unit_points(theta)
-        flat = arr.ravel()
-        idx = np.searchsorted(self._bounds, flat, side=side) - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        return flat, idx, self._coef[:, idx], arr.shape
+        out = evaluate(arr.reshape(1, -1))
+        return float(out[0, 0]) if arr.shape == () else out.reshape(arr.shape)
 
     def cdf(self, theta):
         """Right-continuous cumulative probability at ``theta``."""
-        flat, _, rows, shape = self._rows_at(theta)
-        out = _row_cdf(*rows, flat)
-        out[flat == 1.0] = 1.0
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return self._on_table(self._table.evaluate, theta)
 
     def left_limit(self, theta):
         """``lim_{t -> theta^-} cdf(t)``, evaluated analytically."""
-        # Away from junctions the cdf is continuous and the left limit is the
-        # value itself.
-        flat, _, rows, shape = self._rows_at(theta, side="left")
-        out = _row_cdf(*rows, flat)
-        out[flat == 0.0] = 0.0
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return self._on_table(self._table.left_limit, theta)
 
     def atom_mass(self, theta: float) -> float:
         return dict(self.atoms).get(float(_unit_points(float(theta))), 0.0)
 
     def pdf(self, theta: float) -> float | None:
         """Density at ``theta`` (right-sided at kinks), or ``None`` at an atom."""
-        flat, _, (_, c1, c2), _ = self._rows_at(float(theta))
-        if self.atom_mass(flat[0]) > 0.0:
+        theta = _unit_points(float(theta)).reshape(1, 1)
+        if self.atom_mass(theta.item()) > 0.0:
             return None
-        r = _radius(flat)
-        return float((c1 + c2 / (r * r * r))[0])
+        _, c1, c2 = self._table.rows(self._table.piece(theta))
+        r = _radius(theta)
+        return (c1 + c2 / (r * r * r)).item()
 
     def cdf_integral(self, theta):
         """``int_0^theta cdf(t) dt``, closed form per piece."""
-        flat, idx, rows, shape = self._rows_at(theta)
-        out = self._prefix[idx] + (_row_integral(*rows, flat) - self._anti_lo[idx])
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return self._on_table(lambda t: self._table.evaluate(t, integral=True)[1], theta)
 
     def failure_probability(self) -> float:
         """Mean of the distribution: the chance a firm fails its own sampled test."""
-        return 1.0 - self.cdf_integral(1.0)
+        return 1.0 - self._table.total.item()
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -329,15 +364,7 @@ class MixedCdf:
         """Elementwise: ``theta`` carries mass, being an atom or lying in an
         increasing piece ``lo <= theta <= hi``."""
         arr = _unit_points(thetas)
-        flat = arr.ravel()
-        # The piece on the right of theta, and the one on its left when theta
-        # is a junction, which belongs to both.
-        right = np.searchsorted(self._bounds, flat, side="right") - 1
-        left = right - (self._bounds[right] == flat)
-        mask = self._rising[right] | self._rising[left]
-        for loc, _ in self.atoms:
-            mask |= flat == loc
-        return mask.reshape(arr.shape)
+        return self._table.support(arr.reshape(1, -1)).reshape(arr.shape)
 
     def support_contains(self, theta: float) -> bool:
         """Scalar form of :meth:`support_mask`."""
@@ -357,7 +384,8 @@ class MixedCdf:
         atom_at = dict(self.atoms)
         if 0.0 in atom_at:
             records.append((atom_at[0.0], 0.0, 0.0, "atom"))
-        for piece, c0, c1, c2, v_lo, v_hi in zip(self.pieces, *self._coef.tolist(), *self._ends):
+        rows = np.concatenate(self._table[2:5]).tolist()  # (c0, c1, c2) of every piece
+        for piece, c0, c1, c2, v_lo, v_hi in zip(self.pieces, *rows, *self._ends):
             if v_hi > v_lo:
                 records.append((v_hi, c0, c2, "arc") if c2 else (v_hi, c0, c1, "line"))
             t = piece.hi

@@ -38,7 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from thresholdgame.dists import _FAMILY_FIELDS, MixedCdf, _check_unit_params, _unit_points
+from thresholdgame.dists import (_FAMILY_FIELDS, MixedCdf, _check_nonnegative, _check_unit_params,
+                                 _unit_points)
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -76,8 +77,7 @@ class InversionEstimate:
 
     def __post_init__(self):
         _unit_points(self.value, "estimate")
-        if not 0.0 <= self.std_error < math.inf:  # NaN included
-            raise ValueError("std_error must be finite and nonnegative")
+        _check_nonnegative("std_error", self.std_error)
         if _as_count(self.trials, "trials") < 0:
             raise ValueError("trials must be nonnegative")
         if self.method not in ("closed_form", "quadrature", "monte_carlo"):
@@ -146,7 +146,9 @@ def play_game(thresholds: Sequence[float], qualities: Sequence[float],
 def kendall_tau_fraction(ranking: Sequence[int], qualities: Sequence[float]) -> float:
     """Fraction of pairs the ranking orders against the true quality order."""
     n = len(ranking)
-    if sorted(ranking) != list(range(n)):
+    # Integers only: True and 1.0 would pass as the index 1.
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in ranking) \
+            or sorted(ranking) != list(range(n)):
         raise ValueError("ranking is not a permutation")
     if len(qualities) != n:
         raise ValueError("ranking and qualities must have the same length")

@@ -18,18 +18,21 @@ The construction is verified numerically: on the support the selection
 probability must equal 1/2 and off the support it must not exceed 1/2, and a
 best response search (a grid, then nested grids around its best point)
 confirms there is no profitable deviation against any candidate distribution.
+Payoffs read the opponent's piece table (see :mod:`thresholdgame.dists`), so
+one verifier, ``_verify``, checks a single cdf and blocks of interval cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _row_integral, _unit_points
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, Piece, _check_nonnegative, _piece_table,
+                                 _row_cdf, _unit_points)
 from thresholdgame.engine import _as_count
-from thresholdgame.inversion import _separable_triangle, _unit_nodes
+from thresholdgame.inversion import _iid_error
 
 __all__ = [
     "EquilibriumSolution",
@@ -64,17 +67,14 @@ class PayoffProfile:
     win_total: float
 
 
-def _opponent_terms(thetas, opponent: MixedCdf):
-    """``thetas`` as evaluation points (clipped, see
-    :mod:`thresholdgame.dists`), the opponent's failure probability ``phi``,
-    ``T = cdf - atom_mass / 2`` (an exact tie on the test is won half the
-    time) and ``Gamma = int_0^theta cdf``: the arguments of :func:`_payoff`."""
-    thetas = _unit_points(thetas)
-    t_val = opponent.cdf(thetas)
-    half_atom = np.zeros_like(t_val)
-    for loc, mass in opponent.atoms:
-        half_atom[thetas == loc] = 0.5 * mass
-    return thetas, opponent.failure_probability(), t_val - half_atom, opponent.cdf_integral(thetas)
+def _opponent_terms(thetas, table, piece=None):
+    """The arguments of :func:`_payoff` at ``thetas``, a (cells, points) array,
+    against each cell's cdf in ``table``: its failure probability ``phi``,
+    ``T = cdf - atom_mass / 2`` (an exact tie is won half the time) and
+    ``Gamma = int_0^theta cdf``; ``piece`` as for ``table.evaluate``."""
+    cdf, gamma = table.evaluate(thetas, integral=True, piece=piece)
+    mass = np.where(thetas == table.atom_at.T[:, :, None], table.atom_mass.T[:, :, None], 0.0)
+    return thetas, 1.0 - table.total, cdf - 0.5 * mass.sum(axis=0), gamma
 
 
 def _payoff(thetas, phi, t_val, gamma):
@@ -103,15 +103,16 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     strictly easier tests, plus half of the exact ties; failing only beats
     failers with strictly easier tests, plus half of those ties.
     """
-    (theta,), phi, (t_val,), (gamma,) = terms = _opponent_terms([float(theta)], opponent)
-    theta, t_val, gamma = float(theta), float(t_val), float(gamma)
+    terms = _opponent_terms(_unit_points(float(theta)).reshape(1, 1), opponent._table)
+    theta, phi, t_val, gamma = (value.item() for value in terms)
     return PayoffProfile(theta=theta, win_pass=phi + (1.0 - theta) * t_val + gamma,
-                         win_fail=theta * t_val - gamma, win_total=float(_payoff(*terms)[0]))
+                         win_fail=theta * t_val - gamma, win_total=_payoff(*terms).item())
 
 
 def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
     """Vectorized overall selection probability for each ``theta``."""
-    return _payoff(*_opponent_terms(thetas, opponent))
+    arr = _unit_points(thetas)
+    return _payoff(*_opponent_terms(arr.reshape(1, -1), opponent._table)).reshape(arr.shape)[()]
 
 
 def selection_probability(theta: float, opponent: MixedCdf) -> float:
@@ -180,11 +181,10 @@ def _interval_params(a, b):
     cut point and mass formulas agree and the arc is 0 at a, both to 1e-9,
     the mass is positive and ``a < cut <= b``.
 
-    The table is ``(lo, hi, c0, c2)``, four arrays with a last axis of four
-    pieces, each the row ``(c0, 0, c2)`` on [lo, hi): 0 on [0, a), the arc
-    ``(offset, 0, scale)`` on [a, cut), the plateau ``cdf(cut)`` on
-    [cut, b) and 1 on [b, 1].  In the step regime the zero row covers
-    [0, b).  A piece the cell lacks is empty (``lo == hi``)."""
+    The table has the atom at b and four pieces a cell, rows ``(c0, 0, c2)``:
+    0 on [0, a) ([0, b) in the step regime), the arc ``(offset, 0, scale)`` on
+    [a, cut), the plateau ``cdf(cut)`` on [cut, b) and 1 on [b, 1]; a piece
+    the cell lacks is empty (``lo == hi``)."""
     step = (1.0 - a) * b <= 0.5
     phi = np.where(step, b, 1.0 / (2.0 * (1.0 - a)))
     spread = np.sqrt(a * a + (1.0 - a) * (1.0 - a))
@@ -203,24 +203,26 @@ def _interval_params(a, b):
                     & (np.abs(_row_cdf(offset, 0.0, scale, a)) <= 1e-9)
                     & ((atom > 0.0) | continuous) & (a < cut) & (cut <= b))
     zero, one, start = np.zeros_like(a), np.ones_like(a), np.where(step, 0.0, a)
-    table = (np.stack([zero, start, cut, b], axis=-1), np.stack([start, cut, b, one], axis=-1),
-             np.stack([zero, offset, plateau, one], axis=-1),
-             np.stack([zero, scale, zero, zero], axis=-1))
+    c0 = np.stack([zero, offset, plateau, one], axis=-1)
+    table = _piece_table(np.stack([zero, start, cut, b], axis=-1),
+                         np.stack([start, cut, b, one], axis=-1), c0, np.zeros_like(c0),
+                         np.stack([zero, scale, zero, zero], axis=-1), b[:, None], atom[:, None])
     return step, phi, table, cut, atom, sound
 
 
 def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
     """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
-    step, phi, table, cut, atom_b, sound = _interval_params(np.array(a), np.array(b))
-    if not sound:
+    step, phi, table, cut, atom_b, sound = _interval_params(np.array([a]), np.array([b]))
+    if not sound[0]:
         raise AssertionError(f"the closed form on [{a}, {b}] fails its checks")
-    pieces = tuple(Piece(lo, hi, c0, 0.0, c2)
-                   for lo, hi, c0, c2 in zip(*(column.tolist() for column in table)) if lo < hi)
+    # The table's first five fields are the pieces' (lo, hi, c0, c1, c2).
+    pieces = tuple(Piece(*row) for row in zip(*(values[0].tolist() for values in table[:5]))
+                   if row[0] < row[1])
     atom_b = atom_b.item()
     return EquilibriumSolution(
         dist=MixedCdf(pieces, ((b, atom_b),) if atom_b else (), family=family),
         interval=(a, b),
-        regime="step_at_b" if step else "interior",
+        regime="step_at_b" if step[0] else "interior",
         cut_point=cut.item(),
         atom_b=atom_b,
         failure_prob=phi.item(),
@@ -229,10 +231,12 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
 
 def candidate_solution(dist: MixedCdf,
                        interval: tuple[float, float] = (0.0, 1.0)) -> EquilibriumSolution:
-    """Wrap an arbitrary distribution for equilibrium verification."""
+    """Wrap a distribution, whose mass must lie in ``interval``, for verification."""
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
+    if dist.left_limit(a) > _JUNCTION_TOL or 1.0 - dist.cdf(b) > _JUNCTION_TOL:
+        raise ValueError(f"the distribution has mass outside [{a}, {b}]")
     return EquilibriumSolution(
         dist=dist,
         interval=(a, b),
@@ -257,13 +261,9 @@ class VerificationReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "max_support_deviation": self.max_support_deviation,
-            "max_outside_gain": self.max_outside_gain,
-            "pass": self.passed,
-            "grid_size": self.grid_size,
-            "tol": self.tol,
-        }
+        # ``passed`` is written as ``pass``, in its place.
+        return {"pass" if name == "passed" else name: value
+                for name, value in asdict(self).items()}
 
 
 def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
@@ -277,67 +277,44 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
     grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    if not 0.0 <= tol < math.inf:  # NaN included
-        raise ValueError("tol must be finite and nonnegative")
+    _check_nonnegative("tol", tol)
     a, b = sol.interval
-    dist = sol.dist
-    mids = [0.5 * (piece.lo + piece.hi) for piece in dist.pieces]
-    pts = [a, b, float(sol.cut_point)] + [t for t in (*dist.breakpoints, *mids) if a <= t <= b]
-    thetas = np.union1d(np.linspace(a, b, grid_size), pts)
-    dev, gain, passed = _margins(*_opponent_terms(thetas, dist), dist.support_mask(thetas), tol)
-    return VerificationReport(float(dev), float(gain), bool(passed), grid_size, tol)
+    dev, gain, passed = _verify(sol.dist._table, np.array([a]), np.array([b]),
+                                np.array([sol.cut_point]), grid_size, tol)
+    return VerificationReport(dev.item(), gain.item(), bool(passed[0]), grid_size, tol)
 
 
-#: Evaluation points per block of :func:`_interval_cells`: with the 1,005
-#: verification points and 120 quadrature nodes of a cell, 7 cells.
-_BLOCK_POINTS = 2**13
+def _verify(table, a, b, cut, grid_size: int, tol: float):
+    """:func:`_margins` against each cell's cdf in the piece ``table`` on
+    [a, b] (arrays of cells): at a ``grid_size``-point grid, a, b, the cut
+    point and every piece low, piece midpoint and atom clipped into [a, b]."""
+    special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
+    thetas = np.concatenate([np.linspace(a, b, grid_size, axis=1), np.stack([a, b, cut], axis=1),
+                             np.clip(special, a[:, None], b[:, None])], axis=1)
+    piece = table.piece(thetas)  # shared by the terms and the support
+    return _margins(*_opponent_terms(thetas, table, piece), table.support(thetas, piece), tol)
+
+
+#: Cells per block of :func:`_interval_cells`: about 2**13 points, 1,132 a cell.
+_BLOCK_CELLS = 7
 
 
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
-    equilibrium for arrays of cells, each checked as :func:`_interval_params`
-    and ``verify_equilibrium(sol, grid_size=1000, tol=1e-8)`` check it (same
-    points, same bits; the first failure raises ``RuntimeError``), with the
-    value summed as ``inversion_iid`` sums it: 30 Gauss-Legendre nodes a
-    piece.  Blocks of (cells x theta) arrays bound the memory."""
+    equilibrium for arrays of cells, each checked by :func:`_interval_params`
+    and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure
+    raises ``RuntimeError``) and valued by :func:`_iid_error`, in blocks of
+    :data:`_BLOCK_CELLS` cells that bound the memory."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
-    step, _, (lo, hi, c0, c2), cut, atom, sound = _interval_params(a, b)
-    anti_lo = _row_integral(c0, 0.0, c2, lo)
-    run = _row_integral(c0, 0.0, c2, hi) - anti_lo
-    prefix = np.concatenate([np.zeros_like(a)[:, None], np.cumsum(run[:, :3], axis=1)], axis=1)
-    phi = 1.0 - (prefix[:, 3] + (1.0 - b))
-    # verify_equilibrium's points: a 1000-point grid, a, b, the cut point and
-    # the piece midpoints in [a, b], which only the two middle pieces can
-    # have; the step regime's [0, b) midpoint may lie below a, and a
-    # repeated point changes no maximum.
-    mids = np.maximum(0.5 * (lo[:, 1:3] + hi[:, 1:3]), a[:, None])
-    special = np.concatenate([np.stack([a, b, cut], axis=1), mids], axis=1)
-    u, w = _unit_nodes()
-    n = 1000 + special.shape[1]
+    _, _, table, cut, _, sound = _interval_params(a, b)
     value, support_dev, outside_gain = (np.empty_like(a) for _ in range(3))
-    per_block = max(1, _BLOCK_POINTS // (n + 4 * len(u)))
-    for s in range(0, len(a), per_block):
-        k = slice(s, s + per_block)
-        width = (hi[k] - lo[k])[:, :, None]
-        nodes = (lo[k][:, :, None] + width * u).reshape(len(width), -1)
-        theta = np.concatenate([np.linspace(a[k], b[k], 1000, axis=1), special[k], nodes], axis=1)
-        # The piece of each point, as MixedCdf._rows_at finds it, and its row.
-        piece = ((theta >= lo[k, 1, None]).astype(np.intp) + (theta >= lo[k, 2, None])
-                 + (theta >= lo[k, 3, None]) + 4 * np.arange(len(theta))[:, None])
-        rows = c0[k].ravel()[piece], 0.0, c2[k].ravel()[piece]
-        g = _row_cdf(*rows, theta)  # 1 at theta = 1 exactly: the piece is [b, 1]
-        gamma = prefix[k].ravel()[piece] + (_row_integral(*rows, theta)
-                                            - anti_lo[k].ravel()[piece])
-        pts, at_b = theta[:, :n], theta[:, :n] == b[k, None]
-        on_support = (~step[k, None] & (pts <= cut[k, None])) | at_b
-        t_val = g[:, :n] - np.where(at_b, 0.5 * atom[k, None], 0.0)
-        support_dev[k], outside_gain[k], passed = _margins(
-            pts, phi[k, None], t_val, gamma[:, :n], on_support, 1e-8)
-        q, gq = g[:, n:], gamma[:, n:]
-        value[k] = _separable_triangle(nodes, (width * w).reshape(q.shape),
-                                       1.0 - q, 1.0 - q, q, q, gq, gq)
+    for s in range(0, len(a), _BLOCK_CELLS):
+        k = slice(s, s + _BLOCK_CELLS)
+        block = type(table)(*(values[k] for values in table))
+        support_dev[k], outside_gain[k], passed = _verify(block, a[k], b[k], cut[k], 1000, 1e-8)
+        value[k] = _iid_error(block)
         if not np.all(passed & sound[k]):
             i = s + np.argmin(passed & sound[k])
             raise RuntimeError(f"constructed equilibrium on [{a[i]}, {b[i]}] failed verification"
@@ -402,9 +379,6 @@ def two_point_payoff_check(pair: tuple[float, float] = TWO_POINT_SET,
     firm selection probability 1/2, so *any* pair of mixtures over the set is
     an equilibrium.
     """
-    for theta_x in pair:
-        for theta_y in pair:
-            payoff = selection_probability(theta_x, MixedCdf.step(theta_y))
-            if abs(payoff - 0.5) > tol:
-                return False
-    return True
+    _check_nonnegative("tol", tol)
+    return all(abs(selection_probability(theta_x, MixedCdf.step(theta_y)) - 0.5) <= tol
+               for theta_x in pair for theta_y in pair)

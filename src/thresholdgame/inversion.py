@@ -9,10 +9,13 @@ triangle ``{0 <= y <= x <= 1}`` of ``(1 - G(x) + G(y))^2``.  Integrating out
 
 whose integrand is smooth on every piece of the cdf (atoms sit only at piece
 junctions), so a fixed-order Gauss-Legendre sum per piece evaluates it to
-rounding error.  The same reduction serves every integrand over the triangle
-that separates into functions of ``x`` alone and of ``y`` alone
-(:func:`_separable_triangle`).  The tests check these reductions against
-adaptive 2-D quadrature of the original integrands over the triangle.
+rounding error.  One node layout (``_gauss_nodes``) over the pieces of a
+piece table, or of merged breakpoints, serves ``inversion_iid``,
+``hybrid_decompose`` and the batched interval search, which sums the error
+of many cells at once (``_iid_error``).  The same reduction serves every
+integrand over the triangle that separates into functions of ``x`` alone
+and of ``y`` alone (:func:`_separable_triangle`).  The tests check these
+reductions against adaptive 2-D quadrature of the original integrands.
 
 The module also provides the exact pairwise formula for deterministic
 threshold lists, the optimal-value formula for correlated tests, the
@@ -63,13 +66,13 @@ def _unit_nodes() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _piece_nodes(breaks) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on every interval between the
-    distinct ``breaks``, which must include 0 and 1."""
-    edges = np.array(sorted(breaks), dtype=float)
+def _gauss_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the pieces [lo, hi) along the
+    last axis, piece by piece; an empty piece gets nodes of weight 0."""
     u, w = _unit_nodes()
-    width = np.diff(edges)[:, None]
-    return (edges[:-1, None] + width * u).ravel(), (width * w).ravel()
+    width = (hi - lo)[..., None]
+    shape = (*lo.shape[:-1], -1)
+    return (lo[..., None] + width * u).reshape(shape), (width * w).reshape(shape)
 
 
 def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
@@ -97,11 +100,14 @@ def inversion_iid(d: MixedCdf) -> InversionEstimate:
     The integrand ``(1 - G(x) + G(y))^2`` is separable, with
     ``P = R = 1 - G`` and ``Q = S = G``.
     """
-    x, w = _piece_nodes(d.breakpoints)
-    g = d.cdf(x)
-    gamma = d.cdf_integral(x)
-    value = _separable_triangle(x, w, 1.0 - g, 1.0 - g, g, g, gamma, gamma)
-    return InversionEstimate(value=float(value), method="quadrature")
+    return InversionEstimate(value=float(_iid_error(d._table)[0]), method="quadrature")
+
+
+def _iid_error(table):
+    """:func:`inversion_iid`'s sum for every cell of a piece table."""
+    x, w = _gauss_nodes(table.lo, table.hi)
+    g, gamma = table.evaluate(x, integral=True)
+    return _separable_triangle(x, w, 1.0 - g, 1.0 - g, g, g, gamma, gamma)
 
 
 def inversion_fixed(thresholds) -> float | Fraction:
@@ -177,17 +183,15 @@ def hybrid_decompose(d: MixedCdf) -> HybridCoefficients:
     ``(D(x) - D(y))^2``, both separable.
     """
     g0 = _optimal_cdf()
-    x, w = _piece_nodes(set(d.breakpoints) | set(g0.breakpoints))
-    g0_x = g0.cdf(x)
-    g0_gamma = g0.cdf_integral(x)
-    delta = g0_x - d.cdf(x)
-    delta_gamma = g0_gamma - d.cdf_integral(x)
+    edges = np.array([sorted(set(d.breakpoints) | set(g0.breakpoints))], dtype=float)
+    x, w = _gauss_nodes(edges[:, :-1], edges[:, 1:])
+    (g0_x, g0_gamma), (d_x, d_gamma) = (h._table.evaluate(x, integral=True) for h in (g0, d))
+    delta, delta_gamma = g0_x - d_x, g0_gamma - d_gamma
 
-    a = 2.0 * float(_separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
-                                        g0_gamma, -delta_gamma))
-    b = float(_separable_triangle(x, w, delta, delta, -delta, -delta,
-                                  -delta_gamma, -delta_gamma))
-    return HybridCoefficients(a_coeff=a, b_coeff=b)
+    a = 2.0 * _separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
+                                  g0_gamma, -delta_gamma)[0]
+    b = _separable_triangle(x, w, delta, delta, -delta, -delta, -delta_gamma, -delta_gamma)[0]
+    return HybridCoefficients(a_coeff=float(a), b_coeff=float(b))
 
 
 def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBound:

@@ -1,5 +1,6 @@
 """Tests for the five-regime report and the restriction-interval search."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import asdict
@@ -107,6 +108,12 @@ class TestFloorCheck:
         assert sol.regime == "step_at_b"
         assert symmetric_equilibrium_floor_check(sol)
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-9])
+    def test_rejects_slack_outside_zero_to_infinity(self, slack):
+        # NaN would fail every solution and inf pass every one.
+        with pytest.raises(ValueError, match="slack"):
+            symmetric_equilibrium_floor_check(equilibrium_unrestricted(), slack=slack)
+
 
 def grid_cells(resolution):
     """The cells the grid phase of the search scans, in order, enumerated as
@@ -185,7 +192,7 @@ class TestBatchedCells:
         _interval_cells(*np.array(cells).T)
         assert len(points) == len(cells) + 1
         for single, row in zip(points, points[-1]):
-            np.testing.assert_array_equal(np.unique(row), single)
+            np.testing.assert_array_equal(np.unique(row), np.unique(single))
 
     def test_one_cell_view(self):
         alone = _interval_cells([0.0], [0.79])[0][0]

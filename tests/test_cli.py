@@ -281,8 +281,8 @@ def test_import_leaves_scipy_unloaded():
 # Exact stdout captured from an earlier commit: the 11 benchmark CLI calls,
 # plus verify on eq[0, 1], eq[0.2, 0.4] (step regime) and a step, the
 # equilibrium on [0, 1], seeded `simulate` and `inversion --mc` runs, `poa` as
-# text and csv, and `search --no-refine`.  A refined `search` is left out: the
-# ninth digit of its golden-section result is noise.
+# text and csv, `search --no-refine`, and refined `search` at resolutions 0.05
+# and 0.01, whose 9th-12th digits depend on the refinement's exact path.
 GOLDEN_STDOUT = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
 
 

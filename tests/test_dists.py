@@ -575,7 +575,9 @@ class TestPieces:
         assert d.pieces == (Piece(0.0, 0.25, 0.0), Piece(0.25, 0.75, -0.5, 2.0),
                             Piece(0.75, 1.0, 1.0))
         for d in (d, self.ARC):
-            np.testing.assert_array_equal(d._coef.T, [(p.c0, p.c1, p.c2) for p in d.pieces])
+            table = d._table
+            np.testing.assert_array_equal(np.concatenate([table.c0, table.c1, table.c2]).T,
+                                          [(p.c0, p.c1, p.c2) for p in d.pieces])
 
 
 def _poly_segments(coeffs):

@@ -145,8 +145,16 @@ class TestKendallTau:
         assert kendall_tau_fraction((2, 0, 1), (0.1, 0.5, 0.9)) == pytest.approx(1 / 3)
 
     def test_invalid_permutation(self):
-        with pytest.raises(ValueError):
-            kendall_tau_fraction((0, 0, 1), (0.1, 0.5, 0.9))
+        # True == 1 and 1.0 == 1: either would pass as the index it equals.
+        for ranking in [(0, 0, 1), (True, False, 2), (0.0, 1.0, 2.0),
+                        np.array([0.0, 1.0, 2.0]), np.array([1, 0, 2], bool)]:
+            with pytest.raises(ValueError, match="permutation"):
+                kendall_tau_fraction(ranking, (0.1, 0.5, 0.9))
+
+    def test_accepts_numpy_integer_rankings(self):
+        for dtype in (np.int64, np.int32, np.uint8):
+            ranking = np.array([2, 0, 1], dtype=dtype)
+            assert kendall_tau_fraction(ranking, (0.1, 0.5, 0.9)) == pytest.approx(1 / 3)
 
     @pytest.mark.parametrize("ranking, qualities", [((0,), (0.5,)), ((), ())])
     def test_needs_two_firms(self, ranking, qualities):

@@ -232,7 +232,7 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError):
             verify_equilibrium(equilibrium_unrestricted(), grid_size=100)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-9, -1e-300])
     def test_rejects_tol_outside_zero_to_infinity(self, tol):
         with pytest.raises(ValueError, match="tol"):
             verify_equilibrium(equilibrium_unrestricted(), tol=tol)
@@ -240,6 +240,21 @@ class TestVerifyEquilibrium:
     def test_zero_tol_is_allowed(self):
         report = verify_equilibrium(candidate_solution(MixedCdf.uniform(0.25, 0.75)), tol=0.0)
         assert report.tol == 0.0 and not report.passed
+
+    @pytest.mark.parametrize("dist, interval", [
+        (MixedCdf.step(0.5), (0.0, 0.4)),  # all of its mass above b
+        (MixedCdf.uniform(0.1, 0.9), (0.2, 0.9)),  # mass 1/8 below a
+    ])
+    def test_candidate_rejects_mass_outside_its_interval(self, dist, interval):
+        with pytest.raises(ValueError, match="mass outside"):
+            candidate_solution(dist, interval)
+
+    def test_candidate_accepts_every_equilibrium_on_its_interval(self):
+        grid = [round(x, 12) for x in np.arange(0.0, 1.0 + 0.025, 0.05)]
+        for a in grid:
+            for b in grid:
+                if a < b:
+                    candidate_solution(equilibrium_interval(a, b).dist, (a, b))
 
     @pytest.mark.parametrize(
         "sol",
@@ -309,6 +324,12 @@ class TestTwoPointSet:
 
     def test_generic_pair_fails(self):
         assert not two_point_payoff_check(pair=(0.3, 0.6))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_tol_outside_zero_to_infinity(self, tol):
+        # NaN would fail every comparison and so pass every pair.
+        with pytest.raises(ValueError, match="tol"):
+            two_point_payoff_check((0.2, 0.5), tol=tol)
 
 
 class TestSerialization:

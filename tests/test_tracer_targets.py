@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps package functions by name, and its worker
-calls them with keyword arguments; the names must exist."""
+calls them with keyword arguments; the names must exist, and the worker's
+calls must run."""
 
 import ast
 import importlib.util
+import json
 import inspect
 import pkgutil
 from pathlib import Path
@@ -13,17 +15,18 @@ import thresholdgame
 from thresholdgame.dists import MixedCdf
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-TRACER_PATH = BENCHMARKS / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+def _load(name: str):
+    """``benchmarks/<name>.py`` as a module, without putting it on the path."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load("tracer")
+WORKER = _load("worker")
 
 
 @pytest.mark.parametrize("method", TRACER.DIST_METHODS)
@@ -65,3 +68,24 @@ def test_worker_keywords_are_parameters(module_name, func_name):
     module = importlib.import_module(f"thresholdgame.{module_name}")
     parameters = inspect.signature(getattr(module, func_name)).parameters
     assert WORKER_CALLS[module_name, func_name] <= set(parameters)
+
+
+@pytest.mark.parametrize("workload, ops, keys", [
+    ("search", [{"resolution": 0.5, "refine": False}], {"a", "b", "value"}),
+    ("mc_pair", [{"rule": "iid:eq", "n": 2, "trials": 1000, "seed": 1}],
+     {"n_firms", "trials", "seed", "inversion_mean", "inversion_std_error", "win_rates"}),
+    ("mc_field", [{"rule": "iid:eq", "n": 3, "trials": 1000, "seed": 2},
+                  {"rule": "fixed:0.1,0.5,0.9", "n": 3, "trials": 1000, "seed": 3}],
+     {"n_firms", "trials", "seed", "inversion_mean", "inversion_std_error", "win_rates"}),
+    ("cli_cold", [["poa"]], None),
+])
+def test_worker_runs_every_call_it_builds(workload, ops, keys):
+    # A tiny plan per workload, run as `worker.py round PLAN` runs it.
+    report = WORKER.run_plan("round", {"workload": workload, "ops": ops}, None)
+    json.dumps(report)  # the worker prints it as JSON
+    # A cli_cold round builds the parser and no calls: the CLI runs in its own process.
+    results = report["ops"]
+    assert len(results) == (0 if keys is None else len(ops))
+    for result in results:
+        assert result["error"] is None
+        assert set(result["output"]) == keys
