@@ -9,17 +9,27 @@ uniformly random order inside blocks that tie on both outcome and difficulty.
 Monte Carlo estimates use a counter-based generator (Philox) keyed by
 ``(seed, chunk index)`` with a fixed chunk size and a fixed draw order inside
 each chunk, so results are reproducible bit-for-bit for a given seed and
-independent of how chunks would be scheduled across workers.  Chunk sums are
-reduced with numpy's pairwise summation in a fixed order.
+independent of how chunks are scheduled.  A ``simulate`` call runs its
+chunks on W workers, one per CPU available to the process, but no more than
+there are chunks or than leave each worker blocks of 2**14 plays, so W = 1
+beyond 16 firms.  The calling thread is worker 0, the others are threads,
+and worker w runs chunks w, w + W, w + 2W, ...  Each chunk writes its sums
+and win counts into its own slot, and the slots are reduced with numpy's
+pairwise summation in chunk order once every worker is done, so W changes
+no bit.  If a chunk raises, the other workers stop at their next chunk
+boundary and the exception is raised in the caller.
 
-A ``simulate`` call allocates its arrays once and every chunk refills them
-in place (``Generator.random(out=...)``, ``np.copyto``, ufuncs with
-``out=``); the uniforms of drawn thresholds are inverted where they lie.  A
-chunk is drawn and scored in row blocks of about 2**19 values, one block for
-up to eight firms, so memory does not grow with the firm count.  Each
-segment of a chunk's stream (qualities, uniforms, tie draws) is read through
-its own generator, placed with ``Philox.advance``, so the draws, and every
-seeded result, are those of one generator read straight through.
+Each worker allocates its arrays once and every chunk refills them in place
+(``Generator.random(out=...)``, ``np.copyto``, ufuncs with ``out=``); the
+uniforms of drawn thresholds are inverted where they lie.  A chunk is drawn
+and scored in row blocks, and the W workers share one budget of about 2**19
+values, or one chunk's plays if that is less, so memory grows neither with
+the firm count nor with W.  Each segment of a chunk's stream (qualities,
+uniforms, tie draws) is read through its own generator, placed with
+``Philox.advance``, so the draws, and every seeded result, are those of one
+generator read straight through.  When every firm's distribution is a
+single atom, its thresholds are filled in and their uniforms are never
+drawn; the tie draws keep their place in the stream.
 
 The Monte Carlo kernel sorts nothing.  For every pair of firms it decides
 which one ranks higher: a lone passer, else the harder test, else the random
@@ -33,6 +43,8 @@ tie key), for any number of firms.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,7 +113,10 @@ class GameOutcome:
 
 def _as_count(value, name: str) -> int:
     """``value`` as an int, or ValueError unless it is a whole number:
-    ``int`` alone would truncate 2.5 to another count."""
+    ``int`` alone would truncate 2.5 to another count, and True would pass
+    as 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     try:
         if int(value) == value:
             return int(value)
@@ -296,10 +311,26 @@ class SimulationSummary:
     win_rate_std_errors: tuple[float, ...]
 
 
-#: Values (plays x firms) a block of a chunk holds: with n firms a chunk is
-#: drawn and scored ``max(1, _BLOCK_VALUES // n)`` plays at a time, so the
-#: arrays of a ``simulate`` call do not grow with the firm count.
+#: Values (plays x firms) the blocks of all workers hold together: with n
+#: firms and W workers a chunk is drawn and scored
+#: ``max(1, min(plays, _BLOCK_VALUES // n) // W)`` plays at a time, so the
+#: arrays of a ``simulate`` call grow neither with the firm count nor with W.
 _BLOCK_VALUES = 1 << 19
+
+
+#: Fewest plays a worker's block may hold.  Each pair of firms costs about a
+#: dozen ufunc calls per block, and each call hands the interpreter lock to
+#: the other workers: at n = 32 (blocks of 8,192 plays) two workers were
+#: slower than one, at n = 16 (16,384 plays) faster.
+_MIN_WORKER_ROWS = 1 << 14
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _stream(seed: int, chunk: int, offset: int = 0) -> np.random.Generator:
@@ -313,8 +344,8 @@ def _stream(seed: int, chunk: int, offset: int = 0) -> np.random.Generator:
 
 
 class _ChunkArrays:
-    """The arrays one ``simulate`` call reuses for each of its chunks of at
-    most ``plays`` plays.
+    """The arrays one of ``workers`` workers of a ``simulate`` call reuses
+    for each of its chunks of at most ``plays`` plays.
 
     A block of ``rows`` plays is drawn as (plays, firms) qualities, uniforms
     (inverted in place into thresholds) and tie draws, and scored on
@@ -323,8 +354,8 @@ class _ChunkArrays:
     leading slices.
     """
 
-    def __init__(self, n: int, plays: int):
-        self.rows = rows = min(plays, max(1, _BLOCK_VALUES // n))
+    def __init__(self, n: int, plays: int, workers: int = 1):
+        self.rows = rows = max(1, min(plays, _BLOCK_VALUES // n) // workers)
         self.pairs = n * (n - 1) // 2
         self.qual = np.empty((rows, n))
         self.thr = np.empty((rows, n))
@@ -344,18 +375,34 @@ def _chunk_thresholds(rule: Rule, gen: np.random.Generator, thr: np.ndarray,
                       scratch: np.ndarray) -> None:
     """Fill ``thr``, a (plays, firms) block, with the block's thresholds; a
     drawn rule reads uniforms from ``gen`` and inverts them in place, with
-    ``scratch``, a float array of the same shape, as the inverse's work space."""
+    ``scratch``, a float array of the same shape, as the inverse's work space.
+    A drawn rule whose every distribution is a single atom reads nothing."""
     if isinstance(rule, SameTest):
         thr[...] = rule.theta
-    elif isinstance(rule, FixedThresholds):
+        return
+    if isinstance(rule, FixedThresholds):
         thr[...] = rule.thresholds
+        return
+    dists = (rule.dist,) if isinstance(rule, IidRule) else rule.dists
+    atoms = [_single_atom(dist) for dist in dists]
+    if None not in atoms:
+        thr[...] = atoms
+        return
+    gen.random(out=thr)
+    if isinstance(rule, IidRule):
+        rule.dist._inverse_into(thr, thr, scratch)
     else:
-        gen.random(out=thr)
-        if isinstance(rule, IidRule):
-            rule.dist._inverse_into(thr, thr, scratch)
-        else:
-            for j, dist in enumerate(rule.dists):
-                dist._inverse_into(thr[:, j], thr[:, j], scratch[:, j])
+        for j, dist in enumerate(rule.dists):
+            dist._inverse_into(thr[:, j], thr[:, j], scratch[:, j])
+
+
+def _single_atom(dist: MixedCdf) -> float | None:
+    """The location of ``dist`` if all its mass is one atom, else None: its
+    quantile table is then one atom record."""
+    _, records, _ = dist._quantile
+    if len(records) == 1 and records[0][3] == "atom":
+        return records[0][1]
+    return None
 
 
 def _score_block(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray,
@@ -437,6 +484,54 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
     return float(np.sum(frac)), float(np.sum(frac_sq)), wins
 
 
+def _run_chunks(rule: Rule, n: int, seed: int, trials: int):
+    """Run every chunk of ``trials`` plays; returns the chunks' inversion
+    sums, sums of squares and win counts, one row per chunk.
+
+    Worker w of W runs chunks w, w + W, ... through arrays of its own, and
+    worker 0 is the calling thread.  W is one per CPU, but at most one per
+    chunk and one per ``_MIN_WORKER_ROWS`` plays of the block budget.  The
+    first exception a worker raises stops the others at their next chunk
+    boundary and is raised here once they have all ended.  An interrupt
+    that cuts the wait short still stops them, and they are daemon threads,
+    so the process never waits on them.
+    """
+    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    plays = min(CHUNK_TRIALS, trials)
+    workers = max(1, min(_cpu_count(), n_chunks,
+                         min(plays, _BLOCK_VALUES // n) // _MIN_WORKER_ROWS))
+    sums = np.zeros(n_chunks)
+    sq_sums = np.zeros(n_chunks)
+    win_counts = np.zeros((n_chunks, n), dtype=np.int64)
+    stop = threading.Event()
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            arrays = _ChunkArrays(n, plays, workers)
+            for c in range(w, n_chunks, workers):
+                if stop.is_set():
+                    return
+                m = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+                sums[c], sq_sums[c], win_counts[c] = _simulate_chunk(rule, n, seed, c, m, arrays)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()
+    if errors:
+        raise errors[0]
+    return sums, sq_sums, win_counts
+
+
 def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIALS,
              seed: int = 0) -> SimulationSummary:
     """Play ``trials`` seeded games and summarize inversions and win rates."""
@@ -449,15 +544,7 @@ def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIAL
         raise ValueError("seed must lie in [0, 2**64)")
     n = _rule_firm_count(rule, n_firms)
 
-    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    sums = np.zeros(n_chunks)
-    sq_sums = np.zeros(n_chunks)
-    win_counts = np.zeros((n_chunks, n), dtype=np.int64)
-    arrays = _ChunkArrays(n, min(CHUNK_TRIALS, trials))
-    for c in range(n_chunks):
-        m = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-        sums[c], sq_sums[c], win_counts[c] = _simulate_chunk(rule, n, seed, c, m, arrays)
-
+    sums, sq_sums, win_counts = _run_chunks(rule, n, seed, trials)
     total = float(np.sum(sums))
     total_sq = float(np.sum(sq_sums))
     mean = total / trials

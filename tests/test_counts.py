@@ -1,16 +1,19 @@
 """Every public count or seed parameter takes whole numbers only.
 
 ``int`` would turn 2.5 into another count (2 firms, seed 1 for 1.7) or fail
-with TypeError or OverflowError; each entry point raises ValueError instead.
+with TypeError or OverflowError, and a bool would pass as 1 or 0 (one trial
+with seed 0 for ``simulate(rule, trials=True, seed=False)``); each entry
+point raises ValueError instead.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from thresholdgame.analysis import poa_report
 from thresholdgame.dists import MixedCdf
-from thresholdgame.engine import IidRule, simulate
+from thresholdgame.engine import IidRule, InversionEstimate, simulate
 from thresholdgame.equilibrium import (
     best_response_value,
     equilibrium_unrestricted,
@@ -30,6 +33,7 @@ CALLS = {
     "simulate(n_firms)": (lambda v: simulate(RULE, n_firms=v, trials=10), 2),
     "simulate(trials)": (lambda v: simulate(RULE, trials=v), 1000),
     "simulate(seed)": (lambda v: simulate(RULE, trials=10, seed=v), 1),
+    "InversionEstimate(trials)": (lambda v: InversionEstimate(0.2, "monte_carlo", 1e-3, v), 100),
     "verify_equilibrium(grid_size)": (lambda v: verify_equilibrium(EQ, grid_size=v), 1000),
     "best_response_value(grid_size)": (lambda v: best_response_value(EQ.dist, grid_size=v),
                                        1000),
@@ -57,3 +61,11 @@ def test_rejects_a_string(name):
 def test_accepts_a_whole_float(name):
     call, good = CALLS[name]
     assert call(float(good)) == call(good)
+
+
+@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_rejects_a_bool(name, flag):
+    call, _ = CALLS[name]
+    with pytest.raises(ValueError, match="must be a whole number"):
+        call(flag)

@@ -1,7 +1,10 @@
 """Tests for the selection-game engine and Monte Carlo estimator."""
 
+import functools
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -476,9 +479,47 @@ RULE_KINDS = [
 ]
 
 
+#: RULE_KINDS, with n = 2, 3 and 8 where the rule leaves n free, and rules
+#: whose firms all draw from single atoms, or only some of them do.
+SCHEDULE_CASES = [
+    *[("same:0.4", n) for n in (2, 3, 8)],
+    ("fixed:0.1,0.3,0.5,0.7,0.9", 5),
+    *[("iid:eq:0,0.79", n) for n in (2, 3, 8)],
+    ("indep:eq;uniform:0.2,0.6;step:0.5", 3),
+    *[("iid:step:0.5", n) for n in (2, 3, 8)],
+    ("indep:step:0.3;step:0.7", 2),
+    ("indep:step:0.5;eq", 2),
+]
+
+
 def _summary_hex(summary):
     return (summary.inversion_mean.hex(), summary.inversion_std_error.hex(),
             tuple(r.hex() for r in summary.win_rates))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_chunk(spec, n, seed, c, m):
+    # Cached: runs with more chunks repeat the full chunks of shorter ones.
+    return _lexsort_chunk(parse_rule(spec), n, _chunk_gen(seed, c), m)
+
+
+def _reference_hex(spec, n, seed, trials):
+    """``_summary_hex`` of ``simulate``, worked out chunk by chunk with the
+    sort-based kernel and reduced in chunk order."""
+    n_chunks = math.ceil(trials / engine.CHUNK_TRIALS)
+    chunks = [_reference_chunk(spec, n, seed, c,
+                               min(engine.CHUNK_TRIALS, trials - c * engine.CHUNK_TRIALS))
+              for c in range(n_chunks)]
+    total = float(np.sum([s for s, _, _ in chunks]))
+    total_sq = float(np.sum([s2 for _, s2, _ in chunks]))
+    var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
+    rates = np.sum([w for _, _, w in chunks], axis=0) / trials
+    return ((total / trials).hex(), math.sqrt(var / trials).hex(),
+            tuple(float(r).hex() for r in rates))
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
 
 
 class TestSimulate:
@@ -487,16 +528,35 @@ class TestSimulate:
         # Three full chunks and a partial one, all through the same arrays.
         rule, seed = parse_rule(spec), 21
         trials = 3 * engine.CHUNK_TRIALS + 12_345
-        chunks = [_lexsort_chunk(rule, n, _chunk_gen(seed, c),
-                                 min(engine.CHUNK_TRIALS, trials - c * engine.CHUNK_TRIALS))
-                  for c in range(4)]
-        total = float(np.sum([s for s, _, _ in chunks]))
-        total_sq = float(np.sum([s2 for _, s2, _ in chunks]))
-        var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
-        rates = np.sum([w for _, _, w in chunks], axis=0) / trials
         got = simulate(rule, n_firms=n, trials=trials, seed=seed)
-        assert _summary_hex(got) == ((total / trials).hex(), math.sqrt(var / trials).hex(),
-                                     tuple(float(r).hex() for r in rates))
+        assert _summary_hex(got) == _reference_hex(spec, n, seed, trials)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 5])
+    @pytest.mark.parametrize("spec, n", SCHEDULE_CASES)
+    def test_worker_count_changes_no_bit(self, monkeypatch, spec, n, chunks):
+        # One, two or three workers, some of them idle when there are fewer
+        # chunks; every last chunk is partial.
+        rule, seed = parse_rule(spec), 21
+        trials = (chunks - 1) * engine.CHUNK_TRIALS + 12_345
+        want = _reference_hex(spec, n, seed, trials)
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=seed)) == want
+
+    def test_many_workers_switching_often_lose_no_chunk(self, monkeypatch):
+        # Four workers on nine chunks, switching threads every microsecond:
+        # a chunk written to the wrong slot, or not at all, changes the sums.
+        rule = parse_rule("iid:eq")
+        trials = 8 * engine.CHUNK_TRIALS + 12_345
+        want = _summary_hex(simulate(rule, trials=trials, seed=4))
+        _force_workers(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _summary_hex(simulate(rule, trials=trials, seed=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     @pytest.mark.parametrize("spec, n, trials", [
         ("iid:eq:0,0.79", 3, engine.CHUNK_TRIALS + 12_345),
@@ -527,6 +587,88 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("n, workers", [(2, 2), (16, 2), (17, 1), (64, 1)])
+    def test_small_blocks_get_one_worker(self, monkeypatch, n, workers):
+        # Two CPUs, but blocks under 2**14 plays per worker stay on one.
+        threads = set()
+
+        def chunk(rule, n, seed, c, m, arrays):
+            threads.add(threading.get_ident())
+            return 0.0, 0.0, np.zeros(n, dtype=np.int64)
+
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(engine, "_simulate_chunk", chunk)
+        simulate(SameTest(0.5), n_firms=n, trials=4 * engine.CHUNK_TRIALS)
+        assert len(threads) == workers
+
+    def test_workers_share_the_block_budget(self, monkeypatch):
+        # Two workers at n = 64 split the 2**19 values into blocks of 4,096
+        # plays each, so two chunks at once stay under the bound of one
+        # (unsplit, each worker's arrays alone would take about 25 MiB).
+        # Blocks this small get one worker unless the floor is lifted.
+        # Chunks of 8,192 plays keep the test short and the blocks as they
+        # are with full chunks.
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
+        monkeypatch.setattr(engine, "CHUNK_TRIALS", 8192)
+        tracemalloc.start()
+        try:
+            simulate(FixedThresholds(tuple(np.linspace(0.01, 0.99, 64))),
+                     trials=2 * 8192, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_a_failing_chunk_stops_every_worker(self, monkeypatch):
+        # Chunk 1 runs on the second worker and raises once chunk 0 has
+        # started.  The calling thread holds chunk 0 until that worker has
+        # ended, then stops at its chunk boundary, so no later chunk runs and
+        # no thread is left behind.
+        threads = threading.active_count()
+        real = engine._simulate_chunk
+        ran = []
+        first = threading.Event()
+
+        def chunk(rule, n, seed, c, m, arrays):
+            ran.append(c)
+            if c == 1:
+                first.wait(60)
+                raise RuntimeError("chunk 1 failed")
+            first.set()
+            deadline = time.monotonic() + 60
+            while threading.active_count() > threads and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return real(rule, n, seed, c, m, arrays)
+
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(engine, "_simulate_chunk", chunk)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            simulate(parse_rule("iid:eq"), trials=6 * engine.CHUNK_TRIALS, seed=1)
+        assert sorted(ran) == [0, 1]
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_stops_the_workers(self, monkeypatch):
+        # The calling thread is interrupted in its first chunk; the two other
+        # workers stop at their next chunk boundary instead of running all
+        # 30 chunks, and none outlives the call.
+        threads = threading.active_count()
+        real = engine._simulate_chunk
+        ran = []
+
+        def chunk(rule, n, seed, c, m, arrays):
+            ran.append(c)
+            if c == 0:
+                raise KeyboardInterrupt
+            return real(rule, n, seed, c, m, arrays)
+
+        _force_workers(monkeypatch, 3)
+        monkeypatch.setattr(engine, "_simulate_chunk", chunk)
+        with pytest.raises(KeyboardInterrupt):
+            simulate(parse_rule("iid:eq"), trials=30 * engine.CHUNK_TRIALS, seed=1)
+        assert len(ran) < 30
+        assert threading.active_count() == threads
 
     def test_threads_sharing_a_rule_get_the_serial_results(self):
         # Each call owns its arrays and MixedCdf is immutable, so concurrent
