@@ -46,7 +46,7 @@ Conventions:
   before anything reads it, and NaN or a point further out raises;
 * a parameter (a rule threshold, a quality, a step or atom location, a
   threshold of ``inversion_fixed``) must lie in [0, 1] exactly, as a float
-  or a ``Fraction``;
+  or a ``Fraction``, never as a bool;
 * values are immutable after construction and safe to share across threads.
 """
 
@@ -83,7 +83,11 @@ def _unit_points(values, name: str = "threshold") -> np.ndarray:
 
 
 def _check_unit_params(name: str, *values) -> None:
-    """Raise unless every parameter lies in [0, 1] (see Conventions)."""
+    """Raise unless every parameter lies in [0, 1] (see Conventions).  Call
+    it before ``float()``: True and False would pass as 1 and 0."""
+    for v in values:
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {v!r}")
     if any(not 0 <= v <= 1 for v in values):  # NaN included
         raise ValueError(f"{name} outside [0, 1]")
 
@@ -524,8 +528,8 @@ class MixedCdf:
     @classmethod
     def step(cls, at: float) -> "MixedCdf":
         """Deterministic test: all mass at ``at``."""
-        at = float(at)
         _check_unit_params("step location", at)
+        at = float(at)
         return cls._from_knots([(0.0, 0.0), (at, 0.0), (at, 1.0), (1.0, 1.0)], ("step", at))
 
     @classmethod

@@ -29,7 +29,11 @@ uniforms, tie draws) is read through its own generator, placed with
 ``Philox.advance``, so the draws, and every seeded result, are those of one
 generator read straight through.  When every firm's distribution is a
 single atom, its thresholds are filled in and their uniforms are never
-drawn; the tie draws keep their place in the stream.
+drawn; the tie draws keep their place in the stream.  Likewise a block
+reads its tie draws only if two firms of one of its plays share a
+threshold, the one case a tie draw decides: a block without such a play
+skips them, and the next block that reads them places its generator at
+its own part of the segment, so no draw moves.
 
 The Monte Carlo kernel sorts nothing.  For every pair of firms it decides
 which one ranks higher: a lone passer, else the harder test, else the random
@@ -139,8 +143,7 @@ def rank_firms(thresholds: Sequence[float], qualities: Sequence[float],
 
 def play_game(thresholds: Sequence[float], qualities: Sequence[float],
               coin: np.random.Generator) -> GameOutcome:
-    thresholds = tuple(float(t) for t in thresholds)
-    qualities = tuple(float(q) for q in qualities)
+    thresholds, qualities = tuple(thresholds), tuple(qualities)
     n = len(thresholds)
     if len(qualities) != n:
         raise ValueError("thresholds and qualities must have the same length")
@@ -148,6 +151,8 @@ def play_game(thresholds: Sequence[float], qualities: Sequence[float],
         raise ValueError("need at least two firms")
     _check_unit_params("threshold", *thresholds)
     _check_unit_params("quality", *qualities)
+    thresholds = tuple(float(t) for t in thresholds)
+    qualities = tuple(float(q) for q in qualities)
     passed = tuple(q >= t for q, t in zip(qualities, thresholds))
     tie_keys = coin.random(n)
     order = sorted(
@@ -191,6 +196,7 @@ class SameTest:
 
     def __post_init__(self):
         _check_unit_params("threshold", self.theta)
+        object.__setattr__(self, "theta", float(self.theta))
 
 
 @dataclass(frozen=True)
@@ -200,10 +206,11 @@ class FixedThresholds:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        if len(self.thresholds) < 2:
+        thresholds = tuple(self.thresholds)
+        if len(thresholds) < 2:
             raise ValueError("need at least two thresholds")
-        _check_unit_params("threshold", *self.thresholds)
+        _check_unit_params("threshold", *thresholds)
+        object.__setattr__(self, "thresholds", tuple(float(t) for t in thresholds))
 
 
 @dataclass(frozen=True)
@@ -211,6 +218,9 @@ class IidRule:
     """Every firm draws its test i.i.d. from one distribution."""
 
     dist: MixedCdf
+
+    def __post_init__(self):
+        _check_dists(self.dist)
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,18 @@ class IndependentRule:
     dists: tuple[MixedCdf, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dists", tuple(self.dists))
         if len(self.dists) < 2:
             raise ValueError("need at least two distributions")
+        _check_dists(*self.dists)
+
+
+def _check_dists(*dists) -> None:
+    """Raise unless every distribution is a ``MixedCdf``: anything else
+    would only fail once ``simulate`` draws from it."""
+    for dist in dists:
+        if not isinstance(dist, MixedCdf):
+            raise ValueError(f"a rule's distribution must be a MixedCdf, got {dist!r}")
 
 
 Rule = SameTest | FixedThresholds | IidRule | IndependentRule
@@ -348,10 +368,10 @@ class _ChunkArrays:
     for each of its chunks of at most ``plays`` plays.
 
     A block of ``rows`` plays is drawn as (plays, firms) qualities, uniforms
-    (inverted in place into thresholds) and tie draws, and scored on
-    firm-major copies of them; ``inv`` holds a whole chunk's inversion counts
-    and ``frac`` its misordered fractions.  Short blocks and chunks use
-    leading slices.
+    (inverted in place into thresholds) and, if it needs them, tie draws,
+    and scored on firm-major copies of them; ``inv`` holds a whole chunk's
+    inversion counts and ``frac`` its misordered fractions.  Short blocks
+    and chunks use leading slices.
     """
 
     def __init__(self, n: int, plays: int, workers: int = 1):
@@ -371,12 +391,13 @@ class _ChunkArrays:
         self.frac = np.empty((2, plays))
 
 
-def _chunk_thresholds(rule: Rule, gen: np.random.Generator, thr: np.ndarray,
+def _chunk_thresholds(rule: Rule, gen: np.random.Generator | None, thr: np.ndarray,
                       scratch: np.ndarray) -> None:
     """Fill ``thr``, a (plays, firms) block, with the block's thresholds; a
     drawn rule reads uniforms from ``gen`` and inverts them in place, with
     ``scratch``, a float array of the same shape, as the inverse's work space.
-    A drawn rule whose every distribution is a single atom reads nothing."""
+    A drawn rule whose every distribution is a single atom reads nothing, and
+    the other rules get no ``gen``."""
     if isinstance(rule, SameTest):
         thr[...] = rule.theta
         return
@@ -405,15 +426,19 @@ def _single_atom(dist: MixedCdf) -> float | None:
     return None
 
 
-def _score_block(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray,
-                 arrays: _ChunkArrays, inv: np.ndarray) -> np.ndarray:
+def _score_block(qual: np.ndarray, thr: np.ndarray, draw_ties, arrays: _ChunkArrays,
+                 inv: np.ndarray) -> np.ndarray:
     """Score one block of plays: write each play's inverted-pair count into
     ``inv`` and return the firms' win counts.
 
-    ``qual`` and ``thr`` are (plays, firms) arrays.  ``tie`` orders firms that
-    tie on (passed, threshold): with two firms it holds one draw per play and
-    firm 0 ranks first when that draw is below 0.5; otherwise it holds one key
-    per firm, a larger key ranks first and equal keys keep index order.
+    ``qual`` and ``thr`` are (plays, firms) arrays.  ``draw_ties()`` returns
+    the block's tie draws, which order firms that tie on (passed, threshold):
+    with two firms it holds one draw per play and firm 0 ranks first when
+    that draw is below 0.5; otherwise it holds one key per firm, a larger
+    key ranks first and equal keys keep index order.  It is called only when
+    two firms of some play share a threshold: in any other block no pair
+    ties on its threshold, so no key can decide one, and the draws are not
+    read.
 
     No play is sorted: each pair i < j is decided on its own, on firm-major
     copies so that every row read is contiguous.  Everything is elementwise
@@ -426,22 +451,28 @@ def _score_block(qual: np.ndarray, thr: np.ndarray, tie: np.ndarray,
     ahead, hit, other = arrays.flags[:, :m]
     np.copyto(q, qual.T)
     np.copyto(t, thr.T)
-    if n == 2:
-        # The single draw as a key per firm: firm 0 leads when it is below 0.5.
-        np.less(tie, 0.5, out=keys[0])
-        np.greater_equal(tie, 0.5, out=keys[1])
-    else:
-        np.copyto(keys, tie.T)
     np.greater_equal(q, t, out=passed)
+    tied = any(np.equal(t[i], t[j], out=ahead).any()
+               for i in range(n - 1) for j in range(i + 1, n))
+    if tied:
+        tie = draw_ties()
+        if n == 2:
+            # The single draw as a key per firm: firm 0 leads when it is below 0.5.
+            np.less(tie, 0.5, out=keys[0])
+            np.greater_equal(tie, 0.5, out=keys[1])
+        else:
+            np.copyto(keys, tie.T)
     inv[...] = 0
     top[...] = True  # firm ranks above every other
     for i in range(n - 1):
         for j in range(i + 1, n):
             # ahead: i ranks above j, by a lone pass, else the harder test,
             # else the tie key.
-            np.equal(t[i], t[j], out=ahead)
-            ahead &= np.greater_equal(keys[i], keys[j], out=other)
-            ahead |= np.greater(t[i], t[j], out=other)
+            np.greater(t[i], t[j], out=ahead)
+            if tied:
+                np.equal(t[i], t[j], out=hit)
+                hit &= np.greater_equal(keys[i], keys[j], out=other)
+                ahead |= hit
             ahead &= np.equal(passed[i], passed[j], out=other)
             ahead |= np.greater(passed[i], passed[j], out=other)
             top[i] &= ahead
@@ -461,23 +492,37 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
     """Chunk ``c`` of ``m`` plays; returns (sum_frac, sum_frac_sq, win_counts).
 
     The chunk's stream holds its qualities, then any uniforms of drawn
-    thresholds, then its tie draws, each in (plays, firms) order.  Each of
-    the three segments gets its own generator, placed at its start, and
-    every block continues where the previous one stopped.
+    thresholds, then its tie draws, each in (plays, firms) order (one tie
+    draw per play with two firms).  The qualities and uniforms each get a
+    generator placed at the start of their segment, and every block
+    continues where the previous one stopped.  A block reads its tie draws
+    only if ``_score_block`` asks for them: the tie generator is placed at
+    the block's part of its segment when the block before did not read, and
+    read on otherwise.  So every draw read is the one a straight read of the
+    stream gives.
     """
     rows = arrays.rows
     drawn = isinstance(rule, (IidRule, IndependentRule))
-    streams = [_stream(seed, c, p) for p in (0, m * n, m * n * (1 + drawn))]
+    qualities = _stream(seed, c)
+    uniforms = _stream(seed, c, m * n) if drawn else None
+    ties_start, per_play = m * n * (1 + drawn), 1 if n == 2 else n
+    ties, ties_next = None, None  # the tie generator and the play it reads next
     wins = np.zeros(n, dtype=np.int64)
     for r0 in range(0, m, rows):
         b = min(rows, m - r0)
         qual, thr, tie = arrays.qual[:b], arrays.thr[:b], arrays.tie[:b]
-        streams[0].random(out=qual)
+
+        def draw_ties():
+            nonlocal ties, ties_next
+            if ties_next != r0:
+                ties = _stream(seed, c, ties_start + r0 * per_play)
+            ties_next = r0 + b
+            return ties.random(out=tie)
+
+        qualities.random(out=qual)
         # The firm-major thresholds are free until _score_block fills them.
-        _chunk_thresholds(rule, streams[1], thr,
-                          arrays.t.reshape(-1)[:b * n].reshape(b, n))
-        streams[2].random(out=tie)
-        wins += _score_block(qual, thr, tie, arrays, arrays.inv[r0:r0 + b])
+        _chunk_thresholds(rule, uniforms, thr, arrays.t.reshape(-1)[:b * n].reshape(b, n))
+        wins += _score_block(qual, thr, draw_ties, arrays, arrays.inv[r0:r0 + b])
     frac, frac_sq = arrays.frac[:, :m]
     np.divide(arrays.inv[:m], arrays.pairs, out=frac)
     np.multiply(frac, frac, out=frac_sq)

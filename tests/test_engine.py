@@ -28,6 +28,7 @@ from thresholdgame.engine import (
     select_two,
     simulate,
 )
+from thresholdgame.dists import MixedCdf
 from thresholdgame.inversion import inversion_fixed
 
 from oracles import quantile_reference
@@ -357,7 +358,7 @@ def _score_chunk(qual, thr, tie):
     m, n = qual.shape
     arrays = engine._ChunkArrays(n, m)
     assert arrays.rows == m
-    wins = engine._score_block(qual, thr, tie, arrays, arrays.inv)
+    wins = engine._score_block(qual, thr, lambda: tie, arrays, arrays.inv)
     frac = arrays.inv / arrays.pairs
     return float(np.sum(frac)), float(np.sum(frac * frac)), wins
 
@@ -366,6 +367,32 @@ def _assert_same_chunk(got, want):
     assert got[0].hex() == want[0].hex()
     assert got[1].hex() == want[1].hex()
     assert list(got[2]) == list(want[2])
+
+
+#: An atom of mass 0.05 at 0.4: with blocks of a few hundred plays or fewer,
+#: some blocks hold a play where two firms share the atom and others do not.
+SMALL_ATOM = IidRule(MixedCdf.piecewise_linear([(0.0, 0.0), (0.4, 0.38), (0.4, 0.43),
+                                                (1.0, 1.0)]))
+
+
+def _record_streams(monkeypatch):
+    """Record the (chunk, offset) of every generator ``engine`` places."""
+    placed = []
+    real = engine._stream
+
+    def stream(seed, chunk, offset=0):
+        placed.append((chunk, offset))
+        return real(seed, chunk, offset)
+
+    monkeypatch.setattr(engine, "_stream", stream)
+    return placed
+
+
+def _tie_offsets(placed, rule, n, c, m):
+    """The offsets at which chunk c of m plays placed its tie generator: the
+    tie draws follow the qualities and any uniforms."""
+    drawn = isinstance(rule, (IidRule, IndependentRule))
+    return [p for chunk, p in placed if chunk == c and p >= m * n * (1 + drawn)]
 
 
 class TestPairwiseKernel:
@@ -384,6 +411,45 @@ class TestPairwiseKernel:
         got = _simulate_chunk(rule, n, 3, 4, m)
         want = _lexsort_chunk(rule, n, _chunk_gen(3, 4), m)
         _assert_same_chunk(got, want)
+
+    @pytest.mark.parametrize("m", [engine.CHUNK_TRIALS, 12_345])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_blocks_match_sort_kernel(self, monkeypatch, n, m):
+        # Blocks of about 256 plays: a block where two firms share the atom
+        # reads its tie draws, one after it continues the same generator, and
+        # one after a skipped block places the generator again.
+        arrays = engine._ChunkArrays(n, m, workers=m // 256)
+        starts = range(0, m, arrays.rows)
+        gen = _chunk_gen(5, 1)
+        gen.random((m, n))
+        thr = _reference_thresholds(SMALL_ATOM, gen, m, n)
+        tied = [bool(np.any(np.diff(np.sort(thr[r0:r0 + arrays.rows], axis=1), axis=1) == 0))
+                for r0 in starts]
+        after = list(zip([False] + tied, tied))  # (the block before tied, this one ties)
+        assert (True, True) in after and (False, True) in after and False in tied
+        placed = _record_streams(monkeypatch)
+        got = engine._simulate_chunk(SMALL_ATOM, n, 5, 1, m, arrays)
+        _assert_same_chunk(got, _lexsort_chunk(SMALL_ATOM, n, _chunk_gen(5, 1), m))
+        per_play = 1 if n == 2 else n
+        assert _tie_offsets(placed, SMALL_ATOM, n, 1, m) == [
+            2 * m * n + r0 * per_play for r0, step in zip(starts, after) if step == (False, True)]
+
+    @pytest.mark.parametrize("spec, n", [("fixed:0.1,0.3,0.5,0.7,0.9", 5),
+                                         ("iid:uniform:0.25,0.75", 8),
+                                         ("same:0.5", 2)])
+    def test_tie_draws_are_read_only_where_thresholds_tie(self, monkeypatch, spec, n):
+        # Distinct fixed thresholds never tie, and uniform(0.25, 0.75) does
+        # only if two uniforms round to one threshold; same:0.5 ties in every
+        # block, so each chunk places its tie generator once and reads on.
+        rule, seed = parse_rule(spec), 11
+        trials = engine.CHUNK_TRIALS + 12_345
+        _force_workers(monkeypatch, 1)
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", 3 * 4096)
+        placed = _record_streams(monkeypatch)
+        simulate(rule, n_firms=n, trials=trials, seed=seed)
+        for c, m in enumerate((engine.CHUNK_TRIALS, 12_345)):
+            want = [] if n > 2 else [m * n]
+            assert _tie_offsets(placed, rule, n, c, m) == want
 
     @staticmethod
     def _sorted_reference(qual, thr, tie):
@@ -500,12 +566,14 @@ def _summary_hex(summary):
 @functools.lru_cache(maxsize=None)
 def _reference_chunk(spec, n, seed, c, m):
     # Cached: runs with more chunks repeat the full chunks of shorter ones.
-    return _lexsort_chunk(parse_rule(spec), n, _chunk_gen(seed, c), m)
+    rule = parse_rule(spec) if isinstance(spec, str) else spec
+    return _lexsort_chunk(rule, n, _chunk_gen(seed, c), m)
 
 
 def _reference_hex(spec, n, seed, trials):
     """``_summary_hex`` of ``simulate``, worked out chunk by chunk with the
-    sort-based kernel and reduced in chunk order."""
+    sort-based kernel and reduced in chunk order; ``spec`` is a rule or its
+    spec."""
     n_chunks = math.ceil(trials / engine.CHUNK_TRIALS)
     chunks = [_reference_chunk(spec, n, seed, c,
                                min(engine.CHUNK_TRIALS, trials - c * engine.CHUNK_TRIALS))
@@ -542,6 +610,19 @@ class TestSimulate:
         for workers in (1, 2, 3):
             _force_workers(monkeypatch, workers)
             assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=seed)) == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_blocks_change_no_bit(self, monkeypatch, n):
+        # Blocks of at most 256 plays per worker, some of which tie on the
+        # atom and read their tie draws while others skip them, on one, two
+        # or three workers; the last chunk is partial.
+        seed, trials = 13, 2 * engine.CHUNK_TRIALS + 12_345
+        want = _reference_hex(SMALL_ATOM, n, seed, trials)
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", 512)
+        monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            assert _summary_hex(simulate(SMALL_ATOM, n_firms=n, trials=trials, seed=seed)) == want
 
     def test_many_workers_switching_often_lose_no_chunk(self, monkeypatch):
         # Four workers on nine chunks, switching threads every microsecond:

@@ -1,0 +1,80 @@
+"""Every public parameter in [0, 1] takes numbers only, and every rule takes
+distributions only.
+
+A rule threshold, a quality, a step location or a threshold of
+``inversion_fixed`` is checked before it is converted with ``float()``: a
+bool would otherwise pass as 1.0 or 0.0 (``SameTest(True)`` simulated as a
+test of difficulty 1).  A ``Fraction`` stays accepted.  A rule built on
+anything but a ``MixedCdf`` raises when it is made, not when ``simulate``
+first draws from it.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from thresholdgame.dists import MixedCdf
+from thresholdgame.engine import (
+    FixedThresholds,
+    IidRule,
+    IndependentRule,
+    SameTest,
+    kendall_tau_fraction,
+    play_game,
+)
+from thresholdgame.equilibrium import equilibrium_unrestricted
+from thresholdgame.inversion import inversion_fixed
+
+EQ = equilibrium_unrestricted().dist
+
+#: name -> call taking the parameter; every call accepts 0.5.
+CALLS = {
+    "SameTest(theta)": SameTest,
+    "FixedThresholds(thresholds)": lambda v: FixedThresholds((v, 0.5)),
+    "play_game(thresholds)": lambda v: play_game((v, 0.5), (0.3, 0.9),
+                                                 np.random.default_rng(0)),
+    "play_game(qualities)": lambda v: play_game((0.5, 0.5), (v, 0.2),
+                                                np.random.default_rng(0)),
+    "kendall_tau_fraction(qualities)": lambda v: kendall_tau_fraction((0, 1), (v, 0.2)),
+    "inversion_fixed(thresholds)": lambda v: inversion_fixed((0.25, v)),
+    "MixedCdf.step(at)": MixedCdf.step,
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_rejects_a_bool(name, flag):
+    with pytest.raises(ValueError, match="must be a number"):
+        CALLS[name](flag)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_accepts_a_fraction(name):
+    call = CALLS[name]
+    assert call(Fraction(1, 2)) == call(0.5)
+
+
+def test_same_test_stores_a_float():
+    for theta in (Fraction(1, 2), np.float64(0.5), 0.5):
+        assert type(SameTest(theta).theta) is float
+    assert SameTest(Fraction(1, 2)) == SameTest(0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IidRule("eq"),
+    lambda: IidRule(None),
+    lambda: IndependentRule(("eq", EQ)),
+    lambda: IndependentRule([EQ, 0.5]),
+    lambda: IndependentRule("eq"),
+])
+def test_a_rule_rejects_what_is_not_a_distribution(make):
+    with pytest.raises(ValueError, match="must be a MixedCdf"):
+        make()
+
+
+def test_independent_rule_stores_a_tuple():
+    rule = IndependentRule([EQ, EQ])
+    assert type(rule.dists) is tuple
+    assert rule == IndependentRule((EQ, EQ))
+    hash(rule)
