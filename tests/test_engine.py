@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thresholdgame import engine
+from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import (
     FixedThresholds,
     IidRule,
@@ -28,7 +29,6 @@ from thresholdgame.engine import (
     select_two,
     simulate,
 )
-from thresholdgame.dists import MixedCdf
 from thresholdgame.inversion import inversion_fixed
 
 from oracles import quantile_reference
