@@ -45,8 +45,9 @@ Conventions:
   may lie up to 1e-12 outside [0, 1]: it is clipped to the nearest end once,
   before anything reads it, and NaN or a point further out raises;
 * a parameter (a rule threshold, a quality, a step or atom location, a
-  threshold of ``inversion_fixed``) must lie in [0, 1] exactly, as a float
-  or a ``Fraction``, never as a bool;
+  bound of a uniform or of an equilibrium's interval, a threshold of
+  ``inversion_fixed``) must lie in [0, 1] exactly, as a real number such as
+  a float or a ``Fraction``, never as a bool or a string;
 * values are immutable after construction and safe to share across threads.
 """
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from collections import namedtuple
 from typing import Callable, Sequence
@@ -83,10 +85,11 @@ def _unit_points(values, name: str = "threshold") -> np.ndarray:
 
 
 def _check_unit_params(name: str, *values) -> None:
-    """Raise unless every parameter lies in [0, 1] (see Conventions).  Call
-    it before ``float()``: True and False would pass as 1 and 0."""
+    """Raise unless every parameter is a real number in [0, 1] (see
+    Conventions).  Call it before ``float()``: True and False would pass as
+    1 and 0, and a string such as "0.5" as a number."""
     for v in values:
-        if isinstance(v, (bool, np.bool_)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is not Real
             raise ValueError(f"{name} must be a number, got {v!r}")
     if any(not 0 <= v <= 1 for v in values):  # NaN included
         raise ValueError(f"{name} outside [0, 1]")
@@ -519,6 +522,7 @@ class MixedCdf:
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "MixedCdf":
         """Uniform distribution on [lo, hi]."""
+        _check_unit_params("uniform bound", lo, hi)
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError("need 0 <= lo < hi <= 1")

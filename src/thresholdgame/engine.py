@@ -20,20 +20,24 @@ no bit.  If a chunk raises, the other workers stop at their next chunk
 boundary and the exception is raised in the caller.
 
 Each worker allocates its arrays once and every chunk refills them in place
-(``Generator.random(out=...)``, ``np.copyto``, ufuncs with ``out=``); the
-uniforms of drawn thresholds are inverted where they lie.  A chunk is drawn
-and scored in row blocks, and the W workers share one budget of about 2**19
-values, or one chunk's plays if that is less, so memory grows neither with
-the firm count nor with W.  Each segment of a chunk's stream (qualities,
-uniforms, tie draws) is read through its own generator, placed with
-``Philox.advance``, so the draws, and every seeded result, are those of one
-generator read straight through.  When every firm's distribution is a
-single atom, its thresholds are filled in and their uniforms are never
-drawn; the tie draws keep their place in the stream.  Likewise a block
-reads its tie draws only if two firms of one of its plays share a
-threshold, the one case a tie draw decides: a block without such a play
-skips them, and the next block that reads them places its generator at
-its own part of the segment, so no draw moves.
+(``Generator.random(out=...)``, ``np.copyto``, ufuncs with ``out=``).  A
+chunk is drawn and scored in row blocks, and the W workers share one budget
+of about 2**19 values, or one chunk's plays if that is less, so memory grows
+neither with the firm count nor with W.  A block is held only firm-major,
+one row per firm, so that the kernel reads contiguous rows.  The stream is
+plays-major: each of its segments (qualities, uniforms, tie draws) is read
+through its own generator, placed with ``Philox.advance``, into a small
+plays-major tile of about 2**15 values and copied tile by tile into the
+block's rows, so the draws, and every seeded result, are those of one
+generator read straight through.  Uniforms are inverted into thresholds in
+their rows.  A rule that draws no thresholds (a fixed test, or a single
+atom for every firm) fills its thresholds once per worker and decides once
+whether two of them are equal; its uniforms are never drawn, and the tie
+draws keep their place in the stream.  A block reads its tie draws only if
+two firms of one of its plays share a threshold, the one case a tie draw
+decides: a block without such a play skips them, and the next block that
+reads them places its generator at its own part of the segment, so no draw
+moves.
 
 The Monte Carlo kernel sorts nothing.  For every pair of firms it decides
 which one ranks higher: a lone passer, else the harder test, else the random
@@ -338,6 +342,14 @@ class SimulationSummary:
 _BLOCK_VALUES = 1 << 19
 
 
+#: Values (plays x firms) of the plays-major tile that each segment of the
+#: stream is read through on its way into a block's firm-major rows: a tile
+#: of ``_TILE_VALUES // n`` plays stays in cache while it is copied across.
+#: On a 2-vCPU Xeon a (65,536 x 8) block took 0.47 ms to copy through tiles
+#: of 2**15 or 2**16 values, 0.53 ms through 2**14 and 1.9-2.1 ms at once.
+_TILE_VALUES = 1 << 15
+
+
 #: Fewest plays a worker's block may hold.  Each pair of firms costs about a
 #: dozen ufunc calls per block, and each call hands the interpreter lock to
 #: the other workers: at n = 32 (blocks of 8,192 plays) two workers were
@@ -367,54 +379,41 @@ class _ChunkArrays:
     """The arrays one of ``workers`` workers of a ``simulate`` call reuses
     for each of its chunks of at most ``plays`` plays.
 
-    A block of ``rows`` plays is drawn as (plays, firms) qualities, uniforms
-    (inverted in place into thresholds) and, if it needs them, tie draws,
-    and scored on firm-major copies of them; ``inv`` holds a whole chunk's
-    inversion counts and ``frac`` its misordered fractions.  Short blocks
-    and chunks use leading slices.
+    A block of ``rows`` plays is held only firm-major: ``q`` its qualities,
+    ``t`` its thresholds and ``keys`` its tie keys, one row per firm (with
+    two firms, two boolean rows of the single draw).  The stream is
+    plays-major, and each segment reaches the rows through ``stage``, a tile
+    of ``len(stage)`` plays.  ``fixed`` holds the thresholds of a rule that draws
+    none, with whether two of them are equal, once ``t`` has been filled
+    with them; ``inv`` holds a whole chunk's inversion counts and ``frac``
+    its misordered fractions.  Short blocks and chunks use leading slices.
     """
 
     def __init__(self, n: int, plays: int, workers: int = 1):
         self.rows = rows = max(1, min(plays, _BLOCK_VALUES // n) // workers)
         self.pairs = n * (n - 1) // 2
-        self.qual = np.empty((rows, n))
-        self.thr = np.empty((rows, n))
-        self.tie = np.empty(rows) if n == 2 else np.empty((rows, n))
+        self.stage = np.empty((max(1, min(rows, _TILE_VALUES // n)), n))
         self.q = np.empty((n, rows))
         self.t = np.empty((n, rows))
-        # With two firms the keys are the two sides of the single draw.
         self.keys = np.empty((2, rows), dtype=bool) if n == 2 else np.empty((n, rows))
         self.passed = np.empty((n, rows), dtype=bool)
         self.top = np.empty((n, rows), dtype=bool)
         self.flags = np.empty((3, rows), dtype=bool)  # per-pair work rows
         self.inv = np.empty(plays, dtype=np.min_scalar_type(self.pairs))  # exact counts
         self.frac = np.empty((2, plays))
+        self.fixed = None
 
 
-def _chunk_thresholds(rule: Rule, gen: np.random.Generator | None, thr: np.ndarray,
-                      scratch: np.ndarray) -> None:
-    """Fill ``thr``, a (plays, firms) block, with the block's thresholds; a
-    drawn rule reads uniforms from ``gen`` and inverts them in place, with
-    ``scratch``, a float array of the same shape, as the inverse's work space.
-    A drawn rule whose every distribution is a single atom reads nothing, and
-    the other rules get no ``gen``."""
+def _fixed_thresholds(rule: Rule, n: int) -> tuple[float, ...] | None:
+    """Each firm's threshold if ``rule`` draws none, being a fixed test or
+    one whose every distribution is a single atom; else None."""
     if isinstance(rule, SameTest):
-        thr[...] = rule.theta
-        return
+        return (rule.theta,) * n
     if isinstance(rule, FixedThresholds):
-        thr[...] = rule.thresholds
-        return
-    dists = (rule.dist,) if isinstance(rule, IidRule) else rule.dists
-    atoms = [_single_atom(dist) for dist in dists]
-    if None not in atoms:
-        thr[...] = atoms
-        return
-    gen.random(out=thr)
-    if isinstance(rule, IidRule):
-        rule.dist._inverse_into(thr, thr, scratch)
-    else:
-        for j, dist in enumerate(rule.dists):
-            dist._inverse_into(thr[:, j], thr[:, j], scratch[:, j])
+        return rule.thresholds
+    dists = (rule.dist,) * n if isinstance(rule, IidRule) else rule.dists
+    atoms = tuple(_single_atom(dist) for dist in dists)
+    return None if None in atoms else atoms
 
 
 def _single_atom(dist: MixedCdf) -> float | None:
@@ -426,42 +425,61 @@ def _single_atom(dist: MixedCdf) -> float | None:
     return None
 
 
-def _score_block(qual: np.ndarray, thr: np.ndarray, draw_ties, arrays: _ChunkArrays,
+def _read_rows(gen: np.random.Generator, stage: np.ndarray, out: np.ndarray) -> None:
+    """Read ``out.shape[1]`` plays of a plays-major stream segment from
+    ``gen`` into ``out``, firm-major rows, a tile of ``len(stage)`` plays at
+    a time.  Boolean ``out`` takes two-firm tie draws, one a play: row 0
+    marks where firm 0 ranks first, a draw below 0.5, and row 1 the rest."""
+    width = len(stage)
+    for s in range(0, out.shape[1], width):
+        part = out[:, s:s + width]
+        if out.dtype == bool:
+            draws = gen.random(out=stage.reshape(-1)[:part.shape[1]])
+            np.less(draws, 0.5, out=part[0])
+            np.greater_equal(draws, 0.5, out=part[1])
+        else:
+            np.copyto(part, gen.random(out=stage[:part.shape[1]]).T)
+
+
+def _invert(rule: IidRule | IndependentRule, t: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn the uniforms in ``t``, firm-major rows, into thresholds in place,
+    with ``scratch``, a float array of the same shape, as the arc inverse's
+    work space."""
+    if isinstance(rule, IidRule):
+        rule.dist._inverse_into(t, t, scratch)
+    else:
+        for j, dist in enumerate(rule.dists):
+            dist._inverse_into(t[j], t[j], scratch[j])
+
+
+def _ties(t: np.ndarray, scratch: np.ndarray) -> bool:
+    """Whether two firms of some play, a column of ``t``, share a threshold;
+    ``scratch`` is a boolean row of a play each."""
+    n = len(t)
+    return any(np.equal(t[i], t[j], out=scratch).any()
+               for i in range(n - 1) for j in range(i + 1, n))
+
+
+def _score_block(q: np.ndarray, t: np.ndarray, keys: np.ndarray | None, arrays: _ChunkArrays,
                  inv: np.ndarray) -> np.ndarray:
     """Score one block of plays: write each play's inverted-pair count into
     ``inv`` and return the firms' win counts.
 
-    ``qual`` and ``thr`` are (plays, firms) arrays.  ``draw_ties()`` returns
-    the block's tie draws, which order firms that tie on (passed, threshold):
-    with two firms it holds one draw per play and firm 0 ranks first when
-    that draw is below 0.5; otherwise it holds one key per firm, a larger
-    key ranks first and equal keys keep index order.  It is called only when
-    two firms of some play share a threshold: in any other block no pair
-    ties on its threshold, so no key can decide one, and the draws are not
-    read.
+    ``q`` and ``t`` are (firms, plays) rows.  ``keys`` order firms that tie
+    on (passed, threshold), as (firms, plays) rows where a larger key ranks
+    first and equal keys keep index order; with two firms they are the two
+    boolean rows of ``_read_rows``.  ``keys`` is None when no two firms of a
+    play share a threshold: no key could then decide a pair.
 
     No play is sorted: each pair i < j is decided on its own, on firm-major
-    copies so that every row read is contiguous.  Everything is elementwise
+    rows so that every row read is contiguous.  Everything is elementwise
     boolean algebra written into reused rows: ``np.where`` on a random mask
     mispredicts branches and costs far more per element.
     """
-    m, n = qual.shape
-    q, t, keys = arrays.q[:, :m], arrays.t[:, :m], arrays.keys[:, :m]
+    n, m = q.shape
     passed, top = arrays.passed[:, :m], arrays.top[:, :m]
     ahead, hit, other = arrays.flags[:, :m]
-    np.copyto(q, qual.T)
-    np.copyto(t, thr.T)
     np.greater_equal(q, t, out=passed)
-    tied = any(np.equal(t[i], t[j], out=ahead).any()
-               for i in range(n - 1) for j in range(i + 1, n))
-    if tied:
-        tie = draw_ties()
-        if n == 2:
-            # The single draw as a key per firm: firm 0 leads when it is below 0.5.
-            np.less(tie, 0.5, out=keys[0])
-            np.greater_equal(tie, 0.5, out=keys[1])
-        else:
-            np.copyto(keys, tie.T)
     inv[...] = 0
     top[...] = True  # firm ranks above every other
     for i in range(n - 1):
@@ -469,7 +487,7 @@ def _score_block(qual: np.ndarray, thr: np.ndarray, draw_ties, arrays: _ChunkArr
             # ahead: i ranks above j, by a lone pass, else the harder test,
             # else the tie key.
             np.greater(t[i], t[j], out=ahead)
-            if tied:
+            if keys is not None:
                 np.equal(t[i], t[j], out=hit)
                 hit &= np.greater_equal(keys[i], keys[j], out=other)
                 ahead |= hit
@@ -495,34 +513,44 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
     thresholds, then its tie draws, each in (plays, firms) order (one tie
     draw per play with two firms).  The qualities and uniforms each get a
     generator placed at the start of their segment, and every block
-    continues where the previous one stopped.  A block reads its tie draws
-    only if ``_score_block`` asks for them: the tie generator is placed at
-    the block's part of its segment when the block before did not read, and
-    read on otherwise.  So every draw read is the one a straight read of the
-    stream gives.
+    continues where the previous one stopped.  A block draws its uniforms
+    into ``t`` and inverts them there, with ``q`` as scratch, before its
+    qualities fill ``q``; a rule that draws no thresholds fills ``t`` and
+    decides whether two firms tie once per ``arrays``.  A block reads its
+    tie draws only if two firms of one of its plays share a threshold: the
+    tie generator is placed at the block's part of its segment when the
+    block before did not read, and read on otherwise.  So every draw read is
+    the one a straight read of the stream gives.
     """
-    rows = arrays.rows
+    rows, stage = arrays.rows, arrays.stage
     drawn = isinstance(rule, (IidRule, IndependentRule))
+    fixed = _fixed_thresholds(rule, n)
+    if fixed is None:
+        arrays.fixed = None  # the blocks overwrite t
+    elif arrays.fixed is None or arrays.fixed[0] != fixed:
+        arrays.t[...] = np.reshape(fixed, (n, 1))
+        arrays.fixed = fixed, len(set(fixed)) < n
     qualities = _stream(seed, c)
-    uniforms = _stream(seed, c, m * n) if drawn else None
+    uniforms = _stream(seed, c, m * n) if fixed is None else None
     ties_start, per_play = m * n * (1 + drawn), 1 if n == 2 else n
     ties, ties_next = None, None  # the tie generator and the play it reads next
     wins = np.zeros(n, dtype=np.int64)
     for r0 in range(0, m, rows):
         b = min(rows, m - r0)
-        qual, thr, tie = arrays.qual[:b], arrays.thr[:b], arrays.tie[:b]
-
-        def draw_ties():
-            nonlocal ties, ties_next
+        q, t, keys = arrays.q[:, :b], arrays.t[:, :b], arrays.keys[:, :b]
+        if fixed is None:
+            _read_rows(uniforms, stage, t)
+            _invert(rule, t, q)
+            tied = _ties(t, arrays.flags[0, :b])
+        else:
+            tied = arrays.fixed[1]
+        _read_rows(qualities, stage, q)
+        if tied:
             if ties_next != r0:
                 ties = _stream(seed, c, ties_start + r0 * per_play)
             ties_next = r0 + b
-            return ties.random(out=tie)
-
-        qualities.random(out=qual)
-        # The firm-major thresholds are free until _score_block fills them.
-        _chunk_thresholds(rule, uniforms, thr, arrays.t.reshape(-1)[:b * n].reshape(b, n))
-        wins += _score_block(qual, thr, draw_ties, arrays, arrays.inv[r0:r0 + b])
+            _read_rows(ties, stage, keys)
+        wins += _score_block(q, t, keys if tied else None, arrays, arrays.inv[r0:r0 + b])
     frac, frac_sq = arrays.frac[:, :m]
     np.divide(arrays.inv[:m], arrays.pairs, out=frac)
     np.multiply(frac, frac, out=frac_sq)

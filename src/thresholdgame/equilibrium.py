@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, Piece, _check_nonnegative, _piece_table,
-                                 _row_cdf, _unit_points)
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, Piece, _check_nonnegative,
+                                 _check_unit_params, _piece_table, _row_cdf, _unit_points)
 from thresholdgame.engine import _as_count
 from thresholdgame.inversion import _iid_error
 
@@ -168,6 +168,7 @@ def equilibrium_unrestricted() -> EquilibriumSolution:
 
 def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
     """The unique equilibrium when tests are restricted to [a, b]."""
+    _check_unit_params("interval bound", a, b)
     a, b = float(a), float(b)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
@@ -284,12 +285,30 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
     return VerificationReport(dev.item(), gain.item(), bool(passed[0]), grid_size, tol)
 
 
+def _grid(a, b, size: int) -> np.ndarray:
+    """``np.linspace(a, b, size, axis=1)`` for arrays of cells and
+    ``size >= 2``, bit for bit, in one multiply-add: ``a + k * step`` with
+    the exact b last, or ``a + (k / (size - 1)) * (b - a)`` for every cell
+    when some cell's step underflows to 0, as linspace does."""
+    div = size - 1
+    k = np.arange(size, dtype=float)
+    delta = b - a
+    step = delta / div
+    if np.any(step == 0):
+        k /= div
+        step = delta
+    grid = np.multiply(step[:, None], k)
+    grid += a[:, None]
+    grid[:, -1] = b
+    return grid
+
+
 def _verify(table, a, b, cut, grid_size: int, tol: float):
     """:func:`_margins` against each cell's cdf in the piece ``table`` on
     [a, b] (arrays of cells): at a ``grid_size``-point grid, a, b, the cut
     point and every piece low, piece midpoint and atom clipped into [a, b]."""
     special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
-    thetas = np.concatenate([np.linspace(a, b, grid_size, axis=1), np.stack([a, b, cut], axis=1),
+    thetas = np.concatenate([_grid(a, b, grid_size), np.stack([a, b, cut], axis=1),
                              np.clip(special, a[:, None], b[:, None])], axis=1)
     piece = table.piece(thetas)  # shared by the terms and the support
     return _margins(*_opponent_terms(thetas, table, piece), table.support(thetas, piece), tol)

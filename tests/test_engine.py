@@ -353,12 +353,15 @@ def _simulate_chunk(rule, n, seed, c, m):
     return engine._simulate_chunk(rule, n, seed, c, m, engine._ChunkArrays(n, m))
 
 
-def _score_chunk(qual, thr, tie):
-    """Score (plays, firms) arrays as one block; returns the chunk triple."""
-    m, n = qual.shape
+def _score_chunk(q, t, tie):
+    """Score (firms, plays) rows as one block with the block's tie draws,
+    one a play with two firms; returns the chunk triple."""
+    n, m = q.shape
     arrays = engine._ChunkArrays(n, m)
     assert arrays.rows == m
-    wins = engine._score_block(qual, thr, lambda: tie, arrays, arrays.inv)
+    # With two firms the keys are the two sides of the single draw.
+    keys = np.array([tie < 0.5, tie >= 0.5]) if n == 2 else tie
+    wins = engine._score_block(q, t, keys, arrays, arrays.inv)
     frac = arrays.inv / arrays.pairs
     return float(np.sum(frac)), float(np.sum(frac * frac)), wins
 
@@ -452,19 +455,19 @@ class TestPairwiseKernel:
             assert _tie_offsets(placed, rule, n, c, m) == want
 
     @staticmethod
-    def _sorted_reference(qual, thr, tie):
-        # Sort each play by (passed, threshold, tie key), best first; the
-        # stable sort keeps index order on equal keys.
-        m, n = qual.shape
+    def _sorted_reference(q, t, tie):
+        # Sort each play, a column, by (passed, threshold, tie key), best
+        # first; the stable sort keeps index order on equal keys.
+        n, m = q.shape
         fracs, win_counts = [], np.zeros(n, dtype=np.int64)
         for r in range(m):
             if tie.ndim == 1:
                 keys = (1.0, 0.0) if tie[r] < 0.5 else (0.0, 1.0)
             else:
-                keys = tie[r]
+                keys = tie[:, r]
             order = sorted(range(n), reverse=True, key=lambda i: (
-                bool(qual[r, i] >= thr[r, i]), thr[r, i], keys[i]))
-            fracs.append(kendall_tau_fraction(order, qual[r]))
+                bool(q[i, r] >= t[i, r]), t[i, r], keys[i]))
+            fracs.append(kendall_tau_fraction(order, q[:, r]))
             win_counts[order[0]] += 1
         frac = np.array(fracs)
         return float(np.sum(frac)), float(np.sum(frac * frac)), win_counts
@@ -475,35 +478,37 @@ class TestPairwiseKernel:
         # key and in quality.
         rng = np.random.default_rng(n)
         m = 400
-        qual = rng.integers(0, 5, (m, n)) / 4
-        thr = rng.integers(0, 3, (m, n)) / 2
-        tie = rng.integers(0, 3, m) / 4 if n == 2 else rng.integers(0, 2, (m, n)) / 2
-        got = _score_chunk(qual, thr, tie)
-        _assert_same_chunk(got, self._sorted_reference(qual, thr, tie))
+        # The plays of the rows-per-play draws, as one column each.
+        q = rng.integers(0, 5, (m, n)).T / 4
+        t = rng.integers(0, 3, (m, n)).T / 2
+        tie = rng.integers(0, 3, m) / 4 if n == 2 else rng.integers(0, 2, (m, n)).T / 2
+        got = _score_chunk(q, t, tie)
+        _assert_same_chunk(got, self._sorted_reference(q, t, tie))
 
     def test_hand_built_chunk(self):
-        qual = np.array([[0.6, 0.7, 0.8],     # one block; equal keys 1, 2
-                         [0.6, 0.7, 0.8],     # one block; all keys equal
-                         [0.6, 0.3, 0.7],     # firm 1 fails despite its key
-                         [0.9, 0.1, 0.3],     # two failers tie on threshold
-                         [0.99, 0.5, 0.7]])   # all pass; harder test first
-        thr = np.array([[0.5, 0.5, 0.5],
-                        [0.5, 0.5, 0.5],
-                        [0.5, 0.5, 0.5],
-                        [0.2, 0.6, 0.6],
-                        [0.2, 0.4, 0.6]])
+        # Written one play a row, and scored one play a column.
+        q = np.array([[0.6, 0.7, 0.8],     # one block; equal keys 1, 2
+                      [0.6, 0.7, 0.8],     # one block; all keys equal
+                      [0.6, 0.3, 0.7],     # firm 1 fails despite its key
+                      [0.9, 0.1, 0.3],     # two failers tie on threshold
+                      [0.99, 0.5, 0.7]]).T  # all pass; harder test first
+        t = np.array([[0.5, 0.5, 0.5],
+                      [0.5, 0.5, 0.5],
+                      [0.5, 0.5, 0.5],
+                      [0.2, 0.6, 0.6],
+                      [0.2, 0.4, 0.6]]).T
         tie = np.array([[0.2, 0.7, 0.7],
                         [0.4, 0.4, 0.4],
                         [0.5, 0.9, 0.1],
                         [0.0, 0.3, 0.3],
-                        [0.9, 0.5, 0.1]])
+                        [0.9, 0.5, 0.1]]).T
         # Rankings (1, 2, 0), (0, 1, 2), (0, 2, 1), (0, 1, 2), (2, 1, 0) invert
         # 1, 3, 1, 1 and 2 of the 3 pairs.
-        s, s2, wins = _score_chunk(qual, thr, tie)
+        s, s2, wins = _score_chunk(q, t, tie)
         assert s == pytest.approx(8 / 3)
         assert s2 == pytest.approx(16 / 9)
         assert list(wins) == [3, 1, 1]
-        _assert_same_chunk((s, s2, wins), self._sorted_reference(qual, thr, tie))
+        _assert_same_chunk((s, s2, wins), self._sorted_reference(q, t, tie))
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +629,27 @@ class TestSimulate:
             _force_workers(monkeypatch, workers)
             assert _summary_hex(simulate(SMALL_ATOM, n_firms=n, trials=trials, seed=seed)) == want
 
+    @pytest.mark.parametrize("spec, n", [*RULE_KINDS, *[pytest.param(SMALL_ATOM, n, id=f"SMALL_ATOM-{n}")
+                                                        for n in (2, 3)]])
+    def test_small_tiles_change_no_bit(self, monkeypatch, spec, n):
+        # Tiles of 3 plays in blocks of at most 512 values per worker, on
+        # chunks of 2,000 plays and a last one of 1,001: some block of each
+        # run ends in a partial tile, on one, two or three workers.
+        rule = parse_rule(spec) if isinstance(spec, str) else spec
+        seed = 17
+        monkeypatch.setattr(engine, "CHUNK_TRIALS", 2000)
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", 512)
+        monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
+        monkeypatch.setattr(engine, "_TILE_VALUES", 3 * n)
+        trials = 3 * 2000 + 1001
+        want = _reference_hex(spec, n, seed, trials)
+        for workers in (1, 2, 3):
+            arrays = engine._ChunkArrays(n, 2000, workers)
+            assert len(arrays.stage) == 3
+            assert any(m % arrays.rows % 3 or arrays.rows % 3 for m in (2000, 1001))
+            _force_workers(monkeypatch, workers)
+            assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=seed)) == want
+
     def test_many_workers_switching_often_lose_no_chunk(self, monkeypatch):
         # Four workers on nine chunks, switching threads every microsecond:
         # a chunk written to the wrong slot, or not at all, changes the sums.
@@ -668,6 +694,43 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_blocks_are_held_only_firm_major(self, monkeypatch):
+        # At n = 8 a block of one worker is a whole chunk of 65,536 plays.
+        # Its firm-major qualities, thresholds and tie keys take 4 MiB each
+        # and every other array of the call about 2.6 MiB, so a plays-major
+        # copy of any of them, another 4 MiB, would break the bound.
+        _force_workers(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            simulate(parse_rule("iid:eq"), n_firms=8, trials=2 * engine.CHUNK_TRIALS, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 12 * 2**20 < peak < 17 * 2**20
+
+    @pytest.mark.parametrize("spec, n, compared", [
+        ("fixed:0.1,0.3,0.5,0.7,0.9", 5, False),
+        ("same:0.4", 3, False),
+        ("iid:step:0.5", 3, False),
+        ("iid:eq", 3, True),
+    ])
+    def test_only_drawn_thresholds_are_compared_per_block(self, monkeypatch, spec, n, compared):
+        # Fixed thresholds, and thresholds that are all atoms, are the same in
+        # every block: whether two of them tie is decided once per worker.
+        # Drawn thresholds are compared in every block.
+        calls = []
+        real = engine._ties
+
+        def ties(t, scratch):
+            calls.append(t.shape[1])
+            return real(t, scratch)
+
+        monkeypatch.setattr(engine, "_ties", ties)
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", 3 * 4096)
+        trials = engine.CHUNK_TRIALS + 12_345
+        simulate(parse_rule(spec), n_firms=n, trials=trials, seed=3)
+        assert sum(calls) == (trials if compared else 0)
 
     @pytest.mark.parametrize("n, workers", [(2, 2), (16, 2), (17, 1), (64, 1)])
     def test_small_blocks_get_one_worker(self, monkeypatch, n, workers):

@@ -10,6 +10,7 @@ from conftest import random_mixed_piecewise_linear
 from thresholdgame.dists import MixedCdf, Piece
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
+    _grid,
     _nested_max,
     best_response_value,
     candidate_solution,
@@ -227,6 +228,20 @@ class TestVerifyEquilibrium:
         assert not report.passed
         # Profitable deviations exist, e.g. playing 0.9 wins 0.548 > 1/2.
         assert report.max_outside_gain > 1e-3 or report.max_support_deviation > 1e-3
+
+    @pytest.mark.parametrize("size", [2, 3, 1000, 10_000])
+    def test_grid_is_linspace_bit_for_bit(self, size):
+        # Random cells, [0, 1], and a cell whose step underflows to 0, which
+        # sends every cell through linspace's other branch.
+        rng = np.random.default_rng(size)
+        a = rng.random(64)
+        b = a + (1.0 - a) * rng.random(64)
+        for lo, hi in ((a, b), (np.array([0.0]), np.array([1.0])),
+                       (np.append(a, 0.0), np.append(b, 5e-324))):
+            got = _grid(lo, hi, size)
+            want = np.linspace(lo, hi, size, axis=1)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Every public parameter in [0, 1] takes numbers only, and every rule takes
 distributions only.
 
-A rule threshold, a quality, a step location or a threshold of
-``inversion_fixed`` is checked before it is converted with ``float()``: a
-bool would otherwise pass as 1.0 or 0.0 (``SameTest(True)`` simulated as a
-test of difficulty 1).  A ``Fraction`` stays accepted.  A rule built on
+A rule threshold, a quality, a step location, a bound of a uniform or of an
+equilibrium's interval or a threshold of ``inversion_fixed`` is checked
+before it is converted with ``float()``: a bool would otherwise pass as 1.0
+or 0.0 (``SameTest(True)`` simulated as a test of difficulty 1), and a
+string such as "0.5" as a number.  A ``Fraction`` stays accepted.  A rule built on
 anything but a ``MixedCdf`` raises when it is made, not when ``simulate``
 first draws from it.
 """
@@ -23,12 +24,13 @@ from thresholdgame.engine import (
     kendall_tau_fraction,
     play_game,
 )
-from thresholdgame.equilibrium import equilibrium_unrestricted
+from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import inversion_fixed
 
 EQ = equilibrium_unrestricted().dist
 
-#: name -> call taking the parameter; every call accepts 0.5.
+#: name -> call taking the parameter; every call accepts 0.5 and any other
+#: real number in [0, 1] it is given below.
 CALLS = {
     "SameTest(theta)": SameTest,
     "FixedThresholds(thresholds)": lambda v: FixedThresholds((v, 0.5)),
@@ -39,6 +41,10 @@ CALLS = {
     "kendall_tau_fraction(qualities)": lambda v: kendall_tau_fraction((0, 1), (v, 0.2)),
     "inversion_fixed(thresholds)": lambda v: inversion_fixed((0.25, v)),
     "MixedCdf.step(at)": MixedCdf.step,
+    "MixedCdf.uniform(lo)": lambda v: MixedCdf.uniform(v, 0.75),
+    "MixedCdf.uniform(hi)": lambda v: MixedCdf.uniform(0.25, v),
+    "equilibrium_interval(a)": lambda v: equilibrium_interval(v, 0.75),
+    "equilibrium_interval(b)": lambda v: equilibrium_interval(0.25, v),
 }
 
 
@@ -47,6 +53,20 @@ CALLS = {
 def test_rejects_a_bool(name, flag):
     with pytest.raises(ValueError, match="must be a number"):
         CALLS[name](flag)
+
+
+@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("value", ["0.5", b"0.5", None, 0.5j, [0.5], np.str_("0.5")])
+def test_rejects_what_is_not_a_real_number(name, value):
+    with pytest.raises(ValueError, match="must be a number"):
+        CALLS[name](value)
+
+
+def test_interval_bounds_reject_bools():
+    with pytest.raises(ValueError, match="must be a number"):
+        MixedCdf.uniform(False, True)
+    with pytest.raises(ValueError, match="must be a number"):
+        equilibrium_interval(False, True)
 
 
 @pytest.mark.parametrize("name", CALLS)
