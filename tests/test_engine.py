@@ -478,7 +478,7 @@ class TestPairwiseKernel:
         # key and in quality.
         rng = np.random.default_rng(n)
         m = 400
-        # The plays of the rows-per-play draws, as one column each.
+        # Drawn one play a row, as they always were, and scored one play a column.
         q = rng.integers(0, 5, (m, n)).T / 4
         t = rng.integers(0, 3, (m, n)).T / 2
         tie = rng.integers(0, 3, m) / 4 if n == 2 else rng.integers(0, 2, (m, n)).T / 2
@@ -629,8 +629,8 @@ class TestSimulate:
             _force_workers(monkeypatch, workers)
             assert _summary_hex(simulate(SMALL_ATOM, n_firms=n, trials=trials, seed=seed)) == want
 
-    @pytest.mark.parametrize("spec, n", [*RULE_KINDS, *[pytest.param(SMALL_ATOM, n, id=f"SMALL_ATOM-{n}")
-                                                        for n in (2, 3)]])
+    @pytest.mark.parametrize("spec, n", [
+        *RULE_KINDS, *[pytest.param(SMALL_ATOM, n, id=f"SMALL_ATOM-{n}") for n in (2, 3)]])
     def test_small_tiles_change_no_bit(self, monkeypatch, spec, n):
         # Tiles of 3 plays in blocks of at most 512 values per worker, on
         # chunks of 2,000 plays and a last one of 1,001: some block of each
