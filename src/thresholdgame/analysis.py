@@ -5,11 +5,11 @@ correlated tests, optimal i.i.d. tests, the best interval-restricted
 equilibrium, the unrestricted equilibrium, and the single-test baseline, plus
 the Price-of-Anarchy ratios between the equilibrium and the principal's
 optima.  Also searches over restriction intervals [a, b] for the equilibrium
-the principal likes best.  The search scores each row of grid cells, and
-each round of its refinement's nested grids (``equilibrium._nested_max``), as
-one batch of piece tables built from the equilibrium's closed form
-(``equilibrium._interval_cells``), verified and summed by the same routines
-as a single ``MixedCdf``.
+the principal likes best.  The search scores every cell of its grid, row by
+row in order, in one batch, and each round of its refinement's nested grids
+(``equilibrium._nested_max``) in another: piece tables built from the
+equilibrium's closed form (``equilibrium._interval_cells``), verified and
+summed by the same routines as a single ``MixedCdf``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from thresholdgame.dists import _check_nonnegative
+from thresholdgame.dists import _check_nonnegative, _check_real
 from thresholdgame.engine import _as_count
 from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells, _nested_max
 from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
@@ -97,11 +97,13 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     rounds of nested grids that narrow the bracket by 4**-14.
     ``resolution``, the grid step and the refinement half-width, must be a
     number in (0, 1].  Cells are rounded to 12 digits, and the result is the
-    cell scored.  Each a's row of cells is one batch, and so is each round
-    of refinement; every cell scored is verified by ``verify_equilibrium``'s
+    cell scored; the grid's best is its first strict minimum, a's rows in
+    order.  The whole grid is one batch, and so is each round of
+    refinement; every cell scored is verified by ``verify_equilibrium``'s
     routine at grid size 1000 and tol 1e-8, and a failure raises
     ``RuntimeError``.
     """
+    _check_real("resolution", resolution)
     resolution = float(resolution)
     if not 0.0 < resolution <= 1.0:
         raise ValueError("resolution must lie in (0, 1]")
@@ -111,21 +113,19 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     # an integer k; rounding as the cells do keeps 1 + 2e-16 as 1.
     b_grid = b_grid[np.round(b_grid, 12) <= 1.0]
 
-    b_cells = _round_cells(b_grid)
-    best = (np.inf, 0.0, 1.0)
-    for a in a_grid:
-        cell_a = round(float(a), 12)
+    a_cells, b_cells = _round_cells(a_grid), _round_cells(b_grid)
+    rows = []
+    for a, cell_a in zip(a_grid, a_cells):
         # a < b after the rounding: 0.954 and 0.954 + 1e-16 make no interval.
         above = b_cells > cell_a
         interior = np.flatnonzero(above & ((1.0 - a) * b_grid > 0.5))
         boundary = np.flatnonzero(above & ((1.0 - a) * b_grid <= 0.5))
-        cell_b = b_cells[np.concatenate([interior, boundary[-1:]])]
-        values = _interval_cells(np.full(len(cell_b), cell_a), cell_b)[0]
-        for b, value in zip(cell_b, values):
-            if value < best[0]:
-                best = (float(value), cell_a, float(b))
-
-    value, a_star, b_star = best
+        rows.append(np.concatenate([interior, boundary[-1:]]))
+    cells_a = np.repeat(a_cells, [len(row) for row in rows])
+    cells_b = b_cells[np.concatenate(rows)]
+    values = _interval_cells(cells_a, cells_b)[0]
+    best = int(np.argmin(values))  # the first minimum, in row order
+    value, a_star, b_star = float(values[best]), float(cells_a[best]), float(cells_b[best])
     if refine:
         for _ in range(2):
             b_star, value = _refine(lambda b: (np.full(len(b), a_star), b),

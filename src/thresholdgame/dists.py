@@ -84,13 +84,19 @@ def _unit_points(values, name: str = "threshold") -> np.ndarray:
     return arr
 
 
-def _check_unit_params(name: str, *values) -> None:
-    """Raise unless every parameter is a real number in [0, 1] (see
-    Conventions).  Call it before ``float()``: True and False would pass as
+def _check_real(name: str, *values) -> None:
+    """Raise unless every value is a real number, such as a float or a
+    ``Fraction``.  Call it before ``float()``: True and False would pass as
     1 and 0, and a string such as "0.5" as a number."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is not Real
             raise ValueError(f"{name} must be a number, got {v!r}")
+
+
+def _check_unit_params(name: str, *values) -> None:
+    """Raise unless every parameter is a real number (:func:`_check_real`)
+    in [0, 1] (see Conventions)."""
+    _check_real(name, *values)
     if any(not 0 <= v <= 1 for v in values):  # NaN included
         raise ValueError(f"{name} outside [0, 1]")
 
@@ -173,13 +179,23 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         out[theta == 0.0] = 0.0
         return out
 
-    def support(self, theta, piece=None) -> np.ndarray:
+    def support(self, theta, piece=None, at_atom=None) -> np.ndarray:
         """Whether each point is an atom or lies in a rising piece, ends
-        included; ``piece`` as for :meth:`evaluate`."""
+        included; ``piece`` as for :meth:`evaluate`, and ``at_atom``, when
+        given, whether each point is an atom."""
         rising = ((self.c1 > 1e-12) | (self.c2 > 0.0)).ravel()
         piece = self.piece(theta) if piece is None else piece
-        return (rising[piece] | rising[self.piece(theta, left=True)]
-                | (theta == self.atom_at.T[:, :, None]).any(axis=0))
+        if at_atom is None:
+            at_atom = (theta == self.atom_at.T[:, :, None]).any(axis=0)
+        out = rising[piece] | at_atom
+        # The lows are sorted, so a point's left piece is its piece unless the
+        # point is that piece's low: only there count again, past any empty
+        # pieces that share the low.
+        cell, point = np.nonzero(theta == self.lo.ravel()[piece])
+        left = ((theta[cell, point, None] > self.lo[cell, 1:]).sum(axis=1)
+                + cell * self.lo.shape[1])
+        out[cell, point] |= rising[left]
+        return out
 
 
 def _piece_table(lo, hi, c0, c1, c2, atom_at, atom_mass) -> _PieceTable:

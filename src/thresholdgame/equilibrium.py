@@ -71,10 +71,17 @@ def _opponent_terms(thetas, table, piece=None):
     """The arguments of :func:`_payoff` at ``thetas``, a (cells, points) array,
     against each cell's cdf in ``table``: its failure probability ``phi``,
     ``T = cdf - atom_mass / 2`` (an exact tie is won half the time) and
-    ``Gamma = int_0^theta cdf``; ``piece`` as for ``table.evaluate``."""
-    cdf, gamma = table.evaluate(thetas, integral=True, piece=piece)
-    mass = np.where(thetas == table.atom_at.T[:, :, None], table.atom_mass.T[:, :, None], 0.0)
-    return thetas, 1.0 - table.total, cdf - 0.5 * mass.sum(axis=0), gamma
+    ``Gamma = int_0^theta cdf``; ``piece`` as for ``table.evaluate``.  Also
+    returns whether each point is an atom of its cell, for ``table.support``.
+    A cell's atoms sit at distinct points, so each point loses at most one
+    half mass."""
+    t_val, gamma = table.evaluate(thetas, integral=True, piece=piece)
+    at_atom = np.zeros(thetas.shape, dtype=bool)
+    for at, mass in zip(table.atom_at.T, table.atom_mass.T):
+        hit = thetas == at[:, None]
+        np.subtract(t_val, 0.5 * mass[:, None], out=t_val, where=hit)
+        at_atom |= hit
+    return (thetas, 1.0 - table.total, t_val, gamma), at_atom
 
 
 def _payoff(thetas, phi, t_val, gamma):
@@ -103,7 +110,7 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     strictly easier tests, plus half of the exact ties; failing only beats
     failers with strictly easier tests, plus half of those ties.
     """
-    terms = _opponent_terms(_unit_points(float(theta)).reshape(1, 1), opponent._table)
+    terms, _ = _opponent_terms(_unit_points(float(theta)).reshape(1, 1), opponent._table)
     theta, phi, t_val, gamma = (value.item() for value in terms)
     return PayoffProfile(theta=theta, win_pass=phi + (1.0 - theta) * t_val + gamma,
                          win_fail=theta * t_val - gamma, win_total=_payoff(*terms).item())
@@ -112,7 +119,8 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
 def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
     """Vectorized overall selection probability for each ``theta``."""
     arr = _unit_points(thetas)
-    return _payoff(*_opponent_terms(arr.reshape(1, -1), opponent._table)).reshape(arr.shape)[()]
+    terms, _ = _opponent_terms(arr.reshape(1, -1), opponent._table)
+    return _payoff(*terms).reshape(arr.shape)[()]
 
 
 def selection_probability(theta: float, opponent: MixedCdf) -> float:
@@ -233,6 +241,7 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
 def candidate_solution(dist: MixedCdf,
                        interval: tuple[float, float] = (0.0, 1.0)) -> EquilibriumSolution:
     """Wrap a distribution, whose mass must lie in ``interval``, for verification."""
+    _check_unit_params("interval bound", interval[0], interval[1])
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
@@ -286,18 +295,19 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
 
 
 def _grid(a, b, size: int) -> np.ndarray:
-    """``np.linspace(a, b, size, axis=1)`` for arrays of cells and
+    """Row i is ``np.linspace(a[i], b[i], size)`` for arrays of cells and
     ``size >= 2``, bit for bit, in one multiply-add: ``a + k * step`` with
-    the exact b last, or ``a + (k / (size - 1)) * (b - a)`` for every cell
-    when some cell's step underflows to 0, as linspace does."""
+    the exact b last, or ``a + (k / (size - 1)) * (b - a)`` in a cell whose
+    step underflows to 0, as linspace does.  So no cell's grid depends on
+    the cells beside it."""
     div = size - 1
     k = np.arange(size, dtype=float)
     delta = b - a
     step = delta / div
-    if np.any(step == 0):
-        k /= div
-        step = delta
     grid = np.multiply(step[:, None], k)
+    under = step == 0
+    if under.any():
+        grid[under] = np.multiply(delta[under, None], k / div)
     grid += a[:, None]
     grid[:, -1] = b
     return grid
@@ -311,34 +321,48 @@ def _verify(table, a, b, cut, grid_size: int, tol: float):
     thetas = np.concatenate([_grid(a, b, grid_size), np.stack([a, b, cut], axis=1),
                              np.clip(special, a[:, None], b[:, None])], axis=1)
     piece = table.piece(thetas)  # shared by the terms and the support
-    return _margins(*_opponent_terms(thetas, table, piece), table.support(thetas, piece), tol)
+    terms, at_atom = _opponent_terms(thetas, table, piece)
+    return _margins(*terms, table.support(thetas, piece, at_atom), tol)
 
 
 #: Cells per block of :func:`_interval_cells`: about 2**13 points, 1,132 a cell.
 _BLOCK_CELLS = 7
+
+#: Cells per slab of :func:`_interval_cells`, a whole number of blocks.
+_SLAB_CELLS = 32 * _BLOCK_CELLS
 
 
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
     equilibrium for arrays of cells, each checked by :func:`_interval_params`
     and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure
-    raises ``RuntimeError``) and valued by :func:`_iid_error`, in blocks of
-    :data:`_BLOCK_CELLS` cells that bound the memory."""
+    raises ``RuntimeError``) and valued by :func:`_iid_error`.  Every result
+    is the cell's own, whatever cells come with it.  The closed forms are
+    built a slab of :data:`_SLAB_CELLS` cells at a time, and each slab is
+    verified and valued in blocks of :data:`_BLOCK_CELLS` cells: a slab
+    bounds the tables held and a block the verification points, so beyond
+    the cells and results memory does not grow with the number of cells."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
-    _, _, table, cut, _, sound = _interval_params(a, b)
-    value, support_dev, outside_gain = (np.empty_like(a) for _ in range(3))
-    for s in range(0, len(a), _BLOCK_CELLS):
-        k = slice(s, s + _BLOCK_CELLS)
-        block = type(table)(*(values[k] for values in table))
-        support_dev[k], outside_gain[k], passed = _verify(block, a[k], b[k], cut[k], 1000, 1e-8)
-        value[k] = _iid_error(block)
-        if not np.all(passed & sound[k]):
-            i = s + np.argmin(passed & sound[k])
-            raise RuntimeError(f"constructed equilibrium on [{a[i]}, {b[i]}] failed verification"
-                               f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
-    return value, support_dev, outside_gain
+    results = tuple(np.empty_like(a) for _ in range(3))
+    for start in range(0, len(a), _SLAB_CELLS):
+        slab = slice(start, start + _SLAB_CELLS)
+        sa, sb = a[slab], b[slab]
+        value, support_dev, outside_gain = (r[slab] for r in results)  # views
+        _, _, table, cut, _, sound = _interval_params(sa, sb)
+        for s in range(0, len(sa), _BLOCK_CELLS):
+            k = slice(s, s + _BLOCK_CELLS)
+            block = type(table)(*(values[k] for values in table))
+            support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], cut[k],
+                                                              1000, 1e-8)
+            value[k] = _iid_error(block)
+            if not np.all(passed & sound[k]):
+                i = s + np.argmin(passed & sound[k])
+                raise RuntimeError(
+                    f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
+                    f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
+    return results
 
 
 def _nested_max(f, lo: float, hi: float, rounds: int):
@@ -370,6 +394,7 @@ def best_response_value(opponent: MixedCdf, grid_size: int = 1000,
     grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
+    _check_unit_params("interval bound", interval[0], interval[1])
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("need 0 <= lo < hi <= 1")

@@ -4,7 +4,10 @@ The library evaluates the error functional through one-dimensional
 reductions; the tests check those against an adaptive tensor quadrature of
 the original double integrals, which shares no code with them.  The quantile
 function is checked against a per-record loop over ``searchsorted`` indices,
-which shares only the table of quantile records with it.
+which shares only the table of quantile records with it.  The verifier's
+opponent terms and support are checked against the direct formula: every
+atom's mass summed over an (atoms, cells, points) array and a second full
+piece lookup for the left limits.
 """
 
 from functools import lru_cache
@@ -32,6 +35,21 @@ def quantile_reference(d, u):
             g = np.clip((u[mask] - c0) / s, -1.0, 1.0)
             out[mask] = 0.5 * (1.0 + g / np.sqrt(2.0 - g * g))
     return np.clip(out, 0.0, 1.0)
+
+
+def opponent_terms_reference(thetas, table):
+    """The arguments of ``equilibrium._payoff`` at ``thetas``, a (cells,
+    points) array, and whether each point is in the support: ``T`` subtracts
+    half of every atom's mass at the point, summed over all atoms, and a
+    point is in the support when it is an atom or its piece or its left
+    piece (both looked up in full) is rising."""
+    cdf, gamma = table.evaluate(thetas, integral=True)
+    at_atom = thetas == table.atom_at.T[:, :, None]
+    mass = np.where(at_atom, table.atom_mass.T[:, :, None], 0.0)
+    rising = ((table.c1 > 1e-12) | (table.c2 > 0.0)).ravel()
+    support = (rising[table.piece(thetas)] | rising[table.piece(thetas, left=True)]
+               | at_atom.any(axis=0))
+    return (thetas, 1.0 - table.total, cdf - 0.5 * mass.sum(axis=0), gamma), support
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Tests for the five-regime report and the restriction-interval search."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -236,6 +237,35 @@ class TestBatchedCells:
         patch_margins(monkeypatch, fail=cell)
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
             search_best_interval(resolution=0.05)
+
+    @pytest.mark.parametrize("resolution", [0.05, 0.01])
+    def test_all_rows_at_once_equal_row_by_row(self, monkeypatch, resolution):
+        cells = grid_cells(resolution)
+        rows = [np.array(list(row)).T for _, row in itertools.groupby(cells, lambda c: c[0])]
+        want = [np.concatenate(parts) for parts in zip(*(_interval_cells(*row) for row in rows))]
+        # The default slab, and slabs of one and two blocks, which cross rows.
+        for slab in (equilibrium._SLAB_CELLS, equilibrium._BLOCK_CELLS,
+                     2 * equilibrium._BLOCK_CELLS):
+            monkeypatch.setattr(equilibrium, "_SLAB_CELLS", slab)
+            got = _interval_cells(*np.array(cells).T)
+            for name, g, w in zip(("value", "support_dev", "outside_gain"), got, want):
+                assert list(map(float.hex, g.tolist())) == list(map(float.hex, w.tolist())), name
+        # The grid phase keeps the first strict minimum, in row order.
+        best = (math.inf, None)
+        for cell, value in zip(cells, want[0]):
+            if value < best[0]:
+                best = (value, cell)
+        result = search_best_interval(resolution=resolution, refine=False)
+        assert (result.value, (result.a, result.b)) == best
+
+    def test_grid_phase_builds_closed_forms_a_slab_at_a_time(self, monkeypatch):
+        sizes = []
+        original = equilibrium._interval_params
+        monkeypatch.setattr(equilibrium, "_interval_params",
+                            lambda a, b: sizes.append(len(a)) or original(a, b))
+        search_best_interval(resolution=0.01, refine=False)
+        assert sum(sizes) == len(grid_cells(0.01)) == 1684
+        assert len(sizes) <= math.ceil(1684 / equilibrium._SLAB_CELLS)
 
     def test_memory_is_set_by_the_block_not_the_cell_count(self):
         search_best_interval(resolution=0.5, refine=False)  # load the node table first

@@ -7,10 +7,16 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
+from oracles import opponent_terms_reference
+from thresholdgame import equilibrium
 from thresholdgame.dists import MixedCdf, Piece
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
     _grid,
+    _interval_cells,
+    _interval_params,
+    _margins,
+    _verify,
     _nested_max,
     best_response_value,
     candidate_solution,
@@ -232,16 +238,26 @@ class TestVerifyEquilibrium:
     @pytest.mark.parametrize("size", [2, 3, 1000, 10_000])
     def test_grid_is_linspace_bit_for_bit(self, size):
         # Random cells, [0, 1], and a cell whose step underflows to 0, which
-        # sends every cell through linspace's other branch.
+        # takes linspace's other branch; each row is linspace on its own cell,
+        # whatever cells share the block.
         rng = np.random.default_rng(size)
         a = rng.random(64)
         b = a + (1.0 - a) * rng.random(64)
         for lo, hi in ((a, b), (np.array([0.0]), np.array([1.0])),
                        (np.append(a, 0.0), np.append(b, 5e-324))):
             got = _grid(lo, hi, size)
-            want = np.linspace(lo, hi, size, axis=1)
+            want = np.array([np.linspace(x, y, size) for x, y in zip(lo, hi)])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    def test_an_underflowing_cell_leaves_its_block_alone(self):
+        # The step of [0, 5e-322] underflows to 0 on a 1000-point grid; at one
+        # time it switched the whole block to linspace's other branch and gave
+        # [0.05, 0.8] a support deviation of 0x1.8p-52 instead of its own.
+        alone = verify_equilibrium(equilibrium_interval(0.05, 0.8), grid_size=1000, tol=1e-8)
+        _, support_dev, outside_gain = _interval_cells([0.0, 0.05], [5e-322, 0.8])
+        assert support_dev[1].hex() == alone.max_support_deviation.hex() == "0x1.4000000000000p-52"
+        assert outside_gain[1].hex() == alone.max_outside_gain.hex()
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -283,6 +299,69 @@ class TestVerifyEquilibrium:
         # with its interval checks the same grid.
         candidate = candidate_solution(sol.dist, sol.interval)
         assert verify_equilibrium(candidate) == verify_equilibrium(sol)
+
+
+#: Cdfs with 0, 1 and 5 atoms.  Five atoms sit at 0 and 1, on a plateau's
+#: low and at the low of a rising piece; at 0.6 in "two_plateaus" a flat
+#: piece follows a flat piece, with no atom.
+VERIFIED_CDFS = {
+    "uniform": MixedCdf.uniform(0.25, 0.75),
+    "two_plateaus": MixedCdf.piecewise_linear([
+        (0.0, 0.0), (0.2, 0.0), (0.4, 0.5), (0.6, 0.5), (0.8, 0.5), (1.0, 1.0)]),
+    "eq": equilibrium_unrestricted().dist,
+    "step": MixedCdf.step(0.5),
+    "eq[0,0.79]": equilibrium_interval(0.0, 0.79).dist,
+    "five_atoms": MixedCdf.piecewise_linear([
+        (0.0, 0.1), (0.2, 0.2), (0.2, 0.3), (0.4, 0.4), (0.4, 0.5), (0.6, 0.5),
+        (0.6, 0.6), (0.9, 0.7), (1.0, 0.8), (1.0, 1.0)]),
+    **{f"random{seed}": random_mixed_piecewise_linear(np.random.default_rng(seed))
+       for seed in range(4)},
+}
+
+#: Step cells, whose empty pieces repeat lows, interior cells and the
+#: continuous [0, 1] cell, whose table holds an atom of mass 0 at 1.
+VERIFIED_CELLS = [(0.2, 0.5), (0.3, 0.5), (0.0, 5e-322), (0.0, 0.79), (0.0, 1.0),
+                  (0.3, 0.9), (0.1, 1.0)]
+
+
+class TestVerifierTerms:
+    """``_verify`` reads one atom test and one full piece lookup per point;
+    its terms, support and margins equal the direct formula bit for bit."""
+
+    def check(self, monkeypatch, table, a, b, cut):
+        seen = []
+        monkeypatch.setattr(equilibrium, "_margins",
+                            lambda *args: seen.append(args) or _margins(*args))
+        got = _verify(table, a, b, cut, 1000, 1e-8)
+        (thetas, phi, t_val, gamma, support, tol), = seen
+        # The points include every piece low and atom in [a, b].
+        for values in (table.lo, table.atom_at):
+            inside = (a[:, None] <= values) & (values <= b[:, None])
+            assert all(np.isin(v[m], t).all() for v, m, t in zip(values, inside, thetas))
+        terms, want_support = opponent_terms_reference(thetas, table)
+        for name, value, want in zip(("phi", "T", "Gamma"), (phi, t_val, gamma), terms[1:]):
+            assert value.tobytes() == want.tobytes(), name
+        np.testing.assert_array_equal(support, want_support)
+        want = _margins(*terms, want_support, tol)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("name", VERIFIED_CDFS)
+    def test_a_cdf_on_the_unit_interval(self, monkeypatch, name):
+        table = VERIFIED_CDFS[name]._table
+        self.check(monkeypatch, table, np.array([0.0]), np.array([1.0]), np.array([1.0]))
+
+    def test_interval_cells(self, monkeypatch):
+        a, b = np.array(VERIFIED_CELLS).T
+        step, _, table, cut, _, _ = _interval_params(a, b)
+        assert step.any() and (table.lo == table.hi).any()
+        self.check(monkeypatch, table, a, b, cut)
+
+    def test_support_mask_of_a_cdf(self):
+        thetas = np.linspace(0.0, 1.0, 101)
+        for d in VERIFIED_CDFS.values():
+            points = np.concatenate([thetas, d._table.lo.ravel(), d._table.atom_at.ravel()])
+            want = opponent_terms_reference(points.reshape(1, -1), d._table)[1]
+            np.testing.assert_array_equal(d.support_mask(points), want.ravel())
 
 
 class TestBestResponse:

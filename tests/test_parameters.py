@@ -1,13 +1,14 @@
 """Every public parameter in [0, 1] takes numbers only, and every rule takes
 distributions only.
 
-A rule threshold, a quality, a step location, a bound of a uniform or of an
-equilibrium's interval or a threshold of ``inversion_fixed`` is checked
-before it is converted with ``float()``: a bool would otherwise pass as 1.0
-or 0.0 (``SameTest(True)`` simulated as a test of difficulty 1), and a
-string such as "0.5" as a number.  A ``Fraction`` stays accepted.  A rule built on
-anything but a ``MixedCdf`` raises when it is made, not when ``simulate``
-first draws from it.
+A rule threshold, a quality, a step location, a bound of a uniform, of an
+equilibrium's interval or of the interval of ``candidate_solution`` and
+``best_response_value``, a threshold of ``inversion_fixed`` or the search's
+resolution is checked before it is converted with ``float()``: a bool would
+otherwise pass as 1.0 or 0.0 (``SameTest(True)`` simulated as a test of
+difficulty 1), and a string such as "0.5" as a number.  A ``Fraction`` stays
+accepted.  A rule built on anything but a ``MixedCdf`` raises when it is
+made, not when ``simulate`` first draws from it.
 """
 
 from fractions import Fraction
@@ -24,7 +25,13 @@ from thresholdgame.engine import (
     kendall_tau_fraction,
     play_game,
 )
-from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
+from thresholdgame.analysis import search_best_interval
+from thresholdgame.equilibrium import (
+    best_response_value,
+    candidate_solution,
+    equilibrium_interval,
+    equilibrium_unrestricted,
+)
 from thresholdgame.inversion import inversion_fixed
 
 EQ = equilibrium_unrestricted().dist
@@ -45,6 +52,14 @@ CALLS = {
     "MixedCdf.uniform(hi)": lambda v: MixedCdf.uniform(0.25, v),
     "equilibrium_interval(a)": lambda v: equilibrium_interval(v, 0.75),
     "equilibrium_interval(b)": lambda v: equilibrium_interval(0.25, v),
+    "candidate_solution(interval a)": lambda v: candidate_solution(MixedCdf.uniform(0.5, 0.75),
+                                                                   (v, 0.75)),
+    "candidate_solution(interval b)": lambda v: candidate_solution(MixedCdf.uniform(0.25, 0.5),
+                                                                   (0.25, v)),
+    "best_response_value(interval lo)": lambda v: best_response_value(EQ, interval=(v, 0.75)),
+    "best_response_value(interval hi)": lambda v: best_response_value(EQ, interval=(0.25, v)),
+    "search_best_interval(resolution)": lambda v: search_best_interval(refine=False,
+                                                                       resolution=v),
 }
 
 
