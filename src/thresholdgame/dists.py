@@ -107,19 +107,44 @@ def _check_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+# The row formulas work in place on their first temporary, which has the
+# shape of theta and so of the result: a verification block evaluates them
+# at thousands of points, and dropping a fresh array per operation took
+# search_best_interval(resolution=0.01) from 266 to 220 ms in one process.
+# Each step forms the sum or product the plain expression forms (the two
+# operands may swap, which rounds alike), so no bit moves.
+
+
 def _radius(theta):
-    rest = 1.0 - theta
-    return np.sqrt(theta * theta + rest * rest)
+    """``sqrt(theta^2 + (1 - theta)^2)``."""
+    square = 1.0 - theta
+    square *= square
+    square += theta * theta
+    return np.sqrt(square)
 
 
 def _row_cdf(c0, c1, c2, theta, r=None):
-    """The cdf at ``theta`` of rows ``(c0, c1, c2)``; ``r`` is ``_radius(theta)``."""
-    return c0 + c1 * theta + c2 * (2.0 * theta - 1.0) / (_radius(theta) if r is None else r)
+    """The cdf ``c0 + c1 t + c2 (2t - 1) / r`` at ``theta`` of rows
+    ``(c0, c1, c2)``, which broadcast to theta's shape; ``r`` is
+    ``_radius(theta)``."""
+    arc = 2.0 * theta
+    arc -= 1.0
+    arc *= c2
+    arc /= _radius(theta) if r is None else r
+    out = c1 * theta
+    out += c0
+    out += arc
+    return out
 
 
 def _row_integral(c0, c1, c2, theta, r=None):
-    # An antiderivative of _row_cdf: d r / dt = (2t-1) / r.
-    return (c0 + 0.5 * c1 * theta) * theta + c2 * (_radius(theta) if r is None else r)
+    """An antiderivative ``(c0 + c1 t / 2) t + c2 r`` of :func:`_row_cdf`,
+    as d r / dt = (2t - 1) / r."""
+    out = 0.5 * c1 * theta
+    out += c0
+    out *= theta
+    out += c2 * (_radius(theta) if r is None else r)
+    return out
 
 
 def _quantile_record(record, u, out, scratch=None) -> None:
@@ -171,8 +196,10 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         cdf[theta == 1.0] = 1.0
         if not integral:
             return cdf
-        return cdf, self.prefix.ravel()[piece] + (_row_integral(*rows, theta, r)
-                                                  - self.anti_lo.ravel()[piece])
+        gamma = _row_integral(*rows, theta, r)
+        gamma -= self.anti_lo.ravel()[piece]
+        gamma += self.prefix.ravel()[piece]
+        return cdf, gamma
 
     def left_limit(self, theta) -> np.ndarray:
         out = _row_cdf(*self.rows(self.piece(theta, left=True)), theta)

@@ -7,7 +7,8 @@ function is checked against a per-record loop over ``searchsorted`` indices,
 which shares only the table of quantile records with it.  The verifier's
 opponent terms and support are checked against the direct formula: every
 atom's mass summed over an (atoms, cells, points) array and a second full
-piece lookup for the left limits.
+piece lookup for the left limits.  The row formulas, which work in place,
+are checked against the plain expressions.
 """
 
 from functools import lru_cache
@@ -35,6 +36,18 @@ def quantile_reference(d, u):
             g = np.clip((u[mask] - c0) / s, -1.0, 1.0)
             out[mask] = 0.5 * (1.0 + g / np.sqrt(2.0 - g * g))
     return np.clip(out, 0.0, 1.0)
+
+
+def row_cdf_reference(c0, c1, c2, theta):
+    """The cdf of rows ``(c0, c1, c2)`` at ``theta``, as one expression."""
+    r = np.sqrt(theta * theta + (1.0 - theta) * (1.0 - theta))
+    return c0 + c1 * theta + c2 * (2.0 * theta - 1.0) / r
+
+
+def row_integral_reference(c0, c1, c2, theta):
+    """The antiderivative of :func:`row_cdf_reference`, as one expression."""
+    r = np.sqrt(theta * theta + (1.0 - theta) * (1.0 - theta))
+    return (c0 + 0.5 * c1 * theta) * theta + c2 * r
 
 
 def opponent_terms_reference(thetas, table):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import random_mixed_piecewise_linear
-from oracles import quantile_reference
-from thresholdgame.dists import MixedCdf, Piece, quantile_to_quality
+from oracles import quantile_reference, row_cdf_reference, row_integral_reference
+from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _row_integral, quantile_to_quality
 from thresholdgame.engine import parse_dist
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 
@@ -424,6 +424,24 @@ class TestRecipe:
 GOLDEN_EVALUATIONS = json.loads(
     (Path(__file__).parent / "golden" / "cdf_float_hex.json").read_text()
 )
+
+
+class TestRowFormulas:
+    """The in-place row formulas round as the plain expressions do."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bits_match_the_plain_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        # Rows of normal, tiny and zero coefficients.
+        scale = np.array([1.0, 1e-300, 0.0])[rng.integers(0, 3, (3, 5, 4))]
+        rows = rng.normal(size=(3, 5, 4)) * scale
+        # Points at 0, 1/2, 1 and at random; and rows broadcast against
+        # (ends, cells, pieces) points as the piece table builds them.
+        theta = np.concatenate([[0.0, 0.5, 1.0, 5e-324], rng.random(16)]).reshape(1, 5, 4)
+        for t in (theta, np.concatenate([theta, rng.random((1, 5, 4))])):
+            assert _row_cdf(*rows, t).tobytes() == row_cdf_reference(*rows, t).tobytes()
+            assert (_row_integral(*rows, t).tobytes()
+                    == row_integral_reference(*rows, t).tobytes())
 
 
 class TestEvaluationGoldens:
