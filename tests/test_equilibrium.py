@@ -16,8 +16,8 @@ from thresholdgame.equilibrium import (
     _interval_cells,
     _interval_params,
     _margins,
-    _verify,
     _nested_max,
+    _verify,
     best_response_value,
     candidate_solution,
     equilibrium_interval,
@@ -251,9 +251,9 @@ class TestVerifyEquilibrium:
             assert got.tobytes() == want.tobytes()
 
     def test_an_underflowing_cell_leaves_its_block_alone(self):
-        # The step of [0, 5e-322] underflows to 0 on a 1000-point grid; at one
-        # time it switched the whole block to linspace's other branch and gave
-        # [0.05, 0.8] a support deviation of 0x1.8p-52 instead of its own.
+        # The step of [0, 5e-322] underflows to 0 on a 1000-point grid; the
+        # cell beside it keeps its own grid and margins (linspace's other
+        # branch on its grid would give 0x1.8p-52).
         alone = verify_equilibrium(equilibrium_interval(0.05, 0.8), grid_size=1000, tol=1e-8)
         _, support_dev, outside_gain = _interval_cells([0.0, 0.05], [5e-322, 0.8])
         assert support_dev[1].hex() == alone.max_support_deviation.hex() == "0x1.4000000000000p-52"
