@@ -110,7 +110,8 @@ def _check_nonnegative(name: str, value) -> None:
 # The row formulas work in place on their first temporary, which has the
 # shape of theta and so of the result: a verification block evaluates them
 # at thousands of points, and dropping a fresh array per operation took
-# search_best_interval(resolution=0.01) from 266 to 220 ms in one process.
+# search_best_interval(resolution=0.01) from 266 to 220 ms (one process,
+# 2-vCPU Xeon, numpy 2.4).
 # Each step forms the sum or product the plain expression forms (the two
 # operands may swap, which rounds alike), so no bit moves.
 
