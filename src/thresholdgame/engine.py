@@ -26,18 +26,19 @@ of about 2**19 values, or one chunk's plays if that is less, so memory grows
 neither with the firm count nor with W.  A block is held only firm-major,
 one row per firm, so that the kernel reads contiguous rows.  The stream is
 plays-major: each of its segments (qualities, uniforms, tie draws) is read
-through its own generator, placed with ``Philox.advance``, into a small
-plays-major tile of about 2**15 values and copied tile by tile into the
-block's rows, so the draws, and every seeded result, are those of one
-generator read straight through.  Uniforms are inverted into thresholds in
-their rows.  A rule that draws no thresholds (a fixed test, or a single
-atom for every firm) fills its thresholds once per worker and decides once
-whether two of them are equal; its uniforms are never drawn, and the tie
-draws keep their place in the stream.  A block reads its tie draws only if
-two firms of one of its plays share a threshold, the one case a tie draw
-decides: a block without such a play skips them, and the next block that
-reads them places its generator at its own part of the segment, so no draw
-moves.
+through its own generator into a small plays-major tile of about 2**15
+values and copied tile by tile into the block's rows, so the draws, and
+every seeded result, are those of one generator read straight through.
+Each worker builds its three generators once, with no OS entropy, and
+places them for every segment by setting the Philox key and counter.
+Uniforms are inverted into thresholds in their rows.  A rule that draws no
+thresholds (a fixed test, or a single atom for every firm) fills its
+thresholds once per worker and decides once whether two of them are equal;
+its uniforms are never drawn, and the tie draws keep their place in the
+stream.  A block reads its tie draws only if two firms of one of its plays
+share a threshold, the one case a tie draw decides: a block without such a
+play skips them, and the next block that reads them places its generator
+at its own part of the segment, so no draw moves.
 
 The Monte Carlo kernel sorts nothing.  For every pair of firms it decides
 which one ranks higher: a lone passer, else the harder test, else the random
@@ -45,7 +46,9 @@ tie key (a single fair draw per play when there are two firms).  It then
 counts the pair as inverted when the lower-ranked firm has the strictly
 higher quality.  A total order is fixed by its pairs, so the inversion
 count and the winner equal those of a stable sort on (passed, threshold,
-tie key), for any number of firms.
+tie key), for any number of firms.  With two firms each play's fraction
+of inverted pairs is 0 or 1, so a chunk's sums are the count of its
+inverted plays, exactly.
 """
 
 from __future__ import annotations
@@ -365,12 +368,24 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream(seed: int, chunk: int, offset: int = 0) -> np.random.Generator:
-    """The generator of chunk ``chunk``, placed ``offset`` draws of
-    ``random()`` into its stream: a Philox counter step holds four draws."""
-    bits = np.random.Philox(key=seed + (chunk << 64))
-    bits.advance(offset // 4)
-    gen = np.random.Generator(bits)
+def _stream(gen: np.random.Generator, seed: int, chunk: int,
+            offset: int = 0) -> np.random.Generator:
+    """Place ``gen``, a Philox generator, ``offset`` draws of ``random()``
+    into the stream of chunk ``chunk`` and return it.
+
+    The stream is that of ``Philox(key=seed + (chunk << 64))``: setting the
+    key words ``(seed, chunk)``, the counter and an empty buffer gives the
+    state of such a generator advanced by ``offset // 4`` counter steps,
+    four draws each, without building one, which would also read 16 bytes
+    of OS entropy only for the key to override them.  The other ``offset %
+    4`` draws are read and dropped.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([offset // 4, 0, 0, 0], dtype=np.uint64),
+                  "key": np.array([seed, chunk], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
     gen.random(offset % 4)
     return gen
 
@@ -385,13 +400,17 @@ class _ChunkArrays:
     plays-major, and each segment reaches the rows through ``stage``, a tile
     of ``len(stage)`` plays.  ``fixed`` holds the thresholds of a rule that draws
     none, with whether two of them are equal, once ``t`` has been filled
-    with them; ``inv`` holds a whole chunk's inversion counts and ``frac``
-    its misordered fractions.  Short blocks and chunks use leading slices.
+    with them; ``inv`` holds a whole chunk's inversion counts and, with
+    three firms or more, ``frac`` its misordered fractions and then their
+    squares.  Short blocks and chunks use leading slices.  ``streams`` are
+    the generators of the qualities, uniforms and tie draws, built once
+    without entropy and placed by ``_stream`` for every chunk.
     """
 
     def __init__(self, n: int, plays: int, workers: int = 1):
         self.rows = rows = max(1, min(plays, _BLOCK_VALUES // n) // workers)
         self.pairs = n * (n - 1) // 2
+        self.streams = tuple(np.random.Generator(np.random.Philox(0)) for _ in range(3))
         self.stage = np.empty((max(1, min(rows, _TILE_VALUES // n)), n))
         self.q = np.empty((n, rows))
         self.t = np.empty((n, rows))
@@ -400,7 +419,7 @@ class _ChunkArrays:
         self.top = np.empty((n, rows), dtype=bool)
         self.flags = np.empty((3, rows), dtype=bool)  # per-pair work rows
         self.inv = np.empty(plays, dtype=np.min_scalar_type(self.pairs))  # exact counts
-        self.frac = np.empty((2, plays))
+        self.frac = np.empty(plays) if self.pairs > 1 else None
         self.fixed = None
 
 
@@ -501,8 +520,10 @@ def _score_block(q: np.ndarray, t: np.ndarray, keys: np.ndarray | None, arrays: 
             top[j] &= ahead
             ahead &= np.greater(q[i], q[j], out=other)
             hit |= ahead
-            inv += hit
-    return np.count_nonzero(top, axis=1)
+            inv += hit.view(np.uint8)  # a bool operand is cast on every call
+    # One count per row: count_nonzero of a whole row counts its bytes in
+    # words, where the axis form sums through a cast.
+    return [np.count_nonzero(row) for row in top]
 
 
 def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
@@ -530,8 +551,9 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
     elif arrays.fixed is None or arrays.fixed[0] != fixed:
         arrays.t[...] = np.reshape(fixed, (n, 1))
         arrays.fixed = fixed, len(set(fixed)) < n
-    qualities = _stream(seed, c)
-    uniforms = _stream(seed, c, m * n) if fixed is None else None
+    q_gen, u_gen, tie_gen = arrays.streams
+    qualities = _stream(q_gen, seed, c)
+    uniforms = _stream(u_gen, seed, c, m * n) if fixed is None else None
     ties_start, per_play = m * n * (1 + drawn), 1 if n == 2 else n
     ties, ties_next = None, None  # the tie generator and the play it reads next
     wins = np.zeros(n, dtype=np.int64)
@@ -547,14 +569,18 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
         _read_rows(qualities, stage, q)
         if tied:
             if ties_next != r0:
-                ties = _stream(seed, c, ties_start + r0 * per_play)
+                ties = _stream(tie_gen, seed, c, ties_start + r0 * per_play)
             ties_next = r0 + b
             _read_rows(ties, stage, keys)
         wins += _score_block(q, t, keys if tied else None, arrays, arrays.inv[r0:r0 + b])
-    frac, frac_sq = arrays.frac[:, :m]
-    np.divide(arrays.inv[:m], arrays.pairs, out=frac)
-    np.multiply(frac, frac, out=frac_sq)
-    return float(np.sum(frac)), float(np.sum(frac_sq)), wins
+    if arrays.pairs == 1:
+        # Each fraction is 0.0 or 1.0 and its own square, and every partial
+        # sum of them below 2**53 is exact, so the count is both sums.
+        count = float(np.count_nonzero(arrays.inv[:m]))
+        return count, count, wins
+    frac = np.divide(arrays.inv[:m], arrays.pairs, out=arrays.frac[:m])
+    total = float(np.sum(frac))
+    return total, float(np.sum(np.multiply(frac, frac, out=frac))), wins
 
 
 def _run_chunks(rule: Rule, n: int, seed: int, trials: int):

@@ -511,6 +511,22 @@ class TestInverseAgainstOracle:
         listed = u[:40].tolist()
         assert d.inverse(listed).tobytes() == quantile_reference(d, listed).tobytes()
 
+    @pytest.mark.parametrize("d", [
+        MixedCdf((Piece(0.0, 1.0, 0.6, 0.0, 0.4),), ((0.0, 0.2),)),
+        MixedCdf.piecewise_linear([(0.0, 0.0), (0.0, 0.2), (1.0, 1.0)]),
+        MixedCdf.step(0.0),
+    ], ids=["arc", "line", "atom"])
+    def test_an_atom_at_zero_and_negative_zero(self, d):
+        # An atom at 0 is patched in as +0.0 bits, an arc table is not
+        # clipped, and -0.0 input falls in the first record's stretch.
+        assert d._quantile[1][0][1:] == (0.0, 0.0, "atom")
+        u = np.concatenate([[-0.0], self._points(d)])
+        for scratch in (None, np.empty_like(u)):
+            got = np.empty_like(u)
+            d._inverse_into(u, got, scratch)
+            assert got.tobytes() == quantile_reference(d, u).tobytes()
+        assert d.inverse(u).tobytes() == quantile_reference(d, u).tobytes()
+
     def test_writes_in_place(self):
         # The engine inverts its uniforms where they lie, with its own scratch.
         d = equilibrium_interval(0.3, 0.9).dist

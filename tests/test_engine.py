@@ -383,9 +383,9 @@ def _record_streams(monkeypatch):
     placed = []
     real = engine._stream
 
-    def stream(seed, chunk, offset=0):
+    def stream(gen, seed, chunk, offset=0):
         placed.append((chunk, offset))
-        return real(seed, chunk, offset)
+        return real(gen, seed, chunk, offset)
 
     monkeypatch.setattr(engine, "_stream", stream)
     return placed
@@ -830,3 +830,80 @@ class TestSimulate:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+def _philox_state(gen):
+    """The whole state of ``gen``'s Philox, comparable with ``==``."""
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+class TestChunkBookkeeping:
+    """Each worker places its own three generators by state, a two-firm chunk
+    sums by counting and the kernel counts wins row by row; none of these
+    may move a bit of the stream or of the sums."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec, n", [
+        ("same:0.4", 2), ("same:0.4", 3),
+        ("fixed:0.3,0.7", 2), ("fixed:0.1,0.5,0.9", 3),
+        ("iid:eq:0,0.79", 2), ("iid:eq:0,0.79", 3),
+        ("indep:eq;step:0.5", 2), ("indep:eq;uniform:0.2,0.6;step:0.5", 3),
+    ])
+    def test_simulate_reads_no_os_entropy(self, monkeypatch, spec, n, workers):
+        # numpy's SeedSequence() without a seed reads OS entropy through
+        # SystemRandom.getrandbits, which calls random._urandom.
+        import random
+
+        def urandom(size):
+            raise AssertionError("OS entropy was read")
+
+        rule, trials = parse_rule(spec), engine.CHUNK_TRIALS + 12_345
+        want = _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=6))
+        _force_workers(monkeypatch, workers)
+        monkeypatch.setattr(random, "_urandom", urandom)
+        with pytest.raises(AssertionError, match="entropy"):
+            np.random.Philox(key=6)
+        assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=6)) == want
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_a_placed_generator_is_the_keyed_stream_advanced(self, seed):
+        # One generator placed again and again, each time after reading on
+        # mid-stream, half a 64-bit word included.
+        offsets = [*range(10), *(2**20 + 4 * k + d for k in (-1, 0, 1) for d in (-1, 1))]
+        gen = np.random.Generator(np.random.Philox(0))
+        for chunk in (0, 1, 77):
+            for offset in offsets:
+                want = np.random.Generator(np.random.Philox(key=seed + (chunk << 64)))
+                want.bit_generator.advance(offset // 4)
+                want.random(offset % 4)
+                assert engine._stream(gen, seed, chunk, offset) is gen
+                assert _philox_state(gen) == _philox_state(want)
+                assert gen.random(7).tobytes() == want.random(7).tobytes()
+                gen.integers(0, 2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("m", [engine.CHUNK_TRIALS, 12_345])
+    @pytest.mark.parametrize("spec", ["iid:eq", "iid:eq:0,0.79", "same:0.5"])
+    def test_a_two_firm_chunk_sums_its_count(self, spec, m):
+        arrays = engine._ChunkArrays(2, m)
+        got = engine._simulate_chunk(parse_rule(spec), 2, 3, 1, m, arrays)
+        frac = np.divide(arrays.inv[:m], arrays.pairs)
+        assert 0 < got[0] < m
+        assert got[0].hex() == float(np.sum(frac)).hex()
+        assert got[1].hex() == float(np.sum(np.multiply(frac, frac))).hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_wins_are_counted_row_by_row(self, n):
+        # Thresholds on a grid of quarters, so that firms tie and the keys
+        # decide some pairs.
+        m = 5_000
+        rng = np.random.default_rng(n)
+        q, t = rng.random((n, m)), rng.integers(0, 5, (n, m)) / 4
+        draws = rng.random(m) if n == 2 else rng.random((n, m))
+        keys = np.array([draws < 0.5, draws >= 0.5]) if n == 2 else draws
+        arrays = engine._ChunkArrays(n, m)
+        wins = engine._score_block(q, t, keys, arrays, arrays.inv[:m])
+        assert list(wins) == list(np.count_nonzero(arrays.top[:, :m], axis=1))
+        assert sum(wins) == m and min(wins) > 0
