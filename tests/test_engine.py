@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import sys
 import threading
 import time
@@ -855,8 +856,6 @@ class TestChunkBookkeeping:
     def test_simulate_reads_no_os_entropy(self, monkeypatch, spec, n, workers):
         # numpy's SeedSequence() without a seed reads OS entropy through
         # SystemRandom.getrandbits, which calls random._urandom.
-        import random
-
         def urandom(size):
             raise AssertionError("OS entropy was read")
 
