@@ -8,27 +8,27 @@ closed-form pieces, plus finitely many point masses (atoms).
 
 :class:`MixedCdf` stores the cumulative distribution function as an ordered
 tiling of [0, 1] by analytic pieces together with an explicit atom list.  A
-:class:`Piece` is one row ``(c0, c1, c2)`` of the cdf
-``c0 + c1 t + c2 (2t-1) / r`` with ``r = sqrt(t^2 + (1-t)^2)``: a line
-``(level, slope, 0)`` or an arc of the equilibrium family
-``(offset, 0, scale)``.  Uniforms, steps and piecewise-linear cdfs build their
-lines from ``(theta, value)`` knots along one path.  In JSON an arc is an
-``arc`` segment with its ``offset`` and ``scale`` and a line a ``poly``
-segment with ``coeffs: [c0, c1]``.  The cdf's running integral is
-``(c0 + c1 t / 2) t + c2 r`` and its density ``c1 + c2 / r^3``.  One piece
-table (``_piece_table``) holds the rows with a leading cells axis: a cdf is
-one cell, the batched interval search many, with empty pieces
-(``lo == hi``).  A point's piece is the count of piece lows after the first
-that it reaches (``>=``), or for left limits passes (``>``), so no empty
-piece is found.  The cdf, its left limits, the running integral
-``int_0^theta cdf(t) dt``, the density and the support each gather the rows
-of the points' pieces and apply one formula.  The quantile function inverts
-each atom, line or arc in closed form from records built with the cdf,
-evaluating one record over all of u in place and patching the other
-records' stretches, read from comparisons of u against their upper ends.
-Storing formulas rather than sampled grids keeps breakpoints exact, which
-the per-piece quadrature in :mod:`thresholdgame.inversion` relies on to split
-its integration domain.
+piece is a plain row ``(lo, hi, c0, c1, c2)``: on [lo, hi) the cdf is
+``c0 + c1 t + c2 (2t-1) / r`` with ``r = sqrt(t^2 + (1-t)^2)``, a line
+``(lo, hi, level, slope, 0)`` or an arc of the equilibrium family
+``(lo, hi, offset, 0, scale)``, never both.  Uniforms, steps and
+piecewise-linear cdfs build their lines from ``(theta, value)`` knots along
+one path.  In JSON an arc is an ``arc`` segment with its ``offset`` and
+``scale`` and a line a ``poly`` segment with ``coeffs: [c0, c1]``.  The cdf's
+running integral is ``(c0 + c1 t / 2) t + c2 r`` and its density
+``c1 + c2 / r^3``.  One piece table (``_piece_table``), built once per cdf
+from the rows' columns, holds them with a leading cells axis: a cdf is one
+cell, the batched interval search many, with empty pieces (``lo == hi``).  A
+point's piece is the count of piece lows after the first that it reaches
+(``>=``), or for left limits passes (``>``), so no empty piece is found.  The
+cdf, its left limits, the running integral ``int_0^theta cdf(t) dt``, the
+density and the support each gather the rows of the points' pieces and apply
+one formula.  The quantile function inverts each atom, line or arc in closed
+form from records built with the cdf, evaluating one record over all of u in
+place and patching the other records' stretches, read from comparisons of u
+against their upper ends.  Storing formulas rather than sampled grids keeps
+breakpoints exact, which the per-piece quadrature in
+:mod:`thresholdgame.inversion` relies on to split its integration domain.
 
 A cdf built from a named family (uniform, step, the unrestricted equilibrium
 or its restriction to [a, b]) records that recipe in ``MixedCdf.family``.
@@ -64,7 +64,6 @@ import numpy as np
 
 __all__ = [
     "MixedCdf",
-    "Piece",
     "quantile_to_quality",
 ]
 
@@ -89,7 +88,8 @@ def _check_real(name: str, *values) -> None:
     ``Fraction``.  Call it before ``float()``: True and False would pass as
     1 and 0, and a string such as "0.5" as a number."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is not Real
+        if type(v) is not float and (isinstance(v, bool)  # np.bool_ is not Real
+                                     or not isinstance(v, numbers.Real)):
             raise ValueError(f"{name} must be a number, got {v!r}")
 
 
@@ -250,35 +250,6 @@ def _piece_table(lo, hi, c0, c1, c2, atom_at, atom_mass) -> _PieceTable:
     return _PieceTable(lo, hi, c0, c1, c2, anti_lo, prefix, runs[:, -1:], atom_at, atom_mass)
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One cdf piece on [lo, hi): its row ``(c0, c1, c2)``, the cdf
-    ``c0 + c1 t + c2 (2t-1) / sqrt(t^2 + (1-t)^2)``.
-
-    A line has ``c2 == 0`` and an arc of the equilibrium family ``c1 == 0``;
-    the quantile function inverts only these two, so ``c1`` and ``c2`` are
-    not both non-zero.
-    """
-
-    lo: float
-    hi: float
-    c0: float
-    c1: float = 0.0
-    c2: float = 0.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.lo, self.hi, self.c0, self.c1, self.c2))):
-            raise ValueError("piece parameters must be finite")
-        if self.c1 and self.c2:
-            raise ValueError("a piece is a line (c2 == 0) or an arc (c1 == 0)")
-
-    def to_segment_dict(self) -> dict:
-        if self.c2:
-            return {"kind": "arc", "lo": self.lo, "hi": self.hi,
-                    "offset": self.c0, "scale": self.c2}
-        return {"kind": "poly", "lo": self.lo, "hi": self.hi, "coeffs": [self.c0, self.c1]}
-
-
 def _check_numbers(name: str, values) -> None:
     """Raise unless ``values`` is a list of ints or floats, bools excluded:
     the one type check of serialized input."""
@@ -286,6 +257,15 @@ def _check_numbers(name: str, values) -> None:
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
     ):
         raise ValueError(f"{name}: expected numbers, got {values!r}")
+
+
+def _check_keys(where: str, data, keys) -> None:
+    """Raise unless ``data``, serialized input, is a dict holding ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got {data!r}")
+    missing = set(keys) - set(data)
+    if missing:
+        raise ValueError(f"missing keys {sorted(missing)} in {where}")
 
 
 _JUNCTION_TOL = 1e-9
@@ -309,53 +289,60 @@ _SEGMENT_FIELDS = {**_FAMILY_FIELDS, "poly": ("lo", "hi", "coeffs"),
 class MixedCdf:
     """A mixed (continuous + atoms) distribution over [0, 1].
 
-    ``pieces`` tile [0, 1]; each piece's row gives the full cdf on the closure
-    of its interval.  ``atoms`` lists the jump locations and masses; every
-    jump between adjacent pieces (or before the first / after the last piece)
-    must be declared as an atom.  ``family`` optionally records the recipe
-    the cdf was built from, which keeps serialization exact.
+    ``pieces`` are float rows ``(lo, hi, c0, c1, c2)`` that tile [0, 1]; each
+    row gives the full cdf on the closure of its interval.  ``atoms`` lists
+    the jump locations and masses; every jump between adjacent pieces (or
+    before the first / after the last piece) must be declared as an atom.
+    ``family`` optionally records the recipe, which keeps serialization exact.
     """
 
-    pieces: tuple
+    pieces: tuple[tuple[float, float, float, float, float], ...]
     atoms: tuple[tuple[float, float], ...] = ()
     family: tuple | None = None
     _table: _PieceTable = field(init=False, repr=False, compare=False)
-    _ends: list = field(init=False, repr=False, compare=False)
     _quantile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.pieces:
-            raise ValueError("MixedCdf needs at least one piece")
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        rows = np.array(self.pieces, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 5:
+            raise ValueError("MixedCdf needs at least one piece, a row (lo, hi, c0, c1, c2)")
+        for row in self.pieces:
+            _check_real("piece parameter", *row)
+        for atom in self.atoms:
+            _check_real("atom", *atom)
+        object.__setattr__(self, "pieces", tuple(map(tuple, rows.tolist())))
         object.__setattr__(
             self, "atoms", tuple((float(t), float(m)) for t, m in self.atoms)
         )
-        rows = np.array([(p.lo, p.hi, p.c0, p.c1, p.c2) for p in self.pieces], float)
-        rows = rows.T[:, None].copy()
+        columns = rows.T[:, None].copy()  # (lo, hi, c0, c1, c2), one cell
+        ends = self._validate(columns)
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2).T[:, None].copy()
-        object.__setattr__(self, "_table", _piece_table(*rows, *atoms))
-        # The cdf at every piece's (lo, hi), as floats for _validate and _quantile_table.
-        object.__setattr__(self, "_ends", _row_cdf(*rows[2:], rows[:2])[:, 0].tolist())
-        self._validate()
-        object.__setattr__(self, "_quantile", self._quantile_table())
+        object.__setattr__(self, "_table", _piece_table(*columns, *atoms))
+        object.__setattr__(self, "_quantile", self._quantile_table(columns[1:, 0], *ends))
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> None:
-        pieces = self.pieces
-        if abs(pieces[0].lo) > 0 or abs(pieces[-1].hi - 1.0) > 0:
+    def _validate(self, columns) -> list:
+        """Raise unless the (5, 1, pieces) columns ``(lo, hi, c0, c1, c2)``
+        and the atoms make a cdf; return the cdf at each piece's lo and hi as
+        two lists.  On a few pieces, Python floats check faster than numpy."""
+        lo, hi, c0, c1, c2 = columns[:, 0].tolist()
+        if not all(map(math.isfinite, lo + hi + c0 + c1 + c2)):
+            raise ValueError("piece parameters must be finite")
+        if any(slope and scale for slope, scale in zip(c1, c2)):
+            raise ValueError("a piece is a line (c2 == 0) or an arc (c1 == 0)")
+        if lo[0] != 0.0 or hi[-1] != 1.0:
             raise ValueError("pieces must tile [0, 1] exactly")
-        for left, right in zip(pieces, pieces[1:]):
-            if left.hi != right.lo:
-                raise ValueError("pieces must be contiguous")
-            if right.lo <= left.lo:
-                raise ValueError("pieces must have positive width and be ordered")
+        if hi[:-1] != lo[1:]:
+            raise ValueError("pieces must be contiguous")
+        if any(right <= left for left, right in zip(lo, hi)):
+            raise ValueError("pieces must have positive width and be ordered")
         # Every piece is linear or an arc, hence monotone, so comparing its
         # ends decides whether the cdf decreases along it.
-        v_lo, v_hi = self._ends
-        for piece, lo_val, hi_val in zip(pieces, v_lo, v_hi):
+        v_lo, v_hi = ends = _row_cdf(*columns[2:], columns[:2])[:, 0].tolist()
+        for left, right, lo_val, hi_val in zip(lo, hi, v_lo, v_hi):
             if hi_val < lo_val - _JUNCTION_TOL:
-                raise ValueError(f"cdf decreases on [{piece.lo}, {piece.hi}]")
+                raise ValueError(f"cdf decreases on [{left}, {right}]")
 
         atom_at = dict(self.atoms)
         if len(atom_at) != len(self.atoms):
@@ -365,24 +352,19 @@ class MixedCdf:
             if not mass > 0.0:  # NaN included
                 raise ValueError("atom mass must be positive")
 
-        # Jumps at piece junctions (and at 0 and 1) must match declared atoms.
-        junctions = [(0.0, 0.0, v_lo[0])]
-        junctions += [(p.hi, left, right) for p, left, right in zip(pieces, v_hi, v_lo[1:])]
-        junctions.append((1.0, v_hi[-1], 1.0))
-        seen = set()
-        for t, lo_val, hi_val in junctions:
-            jump = hi_val - lo_val
+        # Jumps at piece junctions (and at 0 and 1) must match declared atoms;
+        # a declared mass is positive, so this also rejects a drop.
+        junctions = [0.0, *lo[1:], 1.0]
+        jumps = [v_lo[0], *(right - left for left, right in zip(v_hi, v_lo[1:])), 1.0 - v_hi[-1]]
+        for t, jump in zip(junctions, jumps):
             declared = atom_at.get(t, 0.0)
             if abs(jump - declared) > _JUNCTION_TOL:
                 raise ValueError(
                     f"cdf jump {jump:.3e} at {t} does not match declared atom {declared:.3e}"
                 )
-            if jump < -_JUNCTION_TOL:
-                raise ValueError(f"cdf decreases at {t}")
-            if t in atom_at:
-                seen.add(t)
-        if seen != set(atom_at):
+        if not atom_at.keys() <= set(junctions):
             raise ValueError("atoms must sit at piece junctions (or at 0 or 1)")
+        return ends
 
     # -- evaluation ---------------------------------------------------------
 
@@ -423,7 +405,7 @@ class MixedCdf:
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        pts = {p.lo for p in self.pieces} | {1.0} | {loc for loc, _ in self.atoms}
+        pts = {*self._table.lo[0].tolist(), 1.0, *(loc for loc, _ in self.atoms)}
         return tuple(sorted(pts))
 
     def support_mask(self, thetas) -> np.ndarray:
@@ -438,10 +420,11 @@ class MixedCdf:
 
     # -- sampling -----------------------------------------------------------
 
-    def _quantile_table(self) -> tuple[list, tuple, int]:
-        # One record (upper, c0, s, kind) per stretch of u that maps to a
-        # single atom or piece: the stretch's upper end in u, then the atom
-        # location c0, the line (u - c0) / s, or the arc g = (u - c0) / s.
+    def _quantile_table(self, columns, v_lo: list, v_hi: list) -> tuple[list, tuple, int]:
+        # From the columns (hi, c0, c1, c2) and the cdf at the piece ends, one
+        # record (upper, c0, s, kind) per stretch of u that maps to a single
+        # atom or piece: the stretch's upper end in u, then the atom location
+        # c0, the line (u - c0) / s, or the arc g = (u - c0) / s.
         # Record i covers uppers[i-1] <= u < uppers[i]; the first reaches
         # down to 0 and the last up to 1.  _inverse_into evaluates the base
         # record over every u: the widest line or arc, since an atom's
@@ -450,13 +433,11 @@ class MixedCdf:
         atom_at = dict(self.atoms)
         if 0.0 in atom_at:
             records.append((atom_at[0.0], 0.0, 0.0, "atom"))
-        rows = np.concatenate(self._table[2:5]).tolist()  # (c0, c1, c2) of every piece
-        for piece, c0, c1, c2, v_lo, v_hi in zip(self.pieces, *rows, *self._ends):
-            if v_hi > v_lo:
-                records.append((v_hi, c0, c2, "arc") if c2 else (v_hi, c0, c1, "line"))
-            t = piece.hi
+        for t, c0, c1, c2, lo_val, hi_val in zip(*columns.tolist(), v_lo, v_hi):
+            if hi_val > lo_val:
+                records.append((hi_val, c0, c2, "arc") if c2 else (hi_val, c0, c1, "line"))
             if t in atom_at and t != 0.0:
-                records.append((v_hi + atom_at[t], float(t), 0.0, "atom"))
+                records.append((hi_val + atom_at[t], t, 0.0, "atom"))
         uppers = [r[0] for r in records]
         widths = [hi - lo for lo, hi in zip([0.0] + uppers, uppers[:-1] + [1.0])]
         base = max(range(len(records)), key=lambda i: (records[i][3] != "atom", widths[i]))
@@ -518,7 +499,9 @@ class MixedCdf:
             kind, *values = self.family
             segments = [{"kind": kind, **dict(zip(_FAMILY_FIELDS[kind], values))}]
         else:
-            segments = [p.to_segment_dict() for p in self.pieces]
+            segments = [{"kind": "arc", "lo": lo, "hi": hi, "offset": c0, "scale": c2} if c2
+                        else {"kind": "poly", "lo": lo, "hi": hi, "coeffs": [c0, c1]}
+                        for lo, hi, c0, c1, c2 in self.pieces]
         return {"segments": segments, "atoms": [[loc, mass] for loc, mass in self.atoms]}
 
     def to_json(self) -> str:
@@ -528,38 +511,45 @@ class MixedCdf:
     def from_dict(cls, data: dict) -> "MixedCdf":
         """Decode :meth:`to_dict`'s form.  Every value but a segment's ``kind``,
         each coefficient and each atom entry must be an int or a float."""
-        segments = data["segments"]
-        atoms = data.get("atoms", [])
+        _check_keys("a cdf", data, ("segments",))
+        segments, atoms = data["segments"], data.get("atoms", [])
+        for name, values in (("segments", segments), ("atoms", atoms)):
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
         for atom in atoms:
             _check_numbers("atom", atom)
+            if len(atom) != 2:
+                raise ValueError(f"an atom must be a [location, mass] pair, got {atom!r}")
         atoms = [tuple(a) for a in atoms]
+        rows = []
         for seg in segments:
+            _check_keys("a segment", seg, ("kind",))
             kind = seg["kind"]
-            if kind not in _SEGMENT_FIELDS:
+            if not isinstance(kind, str) or kind not in _SEGMENT_FIELDS:
                 raise ValueError(f"unknown segment kind {kind!r}")
             extra = set(seg) - {"kind", *_SEGMENT_FIELDS[kind]}
             if extra:
                 raise ValueError(f"unknown keys {sorted(extra)} in a {kind!r} segment")
+            _check_keys(f"a {kind!r} segment", seg, _SEGMENT_FIELDS[kind])
             for name, value in seg.items():
                 if name != "kind":
                     _check_numbers(name, value if name == "coeffs" else [value])
+            if kind == "poly":
+                if not 1 <= len(seg["coeffs"]) <= 2:
+                    raise ValueError("a poly piece has degree <= 1: one or two coefficients")
+                c0, c1 = (*seg["coeffs"], 0.0)[:2]
+                rows.append((seg["lo"], seg["hi"], c0, c1, 0.0))
+            elif kind == "arc":
+                rows.append((seg["lo"], seg["hi"], seg["offset"], 0.0, seg["scale"]))
         if len(segments) == 1 and kind in _FAMILY_FIELDS:  # seg is the only one
             d = cls.from_family(kind, *(seg[name] for name in _FAMILY_FIELDS[kind]))
             # A family's atoms follow from its parameters; given ones must agree.
             if "atoms" in data and atoms != list(d.atoms):
                 raise ValueError(f"atoms {atoms} differ from {kind!r}'s {list(d.atoms)}")
             return d
-        pieces = []
-        for seg in segments:
-            if seg["kind"] == "poly":
-                if not 1 <= len(seg["coeffs"]) <= 2:
-                    raise ValueError("a poly piece has degree <= 1: one or two coefficients")
-                pieces.append(Piece(seg["lo"], seg["hi"], *seg["coeffs"]))
-            elif seg["kind"] == "arc":
-                pieces.append(Piece(seg["lo"], seg["hi"], seg["offset"], 0.0, seg["scale"]))
-            else:
-                raise ValueError("family segments cannot be mixed with piece segments")
-        return cls(tuple(pieces), tuple(atoms))
+        if len(rows) < len(segments):
+            raise ValueError("family segments cannot be mixed with piece segments")
+        return cls(tuple(rows), tuple(atoms))
 
     @classmethod
     def from_json(cls, text: str) -> "MixedCdf":
@@ -607,8 +597,12 @@ class MixedCdf:
         Knots must be nondecreasing in both coordinates; a repeated ``theta``
         with increased value declares an atom of the difference.  The first
         knot must be ``(0, v0)`` (``v0 > 0`` puts an atom at 0) and the last
-        ``(1, 1)``.
+        ``(1, 1)``.  Every coordinate is a real number (see Conventions).
         """
+        if len(knots) < 2:
+            raise ValueError("piecewise_linear needs at least two knots")
+        for t, v in knots:
+            _check_real("knot", t, v)
         return cls._from_knots([(float(t), float(v)) for t, v in knots])
 
     @classmethod
@@ -626,7 +620,7 @@ class MixedCdf:
                 raise ValueError("knots must be nondecreasing")
             if t1 > t0:
                 slope = (v1 - v0) / (t1 - t0)
-                pieces.append(Piece(t0, t1, v0 - slope * t0, slope))
+                pieces.append((t0, t1, v0 - slope * t0, slope, 0.0))
             elif v1 > v0:
                 atoms[t0] = atoms.get(t0, 0.0) + (v1 - v0)
         return cls(tuple(pieces), tuple(sorted(atoms.items())), family=family)
@@ -636,11 +630,16 @@ def quantile_to_quality(theta: float, prior_inverse_cdf: Callable[[float], float
     """Map a quantile-scale difficulty to a quality-scale threshold.
 
     ``prior_inverse_cdf`` must be strictly increasing on [0, 1] (priors with
-    atoms or flat stretches are rejected rather than silently resolved).
+    atoms or flat stretches are rejected rather than silently resolved) and
+    never NaN; its ends may be infinite.
     """
     theta = float(_unit_points(float(theta)))
     probe = np.linspace(0.0, 1.0, 101)
     values = np.array([prior_inverse_cdf(p) for p in probe], dtype=float)
-    if np.any(np.diff(values) <= 0.0):
+    # "Not all increasing", so that a NaN, failing every comparison, fails.
+    if not np.all(np.diff(values) > 0.0):
         raise ValueError("prior inverse cdf must be strictly increasing on [0, 1]")
-    return float(prior_inverse_cdf(theta))
+    quality = float(prior_inverse_cdf(theta))
+    if math.isnan(quality):
+        raise ValueError(f"prior inverse cdf is NaN at {theta}")
+    return quality

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, Piece, _check_nonnegative,
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _check_nonnegative,
                                  _check_unit_params, _piece_table, _row_cdf, _unit_points)
 from thresholdgame.engine import _as_count
 from thresholdgame.inversion import _iid_error
@@ -185,15 +185,15 @@ def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
 
 def _interval_params(a, b):
     """The [a, b] equilibrium's closed form for arrays of cells: ``step``
-    (``(1 - a) b <= 1/2``: both firms choose b), ``phi``, the piece table,
+    (``(1 - a) b <= 1/2``: both firms choose b), ``phi``, the piece rows,
     the cut point, the point mass at b (none on [0, 1]) and ``sound``: the
     cut point and mass formulas agree and the arc is 0 at a, both to 1e-9,
     the mass is positive and ``a < cut <= b``.
 
-    The table has the atom at b and four pieces a cell, rows ``(c0, 0, c2)``:
-    0 on [0, a) ([0, b) in the step regime), the arc ``(offset, 0, scale)`` on
-    [a, cut), the plateau ``cdf(cut)`` on [cut, b) and 1 on [b, 1]; a piece
-    the cell lacks is empty (``lo == hi``)."""
+    The rows, as :func:`_piece_table`'s columns, hold the atom at b and four
+    pieces a cell, ``(lo, hi, c0, 0, c2)``: 0 on [0, a) ([0, b) in the step
+    regime), the arc ``(offset, 0, scale)`` on [a, cut), the plateau
+    ``cdf(cut)`` on [cut, b) and 1 on [b, 1]; a piece the cell lacks is empty."""
     step = (1.0 - a) * b <= 0.5
     phi = np.where(step, b, 1.0 / (2.0 * (1.0 - a)))
     spread = np.sqrt(a * a + (1.0 - a) * (1.0 - a))
@@ -213,19 +213,18 @@ def _interval_params(a, b):
                     & ((atom > 0.0) | continuous) & (a < cut) & (cut <= b))
     zero, one, start = np.zeros_like(a), np.ones_like(a), np.where(step, 0.0, a)
     c0 = np.stack([zero, offset, plateau, one], axis=-1)
-    table = _piece_table(np.stack([zero, start, cut, b], axis=-1),
-                         np.stack([start, cut, b, one], axis=-1), c0, np.zeros_like(c0),
-                         np.stack([zero, scale, zero, zero], axis=-1), b[:, None], atom[:, None])
-    return step, phi, table, cut, atom, sound
+    rows = (np.stack([zero, start, cut, b], axis=-1), np.stack([start, cut, b, one], axis=-1),
+            c0, np.zeros_like(c0), np.stack([zero, scale, zero, zero], axis=-1),
+            b[:, None], atom[:, None])
+    return step, phi, rows, cut, atom, sound
 
 
 def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
     """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
-    step, phi, table, cut, atom_b, sound = _interval_params(np.array([a]), np.array([b]))
+    step, phi, rows, cut, atom_b, sound = _interval_params(np.array([a]), np.array([b]))
     if not sound[0]:
         raise AssertionError(f"the closed form on [{a}, {b}] fails its checks")
-    # The table's first five fields are the pieces' (lo, hi, c0, c1, c2).
-    pieces = tuple(Piece(*row) for row in zip(*(values[0].tolist() for values in table[:5]))
+    pieces = tuple(row for row in zip(*(values[0].tolist() for values in rows[:5]))
                    if row[0] < row[1])
     atom_b = atom_b.item()
     return EquilibriumSolution(
@@ -350,7 +349,8 @@ def _interval_cells(a, b):
         slab = slice(start, start + _SLAB_CELLS)
         sa, sb = a[slab], b[slab]
         value, support_dev, outside_gain = (r[slab] for r in results)  # views
-        _, _, table, cut, _, sound = _interval_params(sa, sb)
+        _, _, rows, cut, _, sound = _interval_params(sa, sb)
+        table = _piece_table(*rows)
         for s in range(0, len(sa), _BLOCK_CELLS):
             k = slice(s, s + _BLOCK_CELLS)
             block = type(table)(*(values[k] for values in table))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from conftest import random_mixed_piecewise_linear
 from oracles import quantile_reference, row_cdf_reference, row_integral_reference
-from thresholdgame.dists import MixedCdf, Piece, _row_cdf, _row_integral, quantile_to_quality
+from thresholdgame import dists, equilibrium
+from thresholdgame.dists import (MixedCdf, _piece_table, _row_cdf, _row_integral,
+                                 quantile_to_quality)
 from thresholdgame.engine import parse_dist
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 
@@ -208,7 +212,7 @@ class TestInvariants:
 
     def test_rejects_undeclared_jump(self):
         with pytest.raises(ValueError):
-            MixedCdf(pieces=(Piece(0.0, 0.5, 0.0), Piece(0.5, 1.0, 1.0)), atoms=())
+            MixedCdf(pieces=((0.0, 0.5, 0.0, 0.0, 0.0), (0.5, 1.0, 1.0, 0.0, 0.0)), atoms=())
 
 
 def _support_contains_scalar(d: MixedCdf, theta: float) -> bool:
@@ -216,12 +220,12 @@ def _support_contains_scalar(d: MixedCdf, theta: float) -> bool:
     or a piece with ``lo <= theta <= hi`` whose density there is positive."""
     if d.atom_mass(theta) > 0.0:
         return True
-    for piece in d.pieces:
-        if not piece.lo <= theta <= piece.hi:
+    for lo, hi, _, c1, c2 in d.pieces:
+        if not lo <= theta <= hi:
             continue
         # An arc (c2 != 0) rises where its scale is positive, a line where
         # its slope is.
-        increasing = piece.c2 > 0.0 if piece.c2 else piece.c1 > 1e-12
+        increasing = c2 > 0.0 if c2 else c1 > 1e-12
         if increasing:
             return True
     return False
@@ -239,8 +243,8 @@ SUPPORT_CASES = (
 class TestSupportMask:
     @pytest.mark.parametrize("d", SUPPORT_CASES)
     def test_matches_scalar_rule(self, d):
-        plateaus = [0.5 * (p.lo + p.hi) for p in d.pieces
-                    if p.c1 == 0.0 and p.c2 == 0.0]
+        plateaus = [0.5 * (lo + hi) for lo, hi, _, c1, c2 in d.pieces
+                    if c1 == 0.0 and c2 == 0.0]
         thetas = np.concatenate((np.linspace(0.0, 1.0, 1001), d.breakpoints,
                                  [loc for loc, _ in d.atoms], plateaus))
         expected = [_support_contains_scalar(d, float(t)) for t in thetas]
@@ -372,7 +376,7 @@ class TestRecipe:
                  {"kind": "uniform", "lo": 0.5, "hi": 1.0}]
         with pytest.raises(ValueError, match="^family segments cannot be mixed"):
             MixedCdf.from_dict({"segments": mixed})
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^missing keys \['hi'\] in a 'uniform' segment$"):
             MixedCdf.from_dict({"segments": [{"kind": "uniform", "lo": 0.25}]})
 
     @pytest.mark.parametrize("segment", [
@@ -512,7 +516,7 @@ class TestInverseAgainstOracle:
         assert d.inverse(listed).tobytes() == quantile_reference(d, listed).tobytes()
 
     @pytest.mark.parametrize("d", [
-        MixedCdf((Piece(0.0, 1.0, 0.6, 0.0, 0.4),), ((0.0, 0.2),)),
+        MixedCdf(((0.0, 1.0, 0.6, 0.0, 0.4),), ((0.0, 0.2),)),
         MixedCdf.piecewise_linear([(0.0, 0.0), (0.0, 0.2), (1.0, 1.0)]),
         MixedCdf.step(0.0),
     ], ids=["arc", "line", "atom"])
@@ -550,6 +554,18 @@ class TestQuantileToQuality:
     def test_rejects_flat_prior_inverse(self):
         with pytest.raises(ValueError):
             quantile_to_quality(0.5, lambda p: min(p, 0.5))
+
+    @pytest.mark.parametrize("prior", [
+        lambda p: math.nan,
+        lambda p: math.nan if abs(p - 0.5) < 1e-9 else p,
+        lambda p: math.nan if p == 0.375 else p,  # 0.375 is not one of the probes
+    ], ids=["everywhere", "at_one_probe", "only_at_theta"])
+    def test_rejects_a_nan_prior(self, prior):
+        with pytest.raises(ValueError, match="prior inverse cdf"):
+            quantile_to_quality(0.375, prior)
+
+    def test_accepts_infinite_ends(self):
+        assert quantile_to_quality(0.5, norm.ppf) == 0.0
 
 
 class TestQuantileFunction:
@@ -591,7 +607,7 @@ class TestQuantileFunction:
 
 class TestPieces:
     # A single arc piece, read through MixedCdf: the unrestricted equilibrium.
-    ARC = MixedCdf((Piece(0.0, 1.0, 0.5, 0.0, 0.5),))
+    ARC = MixedCdf(((0.0, 1.0, 0.5, 0.0, 0.5),))
 
     def test_arc_inverse_round_trip(self):
         thetas = np.linspace(0.0, 1.0, 33)
@@ -606,12 +622,66 @@ class TestPieces:
         # A piece's fields are its row: a line (level, slope, 0) from knots,
         # or an arc (offset, 0, scale).
         d = MixedCdf.uniform(0.25, 0.75)
-        assert d.pieces == (Piece(0.0, 0.25, 0.0), Piece(0.25, 0.75, -0.5, 2.0),
-                            Piece(0.75, 1.0, 1.0))
+        assert d.pieces == ((0.0, 0.25, 0.0, 0.0, 0.0), (0.25, 0.75, -0.5, 2.0, 0.0),
+                            (0.75, 1.0, 1.0, 0.0, 0.0))
         for d in (d, self.ARC):
             table = d._table
             np.testing.assert_array_equal(np.concatenate([table.c0, table.c1, table.c2]).T,
-                                          [(p.c0, p.c1, p.c2) for p in d.pieces])
+                                          [p[2:] for p in d.pieces])
+        assert "pieces=((0.0, 1.0, 0.5, 0.0, 0.5),)" in repr(self.ARC)
+
+    BUILDS = {
+        "uniform": lambda: MixedCdf.uniform(0.25, 0.75),
+        "step": lambda: MixedCdf.step(0.5),
+        "piecewise_linear": lambda: MixedCdf.piecewise_linear([(0.0, 0.1), (0.5, 0.5),
+                                                               (1.0, 1.0)]),
+        "from_dict-arc": lambda: MixedCdf.from_dict({"segments": [
+            {"kind": "arc", "lo": 0.0, "hi": 1.0, "offset": 0.5, "scale": 0.5}]}),
+        "from_dict-poly": lambda: MixedCdf.from_dict({"segments": [
+            {"kind": "poly", "lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.0]}]}),
+        "equilibrium_unrestricted": lambda: equilibrium_unrestricted().dist,
+        "equilibrium_interval-interior": lambda: equilibrium_interval(0.1, 0.8).dist,
+        "equilibrium_interval-step": lambda: equilibrium_interval(0.2, 0.5).dist,
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_builds_one_table(self, monkeypatch, build):
+        cells = []
+
+        def counting(*columns):
+            cells.append(len(columns[0]))
+            return _piece_table(*columns)
+
+        # The equilibrium module holds its own name for the table builder.
+        monkeypatch.setattr(dists, "_piece_table", counting)
+        monkeypatch.setattr(equilibrium, "_piece_table", counting)
+        d = self.BUILDS[build]()
+        assert cells == [1]
+        assert d._table.lo.shape == (1, len(d.pieces))
+
+    def test_the_same_rows_compare_and_hash_equal(self):
+        uniform = MixedCdf.uniform(0.25, 0.75)
+        stripped = MixedCdf(uniform.pieces, uniform.atoms)  # written as poly rows
+        knots = MixedCdf.piecewise_linear([(0.0, 0.0), (0.25, 0.0), (0.75, 1.0), (1.0, 1.0)])
+        decoded = MixedCdf.from_dict(stripped.to_dict())
+        assert knots == decoded == stripped
+        assert hash(knots) == hash(decoded) == hash(stripped)
+        assert stripped != uniform  # the family is compared too
+
+    def test_different_rows_with_equal_atoms_differ(self):
+        # The same line, whole or split at 1/2: one cdf, but other rows.
+        whole = MixedCdf.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])
+        split = MixedCdf.piecewise_linear([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
+        assert whole.atoms == split.atoms == ()
+        assert whole != split
+
+    def test_json_ints_are_read_as_floats(self):
+        d = MixedCdf.from_dict({"segments": [{"kind": "poly", "lo": 0, "hi": 1,
+                                              "coeffs": [0, 1]}]})
+        assert all(type(value) is float for row in d.pieces for value in row)
+        assert d == MixedCdf.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])
+        assert d.to_json() == ('{"segments": [{"kind": "poly", "lo": 0.0, "hi": 1.0,'
+                               ' "coeffs": [0.0, 1.0]}], "atoms": []}')
 
 
 def _poly_segments(coeffs):
@@ -630,19 +700,83 @@ class TestPieceValidation:
     def test_poly_rejects_non_finite(self, field, bad):
         args = {"lo": 0.0, "hi": 1.0, "c0": 0.0, "c1": 1.0, field: bad}
         with pytest.raises(ValueError, match="finite"):
-            Piece(**args)
+            MixedCdf(((args["lo"], args["hi"], args["c0"], args["c1"], 0.0),))
+        segment = {"kind": "poly", "lo": args["lo"], "hi": args["hi"],
+                   "coeffs": [args["c0"], args["c1"]]}
+        with pytest.raises(ValueError, match="finite"):
+            MixedCdf.from_dict({"segments": [segment]})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lo", "hi", "offset", "scale"])
     def test_arc_rejects_non_finite(self, field, bad):
-        # An arc's offset and scale are the fields c0 and c2.
+        # An arc's offset and scale are the row's c0 and c2.
         args = {"lo": 0.0, "hi": 1.0, "offset": 0.5, "scale": 0.5, field: bad}
         with pytest.raises(ValueError, match="finite"):
-            Piece(args["lo"], args["hi"], c0=args["offset"], c2=args["scale"])
+            MixedCdf(((args["lo"], args["hi"], args["offset"], 0.0, args["scale"]),))
+        with pytest.raises(ValueError, match="finite"):
+            MixedCdf.from_dict({"segments": [{"kind": "arc", **args}]})
+
+    @pytest.mark.parametrize("pieces, atoms", [
+        (((0.0, 1.0, "0", 1.0, 0.0),), ()),
+        (((0.0, True, 0.0, 1.0, 0.0),), ()),
+        (((0.0, 1.0, None, 1.0, 0.0),), ()),
+        (((0.0, 0.5, 0.0, 0.0, 0.0), (0.5, 1.0, 1.0, 0.0, 0.0)), (("0.5", 1.0),)),
+    ], ids=["string", "bool", "none", "atom-string"])
+    def test_rows_and_atoms_must_be_numbers(self, pieces, atoms):
+        with pytest.raises(ValueError, match="must be a number"):
+            MixedCdf(pieces, atoms)
+
+    @pytest.mark.parametrize("pieces", [(), (0.0, 1.0, 0.0, 1.0, 0.0), ((0.0, 1.0, 0.5),)],
+                             ids=["none", "flat", "short"])
+    def test_pieces_are_rows_of_five(self, pieces):
+        with pytest.raises(ValueError, match="at least one piece, a row"):
+            MixedCdf(pieces)
 
     def test_rejects_line_and_arc_at_once(self):
+        # Serialized input cannot say this: a poly has no c2 and an arc no c1.
         with pytest.raises(ValueError, match="line .* or an arc"):
-            Piece(0.0, 1.0, 0.0, 0.5, 0.5)
+            MixedCdf(((0.0, 1.0, 0.0, 0.5, 0.5),))
+
+    @pytest.mark.parametrize("data, message", [
+        ({"segments": [{"kind": "arc", "lo": 0.0, "hi": 1.0, "offset": 0.5}]},
+         r"^missing keys \['scale'\] in a 'arc' segment$"),
+        ({"segments": [{"kind": "uniform", "lo": 0.25}]},
+         r"^missing keys \['hi'\] in a 'uniform' segment$"),
+        ({}, r"^missing keys \['segments'\] in a cdf$"),
+        ({"segments": [{"lo": 0.0, "hi": 1.0}]}, r"^missing keys \['kind'\] in a segment$"),
+        ([], "^a cdf must be an object"),
+        ({"segments": [5]}, "^a segment must be an object, got 5$"),
+        ({"segments": [{"kind": ["poly"]}]}, "^unknown segment kind"),
+        ({"segments": 5}, "^segments must be a list"),
+        ({**_poly_segments([0.0, 1.0]), "atoms": 5}, "^atoms must be a list"),
+        ({**_poly_segments([0.0, 1.0]), "atoms": [[0.5]]},
+         r"^an atom must be a \[location, mass\] pair"),
+        ({**_poly_segments([0.0, 1.0]), "atoms": [[0.5, 0.1, 0.2]]},
+         r"^an atom must be a \[location, mass\] pair"),
+    ], ids=["arc-no-scale", "uniform-no-hi", "empty", "segment-no-kind", "not-a-dict",
+            "segment-5", "kind-a-list", "segments-5", "atoms-5", "atom-single", "atom-triple"])
+    def test_from_dict_rejects_malformed_structure(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            MixedCdf.from_dict(data)
+
+    @pytest.mark.parametrize("knots", [
+        [(0, 0), ("0.5", 0.5), (1, 1)],
+        [(0, 0), (True, 1)],
+        [(0.0, 0.0), (0.5, None), (1.0, 1.0)],
+    ], ids=["string", "bool", "none"])
+    def test_knots_must_be_numbers(self, knots):
+        with pytest.raises(ValueError, match="^knot must be a number"):
+            MixedCdf.piecewise_linear(knots)
+
+    @pytest.mark.parametrize("knots", [[], [(1.0, 1.0)]], ids=["none", "one"])
+    def test_needs_two_knots(self, knots):
+        with pytest.raises(ValueError, match="at least two knots"):
+            MixedCdf.piecewise_linear(knots)
+
+    def test_knots_take_ints_and_fractions(self):
+        want = MixedCdf.piecewise_linear([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])
+        assert MixedCdf.piecewise_linear([(0, 0), (Fraction(1, 2), Fraction(1, 4)),
+                                          (1, np.float64(1.0))]) == want
 
     def test_from_dict_rejects_nan_coefficient(self):
         with pytest.raises(ValueError, match="finite"):
@@ -661,7 +795,7 @@ class TestPieceValidation:
         with pytest.raises(ValueError, match="decreases"):
             MixedCdf.from_dict(data)
         with pytest.raises(ValueError, match="decreases"):
-            MixedCdf((Piece(0.0, 1.0, 0.5, 0.0, -0.5),), ((0.0, 1.0), (1.0, 1.0)))
+            MixedCdf(((0.0, 1.0, 0.5, 0.0, -0.5),), ((0.0, 1.0), (1.0, 1.0)))
 
     def test_every_search_cell_builds(self):
         # The cells search_best_interval(resolution=0.01) may visit.

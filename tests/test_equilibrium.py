@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from conftest import random_mixed_piecewise_linear
 from oracles import opponent_terms_reference
 from thresholdgame import equilibrium
-from thresholdgame.dists import MixedCdf, Piece
+from thresholdgame.dists import MixedCdf, _piece_table
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
     _grid,
@@ -129,7 +129,7 @@ class TestUnrestrictedEquilibrium:
         sol, member = equilibrium_unrestricted(), equilibrium_interval(0.0, 1.0)
         assert sol.dist.family == ("eq_unrestricted",)
         assert member.dist.family == ("eq_interval", 0.0, 1.0)
-        assert sol.dist.pieces == member.dist.pieces == (Piece(0.0, 1.0, 0.5, 0.0, 0.5),)
+        assert sol.dist.pieces == member.dist.pieces == ((0.0, 1.0, 0.5, 0.0, 0.5),)
         assert sol.dist.atoms == member.dist.atoms == ()
         for name in ("interval", "regime", "cut_point", "atom_b", "failure_prob"):
             assert getattr(sol, name) == getattr(member, name)
@@ -352,7 +352,8 @@ class TestVerifierTerms:
 
     def test_interval_cells(self, monkeypatch):
         a, b = np.array(VERIFIED_CELLS).T
-        step, _, table, cut, _, _ = _interval_params(a, b)
+        step, _, rows, cut, _, _ = _interval_params(a, b)
+        table = _piece_table(*rows)
         assert step.any() and (table.lo == table.hi).any()
         self.check(monkeypatch, table, a, b, cut)
 

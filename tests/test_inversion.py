@@ -177,12 +177,12 @@ def _hybrid_linear_oracle(d: MixedCdf) -> float:
     # Atoms sit only at piece junctions, which quad never samples, so the
     # density is defined wherever it looks.
     mean = sum(mass * c(loc) for loc, mass in d.atoms)
-    for piece in d.pieces:
-        density = d.pdf(0.5 * (piece.lo + piece.hi))
+    for lo, hi, *_ in d.pieces:
+        density = d.pdf(0.5 * (lo + hi))
         if density == 0.0:
             continue
-        kinks = [p for p in (0.25, 0.75) if piece.lo < p < piece.hi]
-        part, _ = quad(lambda t: c(t) * d.pdf(t), piece.lo, piece.hi,
+        kinks = [p for p in (0.25, 0.75) if lo < p < hi]
+        part, _ = quad(lambda t: c(t) * d.pdf(t), lo, hi,
                        points=kinks or None, limit=200)
         mean += part
     return 0.125 - mean
