@@ -19,8 +19,6 @@ from thresholdgame.engine import (
     mc_inversion,
     parse_rule,
     play_game,
-    rank_firms,
-    select_two,
     simulate,
 )
 from thresholdgame.inversion import (
@@ -28,6 +26,7 @@ from thresholdgame.inversion import (
     hybrid_decompose,
     inversion_fixed,
     inversion_iid,
+    inversion_rule,
     optimal_value_correlated,
     suboptimality_bound,
 )
@@ -70,6 +69,7 @@ __all__ = [
     "hybrid_decompose",
     "inversion_fixed",
     "inversion_iid",
+    "inversion_rule",
     "kendall_tau_fraction",
     "mc_inversion",
     "optimal_correlated",
@@ -80,9 +80,7 @@ __all__ = [
     "play_game",
     "poa_report",
     "quantile_to_quality",
-    "rank_firms",
     "search_best_interval",
-    "select_two",
     "selection_probability",
     "simulate",
     "suboptimality_bound",

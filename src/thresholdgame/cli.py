@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from thresholdgame import analysis, engine, equilibrium, inversion, optimal
-from thresholdgame.engine import FixedThresholds, IidRule, IndependentRule, SameTest
 
 DEFAULT_GRID = 10_000
 DEFAULT_TOL = 1e-8
@@ -138,28 +137,6 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
-def _deterministic_estimate(rule) -> engine.InversionEstimate:
-    if isinstance(rule, SameTest):
-        value = 0.5 * (rule.theta**2 + (1.0 - rule.theta) ** 2)
-        return engine.InversionEstimate(value=value, method="closed_form")
-    if isinstance(rule, FixedThresholds):
-        value = float(inversion.inversion_fixed(sorted(rule.thresholds)))
-        return engine.InversionEstimate(value=value, method="closed_form")
-    if isinstance(rule, IidRule):
-        return inversion.inversion_iid(rule.dist)
-    assert isinstance(rule, IndependentRule)
-    locations = []
-    for dist in rule.dists:
-        if dist.family is None or dist.family[0] != "step":
-            raise ValueError(
-                "no deterministic evaluator for independent non-degenerate "
-                "distributions; rerun with --mc"
-            )
-        locations.append(dist.family[1])
-    value = float(inversion.inversion_fixed(sorted(locations)))
-    return engine.InversionEstimate(value=value, method="closed_form")
-
-
 def _cmd_inversion(args) -> int:
     rule = engine.parse_rule(args.rule)
     engine._rule_firm_count(rule, args.n_firms)
@@ -167,7 +144,7 @@ def _cmd_inversion(args) -> int:
         est = engine.mc_inversion(rule, n_firms=args.n_firms, trials=args.trials,
                                   seed=args.seed)
     else:
-        est = _deterministic_estimate(rule)
+        est = inversion.inversion_rule(rule)
     payload = {"rule": args.rule, **asdict(est)}
     print(_emit(payload, args.format))
     return 0
@@ -175,7 +152,7 @@ def _cmd_inversion(args) -> int:
 
 def _cmd_verify(args) -> int:
     rule = engine.parse_rule(args.rule)
-    if not isinstance(rule, IidRule):
+    if not isinstance(rule, engine.IidRule):
         raise ValueError("verify applies to iid rules only (e.g. iid:eq:0,0.79)")
     family = rule.dist.family or (None,)
     # A restricted equilibrium is checked on its own interval; its cut point

@@ -101,6 +101,16 @@ def _check_unit_params(name: str, *values) -> None:
         raise ValueError(f"{name} outside [0, 1]")
 
 
+def _unit_interval(name: str, lo, hi, names: str = "lo < hi") -> tuple[float, float]:
+    """``(lo, hi)`` as floats, or ValueError unless both are parameters
+    (:func:`_check_unit_params`) with ``0 <= lo < hi <= 1``, worded by ``names``."""
+    _check_unit_params(name, lo, hi)
+    lo, hi = float(lo), float(hi)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"need 0 <= {names} <= 1")
+    return lo, hi
+
+
 def _check_nonnegative(name: str, value) -> None:
     """Raise unless ``value``, a tolerance or an error, is finite and >= 0."""
     if not 0.0 <= value < math.inf:  # NaN included
@@ -259,10 +269,14 @@ def _check_numbers(name: str, values) -> None:
         raise ValueError(f"{name}: expected numbers, got {values!r}")
 
 
-def _check_keys(where: str, data, keys) -> None:
-    """Raise unless ``data``, serialized input, is a dict holding ``keys``."""
+def _check_keys(where: str, data, keys, optional=None) -> None:
+    """Raise unless ``data``, serialized input, is a dict holding ``keys``,
+    and, when ``optional`` is given, no key outside ``keys`` and ``optional``."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, got {data!r}")
+    extra = set() if optional is None else set(data) - {*keys, *optional}
+    if extra:
+        raise ValueError(f"unknown keys {sorted(extra)} in {where}")
     missing = set(keys) - set(data)
     if missing:
         raise ValueError(f"missing keys {sorted(missing)} in {where}")
@@ -511,7 +525,7 @@ class MixedCdf:
     def from_dict(cls, data: dict) -> "MixedCdf":
         """Decode :meth:`to_dict`'s form.  Every value but a segment's ``kind``,
         each coefficient and each atom entry must be an int or a float."""
-        _check_keys("a cdf", data, ("segments",))
+        _check_keys("a cdf", data, ("segments",), optional=("atoms",))
         segments, atoms = data["segments"], data.get("atoms", [])
         for name, values in (("segments", segments), ("atoms", atoms)):
             if not isinstance(values, (list, tuple)):
@@ -527,10 +541,7 @@ class MixedCdf:
             kind = seg["kind"]
             if not isinstance(kind, str) or kind not in _SEGMENT_FIELDS:
                 raise ValueError(f"unknown segment kind {kind!r}")
-            extra = set(seg) - {"kind", *_SEGMENT_FIELDS[kind]}
-            if extra:
-                raise ValueError(f"unknown keys {sorted(extra)} in a {kind!r} segment")
-            _check_keys(f"a {kind!r} segment", seg, _SEGMENT_FIELDS[kind])
+            _check_keys(f"a {kind!r} segment", seg, _SEGMENT_FIELDS[kind], optional=("kind",))
             for name, value in seg.items():
                 if name != "kind":
                     _check_numbers(name, value if name == "coeffs" else [value])
@@ -576,10 +587,7 @@ class MixedCdf:
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "MixedCdf":
         """Uniform distribution on [lo, hi]."""
-        _check_unit_params("uniform bound", lo, hi)
-        lo, hi = float(lo), float(hi)
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError("need 0 <= lo < hi <= 1")
+        lo, hi = _unit_interval("uniform bound", lo, hi)
         knots = [(0.0, 0.0), (lo, 0.0), (hi, 1.0), (1.0, 1.0)]
         return cls._from_knots(knots, ("uniform", lo, hi))
 

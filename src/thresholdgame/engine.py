@@ -78,8 +78,6 @@ __all__ = [
     "mc_inversion",
     "parse_rule",
     "play_game",
-    "rank_firms",
-    "select_two",
     "simulate",
 ]
 
@@ -134,18 +132,6 @@ def _as_count(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
-def select_two(theta_x: float, theta_y: float, x: float, y: float,
-               coin: np.random.Generator) -> int:
-    """Winner index (0 or 1) between two firms: the first of their ranking."""
-    return play_game((theta_x, theta_y), (x, y), coin).ranking[0]
-
-
-def rank_firms(thresholds: Sequence[float], qualities: Sequence[float],
-               coin: np.random.Generator) -> tuple[int, ...]:
-    """Ranking of firm indices, best first, under the selection rule."""
-    return play_game(thresholds, qualities, coin).ranking
 
 
 def play_game(thresholds: Sequence[float], qualities: Sequence[float],

@@ -29,10 +29,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _check_nonnegative,
-                                 _check_unit_params, _piece_table, _row_cdf, _unit_points)
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _check_nonnegative, _piece_table,
+                                 _row_cdf, _unit_interval, _unit_points)
 from thresholdgame.engine import _as_count
-from thresholdgame.inversion import _iid_error
+from thresholdgame.inversion import _pair_error
 
 __all__ = [
     "EquilibriumSolution",
@@ -176,10 +176,7 @@ def equilibrium_unrestricted() -> EquilibriumSolution:
 
 def equilibrium_interval(a: float, b: float) -> EquilibriumSolution:
     """The unique equilibrium when tests are restricted to [a, b]."""
-    _check_unit_params("interval bound", a, b)
-    a, b = float(a), float(b)
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError("need 0 <= a < b <= 1")
+    a, b = _unit_interval("interval bound", a, b, "a < b")
     return _equilibrium(a, b, ("eq_interval", a, b))
 
 
@@ -240,10 +237,7 @@ def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
 def candidate_solution(dist: MixedCdf,
                        interval: tuple[float, float] = (0.0, 1.0)) -> EquilibriumSolution:
     """Wrap a distribution, whose mass must lie in ``interval``, for verification."""
-    _check_unit_params("interval bound", interval[0], interval[1])
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError("need 0 <= a < b <= 1")
+    a, b = _unit_interval("interval bound", interval[0], interval[1], "a < b")
     if dist.left_limit(a) > _JUNCTION_TOL or 1.0 - dist.cdf(b) > _JUNCTION_TOL:
         raise ValueError(f"the distribution has mass outside [{a}, {b}]")
     return EquilibriumSolution(
@@ -335,7 +329,7 @@ def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
     equilibrium for arrays of cells, each checked by :func:`_interval_params`
     and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure
-    raises ``RuntimeError``) and valued by :func:`_iid_error`.  Every result
+    raises ``RuntimeError``) and valued by :func:`_pair_error`.  Every result
     is the cell's own, whatever cells come with it.  The closed forms are
     built a slab of :data:`_SLAB_CELLS` cells at a time, and each slab is
     verified and valued in blocks of :data:`_BLOCK_CELLS` cells: a slab
@@ -356,7 +350,7 @@ def _interval_cells(a, b):
             block = type(table)(*(values[k] for values in table))
             support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], cut[k],
                                                               1000, 1e-8)
-            value[k] = _iid_error(block)
+            value[k] = _pair_error(block.lo, block.hi, block)
             if not np.all(passed & sound[k]):
                 i = s + np.argmin(passed & sound[k])
                 raise RuntimeError(
@@ -394,10 +388,7 @@ def best_response_value(opponent: MixedCdf, grid_size: int = 1000,
     grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    _check_unit_params("interval bound", interval[0], interval[1])
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError("need 0 <= lo < hi <= 1")
+    lo, hi = _unit_interval("interval bound", interval[0], interval[1])
     probes = [*opponent.breakpoints,
               *(loc + d for loc, _ in opponent.atoms for d in (-1e-9, 1e-9))]
     thetas = np.union1d(np.linspace(lo, hi, grid_size), [p for p in probes if lo <= p <= hi])

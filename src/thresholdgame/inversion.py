@@ -1,9 +1,11 @@
 """Deterministic evaluation of the principal's error probability.
 
-When both firms draw tests i.i.d. from a cdf ``G`` over [0, 1], the chance of
-selecting the worse product is the double integral over the ordered-quality
-triangle ``{0 <= y <= x <= 1}`` of ``(1 - G(x) + G(y))^2``.  Integrating out
-``y`` with ``Gamma(x) = int_0^x G`` leaves the one-dimensional form
+When two firms draw tests independently from cdfs ``G_A`` and ``G_B`` over
+[0, 1], the chance of selecting the worse product is the double integral
+over the ordered-quality triangle ``{0 <= y <= x <= 1}`` of the pair sum
+``(1 - G_A(x) + G_A(y)) (1 - G_B(x) + G_B(y))``, which is
+``(1 - G(x) + G(y))^2`` when both draw from ``G``.  Integrating out ``y``
+with ``Gamma(x) = int_0^x G`` leaves the one-dimensional form
 
     I(G) = int_0^1 [x (1 - G)^2 + 2 (1 - G) Gamma + (1 - x) G^2] dx,
 
@@ -11,17 +13,20 @@ whose integrand is smooth on every piece of the cdf (atoms sit only at piece
 junctions), so a fixed-order Gauss-Legendre sum per piece evaluates it to
 rounding error.  One node layout (``_gauss_nodes``) over the pieces of a
 piece table, or of merged breakpoints, serves ``inversion_iid``,
-``hybrid_decompose`` and the batched interval search, which sums the error
-of many cells at once (``_iid_error``).  The same reduction serves every
-integrand over the triangle that separates into functions of ``x`` alone
-and of ``y`` alone (:func:`_separable_triangle`).  The tests check these
-reductions against adaptive 2-D quadrature of the original integrands.
+``inversion_rule``, ``hybrid_decompose`` and the batched interval search,
+which sums the error of many cells at once (``_pair_error``).  The same
+reduction serves every integrand over the triangle that separates into
+functions of ``x`` alone and of ``y`` alone (:func:`_separable_triangle`).
+The tests check these reductions against adaptive 2-D quadrature of the
+original integrands.
 
-The module also provides the exact pairwise formula for deterministic
-threshold lists, the optimal-value formula for correlated tests, the
-decomposition of the error of an arbitrary cdf into linear and quadratic
-coefficients of its mixture with the optimal cdf, and the cubic-in-deviation
-lower bound those coefficients imply.
+:func:`inversion_rule` values every test-assignment rule as the mean of the
+pair sum over its pairs of firms, by the exact pairwise formula for
+deterministic threshold lists when no firm draws its test.  The module also
+provides the optimal-value formula for correlated tests, the decomposition
+of the error of an arbitrary cdf into linear and quadratic coefficients of
+its mixture with the optimal cdf, and the cubic-in-deviation lower bound
+those coefficients imply.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from thresholdgame.dists import MixedCdf, _check_unit_params
-from thresholdgame.engine import InversionEstimate, _as_count
+from thresholdgame.engine import (FixedThresholds, IidRule, IndependentRule, InversionEstimate,
+                                  SameTest, _as_count, _single_atom)
 
 __all__ = [
     "HybridCoefficients",
@@ -43,6 +50,7 @@ __all__ = [
     "hybrid_decompose",
     "inversion_fixed",
     "inversion_iid",
+    "inversion_rule",
     "optimal_value_correlated",
     "suboptimality_bound",
 ]
@@ -75,6 +83,11 @@ def _gauss_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return (lo[..., None] + width * u).reshape(shape), (width * w).reshape(shape)
 
 
+def _merged_edges(*dists) -> np.ndarray:
+    """The sorted union of the breakpoints of ``dists``, as a (1, k) array."""
+    return np.array([sorted(set().union(*(d.breakpoints for d in dists)))], dtype=float)
+
+
 def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
     """Integral over ``{0 <= y <= x <= 1}`` of a separable integrand.
 
@@ -95,19 +108,43 @@ def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
 
 
 def inversion_iid(d: MixedCdf) -> InversionEstimate:
-    """Error probability when both firms draw tests i.i.d. from ``d``.
-
-    The integrand ``(1 - G(x) + G(y))^2`` is separable, with
-    ``P = R = 1 - G`` and ``Q = S = G``.
-    """
-    return InversionEstimate(value=float(_iid_error(d._table)[0]), method="quadrature")
+    """Error probability when both firms draw tests i.i.d. from ``d``."""
+    table = d._table
+    return InversionEstimate(value=float(_pair_error(table.lo, table.hi, table)[0]),
+                             method="quadrature")
 
 
-def _iid_error(table):
-    """:func:`inversion_iid`'s sum for every cell of a piece table."""
-    x, w = _gauss_nodes(table.lo, table.hi)
+def _pair_error(lo, hi, table, other=None):
+    """The pair sum for every cell, on the nodes of the pieces [lo, hi):
+    ``G_A`` is ``table``'s cdf and ``G_B`` is ``other``'s, or ``G_A`` when
+    ``other`` is None.  It is separable, with ``P = 1 - G_A``,
+    ``R = 1 - G_B``, ``Q = G_A`` and ``S = G_B``."""
+    x, w = _gauss_nodes(lo, hi)
     g, gamma = table.evaluate(x, integral=True)
-    return _separable_triangle(x, w, 1.0 - g, 1.0 - g, g, g, gamma, gamma)
+    h, eta = (g, gamma) if other is None else other.evaluate(x, integral=True)
+    return _separable_triangle(x, w, 1.0 - g, 1.0 - h, g, h, gamma, eta)
+
+
+def inversion_rule(rule) -> InversionEstimate:
+    """Expected fraction of inverted pairs under a test-assignment rule: the
+    mean over its pairs of firms, so for any firm count the rule admits."""
+    if isinstance(rule, IidRule):
+        return inversion_iid(rule.dist)
+    if isinstance(rule, SameTest):
+        thresholds = [rule.theta, rule.theta]
+    elif isinstance(rule, FixedThresholds):
+        thresholds = sorted(rule.thresholds)
+    elif isinstance(rule, IndependentRule):
+        thresholds = [_single_atom(d) for d in rule.dists]
+        if None in thresholds:
+            edges = _merged_edges(*rule.dists)
+            pairs = list(combinations([d._table for d in rule.dists], 2))
+            total = sum(_pair_error(edges[:, :-1], edges[:, 1:], a, b)[0] for a, b in pairs)
+            return InversionEstimate(value=float(total / len(pairs)), method="quadrature")
+        thresholds.sort()
+    else:
+        raise ValueError(f"not a test-assignment rule: {rule!r}")
+    return InversionEstimate(value=float(inversion_fixed(thresholds)), method="closed_form")
 
 
 def inversion_fixed(thresholds) -> float | Fraction:
@@ -183,7 +220,7 @@ def hybrid_decompose(d: MixedCdf) -> HybridCoefficients:
     ``(D(x) - D(y))^2``, both separable.
     """
     g0 = _optimal_cdf()
-    edges = np.array([sorted(set(d.breakpoints) | set(g0.breakpoints))], dtype=float)
+    edges = _merged_edges(d, g0)
     x, w = _gauss_nodes(edges[:, :-1], edges[:, 1:])
     (g0_x, g0_gamma), (d_x, d_gamma) = (h._table.evaluate(x, integral=True) for h in (g0, d))
     delta, delta_gamma = g0_x - d_x, g0_gamma - d_gamma
@@ -202,7 +239,7 @@ def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBo
     """
     grid_size = _as_count(grid_size, "grid_size")
     g0 = _optimal_cdf()
-    special = np.array(sorted(set(d.breakpoints) | set(g0.breakpoints)))
+    special = _merged_edges(d, g0)[0]
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     pts = np.union1d(grid, special)
     eps = float(np.max(np.abs(g0.cdf(pts) - d.cdf(pts))))

@@ -104,10 +104,15 @@ class TestInversion:
         assert data["method"] == "closed_form"
         assert data["value"] == pytest.approx(0.5 * (0.09 + 0.16 + 0.09), abs=1e-12)
 
-    def test_indep_general_needs_mc(self, capsys):
-        code, _ = run_cli(capsys, "inversion", "--rule",
-                          "indep:uniform:0.1,0.9;step:0.5")
-        assert code == 2
+    def test_indep_general_quadrature(self, capsys):
+        # The pair sum is linear in each cdf: the mean over the uniform's
+        # thresholds a of inversion_fixed((a, 0.5)) is 61/300.
+        code, out = run_cli(capsys, "inversion", "--rule",
+                            "indep:uniform:0.1,0.9;step:0.5")
+        data = json.loads(out)
+        assert code == 0
+        assert data["method"] == "quadrature"
+        assert data["value"] == pytest.approx(61 / 300, abs=1e-12)
 
     def test_mc_estimate(self, capsys):
         code, out = run_cli(capsys, "inversion", "--rule", "same:0.5", "--mc",
@@ -119,14 +124,14 @@ class TestInversion:
         assert abs(data["value"] - 0.25) < 4 * data["std_error"]
 
     @pytest.mark.parametrize("rule, n_firms", [("fixed:0.2,0.5", "3"), ("iid:eq", "1"),
-                                               ("same:0.3", "0")])
+                                               ("same:0.3", "0"), ("indep:eq;step:0.5", "3")])
     @pytest.mark.parametrize("mc", [(), ("--mc", "--trials", "1000")])
     def test_bad_firm_count_exits_2(self, capsys, rule, n_firms, mc):
         code, out = run_cli(capsys, "inversion", "--rule", rule, "--n-firms", n_firms, *mc)
         assert code == 2 and out == ""
 
     @pytest.mark.parametrize("rule, n_firms", [("fixed:0.2,0.5", "2"), ("iid:eq", "3"),
-                                               ("same:0.3", "5")])
+                                               ("same:0.3", "5"), ("indep:eq;step:0.5", "2")])
     def test_valid_firm_count_keeps_stdout(self, capsys, rule, n_firms):
         # Every pair is decided by its own two firms, so the closed forms
         # hold for any firm count the rule admits.

@@ -390,6 +390,20 @@ class TestRecipe:
         with pytest.raises(ValueError, match="^unknown keys"):
             MixedCdf.from_dict({"segments": [segment]})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"segments": [{"kind": "step", "at": 0.5}], "atom": [[0.5, 0.3]]},
+         r"^unknown keys \['atom'\] in a cdf$"),
+        ({"segments": [{"kind": "uniform", "lo": 0.25, "hi": 0.75}], "atoms": [], "kind": "x"},
+         r"^unknown keys \['kind'\] in a cdf$"),
+        # The equilibrium command's JSON is a solution, not a cdf: the cdf is
+        # its segments and atoms alone.
+        (equilibrium_interval(0.0, 0.79).to_dict(),
+         r"^unknown keys \['atom_b', 'cut_point', 'failure_prob', 'interval', 'regime'\] in a cdf$"),
+    ], ids=["misspelled-atoms", "kind", "equilibrium-solution"])
+    def test_from_dict_rejects_unknown_top_level_keys(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            MixedCdf.from_dict(data)
+
     @pytest.mark.parametrize("segment, atoms", [
         ({"kind": "uniform", "lo": 0.25, "hi": 0.75}, [[0.5, 0.3]]),
         ({"kind": "step", "at": 0.5}, []),

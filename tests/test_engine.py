@@ -26,8 +26,6 @@ from thresholdgame.engine import (
     mc_inversion,
     parse_rule,
     play_game,
-    rank_firms,
-    select_two,
     simulate,
 )
 from thresholdgame.inversion import inversion_fixed
@@ -35,62 +33,76 @@ from thresholdgame.inversion import inversion_fixed
 from oracles import quantile_reference
 
 
+def _winner(theta_x, theta_y, x, y, coin):
+    """The first of the two-firm ranking."""
+    return play_game((theta_x, theta_y), (x, y), coin).ranking[0]
+
+
 class TestSelectTwo:
     def test_single_passer_wins(self):
         # Y passes its easy test, X fails its hard one.
         rng = np.random.default_rng(0)
-        assert select_two(0.7, 0.3, 0.5, 0.6, rng) == 1
+        assert _winner(0.7, 0.3, 0.5, 0.6, rng) == 1
 
     def test_both_pass_higher_threshold_wins(self):
         # Both pass; X held the harder test, so X wins even though y > x.
         rng = np.random.default_rng(0)
-        assert select_two(0.6, 0.4, 0.7, 0.9, rng) == 0
+        assert _winner(0.6, 0.4, 0.7, 0.9, rng) == 0
 
     def test_both_fail_higher_threshold_wins(self):
         rng = np.random.default_rng(0)
-        assert select_two(0.8, 0.2, 0.1, 0.1, rng) == 0
+        assert _winner(0.8, 0.2, 0.1, 0.1, rng) == 0
 
     def test_tie_is_fair_coin(self):
         rng = np.random.default_rng(123)
-        wins = sum(select_two(0.5, 0.5, 0.8, 0.9, rng) == 0 for _ in range(20000))
+        wins = sum(_winner(0.5, 0.5, 0.8, 0.9, rng) == 0 for _ in range(20000))
         assert abs(wins / 20000 - 0.5) < 3 * 0.5 / np.sqrt(20000)
 
     def test_domain_error(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            select_two(1.2, 0.5, 0.5, 0.5, rng)
+            _winner(1.2, 0.5, 0.5, 0.5, rng)
 
     @given(st.lists(st.integers(0, 4), min_size=4, max_size=4),
            st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)
     def test_is_the_first_of_play_game(self, quarters, seed):
         # Values on a grid of quarters, so outcome and threshold ties occur.
+        # The winner is the lone passer, else the harder test, else the
+        # larger of the two tie keys the coin draws.
         theta_x, theta_y, x, y = (q / 4 for q in quarters)
-        winner = select_two(theta_x, theta_y, x, y, np.random.default_rng(seed))
-        outcome = play_game((theta_x, theta_y), (x, y), np.random.default_rng(seed))
-        assert winner == outcome.ranking[0]
+        winner = _winner(theta_x, theta_y, x, y, np.random.default_rng(seed))
+        passed_x, passed_y = x >= theta_x, y >= theta_y
+        if passed_x != passed_y:
+            expected = 0 if passed_x else 1
+        elif theta_x != theta_y:
+            expected = 0 if theta_x > theta_y else 1
+        else:
+            keys = np.random.default_rng(seed).random(2)
+            expected = 0 if keys[0] > keys[1] else 1
+        assert winner == expected
 
 
 class TestRankFirms:
     def test_all_pass_descending_threshold(self):
         rng = np.random.default_rng(0)
-        ranking = rank_firms((0.2, 0.5, 0.8), (0.9, 0.9, 0.9), rng)
+        ranking = play_game((0.2, 0.5, 0.8), (0.9, 0.9, 0.9), rng).ranking
         assert ranking == (2, 1, 0)
 
     def test_all_fail_descending_threshold(self):
         rng = np.random.default_rng(0)
-        ranking = rank_firms((0.2, 0.8), (0.1, 0.1), rng)
+        ranking = play_game((0.2, 0.8), (0.1, 0.1), rng).ranking
         assert ranking == (1, 0)
 
     def test_passer_ahead_of_failer(self):
         rng = np.random.default_rng(0)
-        ranking = rank_firms((0.5, 0.5), (0.3, 0.9), rng)
+        ranking = play_game((0.5, 0.5), (0.3, 0.9), rng).ranking
         assert ranking == (1, 0)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            rank_firms((0.2, 0.5), (0.1, 0.2, 0.3), rng)
+            play_game((0.2, 0.5), (0.1, 0.2, 0.3), rng)
 
     @pytest.mark.parametrize("thresholds, qualities", [
         ((0.5, 2.0), (0.3, 0.4)),
@@ -103,8 +115,6 @@ class TestRankFirms:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             play_game(thresholds, qualities, rng)
-        with pytest.raises(ValueError):
-            rank_firms(thresholds, qualities, rng)
 
     def test_outcome_invariants(self):
         rng = np.random.default_rng(7)
@@ -124,13 +134,13 @@ class TestRankFirms:
         n = int(rng.integers(2, 7))
         thresholds = np.round(rng.random(n), 3)
         qualities = rng.random(n)
-        ranking = rank_firms(thresholds, qualities, rng)
+        ranking = play_game(thresholds, qualities, rng).ranking
         position = {firm: p for p, firm in enumerate(ranking)}
         for i in range(n):
             for j in range(i + 1, n):
                 if thresholds[i] == thresholds[j]:
                     continue
-                winner = select_two(
+                winner = _winner(
                     thresholds[i], thresholds[j], qualities[i], qualities[j],
                     np.random.default_rng(0),
                 )

@@ -434,6 +434,7 @@ class TestSerialization:
         assert data["regime"] == "interior"
         assert data["interval"] == [0.0, 0.79]
         assert data["segments"] == [{"kind": "eq_interval", "a": 0.0, "b": 0.79}]
-        rebuilt = MixedCdf.from_dict(data)
+        # A solution is not a cdf: the cdf is its segments and atoms.
+        rebuilt = MixedCdf.from_dict({key: data[key] for key in ("segments", "atoms")})
         grid = np.linspace(0, 1, 101)
         np.testing.assert_array_equal(rebuilt.cdf(grid), sol.dist.cdf(grid))

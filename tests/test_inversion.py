@@ -1,7 +1,9 @@
 """Tests for the error-probability functional and its decompositions."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from scipy.integrate import dblquad, quad
 from conftest import random_mixed_piecewise_linear
 from oracles import triangle_integral
 from thresholdgame.dists import MixedCdf
-from thresholdgame.engine import IidRule, mc_inversion
+from thresholdgame.engine import IidRule, mc_inversion, parse_rule, simulate
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import (
+    _merged_edges,
+    _pair_error,
     hybrid_decompose,
     inversion_fixed,
     inversion_iid,
+    inversion_rule,
     optimal_value_correlated,
     suboptimality_bound,
 )
@@ -112,6 +117,100 @@ class TestInversionIid:
         quad_value = inversion_iid(d).value
         est = mc_inversion(IidRule(d), trials=1_000_000, seed=21)
         assert abs(quad_value - est.value) < 3 * est.std_error
+
+
+def _pair_value(d_a: MixedCdf, d_b: MixedCdf) -> float:
+    """The pair sum of firms drawing from ``d_a`` and ``d_b``, on the nodes
+    that ``inversion_rule`` lays out for them."""
+    edges = _merged_edges(d_a, d_b)
+    return float(_pair_error(edges[:, :-1], edges[:, 1:], d_a._table, d_b._table)[0])
+
+
+#: The cdfs of the golden evaluations and 20 seeded random ones.
+PAIR_CASES = (
+    [MixedCdf.from_json(case["json"]) for case in json.loads(
+        (Path(__file__).parent / "golden" / "cdf_float_hex.json").read_text()).values()]
+    + [random_mixed_piecewise_linear(np.random.default_rng(4000 + k)) for k in range(20)]
+)
+
+#: Half the mass at 1/3 and half at 2/3: the optimal pure pair, mixed.
+HALF_AND_HALF = MixedCdf.piecewise_linear(
+    [(0.0, 0.0), (1 / 3, 0.0), (1 / 3, 0.5), (2 / 3, 0.5), (2 / 3, 1.0), (1.0, 1.0)])
+
+
+class TestPairError:
+    @pytest.mark.parametrize("d", PAIR_CASES)
+    def test_one_cdf_twice_is_inversion_iid(self, d):
+        # Two evaluations on the merged edges, the layout of an independent
+        # rule, give inversion_iid's float.
+        assert _pair_value(d, d) == inversion_iid(d).value
+
+    @pytest.mark.parametrize("d_a, d_b", [
+        (MixedCdf.uniform(0.1, 0.9), equilibrium_unrestricted().dist),
+        (equilibrium_interval(0.0, 0.79).dist, MixedCdf.step(0.3)),
+    ], ids=["uniform-eq", "eq79-step"])
+    def test_asymmetric_pair_against_triangle_oracle(self, d_a, d_b):
+        def integrand(x, y):
+            return (1.0 - d_a.cdf(x) + d_a.cdf(y)) * (1.0 - d_b.cdf(x) + d_b.cdf(y))
+
+        breaks = set(d_a.breakpoints) | set(d_b.breakpoints)
+        reference = triangle_integral(integrand, breaks, tol=1e-11)
+        assert _pair_value(d_a, d_b) == pytest.approx(reference, abs=1e-9)
+        assert _pair_value(d_b, d_a) == pytest.approx(reference, abs=1e-9)
+
+    def test_linear_in_each_cdf(self):
+        # So the best reply to any cdf is a point mass.
+        opponent = equilibrium_unrestricted().dist
+        mixed = 0.5 * (_pair_value(MixedCdf.step(1 / 3), opponent)
+                       + _pair_value(MixedCdf.step(2 / 3), opponent))
+        assert _pair_value(HALF_AND_HALF, opponent) == pytest.approx(mixed, abs=1e-15)
+
+    @pytest.mark.parametrize("opponent", [
+        equilibrium_unrestricted().dist, equilibrium_interval(0.0, 0.79).dist,
+        MixedCdf.uniform(0.0, 1.0), MixedCdf.uniform(0.25, 0.75), HALF_AND_HALF,
+    ], ids=["eq", "eq79", "uniform01", "uniform-quartiles", "half-and-half"])
+    def test_no_reply_beats_the_optimal_pure_pair(self, opponent):
+        # The paper's first claim: against any cdf the best reply is a point
+        # mass, and on a 1001-point grid none scores below the pure pair
+        # (1/3, 2/3), whose 1/6 is the correlated optimum.
+        best = min(_pair_value(MixedCdf.step(t), opponent) for t in np.linspace(0.0, 1.0, 1001))
+        assert best >= 1 / 6
+        assert _pair_value(MixedCdf.step(1 / 3), MixedCdf.step(2 / 3)) == pytest.approx(
+            1 / 6, abs=1e-15)
+
+
+class TestInversionRule:
+    @pytest.mark.parametrize("spec, n", [
+        ("indep:step:0.5;eq", 2),
+        ("indep:uniform:0.25,0.75;eq", 2),
+        ("indep:eq;uniform:0.2,0.6;step:0.5", 3),
+        ("indep:eq;uniform:0.2,0.6;step:0.5;eq:0.3,0.9;step:0.5", 5),
+    ])
+    def test_against_monte_carlo(self, spec, n):
+        rule = parse_rule(spec)
+        est = inversion_rule(rule)
+        summary = simulate(rule, trials=1_000_000, seed=23)
+        assert est.method == "quadrature" and summary.n_firms == n
+        assert abs(est.value - summary.inversion_mean) < 3 * summary.inversion_std_error
+
+    @pytest.mark.parametrize("spec, thresholds", [
+        ("same:0.3", (0.3, 0.3)),
+        ("fixed:0.7,0.2,0.5", (0.2, 0.5, 0.7)),
+        ("indep:step:0.7;eq:0.2,0.4;step:0.1", (0.1, 0.4, 0.7)),
+    ])
+    def test_fixed_tests_take_the_closed_form(self, spec, thresholds):
+        est = inversion_rule(parse_rule(spec))
+        assert est.method == "closed_form"
+        assert est.value == float(inversion_fixed(thresholds))
+
+    def test_iid_is_inversion_iid(self):
+        d = equilibrium_interval(0.0, 0.79).dist
+        assert inversion_rule(IidRule(d)) == inversion_iid(d)
+
+    @pytest.mark.parametrize("rule", ["iid:eq", None, MixedCdf.step(0.5), (0.3, 0.7)])
+    def test_rejects_a_non_rule(self, rule):
+        with pytest.raises(ValueError, match="not a test-assignment rule"):
+            inversion_rule(rule)
 
 
 class TestInversionFixed:
