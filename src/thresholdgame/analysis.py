@@ -6,10 +6,11 @@ equilibrium, the unrestricted equilibrium, and the single-test baseline, plus
 the Price-of-Anarchy ratios between the equilibrium and the principal's
 optima.  Also searches over restriction intervals [a, b] for the equilibrium
 the principal likes best.  The search scores every cell of its grid, row by
-row in order, in one batch, and each round of its refinement's nested grids
-(``equilibrium._nested_max``) in another: piece tables built from the
-equilibrium's closed form (``equilibrium._interval_cells``), verified and
-summed by the same routines as a single ``MixedCdf``.
+row in order, in one batch, and refines the best cell by Newton steps in
+(a, b) jointly, each scoring a 3x3 stencil of cells in one batch and the
+Newton candidate in another: piece tables built from the equilibrium's
+closed form (``equilibrium._interval_cells``), verified and summed by the
+same routines as a single ``MixedCdf``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from thresholdgame.dists import _check_nonnegative, _check_real
 from thresholdgame.engine import _as_count
-from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells, _nested_max
+from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells
 from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
 from thresholdgame.inversion import OPTIMAL_IID_VALUE, inversion_iid, optimal_value_correlated
 
@@ -72,37 +73,93 @@ class PoaReport:
     poa_vs_correlated: float
 
 
+def _check_flag(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a bool: a string such as "no"
+    would otherwise count as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, not {value!r}")
+
+
 def _round_cells(values) -> np.ndarray:
     """``values`` rounded to 12 digits as the search's cells are, by Python's
     round, not np.round, which rounds some of them differently."""
     return np.array([round(float(v), 12) for v in values])
 
 
-def _refine(cells, lo: float, hi: float) -> tuple[float, float]:
-    """Minimize the equilibrium error over one coordinate in (lo, hi):
-    ``cells`` maps an array of rounded coordinates to the ``(a, b)`` arrays
-    of their cells.  Returns the best coordinate, rounded as its cell was,
-    and its error."""
-    x, neg_value = _nested_max(lambda x: -_interval_cells(*cells(_round_cells(x)))[0], lo, hi,
-                               rounds=14)
-    return round(x, 12), -neg_value
+#: Offsets of the refinement's 3x3 stencil, in units of its half-width.
+_STENCIL = np.array([-1.0, 0.0, 1.0])
+
+
+def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, float]:
+    """Minimize the equilibrium error jointly in (a, b), from the cell (a, b)
+    of error ``value``, by Newton steps on stencils of half-width ``h``.
+
+    Each iteration scores a 3x3 stencil of cells around the best cell in one
+    batch, shifted inward so that every cell keeps 0 <= a < b <= 1 (h
+    shrinks by 4 while none fits).  It takes the central-difference gradient
+    and Hessian from the nine values and scores the Newton candidate,
+    clipped to 4h in each coordinate, as one more cell.  A step inside the
+    stencil shrinks h to the step's size, by a factor of 64 at most; a
+    Hessian that is not positive definite, or a step outside the stencil
+    whose candidate is no better, shrinks h by 4.  The refinement stops
+    below h = 1e-8.  Returns the best cell scored, replaced only by a
+    strictly lower error, and its error.
+    """
+    while h >= 1e-8:
+        sa = _round_cells(max(a, h) + _STENCIL * h)
+        sb = _round_cells(min(b, 1.0 - h) + _STENCIL * h)
+        if sa[2] >= sb[0]:
+            h /= 4.0
+            continue
+        f = _interval_cells(np.repeat(sa, 3), np.tile(sb, 3))[0]
+        k = int(np.argmin(f))
+        if f[k] < value:
+            value, a, b = float(f[k]), float(sa[k // 3]), float(sb[k % 3])
+        f = f.reshape(3, 3).tolist()  # f[i][j] is the cell (sa[i], sb[j])
+        ga, gb = (f[2][1] - f[0][1]) / (2.0 * h), (f[1][2] - f[1][0]) / (2.0 * h)
+        haa = (f[2][1] - 2.0 * f[1][1] + f[0][1]) / h**2
+        hbb = (f[1][2] - 2.0 * f[1][1] + f[1][0]) / h**2
+        hab = (f[2][2] - f[2][0] - f[0][2] + f[0][0]) / (4.0 * h**2)
+        det = haa * hbb - hab * hab
+        if not (haa > 0.0 and det > 0.0):
+            h /= 4.0
+            continue
+        step_a, step_b = (hab * gb - hbb * ga) / det, (hab * ga - haa * gb) / det
+        size = max(abs(step_a), abs(step_b))
+        if size > 4.0 * h:
+            step_a, step_b = step_a * 4.0 * h / size, step_b * 4.0 * h / size
+        ta, tb = _round_cells([min(max(sa[1] + step_a, 0.0), 1.0),
+                               min(max(sb[1] + step_b, 0.0), 1.0)])
+        better = False
+        if ta < tb:
+            candidate = float(_interval_cells([ta], [tb])[0][0])
+            better = candidate < value
+            if better:
+                value, a, b = candidate, float(ta), float(tb)
+        if size <= h:
+            h = max(size, h / 64.0)
+        elif not better:
+            h /= 4.0
+    return a, b, value
 
 
 def search_best_interval(refine: bool = True, resolution: float = 0.01) -> SearchResult:
     """Minimize the equilibrium error probability over intervals [a, b].
 
     Coarse scan over the mixed-equilibrium region ``(1 - a) * b > 1/2`` (plus
-    the step-regime boundary cell of each a) followed by two passes of
-    coordinate-wise refinement around the best cell, b then a, each 14
-    rounds of nested grids that narrow the bracket by 4**-14.
-    ``resolution``, the grid step and the refinement half-width, must be a
-    number in (0, 1].  Cells are rounded to 12 digits, and the result is the
-    cell scored; the grid's best is its first strict minimum, a's rows in
-    order.  The whole grid is one batch, and so is each round of
-    refinement; every cell scored is verified by ``verify_equilibrium``'s
-    routine at grid size 1000 and tol 1e-8, and a failure raises
-    ``RuntimeError``.
+    the step-regime boundary cell of each a) followed by a joint Newton
+    refinement in (a, b) from the best cell (:func:`_newton`), its stencil's
+    half-width starting at ``resolution / 8``.  ``resolution``, the grid
+    step, must be a number in (0, 1], and ``refine`` a bool.  Cells are
+    rounded to 12 digits, and the result is the cell scored with the lowest
+    error, no worse than the grid's best, which is its first strict minimum,
+    a's rows in order.  The whole grid is one batch, and so is each stencil;
+    every cell scored is verified by ``verify_equilibrium``'s routine at grid
+    size 1000 and tol 1e-8, and a failure raises ``RuntimeError``.  The
+    objective is flat to about 1e-16 near the optimum, so a and b are good
+    to about 1e-8 only, whatever digits they carry.
     """
+    _check_flag("refine", refine)
     _check_real("resolution", resolution)
     resolution = float(resolution)
     if not 0.0 < resolution <= 1.0:
@@ -127,14 +184,7 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     best = int(np.argmin(values))  # the first minimum, in row order
     value, a_star, b_star = float(values[best]), float(cells_a[best]), float(cells_b[best])
     if refine:
-        for _ in range(2):
-            b_star, value = _refine(lambda b: (np.full(len(b), a_star), b),
-                                    max(b_star - resolution, a_star + 1e-6),
-                                    min(b_star + resolution, 1.0))
-            a_lo = max(a_star - resolution, 0.0)
-            a_hi = min(a_star + resolution, b_star - 1e-6)
-            if a_hi > a_lo:
-                a_star, value = _refine(lambda a: (a, np.full(len(a), b_star)), a_lo, a_hi)
+        a_star, b_star, value = _newton(a_star, b_star, value, resolution / 8.0)
     return SearchResult(a=a_star, b=b_star, value=value)
 
 
@@ -144,6 +194,7 @@ def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -
     The restricted-equilibrium entry is the one on ``BEST_KNOWN_INTERVAL``;
     pass ``run_search=True`` to find it by grid search instead.
     """
+    _check_flag("run_search", run_search)
     n = _as_count(n, "n")
     if n < 2:
         raise ValueError("need at least two firms")

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -58,29 +57,38 @@ __all__ = [
 #: Error probability of the optimal i.i.d. rule (uniform tests on [1/4, 3/4]).
 OPTIMAL_IID_VALUE = Fraction(5, 24)
 
-#: Gauss-Legendre nodes per cdf piece for the one-dimensional reductions.
-#: Exact on polynomial pieces (the integrand of a degree-k piece has degree
-#: 2k + 1 <= 59 for k <= 29).  The arc pieces' nearest singularities, at
-#: (1 +- i) / 2, lie 1/2 away from [0, 1], so the rule converges far below
-#: rounding error on them.
-_PIECE_ORDER = 30
+#: The positive half of the 30-node Gauss-Legendre rule on [-1, 1]
+#: (``numpy.polynomial.legendre.leggauss(30)``, to the last bit), nodes
+#: ascending with their weights; the rule is exactly symmetric, so mirroring
+#: restores all of it.  Per cdf piece it is exact on polynomial pieces (the
+#: integrand of a degree-k piece has degree 2k + 1 <= 59 for k <= 29).  The
+#: arc pieces' nearest singularities, at (1 +- i) / 2, lie 1/2 away from
+#: [0, 1], so the rule converges far below rounding error on them.
+_HALF_NODES = (
+    0.0514718425553177, 0.15386991360858354, 0.25463692616788985, 0.3527047255308781,
+    0.44703376953808915, 0.5366241481420199, 0.6205261829892429, 0.6978504947933158,
+    0.7677774321048262, 0.8295657623827684, 0.8825605357920527, 0.9262000474292743,
+    0.9600218649683075, 0.9836681232797472, 0.9968934840746495,
+)
+_HALF_WEIGHTS = (
+    0.10285265289355859, 0.10176238974840528, 0.09959342058679493, 0.09636873717464392,
+    0.09212252223778594, 0.08689978720108285, 0.08075589522941996, 0.0737559747377049,
+    0.06597422988218044, 0.05749315621761923, 0.04840267283059379, 0.03879919256962683,
+    0.02878470788332254, 0.01846646831109169, 0.007968192496169034,
+)
 
-
-@cache
-def _unit_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights rescaled to [0, 1], built on first use
-    so that importing the package does not load ``numpy.polynomial``."""
-    x, w = np.polynomial.legendre.leggauss(_PIECE_ORDER)
-    return 0.5 * (x + 1.0), 0.5 * w
+#: The rule's nodes and weights rescaled to [0, 1].
+_UNIT_NODES = 0.5 * (np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES]) + 1.0)
+_UNIT_WEIGHTS = 0.5 * np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
 
 
 def _gauss_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the pieces [lo, hi) along the
     last axis, piece by piece; an empty piece gets nodes of weight 0."""
-    u, w = _unit_nodes()
     width = (hi - lo)[..., None]
     shape = (*lo.shape[:-1], -1)
-    return (lo[..., None] + width * u).reshape(shape), (width * w).reshape(shape)
+    return ((lo[..., None] + width * _UNIT_NODES).reshape(shape),
+            (width * _UNIT_WEIGHTS).reshape(shape))
 
 
 def _merged_edges(*dists) -> np.ndarray:

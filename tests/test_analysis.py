@@ -8,8 +8,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from thresholdgame import equilibrium
+from thresholdgame import analysis, equilibrium
 from thresholdgame.analysis import (
     EQUILIBRIUM_FLOOR,
     poa_report,
@@ -25,6 +26,17 @@ from thresholdgame.equilibrium import (
 from thresholdgame.inversion import inversion_iid
 
 EQ_INVERSION_REFERENCE = 0.23052615844150636
+
+#: Grid steps of the refined searches compared below: fine and coarse grids,
+#: grids whose last b step overshoots 1 (0.35, 0.6) or that hold 0.954 twice
+#: (0.053), and the one-cell grid (1.0).
+RESOLUTIONS = (0.01, 0.013, 0.05, 0.053, 0.1, 0.2, 0.35, 0.5, 0.6, 1.0)
+
+
+@pytest.fixture(scope="module")
+def refined_searches():
+    return {resolution: search_best_interval(resolution=resolution)
+            for resolution in RESOLUTIONS}
 
 
 class TestPoaReport:
@@ -83,7 +95,29 @@ class TestSearch:
         result = search_best_interval(resolution=resolution)
         assert 0.0 <= result.a < result.b <= 1.0
         assert result.a == pytest.approx(0.014708, abs=1e-6)
-        assert result.b == pytest.approx(0.79973, abs=1e-5)
+        assert result.b == pytest.approx(0.799743, abs=1e-6)
+
+    def test_every_resolution_ends_at_one_value(self, refined_searches):
+        values = [result.value for result in refined_searches.values()]
+        assert max(values) - min(values) <= 1e-15
+
+    def test_the_value_is_nelder_meads(self, refined_searches):
+        # An independent minimizer on the same verified objective.
+        oracle = minimize(lambda x: _interval_cells([x[0]], [x[1]])[0][0], (0.01, 0.8),
+                          method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-17})
+        assert oracle.success
+        for result in refined_searches.values():
+            assert abs(result.value - oracle.fun) <= 1e-15
+            # The objective is flat to ~1e-16 here, so the cell is good to ~1e-8.
+            assert np.max(np.abs(np.array([result.a, result.b]) - oracle.x)) <= 1e-7
+
+    def test_refinement_takes_few_batches(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(analysis, "_interval_cells",
+                            lambda a, b: sizes.append(len(a)) or _interval_cells(a, b))
+        search_best_interval(resolution=0.01)
+        assert sizes[0] == len(grid_cells(0.01))
+        assert 1 <= len(sizes[1:]) <= 30
 
     def test_objective_continuity_along_b(self):
         # Regime misclassification would show up as a jump between adjacent
@@ -232,7 +266,7 @@ class TestBatchedCells:
         seen = patch_margins(monkeypatch)
         search_best_interval(resolution=0.05)
         refined = [cell for cell in seen if cell not in set(grid_cells(0.05))]
-        assert len(refined) > 100
+        assert len(refined) >= 9  # a stencil at least
         a, b = cell = refined[-1]
         patch_margins(monkeypatch, fail=cell)
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
@@ -268,7 +302,7 @@ class TestBatchedCells:
         assert len(sizes) <= math.ceil(1684 / equilibrium._SLAB_CELLS)
 
     def test_memory_is_set_by_the_block_not_the_cell_count(self):
-        search_best_interval(resolution=0.5, refine=False)  # load the node table first
+        search_best_interval(resolution=0.5, refine=False)  # first-use allocations
         peaks = []
         for resolution in (0.01, 0.005):
             tracemalloc.start()

@@ -271,16 +271,31 @@ class TestReproducibility:
         assert first == second
 
 
-def test_import_leaves_scipy_unloaded():
-    # The runtime needs only numpy; scipy is a test-only oracle.
+def run_probe(probe):
+    """Stdout of ``python -c probe`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(thresholdgame.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, thresholdgame.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # The runtime needs only numpy; scipy is a test-only oracle.
+    probe = ("import sys, thresholdgame.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_probe(probe) == "[]"
+
+
+def test_quadrature_leaves_numpy_polynomial_unloaded():
+    # The Gauss-Legendre rule is stored as literals, not built by leggauss.
+    probe = ("import contextlib, io, sys, thresholdgame.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = thresholdgame.cli.main(['inversion', '--rule', 'iid:eq'])\n"
+             "print(code, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    assert run_probe(probe) == "0 []"
 
 
 # Exact stdout captured from an earlier commit: the 11 benchmark CLI calls,

@@ -15,6 +15,8 @@ from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import IidRule, mc_inversion, parse_rule, simulate
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import (
+    _UNIT_NODES,
+    _UNIT_WEIGHTS,
     _merged_edges,
     _pair_error,
     hybrid_decompose,
@@ -28,6 +30,13 @@ from thresholdgame.inversion import (
 # Reference value computed independently at 30-digit precision by nested
 # tanh-sinh quadrature of the closed-form equilibrium cdf.
 EQ_INVERSION_REFERENCE = 0.23052615844150636
+
+
+def test_gauss_rule_is_leggauss_to_the_bit():
+    # The stored half rule, mirrored and rescaled to [0, 1], is numpy's.
+    x, w = np.polynomial.legendre.leggauss(30)
+    for got, want in ((_UNIT_NODES, 0.5 * (x + 1.0)), (_UNIT_WEIGHTS, 0.5 * w)):
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 
 
 class TestTriangleIntegral:

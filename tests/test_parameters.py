@@ -7,8 +7,10 @@ equilibrium's interval or of the interval of ``candidate_solution`` and
 resolution is checked before it is converted with ``float()``: a bool would
 otherwise pass as 1.0 or 0.0 (``SameTest(True)`` simulated as a test of
 difficulty 1), and a string such as "0.5" as a number.  A ``Fraction`` stays
-accepted.  A rule built on anything but a ``MixedCdf`` raises when it is
-made, not when ``simulate`` first draws from it.
+accepted.  The search's two switches, ``refine`` and ``run_search``, take
+bools only: the string "no" would otherwise switch the refinement on.  A
+rule built on anything but a ``MixedCdf`` raises when it is made, not when
+``simulate`` first draws from it.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from thresholdgame.engine import (
     kendall_tau_fraction,
     play_game,
 )
-from thresholdgame.analysis import search_best_interval
+from thresholdgame.analysis import poa_report, search_best_interval
 from thresholdgame.equilibrium import (
     best_response_value,
     candidate_solution,
@@ -75,6 +77,26 @@ def test_rejects_a_bool(name, flag):
 def test_rejects_what_is_not_a_real_number(name, value):
     with pytest.raises(ValueError, match="must be a number"):
         CALLS[name](value)
+
+
+#: name -> call taking a switch; every call accepts False and True.
+SWITCHES = {
+    "search_best_interval(refine)": lambda v: search_best_interval(refine=v, resolution=1.0),
+    "poa_report(run_search)": lambda v: poa_report(run_search=v, resolution=1.0),
+}
+
+
+@pytest.mark.parametrize("name", SWITCHES)
+@pytest.mark.parametrize("value", ["no", "yes", "", 0, 1, 1.0, None])
+def test_a_switch_rejects_what_is_not_a_bool(name, value):
+    with pytest.raises(ValueError, match="must be a bool"):
+        SWITCHES[name](value)
+
+
+@pytest.mark.parametrize("name", SWITCHES)
+def test_a_switch_accepts_a_bool(name):
+    assert SWITCHES[name](np.False_) == SWITCHES[name](False)
+    SWITCHES[name](True)
 
 
 def test_interval_bounds_reject_bools():
