@@ -89,6 +89,9 @@ def _round_cells(values) -> np.ndarray:
 #: Offsets of the refinement's 3x3 stencil, in units of its half-width.
 _STENCIL = np.array([-1.0, 0.0, 1.0])
 
+#: The stencil's cells but its centre, cell 4 of the nine in row order.
+_RIM = np.delete(np.arange(9), 4)
+
 
 def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, float]:
     """Minimize the equilibrium error jointly in (a, b), from the cell (a, b)
@@ -96,7 +99,8 @@ def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, f
 
     Each iteration scores a 3x3 stencil of cells around the best cell in one
     batch, shifted inward so that every cell keeps 0 <= a < b <= 1 (h
-    shrinks by 4 while none fits).  It takes the central-difference gradient
+    shrinks by 4 while none fits); an unshifted stencil's centre is the best
+    cell, whose known error is taken instead of scoring it again.  It takes the central-difference gradient
     and Hessian from the nine values and scores the Newton candidate,
     clipped to 4h in each coordinate, as one more cell.  A step inside the
     stencil shrinks h to the step's size, by a factor of 64 at most; a
@@ -111,7 +115,11 @@ def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, f
         if sa[2] >= sb[0]:
             h /= 4.0
             continue
-        f = _interval_cells(np.repeat(sa, 3), np.tile(sb, 3))[0]
+        cells_a, cells_b = np.repeat(sa, 3), np.tile(sb, 3)
+        if sa[1] == a and sb[1] == b:  # the centre is the best cell, scored already
+            f = np.insert(_interval_cells(cells_a[_RIM], cells_b[_RIM])[0], 4, value)
+        else:
+            f = _interval_cells(cells_a, cells_b)[0]
         k = int(np.argmin(f))
         if f[k] < value:
             value, a, b = float(f[k]), float(sa[k // 3]), float(sb[k % 3])

@@ -364,14 +364,21 @@ def _nested_max(f, lo: float, hi: float, rounds: int):
     grids: each round passes the 7 inner points of an 8-part split of the
     bracket to ``f``, which maps an array to an array, in one call, keeps the
     best point scored and narrows the bracket to that point's two
-    neighbours, a quarter of its width."""
+    neighbours, a quarter of its width.  The next split's middle point is
+    then the kept one, whose value is taken instead of scoring it again;
+    ``f`` must value each point on its own, whatever points come with it."""
     best_x, best_f = lo, -math.inf
+    kept = None  # the point a round kept, and f there
     for _ in range(rounds):
         x = lo + (hi - lo) / 8.0 * np.arange(9)
-        fx = f(x[1:8])
+        if kept is not None and x[4] == kept[0]:
+            fx = np.insert(f(np.delete(x[1:8], 3)), 3, kept[1])
+        else:
+            fx = f(x[1:8])
         k = int(np.argmax(fx))
         if fx[k] > best_f:
             best_x, best_f = float(x[k + 1]), float(fx[k])
+        kept = x[k + 1], fx[k]
         lo, hi = float(x[k]), float(x[k + 2])
     return best_x, best_f
 

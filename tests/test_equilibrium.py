@@ -375,9 +375,22 @@ class TestBestResponse:
             return -(x - 0.1234567) ** 2
 
         x, value = _nested_max(f, 0.05, 0.45, rounds)
-        assert calls == [7] * rounds
+        # Every round after the first knows the value at its middle point.
+        assert calls == [7] + [6] * (rounds - 1)
         assert abs(x - 0.1234567) <= 0.4 * 4.0**-rounds  # the final bracket's width
         assert value == f(np.array([x]))[0]
+
+    def test_refinement_scores_the_kept_point_once(self, monkeypatch):
+        # A grid scan, then 21 rounds: 7 points and then 6 a round, since
+        # each round's middle point is the one the round before kept.  The
+        # result is the one scoring all 7 points of every round gave.
+        points = []
+        real = equilibrium.selection_probabilities
+        monkeypatch.setattr(equilibrium, "selection_probabilities",
+                            lambda t, opponent: points.append(np.size(t)) or real(t, opponent))
+        theta, value = best_response_value(equilibrium_interval(0.0, 0.79).dist)
+        assert points[1:] == [7] + [6] * 20
+        assert (theta.hex(), value.hex()) == ("0x1.947ae147ae14ap-1", "0x1.35c28f5c28f5bp-1")
 
     def test_against_equilibrium(self):
         _, value = best_response_value(equilibrium_unrestricted().dist)
