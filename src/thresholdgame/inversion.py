@@ -135,10 +135,15 @@ def _pair_error(lo, hi, table, other=None):
 
 def inversion_rule(rule) -> InversionEstimate:
     """Expected fraction of inverted pairs under a test-assignment rule: the
-    mean over its pairs of firms, so for any firm count the rule admits."""
+    mean over its pairs of firms, so for any firm count the rule admits.
+    A rule whose every firm takes a fixed test, or draws it from a single
+    atom, is valued in closed form."""
     if isinstance(rule, IidRule):
-        return inversion_iid(rule.dist)
-    if isinstance(rule, SameTest):
+        atom = _single_atom(rule.dist)
+        if atom is None:
+            return inversion_iid(rule.dist)
+        thresholds = [atom, atom]
+    elif isinstance(rule, SameTest):
         thresholds = [rule.theta, rule.theta]
     elif isinstance(rule, FixedThresholds):
         thresholds = sorted(rule.thresholds)

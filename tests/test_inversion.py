@@ -12,7 +12,7 @@ from scipy.integrate import dblquad, quad
 from conftest import random_mixed_piecewise_linear
 from oracles import triangle_integral
 from thresholdgame.dists import MixedCdf
-from thresholdgame.engine import IidRule, mc_inversion, parse_rule, simulate
+from thresholdgame.engine import IidRule, InversionEstimate, mc_inversion, parse_rule, simulate
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import (
     _UNIT_NODES,
@@ -206,11 +206,20 @@ class TestInversionRule:
         ("same:0.3", (0.3, 0.3)),
         ("fixed:0.7,0.2,0.5", (0.2, 0.5, 0.7)),
         ("indep:step:0.7;eq:0.2,0.4;step:0.1", (0.1, 0.4, 0.7)),
+        ("iid:step:0.5", (0.5, 0.5)),
+        ("iid:eq:0.3,0.6", (0.6, 0.6)),
     ])
     def test_fixed_tests_take_the_closed_form(self, spec, thresholds):
         est = inversion_rule(parse_rule(spec))
         assert est.method == "closed_form"
         assert est.value == float(inversion_fixed(thresholds))
+
+    def test_an_iid_atom_is_the_same_fixed_test(self):
+        # One atom drawn i.i.d. is one test taken by both firms, however the
+        # rule spells it.
+        estimates = {inversion_rule(parse_rule(spec))
+                     for spec in ("iid:step:0.5", "indep:step:0.5;step:0.5", "same:0.5")}
+        assert estimates == {InversionEstimate(value=0.25, method="closed_form")}
 
     def test_iid_is_inversion_iid(self):
         d = equilibrium_interval(0.0, 0.79).dist
