@@ -6,10 +6,11 @@ fails its own test, and the principal ranks firms by the only rational rule:
 all passers ahead of all failers, harder tests first within each group, and
 uniformly random order inside blocks that tie on both outcome and difficulty.
 
-Monte Carlo estimates use a counter-based generator (Philox) keyed by
-``(seed, chunk index)`` with a fixed chunk size and a fixed draw order inside
-each chunk, so results are reproducible bit-for-bit for a given seed and
-independent of how chunks are scheduled.  A ``simulate`` call runs its
+Monte Carlo estimates split their plays into chunks of a fixed size, and
+chunk c of seed s reads the stream of ``PCG64DXSM(SeedSequence(s,
+spawn_key=(c,)))`` from its start, child c of ``SeedSequence(s).spawn``, in a
+fixed draw order, so results are reproducible bit-for-bit for a given seed
+and independent of how chunks are scheduled.  A ``simulate`` call runs its
 chunks on W workers, one per CPU available to the process, but no more than
 there are chunks or than leave each worker blocks of 2**14 plays, so W = 1
 beyond 16 firms.  The calling thread is worker 0, the others are threads,
@@ -30,7 +31,8 @@ through its own generator into a small plays-major tile of about 2**15
 values and copied tile by tile into the block's rows, so the draws, and
 every seeded result, are those of one generator read straight through.
 Each worker builds its three generators once, with no OS entropy, and
-places them for every segment by setting the Philox key and counter.
+places one at a segment by assigning its chunk's seeded state, worked out
+once per chunk, and advancing it by the draws that come before.
 Uniforms are inverted into thresholds in their rows.  A rule that draws no
 thresholds (a fixed test, or a single atom for every firm) fills its
 thresholds once per worker and decides once whether two of them are equal;
@@ -354,25 +356,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream(gen: np.random.Generator, seed: int, chunk: int,
-            offset: int = 0) -> np.random.Generator:
-    """Place ``gen``, a Philox generator, ``offset`` draws of ``random()``
-    into the stream of chunk ``chunk`` and return it.
+def _seeded_state(seed: int, chunk: int) -> dict:
+    """The state at its start of chunk ``chunk``'s stream, that of
+    ``PCG64DXSM(SeedSequence(seed, spawn_key=(chunk,)))``: the seed sequence
+    is given its entropy, so none is read from the OS."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(chunk,))).state
 
-    The stream is that of ``Philox(key=seed + (chunk << 64))``: setting the
-    key words ``(seed, chunk)``, the counter and an empty buffer gives the
-    state of such a generator advanced by ``offset // 4`` counter steps,
-    four draws each, without building one, which would also read 16 bytes
-    of OS entropy only for the key to override them.  The other ``offset %
-    4`` draws are read and dropped.
+
+def _stream(gen: np.random.Generator, state: dict, offset: int = 0) -> np.random.Generator:
+    """Place ``gen``, a PCG64DXSM generator, ``offset`` draws of ``random()``
+    into the stream that starts at ``state`` and return it.
+
+    Each draw of ``random()`` is one step of the generator, so assigning the
+    state and advancing it ``offset`` steps, a jump of logarithmic cost,
+    gives the generator that read those draws.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([offset // 4, 0, 0, 0], dtype=np.uint64),
-                  "key": np.array([seed, chunk], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    gen.random(offset % 4)
+    gen.bit_generator.state = state
+    gen.bit_generator.advance(offset)
     return gen
 
 
@@ -389,14 +389,15 @@ class _ChunkArrays:
     with them; ``inv`` holds a whole chunk's inversion counts and, with
     three firms or more, ``frac`` its misordered fractions and then their
     squares.  Short blocks and chunks use leading slices.  ``streams`` are
-    the generators of the qualities, uniforms and tie draws, built once
-    without entropy and placed by ``_stream`` for every chunk.
+    the PCG64DXSM generators of the qualities, uniforms and tie draws, built
+    once from a fixed seed, so without entropy, and placed by ``_stream`` in
+    every chunk's stream.
     """
 
     def __init__(self, n: int, plays: int, workers: int = 1):
         self.rows = rows = max(1, min(plays, _BLOCK_VALUES // n) // workers)
         self.pairs = n * (n - 1) // 2
-        self.streams = tuple(np.random.Generator(np.random.Philox(0)) for _ in range(3))
+        self.streams = tuple(np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(3))
         self.stage = np.empty((max(1, min(rows, _TILE_VALUES // n)), n))
         self.q = np.empty((n, rows))
         self.t = np.empty((n, rows))
@@ -538,8 +539,9 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
         arrays.t[...] = np.reshape(fixed, (n, 1))
         arrays.fixed = fixed, len(set(fixed)) < n
     q_gen, u_gen, tie_gen = arrays.streams
-    qualities = _stream(q_gen, seed, c)
-    uniforms = _stream(u_gen, seed, c, m * n) if fixed is None else None
+    state = _seeded_state(seed, c)
+    qualities = _stream(q_gen, state)
+    uniforms = _stream(u_gen, state, m * n) if fixed is None else None
     ties_start, per_play = m * n * (1 + drawn), 1 if n == 2 else n
     ties, ties_next = None, None  # the tie generator and the play it reads next
     wins = np.zeros(n, dtype=np.int64)
@@ -555,7 +557,7 @@ def _simulate_chunk(rule: Rule, n: int, seed: int, c: int, m: int,
         _read_rows(qualities, stage, q)
         if tied:
             if ties_next != r0:
-                ties = _stream(tie_gen, seed, c, ties_start + r0 * per_play)
+                ties = _stream(tie_gen, state, ties_start + r0 * per_play)
             ties_next = r0 + b
             _read_rows(ties, stage, keys)
         wins += _score_block(q, t, keys if tied else None, arrays, arrays.inv[r0:r0 + b])
@@ -625,7 +627,8 @@ def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIAL
         raise ValueError("trials must be positive")
     seed = _as_count(seed, "seed")
     if not 0 <= seed <= _MASK64:
-        # Philox keys hold 64 bits of seed; a larger one would alias another.
+        # SeedSequence takes any nonnegative int, but the seeds accepted
+        # stay one unsigned 64-bit word, whatever the stream.
         raise ValueError("seed must lie in [0, 2**64)")
     n = _rule_firm_count(rule, n_firms)
 

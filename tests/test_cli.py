@@ -11,6 +11,8 @@ import pytest
 import thresholdgame
 from thresholdgame.cli import main
 from thresholdgame.dists import MixedCdf
+from thresholdgame.engine import parse_rule
+from thresholdgame.inversion import inversion_rule
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +97,13 @@ class TestInversion:
         data = json.loads(out)
         assert data["method"] == "quadrature"
         assert data["value"] == pytest.approx(5 / 24, abs=1e-8)
+
+    def test_iid_atom_closed_form(self, capsys):
+        # An i.i.d. draw of one atom is the fixed test same:0.5.
+        code, out = run_cli(capsys, "inversion", "--rule", "iid:step:0.5")
+        assert code == 0
+        assert json.loads(out) == {"rule": "iid:step:0.5", "value": 0.25,
+                                   "method": "closed_form", "std_error": 0.0, "trials": 0}
 
     def test_indep_steps_closed_form(self, capsys):
         code, out = run_cli(capsys, "inversion", "--rule",
@@ -311,3 +320,24 @@ def test_stdout_matches_golden_bytes(capsys, case):
     code, out = run_cli(capsys, *case["argv"])
     assert code == case["exit_code"]
     assert out == case["stdout"]
+
+
+def _seeded_estimate(case):
+    """The (rule, mean, standard error) a seeded Monte Carlo golden prints,
+    as JSON or as ``key,value`` csv rows."""
+    out = case["stdout"]
+    if out.startswith("key,value"):
+        data = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        return data["rule"].strip('"'), float(data["inversion_mean"]), \
+            float(data["inversion_std_error"])
+    data = json.loads(out)
+    if "value" in data:
+        return data["rule"], data["value"], data["std_error"]
+    return data["rule"], data["inversion_mean"], data["inversion_std_error"]
+
+
+@pytest.mark.parametrize("case", [case for case in GOLDEN_STDOUT if "--seed" in case["argv"]],
+                         ids=lambda case: " ".join(case["argv"]))
+def test_seeded_golden_is_near_the_deterministic_value(case):
+    rule, mean, se = _seeded_estimate(case)
+    assert abs(mean - inversion_rule(parse_rule(rule)).value) < 3 * se

@@ -28,7 +28,7 @@ from thresholdgame.engine import (
     play_game,
     simulate,
 )
-from thresholdgame.inversion import inversion_fixed
+from thresholdgame.inversion import inversion_fixed, inversion_rule
 
 from oracles import quantile_reference
 
@@ -273,7 +273,8 @@ class TestMonteCarlo:
             simulate(SameTest(0.5), trials=0)
 
     def test_seed_must_fit_64_bits(self):
-        # Philox keys hold 64 bits of seed; 2**64 would replay seed 0.
+        # The seeds accepted are the unsigned 64-bit words, though the seed
+        # sequence would take any nonnegative int.
         rule = parse_rule("iid:eq")
         for seed in (-1, 2**64, 2**64 + 5):
             with pytest.raises(ValueError):
@@ -299,8 +300,9 @@ class TestInversionEstimate:
 
 
 def _chunk_gen(seed, c):
-    """Chunk c's random stream: Philox keyed by (seed, chunk index)."""
-    return np.random.Generator(np.random.Philox(key=seed + (c << 64)))
+    """Chunk c's random stream: PCG64DXSM seeded by child c of the seed's
+    sequence, spawned."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(c + 1)[c]))
 
 
 def _reference_thresholds(rule, gen, m, n):
@@ -390,23 +392,24 @@ SMALL_ATOM = IidRule(MixedCdf.piecewise_linear([(0.0, 0.0), (0.4, 0.38), (0.4, 0
 
 
 def _record_streams(monkeypatch):
-    """Record the (chunk, offset) of every generator ``engine`` places."""
+    """Record the (seeded state, offset) of every generator ``engine`` places."""
     placed = []
     real = engine._stream
 
-    def stream(gen, seed, chunk, offset=0):
-        placed.append((chunk, offset))
-        return real(gen, seed, chunk, offset)
+    def stream(gen, state, offset=0):
+        placed.append((state, offset))
+        return real(gen, state, offset)
 
     monkeypatch.setattr(engine, "_stream", stream)
     return placed
 
 
-def _tie_offsets(placed, rule, n, c, m):
-    """The offsets at which chunk c of m plays placed its tie generator: the
-    tie draws follow the qualities and any uniforms."""
+def _tie_offsets(placed, rule, n, seed, c, m):
+    """The offsets at which chunk c of m plays of seed ``seed`` placed its tie
+    generator: the tie draws follow the qualities and any uniforms."""
     drawn = isinstance(rule, (IidRule, IndependentRule))
-    return [p for chunk, p in placed if chunk == c and p >= m * n * (1 + drawn)]
+    start = _chunk_gen(seed, c).bit_generator.state
+    return [p for state, p in placed if state == start and p >= m * n * (1 + drawn)]
 
 
 class TestPairwiseKernel:
@@ -445,7 +448,7 @@ class TestPairwiseKernel:
         got = engine._simulate_chunk(SMALL_ATOM, n, 5, 1, m, arrays)
         _assert_same_chunk(got, _lexsort_chunk(SMALL_ATOM, n, _chunk_gen(5, 1), m))
         per_play = 1 if n == 2 else n
-        assert _tie_offsets(placed, SMALL_ATOM, n, 1, m) == [
+        assert _tie_offsets(placed, SMALL_ATOM, n, 5, 1, m) == [
             2 * m * n + r0 * per_play for r0, step in zip(starts, after) if step == (False, True)]
 
     @pytest.mark.parametrize("spec, n", [("fixed:0.1,0.3,0.5,0.7,0.9", 5),
@@ -463,7 +466,7 @@ class TestPairwiseKernel:
         simulate(rule, n_firms=n, trials=trials, seed=seed)
         for c, m in enumerate((engine.CHUNK_TRIALS, 12_345)):
             want = [] if n > 2 else [m * n]
-            assert _tie_offsets(placed, rule, n, c, m) == want
+            assert _tie_offsets(placed, rule, n, seed, c, m) == want
 
     @staticmethod
     def _sorted_reference(q, t, tie):
@@ -527,26 +530,41 @@ class TestPairwiseKernel:
 # ---------------------------------------------------------------------------
 
 # (rule, n, seed, trials, inversion_mean, inversion_std_error, win_rates), all
-# floats as float.hex(); every trial count ends in a partial chunk.
+# floats as float.hex() of ``_reference_hex``, the sort-based kernel run chunk
+# by chunk; every trial count ends in a partial chunk.
 GOLDEN_SIMULATIONS = [
-('iid:eq', 2, 0, 100000, '0x1.d4467381d7dbfp-3', '0x1.5c23bd77d01e7p-10', ('0x1.fe86833c6002ap-2', '0x1.00bcbe61cffebp-1')),
-('iid:eq:0,0.79', 2, 1, 100000, '0x1.d3458cd20afa3p-3', '0x1.5be0771d93652p-10', ('0x1.00d4562e09fe8p-1', '0x1.fe5753a3ec02fp-2')),
-('indep:step:0.2928932;step:0.7071068', 2, 2, 70000, '0x1.616d210f819bfp-3', '0x1.766822e9c808ap-10', ('0x1.00d9347cc0a11p-1', '0x1.fe4d97067ebdfp-2')),
-('same:0.5', 2, 3, 70000, '0x1.fea777c75bb12p-3', '0x1.aca90a8600096p-10', ('0x1.0072384a6e1fbp-1', '0x1.ff1b8f6b23c09p-2')),
-('iid:eq', 3, 4, 150000, '0x1.da55c2d9ece74p-3', '0x1.57e6b581baa8bp-11', ('0x1.5306a2b1704ffp-2', '0x1.56c455be30e10p-2', '0x1.563507905ecf1p-2')),
-('fixed:0.1,0.3,0.5,0.7,0.9', 5, 5, 100000, '0x1.d5379fa97e133p-3', '0x1.d13b79943b6afp-12', ('0x1.5d6e04c059210p-4', '0x1.c48beb5b2d4d4p-3', '0x1.41719f7f8ca82p-2', '0x1.1460aa64c2f83p-2', '0x1.c230fcf80dc33p-4')),
-('same:0.4', 4, 6, 70000, '0x1.0a87b6d1712fap-2', '0x1.873290df01468p-11', ('0x1.0068db8bac711p-2', '0x1.fecceac2626bdp-3', '0x1.0077d6567beefp-2', '0x1.ff71b1794cd45p-3')),
-('iid:uniform:0.25,0.75', 8, 7, 70000, '0x1.aa07ac799c01ep-3', '0x1.5f2abae3dafc5p-12', ('0x1.0086d1214b6ccp-3', '0x1.fcc81e6d6bf57p-4', '0x1.fc8c33422dfe0p-4', '0x1.013a92a305532p-3', '0x1.03b7354e77b86p-3', '0x1.f846af6d0319fp-4', '0x1.fa43fe5c91d15p-4', '0x1.0497e730a0185p-3')),
-('indep:eq;uniform:0.2,0.6;step:0.5', 3, 8, 70000, '0x1.b1fd9ed3c85f5p-3', '0x1.de8fbd245e4a1p-11', ('0x1.40651cd8f8919p-2', '0x1.269356c6d4e00p-2', '0x1.99078c60328e7p-2')),
+('iid:eq', 2, 0, 100000, '0x1.d66277c45cbbcp-3', '0x1.5cb09821f9f42p-10', ('0x1.ff290abb44e51p-2', '0x1.006b7aa25d8d8p-1')),
+('iid:eq:0,0.79', 2, 1, 100000, '0x1.d9945b6c3760cp-3', '0x1.5d847cdbc84c1p-10', ('0x1.0074a771c970fp-1', '0x1.ff16b11c6d1e1p-2')),
+('indep:step:0.2928932;step:0.7071068', 2, 2, 70000, '0x1.60f54ab905ad0p-3', '0x1.7635de67acc60p-10', ('0x1.fe730a018578ap-2', '0x1.00c67aff3d43bp-1')),
+('same:0.5', 2, 3, 70000, '0x1.fabbd4b30dc04p-3', '0x1.ab8e482ff5075p-10', ('0x1.0129b87edbe59p-1', '0x1.fdac8f024834ep-2')),
+('iid:eq', 3, 4, 150000, '0x1.d731da55c2d9ep-3', '0x1.55f2f857c7ac9p-11', ('0x1.53ed527e52157p-2', '0x1.566b34baab1a8p-2', '0x1.55a778c702d00p-2')),
+('fixed:0.1,0.3,0.5,0.7,0.9', 5, 5, 100000, '0x1.d721d53cddd6ep-3', '0x1.d176b9051b992p-12', ('0x1.5e00d1b71758ep-4', '0x1.c476f2a5a469dp-3', '0x1.41da7b0b39192p-2', '0x1.12ad81adea897p-2', '0x1.c6f1561911490p-4')),
+('same:0.4', 4, 6, 70000, '0x1.097974c667063p-2', '0x1.8758ac6c6e391p-11', ('0x1.fcc0a10804369p-3', '0x1.02d6836c4f587p-2', '0x1.fdc6c5e533513p-3', '0x1.ffcb923a29c78p-3')),
+('iid:uniform:0.25,0.75', 8, 7, 70000, '0x1.aa7b3b286ef16p-3', '0x1.5dc8753859890p-12', ('0x1.fe20a6a610446p-4', '0x1.03126e978d4fep-3', '0x1.ff3d43b3769bcp-4', '0x1.054ba8b259febp-3', '0x1.f577a9661b807p-4', '0x1.fec56d5cfaacep-4', '0x1.05bc01a36e2ebp-3', '0x1.f230cd08b7f81p-4')),
+('indep:eq;uniform:0.2,0.6;step:0.5', 3, 8, 70000, '0x1.b194c3481bee4p-3', '0x1.de3ea5c6b1ff8p-11', ('0x1.413e5155b932ap-2', '0x1.272922b2efcaap-2', '0x1.97988bf75702cp-2')),
 ]
 
 
-@pytest.mark.parametrize("spec, n, seed, trials, mean, se, rates", GOLDEN_SIMULATIONS)
+#: Test ids of the inputs alone, which a new stream leaves as they are.
+GOLDEN_IDS = [f"{spec}-{n}-{seed}-{trials}" for spec, n, seed, trials, *_ in GOLDEN_SIMULATIONS]
+
+
+@pytest.mark.parametrize("spec, n, seed, trials, mean, se, rates", GOLDEN_SIMULATIONS,
+                         ids=GOLDEN_IDS)
 def test_seeded_output_is_pinned(spec, n, seed, trials, mean, se, rates):
     summary = simulate(parse_rule(spec), n_firms=n, trials=trials, seed=seed)
     assert summary.inversion_mean.hex() == mean
     assert summary.inversion_std_error.hex() == se
     assert tuple(r.hex() for r in summary.win_rates) == rates
+
+
+@pytest.mark.parametrize("spec, n, seed, trials, mean, se, rates", GOLDEN_SIMULATIONS,
+                         ids=GOLDEN_IDS)
+def test_pinned_output_is_near_the_deterministic_value(spec, n, seed, trials, mean, se, rates):
+    # inversion_rule is the mean over the rule's pairs of firms; the pairs
+    # of a same: or iid: rule all err alike, so its value holds for any n.
+    value = inversion_rule(parse_rule(spec)).value
+    assert abs(float.fromhex(mean) - value) < 3 * float.fromhex(se)
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +861,6 @@ class TestSimulate:
         assert threaded == serial
 
 
-def _philox_state(gen):
-    """The whole state of ``gen``'s Philox, comparable with ``==``."""
-    state = gen.bit_generator.state
-    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
-            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
-            state["uinteger"])
-
-
 class TestChunkBookkeeping:
     """Each worker places its own three generators by state, a two-firm chunk
     sums by counting and the kernel counts wins row by row; none of these
@@ -874,22 +884,24 @@ class TestChunkBookkeeping:
         _force_workers(monkeypatch, workers)
         monkeypatch.setattr(random, "_urandom", urandom)
         with pytest.raises(AssertionError, match="entropy"):
-            np.random.Philox(key=6)
+            np.random.SeedSequence()
         assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=6)) == want
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_a_placed_generator_is_the_keyed_stream_advanced(self, seed):
         # One generator placed again and again, each time after reading on
-        # mid-stream, half a 64-bit word included.
-        offsets = [*range(10), *(2**20 + 4 * k + d for k in (-1, 0, 1) for d in (-1, 1))]
-        gen = np.random.Generator(np.random.Philox(0))
+        # mid-stream, half a 64-bit word included, so that its buffered
+        # 32-bit half must not survive the placement.
+        offsets = [*range(10), *(2**20 + d for d in range(-3, 4))]
+        gen = np.random.Generator(np.random.PCG64DXSM(0))
         for chunk in (0, 1, 77):
+            state = engine._seeded_state(seed, chunk)
+            assert state == _chunk_gen(seed, chunk).bit_generator.state
             for offset in offsets:
-                want = np.random.Generator(np.random.Philox(key=seed + (chunk << 64)))
-                want.bit_generator.advance(offset // 4)
-                want.random(offset % 4)
-                assert engine._stream(gen, seed, chunk, offset) is gen
-                assert _philox_state(gen) == _philox_state(want)
+                want = _chunk_gen(seed, chunk)
+                want.random(offset)
+                assert engine._stream(gen, state, offset) is gen
+                assert gen.bit_generator.state == want.bit_generator.state
                 assert gen.random(7).tobytes() == want.random(7).tobytes()
                 gen.integers(0, 2**32, dtype=np.uint32)
 
