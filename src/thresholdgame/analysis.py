@@ -89,9 +89,6 @@ def _round_cells(values) -> np.ndarray:
 #: Offsets of the refinement's 3x3 stencil, in units of its half-width.
 _STENCIL = np.array([-1.0, 0.0, 1.0])
 
-#: The stencil's cells but its centre, cell 4 of the nine in row order.
-_RIM = np.delete(np.arange(9), 4)
-
 
 def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, float]:
     """Minimize the equilibrium error jointly in (a, b), from the cell (a, b)
@@ -99,15 +96,16 @@ def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, f
 
     Each iteration scores a 3x3 stencil of cells around the best cell in one
     batch, shifted inward so that every cell keeps 0 <= a < b <= 1 (h
-    shrinks by 4 while none fits); an unshifted stencil's centre is the best
-    cell, whose known error is taken instead of scoring it again.  It takes the central-difference gradient
-    and Hessian from the nine values and scores the Newton candidate,
-    clipped to 4h in each coordinate, as one more cell.  A step inside the
-    stencil shrinks h to the step's size, by a factor of 64 at most; a
-    Hessian that is not positive definite, or a step outside the stencil
-    whose candidate is no better, shrinks h by 4.  The refinement stops
-    below h = 1e-8.  Returns the best cell scored, replaced only by a
-    strictly lower error, and its error.
+    shrinks by 4 while none fits); the best cell, the centre unless the
+    stencil was shifted, keeps its known error instead of being scored
+    again.  It takes the central-difference gradient and Hessian from the
+    nine values and scores the Newton candidate, clipped to 4h in each
+    coordinate, as one more cell.  A step inside the stencil shrinks h to
+    the step's size, by a factor of 64 at most; a Hessian that is not
+    positive definite, or a step outside the stencil whose candidate is no
+    better, shrinks h by 4.  The refinement stops below h = 1e-8.  Returns
+    the best cell scored, replaced only by a strictly lower error, and its
+    error.
     """
     while h >= 1e-8:
         sa = _round_cells(max(a, h) + _STENCIL * h)
@@ -116,10 +114,9 @@ def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, f
             h /= 4.0
             continue
         cells_a, cells_b = np.repeat(sa, 3), np.tile(sb, 3)
-        if sa[1] == a and sb[1] == b:  # the centre is the best cell, scored already
-            f = np.insert(_interval_cells(cells_a[_RIM], cells_b[_RIM])[0], 4, value)
-        else:
-            f = _interval_cells(cells_a, cells_b)[0]
+        new = (cells_a != a) | (cells_b != b)  # all but the best cell, scored already
+        f = np.full(9, value)
+        f[new] = _interval_cells(cells_a[new], cells_b[new])[0]
         k = int(np.argmin(f))
         if f[k] < value:
             value, a, b = float(f[k]), float(sa[k // 3]), float(sb[k % 3])

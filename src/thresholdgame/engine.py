@@ -357,9 +357,10 @@ def _cpu_count() -> int:
 
 
 def _seeded_state(seed: int, chunk: int) -> dict:
-    """The state at its start of chunk ``chunk``'s stream, that of
-    ``PCG64DXSM(SeedSequence(seed, spawn_key=(chunk,)))``: the seed sequence
-    is given its entropy, so none is read from the OS."""
+    """The start state of chunk ``chunk``'s stream: that of
+    ``PCG64DXSM(SeedSequence(seed, spawn_key=(chunk,)))``, child ``chunk`` of
+    ``SeedSequence(seed).spawn``.  The seed sequence is given its entropy,
+    so none is read from the OS."""
     return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(chunk,))).state
 
 

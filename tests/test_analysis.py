@@ -119,25 +119,23 @@ class TestSearch:
         assert sizes[0] == len(grid_cells(0.01))
         assert 1 <= len(sizes[1:]) <= 30
 
-    def test_refinement_scores_no_cell_twice(self, monkeypatch):
-        # An unshifted stencil's centre is the best cell so far: its error is
-        # known, so the refinement passes only the other eight of its cells.
+    @pytest.mark.parametrize("resolution, cells", [(0.01, 45), (0.6, 82)])
+    def test_refinement_scores_no_cell_twice(self, monkeypatch, resolution, cells):
+        # The best cell so far keeps its known error, whether it is the
+        # stencil's centre or, in a stencil shifted inward at 0.6, an edge
+        # cell; at 0.01 that leaves 45 cells of 50.
         batches = []
 
-        def cells(a, b):
-            results = _interval_cells(a, b)
-            batches.append((list(zip(np.asarray(a).tolist(), np.asarray(b).tolist())),
-                            results[0]))
-            return results
+        def record(a, b):
+            batches.append(list(zip(np.asarray(a).tolist(), np.asarray(b).tolist())))
+            return _interval_cells(a, b)
 
-        monkeypatch.setattr(analysis, "_interval_cells", cells)
-        result = search_best_interval(resolution=0.01)
-        grid, grid_values = batches[0]
-        refined = [cell for batch, _ in batches[1:] for cell in batch]
-        assert len(refined) == 45
+        monkeypatch.setattr(analysis, "_interval_cells", record)
+        search_best_interval(resolution=resolution)
+        refined = [cell for batch in batches[1:] for cell in batch]
+        assert len(refined) == cells
         assert len(set(refined)) == len(refined)
-        assert grid[int(np.argmin(grid_values))] not in refined
-        assert (result.a, result.b) in refined
+        assert not set(refined) & set(batches[0])
 
     def test_objective_continuity_along_b(self):
         # Regime misclassification would show up as a jump between adjacent

@@ -206,7 +206,6 @@ class TestInversionRule:
         ("same:0.3", (0.3, 0.3)),
         ("fixed:0.7,0.2,0.5", (0.2, 0.5, 0.7)),
         ("indep:step:0.7;eq:0.2,0.4;step:0.1", (0.1, 0.4, 0.7)),
-        ("iid:step:0.5", (0.5, 0.5)),
         ("iid:eq:0.3,0.6", (0.6, 0.6)),
     ])
     def test_fixed_tests_take_the_closed_form(self, spec, thresholds):
