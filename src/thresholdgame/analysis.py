@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from thresholdgame.dists import _check_nonnegative, _check_real
-from thresholdgame.engine import _as_count
+from thresholdgame.dists import _as_count, _check_nonnegative, _check_real
 from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells
 from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
 from thresholdgame.inversion import OPTIMAL_IID_VALUE, inversion_iid, optimal_value_correlated

@@ -155,8 +155,8 @@ def _cmd_verify(args) -> int:
     if not isinstance(rule, engine.IidRule):
         raise ValueError("verify applies to iid rules only (e.g. iid:eq:0,0.79)")
     family = rule.dist.family or (None,)
-    # A restricted equilibrium is checked on its own interval; its cut point
-    # is a breakpoint of the cdf, so the candidate's grid is the same.
+    # A restricted equilibrium is checked on its own interval, from its cdf
+    # alone, so the candidate reports what the equilibrium would.
     interval = family[1:] if family[0] == "eq_interval" else (0.0, 1.0)
     sol = equilibrium.candidate_solution(rule.dist, interval)
     report = equilibrium.verify_equilibrium(sol, grid_size=args.grid, tol=args.tol)

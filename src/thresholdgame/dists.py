@@ -117,6 +117,20 @@ def _check_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def _as_count(value, name: str) -> int:
+    """``value`` as an int, or ValueError unless it is a whole number:
+    ``int`` alone would truncate 2.5 to another count, and True would pass
+    as 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 # The row formulas work in place on their first temporary, which has the
 # shape of theta and so of the result: a verification block evaluates them
 # at thousands of points, and dropping a fresh array per operation took

@@ -63,8 +63,8 @@ from typing import Sequence
 
 import numpy as np
 
-from thresholdgame.dists import (_FAMILY_FIELDS, MixedCdf, _check_nonnegative, _check_unit_params,
-                                 _unit_points)
+from thresholdgame.dists import (_FAMILY_FIELDS, MixedCdf, _as_count, _check_nonnegative,
+                                 _check_unit_params, _unit_points)
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -120,20 +120,6 @@ class GameOutcome:
 # ---------------------------------------------------------------------------
 # Single plays
 # ---------------------------------------------------------------------------
-
-
-def _as_count(value, name: str) -> int:
-    """``value`` as an int, or ValueError unless it is a whole number:
-    ``int`` alone would truncate 2.5 to another count, and True would pass
-    as 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def play_game(thresholds: Sequence[float], qualities: Sequence[float],

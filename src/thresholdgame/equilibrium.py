@@ -15,11 +15,13 @@ game on [0, 1] and for games restricted to an interval [a, b]:
   flat, and jumps at ``b`` by a point mass.
 
 The construction is verified numerically: on the support the selection
-probability must equal 1/2 and off the support it must not exceed 1/2, and a
-best response search (a grid, then nested grids around its best point)
-confirms there is no profitable deviation against any candidate distribution.
+probability must equal 1/2 and off the support it must not exceed 1/2.
 Payoffs read the opponent's piece table (see :mod:`thresholdgame.dists`), so
 one verifier, ``_verify``, checks a single cdf and blocks of interval cells.
+On each piece of the opponent's cdf the payoff is linear (arcs and flat
+pieces) or a cubic (line pieces), so besides a grid the verifier scores the
+few points where it can peak (``_peaks``), and these alone give the exact
+best response against any distribution.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _check_nonnegative, _piece_table,
-                                 _row_cdf, _unit_interval, _unit_points)
-from thresholdgame.engine import _as_count
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _as_count, _check_nonnegative,
+                                 _piece_table, _row_cdf, _unit_interval, _unit_points)
 from thresholdgame.inversion import _pair_error
 
 __all__ = [
@@ -281,10 +282,32 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     _check_nonnegative("tol", tol)
-    a, b = sol.interval
-    dev, gain, passed = _verify(sol.dist._table, np.array([a]), np.array([b]),
-                                np.array([sol.cut_point]), grid_size, tol)
+    table = sol.dist._table
+    a, b = (np.array([end]) for end in sol.interval)
+    dev, gain, passed = _verify(table, a, b, _peaks(table, a, b), grid_size, tol)
     return VerificationReport(dev.item(), gain.item(), bool(passed[0]), grid_size, tol)
+
+
+def _peaks(table, a, b):
+    """The points of [a, b] (arrays of cells) besides the piece lows where
+    the payoff against each cell's cdf in ``table`` can peak, clipped into
+    [a, b]: just right of each atom, where a tie is won in full, and the
+    critical points of each line piece, or its low when they lie outside it.
+
+    On a piece, with ``K = prefix - anti_lo`` so that ``Gamma = K + c0 t +
+    c1 t^2 / 2 + c2 r``, the payoff ``(1 - t) phi + r^2 T + (1 - 2t) Gamma``
+    has the derivative ``3 c1 (t^2 - t) + g`` with ``g = c1 - phi - c0 -
+    2K``: the arc terms cancel, as ``(2t - 1)^2 = 2 r^2 - 1``.  So the
+    payoff is linear on an arc or flat piece and peaks at one of its ends,
+    and on a line piece it is a cubic with critical points
+    ``1/2 +- sqrt(1/4 - g / (3 c1))``."""
+    g = table.c1 - (1.0 - table.total) - table.c0 - 2.0 * (table.prefix - table.anti_lo)
+    with np.errstate(divide="ignore", invalid="ignore"):  # arcs and flat pieces
+        half = np.sqrt(0.25 - g / (3.0 * table.c1))
+    roots = [np.where((table.lo < x) & (x < table.hi), x, table.lo)
+             for x in (0.5 - half, 0.5 + half)]
+    return np.clip(np.concatenate([np.nextafter(table.atom_at, 2.0), *roots], axis=1),
+                   a[:, None], b[:, None])
 
 
 def _grid(a, b, size: int) -> np.ndarray:
@@ -306,13 +329,14 @@ def _grid(a, b, size: int) -> np.ndarray:
     return grid
 
 
-def _verify(table, a, b, cut, grid_size: int, tol: float):
+def _verify(table, a, b, peaks, grid_size: int, tol: float):
     """:func:`_margins` against each cell's cdf in the piece ``table`` on
-    [a, b] (arrays of cells): at a ``grid_size``-point grid, a, b, the cut
-    point and every piece low, piece midpoint and atom clipped into [a, b]."""
+    [a, b] (arrays of cells): at a ``grid_size``-point grid, which holds a
+    and b, every piece low, piece midpoint and atom clipped into [a, b] and
+    the cells' :func:`_peaks` ``peaks``."""
     special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
-    thetas = np.concatenate([_grid(a, b, grid_size), np.stack([a, b, cut], axis=1),
-                             np.clip(special, a[:, None], b[:, None])], axis=1)
+    thetas = np.concatenate([_grid(a, b, grid_size), np.clip(special, a[:, None], b[:, None]),
+                             peaks], axis=1)
     piece = table.piece(thetas)  # shared by the terms and the support
     terms, at_atom = _opponent_terms(thetas, table, piece)
     return _margins(*terms, table.support(thetas, piece, at_atom), tol)
@@ -343,12 +367,13 @@ def _interval_cells(a, b):
         slab = slice(start, start + _SLAB_CELLS)
         sa, sb = a[slab], b[slab]
         value, support_dev, outside_gain = (r[slab] for r in results)  # views
-        _, _, rows, cut, _, sound = _interval_params(sa, sb)
+        _, _, rows, _, _, sound = _interval_params(sa, sb)
         table = _piece_table(*rows)
+        peaks = _peaks(table, sa, sb)
         for s in range(0, len(sa), _BLOCK_CELLS):
             k = slice(s, s + _BLOCK_CELLS)
             block = type(table)(*(values[k] for values in table))
-            support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], cut[k],
+            support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], peaks[k],
                                                               1000, 1e-8)
             value[k] = _pair_error(block.lo, block.hi, block)
             if not np.all(passed & sound[k]):
@@ -359,58 +384,17 @@ def _interval_cells(a, b):
     return results
 
 
-def _nested_max(f, lo: float, hi: float, rounds: int):
-    """Approximate maximizer of ``f`` on (lo, hi) and ``f`` there, by nested
-    grids: each round passes the 7 inner points of an 8-part split of the
-    bracket to ``f``, which maps an array to an array, in one call, keeps the
-    best point scored and narrows the bracket to that point's two
-    neighbours, a quarter of its width.  The next split's middle point is
-    then the kept one, whose value is taken instead of scoring it again;
-    ``f`` must value each point on its own, whatever points come with it."""
-    best_x, best_f = lo, -math.inf
-    kept = None  # the point a round kept, and f there
-    for _ in range(rounds):
-        x = lo + (hi - lo) / 8.0 * np.arange(9)
-        if kept is not None and x[4] == kept[0]:
-            fx = np.insert(f(np.delete(x[1:8], 3)), 3, kept[1])
-        else:
-            fx = f(x[1:8])
-        k = int(np.argmax(fx))
-        if fx[k] > best_f:
-            best_x, best_f = float(x[k + 1]), float(fx[k])
-        kept = x[k + 1], fx[k]
-        lo, hi = float(x[k]), float(x[k + 2])
-    return best_x, best_f
-
-
-def best_response_value(opponent: MixedCdf, grid_size: int = 1000,
-                        interval: tuple[float, float] = (0.0, 1.0)):
-    """Approximate best-response threshold and payoff against ``opponent``.
-
-    Grid scan (including the opponent's breakpoints, its atoms, and points
-    just off each atom, where the payoff jumps) refined by 21 rounds of
-    nested grids (:func:`_nested_max`) on the winning bracket, which narrow
-    it by 4**-21, each round one :func:`selection_probabilities` call.
-    """
-    grid_size = _as_count(grid_size, "grid_size")
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
+def best_response_value(opponent: MixedCdf, interval: tuple[float, float] = (0.0, 1.0)):
+    """The best-response threshold against ``opponent`` on ``interval`` and
+    its payoff: the best of the interval's ends, the piece lows in it and
+    the :func:`_peaks`, where the payoff's supremum on a piece is attained,
+    or at an atom approached to within one ulp of theta."""
     lo, hi = _unit_interval("interval bound", interval[0], interval[1])
-    probes = [*opponent.breakpoints,
-              *(loc + d for loc, _ in opponent.atoms for d in (-1e-9, 1e-9))]
-    thetas = np.union1d(np.linspace(lo, hi, grid_size), [p for p in probes if lo <= p <= hi])
+    table, a, b = opponent._table, np.array([lo]), np.array([hi])
+    thetas = np.unique(np.concatenate([a, b, np.clip(table.lo[0], lo, hi), _peaks(table, a, b)[0]]))
     payoff = selection_probabilities(thetas, opponent)
     k = int(np.argmax(payoff))
-    best_theta, best_payoff = float(thetas[k]), float(payoff[k])
-
-    step = (hi - lo) / (grid_size - 1)
-    theta_refined, payoff_refined = _nested_max(
-        lambda t: selection_probabilities(t, opponent),
-        max(lo, best_theta - step), min(hi, best_theta + step), rounds=21,
-    )
-    if payoff_refined > best_payoff:
-        best_theta, best_payoff = theta_refined, payoff_refined
-    return best_theta, best_payoff
+    return float(thetas[k]), float(payoff[k])
 
 
 def two_point_payoff_check(pair: tuple[float, float] = TWO_POINT_SET,

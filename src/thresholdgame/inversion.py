@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from thresholdgame.dists import MixedCdf, _check_unit_params
+from thresholdgame.dists import MixedCdf, _as_count, _check_unit_params
 from thresholdgame.engine import (FixedThresholds, IidRule, IndependentRule, InversionEstimate,
-                                  SameTest, _as_count, _single_atom)
+                                  SameTest, _single_atom)
 
 __all__ = [
     "HybridCoefficients",
@@ -116,7 +116,11 @@ def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
 
 
 def inversion_iid(d: MixedCdf) -> InversionEstimate:
-    """Error probability when both firms draw tests i.i.d. from ``d``."""
+    """Error probability when both firms draw tests i.i.d. from ``d``; a
+    single atom is valued in closed form."""
+    atom = _single_atom(d)
+    if atom is not None:
+        return InversionEstimate(value=float(inversion_fixed([atom, atom])), method="closed_form")
     table = d._table
     return InversionEstimate(value=float(_pair_error(table.lo, table.hi, table)[0]),
                              method="quadrature")
@@ -139,11 +143,8 @@ def inversion_rule(rule) -> InversionEstimate:
     A rule whose every firm takes a fixed test, or draws it from a single
     atom, is valued in closed form."""
     if isinstance(rule, IidRule):
-        atom = _single_atom(rule.dist)
-        if atom is None:
-            return inversion_iid(rule.dist)
-        thresholds = [atom, atom]
-    elif isinstance(rule, SameTest):
+        return inversion_iid(rule.dist)
+    if isinstance(rule, SameTest):
         thresholds = [rule.theta, rule.theta]
     elif isinstance(rule, FixedThresholds):
         thresholds = sorted(rule.thresholds)

@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from thresholdgame.dists import MixedCdf
-from thresholdgame.engine import _as_count
+from thresholdgame.dists import MixedCdf, _as_count
 from thresholdgame.inversion import optimal_value_correlated
 
 __all__ = ["CorrelatedOptimum", "SameTestOptimum", "optimal_correlated",

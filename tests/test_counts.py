@@ -14,11 +14,7 @@ import pytest
 from thresholdgame.analysis import poa_report
 from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import IidRule, InversionEstimate, simulate
-from thresholdgame.equilibrium import (
-    best_response_value,
-    equilibrium_unrestricted,
-    verify_equilibrium,
-)
+from thresholdgame.equilibrium import equilibrium_unrestricted, verify_equilibrium
 from thresholdgame.inversion import optimal_value_correlated, suboptimality_bound
 from thresholdgame.optimal import optimal_correlated
 
@@ -35,8 +31,6 @@ CALLS = {
     "simulate(seed)": (lambda v: simulate(RULE, trials=10, seed=v), 1),
     "InversionEstimate(trials)": (lambda v: InversionEstimate(0.2, "monte_carlo", 1e-3, v), 100),
     "verify_equilibrium(grid_size)": (lambda v: verify_equilibrium(EQ, grid_size=v), 1000),
-    "best_response_value(grid_size)": (lambda v: best_response_value(EQ.dist, grid_size=v),
-                                       1000),
     "suboptimality_bound(grid_size)": (lambda v: suboptimality_bound(EQ.dist, grid_size=v),
                                        1000),
 }

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from conftest import random_mixed_piecewise_linear
 from oracles import opponent_terms_reference
@@ -16,12 +17,13 @@ from thresholdgame.equilibrium import (
     _interval_cells,
     _interval_params,
     _margins,
-    _nested_max,
+    _peaks,
     _verify,
     best_response_value,
     candidate_solution,
     equilibrium_interval,
     equilibrium_unrestricted,
+    selection_probabilities,
     selection_probability,
     two_point_payoff_check,
     verify_equilibrium,
@@ -268,6 +270,12 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError, match="tol"):
             verify_equilibrium(equilibrium_unrestricted(), tol=tol)
 
+    def test_takes_the_right_limit_after_an_atom(self):
+        # Against a median step the payoff tends to 3/4 just right of 1/2; a
+        # grid of 10,000 reached only 0.749975.
+        report = verify_equilibrium(candidate_solution(MixedCdf.step(0.5)), tol=0.24999)
+        assert report.max_outside_gain == 0.25 and not report.passed
+
     def test_zero_tol_is_allowed(self):
         report = verify_equilibrium(candidate_solution(MixedCdf.uniform(0.25, 0.75)), tol=0.0)
         assert report.tol == 0.0 and not report.passed
@@ -295,8 +303,8 @@ class TestVerifyEquilibrium:
         ids=lambda sol: f"{sol.regime}[{sol.interval[0]},{sol.interval[1]}]",
     )
     def test_candidate_wrapper_reports_the_same(self, sol):
-        # The cut point is a breakpoint of the cdf, so wrapping the bare cdf
-        # with its interval checks the same grid.
+        # The verifier reads only the cdf and the interval, so wrapping the
+        # bare cdf with its interval checks the same points.
         candidate = candidate_solution(sol.dist, sol.interval)
         assert verify_equilibrium(candidate) == verify_equilibrium(sol)
 
@@ -328,14 +336,14 @@ class TestVerifierTerms:
     """``_verify`` reads one atom test and one full piece lookup per point;
     its terms, support and margins equal the direct formula bit for bit."""
 
-    def check(self, monkeypatch, table, a, b, cut):
+    def check(self, monkeypatch, table, a, b):
         seen = []
         monkeypatch.setattr(equilibrium, "_margins",
                             lambda *args: seen.append(args) or _margins(*args))
-        got = _verify(table, a, b, cut, 1000, 1e-8)
+        got = _verify(table, a, b, _peaks(table, a, b), 1000, 1e-8)
         (thetas, phi, t_val, gamma, support, tol), = seen
-        # The points include every piece low and atom in [a, b].
-        for values in (table.lo, table.atom_at):
+        # The points include every piece low and atom in [a, b], and the peaks.
+        for values in (table.lo, table.atom_at, _peaks(table, a, b)):
             inside = (a[:, None] <= values) & (values <= b[:, None])
             assert all(np.isin(v[m], t).all() for v, m, t in zip(values, inside, thetas))
         terms, want_support = opponent_terms_reference(thetas, table)
@@ -348,14 +356,14 @@ class TestVerifierTerms:
     @pytest.mark.parametrize("name", VERIFIED_CDFS)
     def test_a_cdf_on_the_unit_interval(self, monkeypatch, name):
         table = VERIFIED_CDFS[name]._table
-        self.check(monkeypatch, table, np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        self.check(monkeypatch, table, np.array([0.0]), np.array([1.0]))
 
     def test_interval_cells(self, monkeypatch):
         a, b = np.array(VERIFIED_CELLS).T
-        step, _, rows, cut, _, _ = _interval_params(a, b)
+        step, _, rows, _, _, _ = _interval_params(a, b)
         table = _piece_table(*rows)
         assert step.any() and (table.lo == table.hi).any()
-        self.check(monkeypatch, table, a, b, cut)
+        self.check(monkeypatch, table, a, b)
 
     def test_support_mask_of_a_cdf(self):
         thetas = np.linspace(0.0, 1.0, 101)
@@ -365,43 +373,35 @@ class TestVerifierTerms:
             np.testing.assert_array_equal(d.support_mask(points), want.ravel())
 
 
+#: An arc that is no equilibrium: the cdf 0.5 + 0.3 (2t - 1) / r on
+#: [0.2, 0.8], with equal jumps at both ends.
+_ARC_JUMP = 0.5 - 0.3 * 0.6 / math.sqrt(0.68)
+OFF_ARC = MixedCdf(((0.0, 0.2, 0.0, 0.0, 0.0), (0.2, 0.8, 0.5, 0.0, 0.3),
+                    (0.8, 1.0, 1.0, 0.0, 0.0)), ((0.2, _ARC_JUMP), (0.8, _ARC_JUMP)))
+
+#: The families, the off-equilibrium arc and random cdfs, those of the
+#: strategy-stealing floor (seeds 300-305) among them.
+PAYOFF_CDFS = {
+    **OPPONENTS,
+    "step(0.4)": MixedCdf.step(0.4),
+    "eq[0,0.79]": equilibrium_interval(0.0, 0.79).dist,
+    "eq[0.2,0.5]": equilibrium_interval(0.2, 0.5).dist,
+    "off_arc": OFF_ARC,
+    **{f"random{seed}": random_mixed_piecewise_linear(np.random.default_rng(seed))
+       for seed in range(300, 340)},
+}
+
+
 class TestBestResponse:
-    @pytest.mark.parametrize("rounds", [1, 5, 14, 21])
-    def test_nested_grids_close_in_on_a_known_maximizer(self, rounds):
-        calls = []
-
-        def f(x):
-            calls.append(len(x))
-            return -(x - 0.1234567) ** 2
-
-        x, value = _nested_max(f, 0.05, 0.45, rounds)
-        # Every round after the first knows the value at its middle point.
-        assert calls == [7] + [6] * (rounds - 1)
-        assert abs(x - 0.1234567) <= 0.4 * 4.0**-rounds  # the final bracket's width
-        assert value == f(np.array([x]))[0]
-
-    def test_refinement_scores_the_kept_point_once(self, monkeypatch):
-        # A grid scan, then 21 rounds: 7 points and then 6 a round, since
-        # each round's middle point is the one the round before kept.  The
-        # result is the one scoring all 7 points of every round gave.
-        points = []
-        real = equilibrium.selection_probabilities
-        monkeypatch.setattr(equilibrium, "selection_probabilities",
-                            lambda t, opponent: points.append(np.size(t)) or real(t, opponent))
-        theta, value = best_response_value(equilibrium_interval(0.0, 0.79).dist)
-        assert points[1:] == [7] + [6] * 20
-        assert (theta.hex(), value.hex()) == ("0x1.947ae147ae14ap-1", "0x1.35c28f5c28f5bp-1")
-
     def test_against_equilibrium(self):
         _, value = best_response_value(equilibrium_unrestricted().dist)
         assert value == pytest.approx(0.5, abs=1e-8)
 
     def test_against_median_step(self):
         theta, value = best_response_value(MixedCdf.step(0.5))
-        assert value > 0.5
-        assert theta > 0.5
         # The payoff is 1 - theta/2 just above 1/2, approaching 3/4.
-        assert value == pytest.approx(0.75, abs=1e-2)
+        assert theta == np.nextafter(0.5, 1.0)
+        assert value == pytest.approx(0.75, abs=1e-15)
 
     def test_restricted_search_step_regime(self):
         # With (1-a)*b <= 1/2 the step at b is the equilibrium: no in-range
@@ -416,6 +416,66 @@ class TestBestResponse:
         d = random_mixed_piecewise_linear(rng)
         _, value = best_response_value(d)
         assert value >= 0.5 - 1e-9
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.1, 0.7)])
+    @pytest.mark.parametrize("name", PAYOFF_CDFS)
+    def test_is_exact(self, name, interval):
+        # Never below a fine grid's best: the payoff peaks only at the points
+        # it scores, or just right of an atom, which it takes to one ulp.
+        d = PAYOFF_CDFS[name]
+        theta, value = best_response_value(d, interval)
+        assert value >= selection_probabilities(np.linspace(*interval, 10**5), d).max() - 1e-15
+        assert interval[0] <= theta <= interval[1]
+        assert value == selection_probability(theta, d)
+
+    @pytest.mark.parametrize("seed", range(300, 340))
+    def test_line_piece_maxima_match_scipy(self, seed):
+        # On each rising line piece the best of its ends' limits and its
+        # critical points is no worse than a bounded scalar search, and an
+        # interior maximum that search finds is one of the critical points.
+        d = random_mixed_piecewise_linear(np.random.default_rng(seed))
+        table = d._table
+        peaks = _peaks(table, np.array([0.0]), np.array([1.0]))[0]
+        for lo, hi in zip(table.lo[0][table.c1[0] > 0], table.hi[0][table.c1[0] > 0]):
+            inside = peaks[(lo < peaks) & (peaks < hi)]
+            ends = [np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)]
+            found = minimize_scalar(lambda x: -selection_probability(x, d), bounds=(lo, hi),
+                                    method="bounded", options={"xatol": 1e-10})
+            ours = selection_probabilities(np.concatenate([ends, inside]), d).max()
+            assert ours >= -found.fun - 1e-13
+            if lo + 1e-6 < found.x < hi - 1e-6:
+                assert selection_probabilities(inside, d).max() >= -found.fun - 1e-13
+
+
+class TestPayoffOnPieces:
+    """The payoff on a piece, with ``K = prefix - anti_lo`` and ``g = c1 -
+    phi - c0 - 2K``, has the derivative ``3 c1 (t^2 - t) + g``: it is linear
+    on an arc or flat piece (c1 = 0) and a cubic on a line piece."""
+
+    @pytest.mark.parametrize("name", PAYOFF_CDFS)
+    def test_is_linear_on_arcs_and_flats_and_cubic_on_lines(self, name):
+        d = PAYOFF_CDFS[name]
+        table = d._table
+        g = table.c1 - (1.0 - table.total) - table.c0 - 2.0 * (table.prefix - table.anti_lo)
+        for lo, hi, c1, slope in zip(table.lo[0], table.hi[0], table.c1[0], g[0]):
+            x = np.linspace(lo, hi, 12)[1:-1]  # inside the piece, off its atoms
+            payoff = selection_probabilities(x, d)
+            want = (payoff[0] + c1 * (x**3 - x[0]**3) - 1.5 * c1 * (x**2 - x[0]**2)
+                    + slope * (x - x[0]))
+            np.testing.assert_allclose(payoff, want, rtol=0.0, atol=1e-12)
+
+    def test_an_arc_off_equilibrium_is_not_flat(self):
+        # Its slope -phi - c0 - 2K is -0.305; on an equilibrium's arc it is 0.
+        left, right = selection_probabilities([0.3, 0.7], OFF_ARC)
+        assert (right - left) / 0.4 == pytest.approx(-0.30523, abs=1e-5)
+
+    @pytest.mark.parametrize("name", PAYOFF_CDFS)
+    def test_an_atom_adds_its_half_tie_just_right_of_it(self, name):
+        d = PAYOFF_CDFS[name]
+        for at, mass in d.atoms:
+            if at < 1.0:
+                right, here = selection_probabilities([np.nextafter(at, 1.0), at], d)
+                assert right == pytest.approx(here + ((1 - at)**2 + at**2) * mass / 2, abs=1e-12)
 
 
 class TestTwoPointSet:

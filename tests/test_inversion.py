@@ -101,6 +101,8 @@ class TestInversionIid:
     @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 0.8, 1.0])
     def test_step_closed_form(self, theta):
         est = inversion_iid(MixedCdf.step(theta))
+        assert est.method == "closed_form"
+        assert est.value == float(inversion_fixed([theta, theta]))
         assert est.value == pytest.approx(
             0.5 * (theta**2 + (1 - theta) ** 2), abs=1e-9
         )
@@ -151,8 +153,16 @@ class TestPairError:
     @pytest.mark.parametrize("d", PAIR_CASES)
     def test_one_cdf_twice_is_inversion_iid(self, d):
         # Two evaluations on the merged edges, the layout of an independent
-        # rule, give inversion_iid's float.
-        assert _pair_value(d, d) == inversion_iid(d).value
+        # rule, give the float of one on the cdf's own pieces, which is
+        # inversion_iid's unless the cdf is one atom, valued in closed form.
+        table = d._table
+        own = float(_pair_error(table.lo, table.hi, table)[0])
+        assert _pair_value(d, d) == own
+        est = inversion_iid(d)
+        if est.method == "quadrature":
+            assert own == est.value
+        else:
+            assert own == pytest.approx(est.value, abs=1e-15)
 
     @pytest.mark.parametrize("d_a, d_b", [
         (MixedCdf.uniform(0.1, 0.9), equilibrium_unrestricted().dist),
