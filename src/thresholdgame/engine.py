@@ -12,13 +12,16 @@ spawn_key=(c,)))`` from its start, child c of ``SeedSequence(s).spawn``, in a
 fixed draw order, so results are reproducible bit-for-bit for a given seed
 and independent of how chunks are scheduled.  A ``simulate`` call runs its
 chunks on W workers, one per CPU available to the process, but no more than
-there are chunks or than leave each worker blocks of 2**14 plays, so W = 1
-beyond 16 firms.  The calling thread is worker 0, the others are threads,
-and worker w runs chunks w, w + W, w + 2W, ...  Each chunk writes its sums
-and win counts into its own slot, and the slots are reduced with numpy's
-pairwise summation in chunk order once every worker is done, so W changes
-no bit.  If a chunk raises, the other workers stop at their next chunk
-boundary and the exception is raised in the caller.
+there are chunks, than leave each worker blocks of 2**14 plays (so W = 1
+beyond 16 firms) or than give each worker 2**18 trials.  The calling
+process is worker 0, the others are forked processes (see
+:mod:`thresholdgame._workers`; a process running other threads gets one
+worker), and worker w runs chunks w, w + W, w + 2W, ...  Each chunk writes
+its sums and win counts into its own slot of arrays in shared memory, and
+the slots are reduced with numpy's pairwise summation in chunk order once
+every worker is done, so W changes no bit.  If a chunk raises, every later
+chunk is skipped and the exception of the lowest failing chunk is raised in
+the caller, with its type and message.
 
 Each worker allocates its arrays once and every chunk refills them in place
 (``Generator.random(out=...)``, ``np.copyto``, ufuncs with ``out=``).  A
@@ -56,13 +59,12 @@ inverted plays, exactly.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from thresholdgame import _workers
 from thresholdgame.dists import (_FAMILY_FIELDS, MixedCdf, _as_count, _check_nonnegative,
                                  _check_unit_params, _unit_points)
 
@@ -327,19 +329,20 @@ _BLOCK_VALUES = 1 << 19
 _TILE_VALUES = 1 << 15
 
 
-#: Fewest plays a worker's block may hold.  Each pair of firms costs about a
-#: dozen ufunc calls per block, and each call hands the interpreter lock to
-#: the other workers: at n = 32 (blocks of 8,192 plays) two workers were
-#: slower than one, at n = 16 (16,384 plays) faster.
+#: Fewest plays a worker's block may hold, so W = 1 beyond 16 firms.  Forked
+#: workers share no interpreter lock: on a 2-vCPU Xeon two of them took
+#: 0.49, 0.52 and 0.57 of one worker's time at n = 16, 17 and 32 (2**19
+#: trials of ``iid:uniform:0.25,0.75``), so the floor could be lowered; it
+#: stays until a workload runs more than 8 firms to measure that on.
 _MIN_WORKER_ROWS = 1 << 14
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+#: Fewest trials per worker.  A fork, exit and wait round trip took about
+#: 4 ms on a 2-vCPU Xeon, against 1.7 ms (``same:0.5``) to 4.4 ms
+#: (``iid:eq:0,0.79``) for a two-firm chunk.  Two workers took 0.65-0.81 of
+#: one worker's time on drawn rules at 2**19 trials but 1.4 on
+#: ``same:0.5``, 0.57-0.70 at 2**20 and 0.51-0.53 at 10**7.
+_MIN_WORKER_TRIALS = 1 << 18
 
 
 def _seeded_state(seed: int, chunk: int) -> dict:
@@ -562,48 +565,28 @@ def _run_chunks(rule: Rule, n: int, seed: int, trials: int):
     """Run every chunk of ``trials`` plays; returns the chunks' inversion
     sums, sums of squares and win counts, one row per chunk.
 
-    Worker w of W runs chunks w, w + W, ... through arrays of its own, and
-    worker 0 is the calling thread.  W is one per CPU, but at most one per
-    chunk and one per ``_MIN_WORKER_ROWS`` plays of the block budget.  The
-    first exception a worker raises stops the others at their next chunk
-    boundary and is raised here once they have all ended.  An interrupt
-    that cuts the wait short still stops them, and they are daemon threads,
-    so the process never waits on them.
+    Worker w of W runs chunks w, w + W, ... through arrays of its own (see
+    :mod:`thresholdgame._workers`): worker 0 is the calling process and the
+    others are forked.  W is one per CPU, but at most one per chunk, one
+    per ``_MIN_WORKER_ROWS`` plays of the block budget and one per
+    ``_MIN_WORKER_TRIALS`` trials.  A chunk that raises stops every later
+    one, and the exception of the lowest such chunk is raised here once no
+    worker is left.
     """
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     plays = min(CHUNK_TRIALS, trials)
-    workers = max(1, min(_cpu_count(), n_chunks,
+    workers = max(1, min(_workers.available(), n_chunks, trials // _MIN_WORKER_TRIALS,
                          min(plays, _BLOCK_VALUES // n) // _MIN_WORKER_ROWS))
-    sums = np.zeros(n_chunks)
-    sq_sums = np.zeros(n_chunks)
-    win_counts = np.zeros((n_chunks, n), dtype=np.int64)
-    stop = threading.Event()
-    errors = []
 
-    def work(w: int) -> None:
-        try:
-            arrays = _ChunkArrays(n, plays, workers)
-            for c in range(w, n_chunks, workers):
-                if stop.is_set():
-                    return
-                m = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-                sums[c], sq_sums[c], win_counts[c] = _simulate_chunk(rule, n, seed, c, m, arrays)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-            stop.set()
+    def work(chunks, sums, sq_sums, win_counts):
+        arrays = _ChunkArrays(n, plays, workers)
+        for c in chunks:
+            m = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+            sums[c], sq_sums[c], win_counts[c] = _simulate_chunk(rule, n, seed, c, m, arrays)
 
-    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-        for thread in threads:
-            thread.join()
-    finally:
-        stop.set()
-    if errors:
-        raise errors[0]
-    return sums, sq_sums, win_counts
+    return _workers.run(work, n_chunks, workers, [((n_chunks,), np.float64),
+                                                  ((n_chunks,), np.float64),
+                                                  ((n_chunks, n), np.int64)])
 
 
 def simulate(rule: Rule, n_firms: int | None = None, trials: int = DEFAULT_TRIALS,

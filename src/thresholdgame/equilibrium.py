@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from thresholdgame import _workers
 from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _as_count, _check_nonnegative,
                                  _piece_table, _row_cdf, _unit_interval, _unit_points)
 from thresholdgame.inversion import _pair_error
@@ -352,36 +353,43 @@ _SLAB_CELLS = 32 * _BLOCK_CELLS
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
     equilibrium for arrays of cells, each checked by :func:`_interval_params`
-    and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure
-    raises ``RuntimeError``) and valued by :func:`_pair_error`.  Every result
-    is the cell's own, whatever cells come with it.  The closed forms are
-    built a slab of :data:`_SLAB_CELLS` cells at a time, and each slab is
-    verified and valued in blocks of :data:`_BLOCK_CELLS` cells: a slab
-    bounds the tables held and a block the verification points, so beyond
-    the cells and results memory does not grow with the number of cells."""
+    and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure, in
+    cell order, raises ``RuntimeError``) and valued by :func:`_pair_error`.
+    Every result is the cell's own, whatever cells come with it.  The closed
+    forms are built a slab of :data:`_SLAB_CELLS` cells at a time, and each
+    slab is verified and valued in blocks of :data:`_BLOCK_CELLS` cells: a
+    slab bounds the tables held and a block the verification points, so
+    beyond the cells and results memory does not grow with the number of
+    cells.  Slab s runs on worker s mod W of :mod:`thresholdgame._workers`,
+    with W one per CPU but at most one per slab, and writes its results in
+    place, so W changes no bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
-    results = tuple(np.empty_like(a) for _ in range(3))
-    for start in range(0, len(a), _SLAB_CELLS):
-        slab = slice(start, start + _SLAB_CELLS)
-        sa, sb = a[slab], b[slab]
-        value, support_dev, outside_gain = (r[slab] for r in results)  # views
-        _, _, rows, _, _, sound = _interval_params(sa, sb)
-        table = _piece_table(*rows)
-        peaks = _peaks(table, sa, sb)
-        for s in range(0, len(sa), _BLOCK_CELLS):
-            k = slice(s, s + _BLOCK_CELLS)
-            block = type(table)(*(values[k] for values in table))
-            support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], peaks[k],
-                                                              1000, 1e-8)
-            value[k] = _pair_error(block.lo, block.hi, block)
-            if not np.all(passed & sound[k]):
-                i = s + np.argmin(passed & sound[k])
-                raise RuntimeError(
-                    f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
-                    f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
-    return results
+    n_slabs = -(-len(a) // _SLAB_CELLS)
+
+    def work(slabs, *results):
+        for j in slabs:
+            slab = slice(j * _SLAB_CELLS, (j + 1) * _SLAB_CELLS)
+            sa, sb = a[slab], b[slab]
+            value, support_dev, outside_gain = (r[slab] for r in results)  # views
+            _, _, rows, _, _, sound = _interval_params(sa, sb)
+            table = _piece_table(*rows)
+            peaks = _peaks(table, sa, sb)
+            for s in range(0, len(sa), _BLOCK_CELLS):
+                k = slice(s, s + _BLOCK_CELLS)
+                block = type(table)(*(values[k] for values in table))
+                support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], peaks[k],
+                                                                  1000, 1e-8)
+                value[k] = _pair_error(block.lo, block.hi, block)
+                if not np.all(passed & sound[k]):
+                    i = s + np.argmin(passed & sound[k])
+                    raise RuntimeError(
+                        f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
+                        f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
+
+    workers = min(_workers.available(), n_slabs)
+    return tuple(_workers.run(work, n_slabs, workers, [(a.shape, np.float64)] * 3))
 
 
 def best_response_value(opponent: MixedCdf, interval: tuple[float, float] = (0.0, 1.0)):

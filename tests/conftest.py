@@ -1,6 +1,10 @@
-"""Shared test helpers: seeded random mixed piecewise-linear cdfs."""
+"""Shared test helpers: seeded random mixed piecewise-linear cdfs, and
+checks on the forked workers of a call."""
+
+import os
 
 import numpy as np
+import pytest
 
 from thresholdgame.dists import MixedCdf
 
@@ -37,3 +41,17 @@ def random_mixed_piecewise_linear(rng: np.random.Generator) -> MixedCdf:
             knots.append((float(xs[i]), float(v)))
     knots[-1] = (1.0, 1.0)
     return MixedCdf.piecewise_linear(knots)
+
+
+def no_child_left() -> None:
+    """Assert that this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """Record every ``os.fork`` call; returns the record."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks

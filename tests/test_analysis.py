@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from thresholdgame import analysis, equilibrium
+from conftest import count_forks, no_child_left
+from thresholdgame import _workers, analysis, equilibrium
 from thresholdgame.analysis import (
     EQUILIBRIUM_FLOOR,
     poa_report,
@@ -183,10 +184,14 @@ def grid_cells(resolution):
     return cells
 
 
-def patch_margins(monkeypatch, fail=None):
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
+
+
+def patch_margins(monkeypatch, fail=()):
     """Record the cells whose margins are reduced, each named by its verification
-    points' ends (a, b), with the tolerance; report ``fail`` as failed.
-    Returns the record."""
+    points' ends (a, b), with the tolerance; report the cells in ``fail`` as
+    failed.  Returns the record, which sees only this process's cells."""
     seen = []
     original = equilibrium._margins
 
@@ -196,7 +201,7 @@ def patch_margins(monkeypatch, fail=None):
         cells = list(zip(np.min(thetas, axis=-1).ravel().tolist(),
                          np.max(thetas, axis=-1).ravel().tolist()))
         seen.extend(cells)
-        hit = np.array([cell == fail for cell in cells]).reshape(np.shape(passed))
+        hit = np.array([cell in fail for cell in cells]).reshape(np.shape(passed))
         return dev, gain, passed & ~hit
 
     monkeypatch.setattr(equilibrium, "_margins", margins)
@@ -255,6 +260,7 @@ class TestBatchedCells:
 
     @pytest.mark.parametrize("resolution", [0.01, 0.053, 0.35, 0.6])
     def test_grid_phase_visits_the_same_cells(self, monkeypatch, resolution):
+        force_workers(monkeypatch, 1)  # the cells are recorded in this process
         seen = patch_margins(monkeypatch)
         search_best_interval(resolution=resolution, refine=False)
         assert seen == grid_cells(resolution)
@@ -276,7 +282,7 @@ class TestBatchedCells:
     def test_a_failing_grid_cell_raises(self, monkeypatch):
         cells = grid_cells(0.05)
         a, b = cell = cells[len(cells) // 2]
-        patch_margins(monkeypatch, fail=cell)
+        patch_margins(monkeypatch, fail={cell})
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
             search_best_interval(resolution=0.05)
 
@@ -286,7 +292,7 @@ class TestBatchedCells:
         refined = [cell for cell in seen if cell not in set(grid_cells(0.05))]
         assert len(refined) >= 9  # a stencil at least
         a, b = cell = refined[-1]
-        patch_margins(monkeypatch, fail=cell)
+        patch_margins(monkeypatch, fail={cell})
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
             search_best_interval(resolution=0.05)
 
@@ -311,6 +317,7 @@ class TestBatchedCells:
         assert (result.value, (result.a, result.b)) == best
 
     def test_grid_phase_builds_closed_forms_a_slab_at_a_time(self, monkeypatch):
+        force_workers(monkeypatch, 1)  # the slabs are recorded in this process
         sizes = []
         original = equilibrium._interval_params
         monkeypatch.setattr(equilibrium, "_interval_params",
@@ -319,7 +326,45 @@ class TestBatchedCells:
         assert sum(sizes) == len(grid_cells(0.01)) == 1684
         assert len(sizes) <= math.ceil(1684 / equilibrium._SLAB_CELLS)
 
-    def test_memory_is_set_by_the_block_not_the_cell_count(self):
+    def test_any_worker_count_keeps_the_bits(self, monkeypatch):
+        # At 0.01 the grid is 8 slabs, so three workers take 3, 3 and 2.
+        cells = np.array(grid_cells(0.01)).T
+        runs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            runs.append(([list(map(float.hex, r.tolist())) for r in _interval_cells(*cells)],
+                         search_best_interval(resolution=0.01)))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_failing_cell_in_order_raises(self, monkeypatch, workers):
+        # Cells fail in slabs 1, 2 and 6 of the 0.01 grid.  Slab 1 runs on a
+        # forked worker when there are several, and its first failing cell
+        # is the one the error names, with the serial error's type and text.
+        cells = grid_cells(0.01)
+        slab = equilibrium._SLAB_CELLS
+        a, b = cells[slab + 100]
+        force_workers(monkeypatch, workers)
+        patch_margins(monkeypatch, fail={cells[6 * slab + 3], cells[2 * slab + 5],
+                                         cells[slab + 100], cells[slab + 200]})
+        with pytest.raises(RuntimeError, match="^" + re.escape(
+                f"constructed equilibrium on [{a}, {b}] failed verification (")):
+            _interval_cells(*np.array(cells).T)
+        no_child_left()
+
+    def test_one_slab_forks_nothing(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        cells = np.array(grid_cells(0.01)).T
+        _interval_cells(*cells[:, :equilibrium._SLAB_CELLS])
+        assert forks == []
+        _interval_cells(*cells[:, :equilibrium._SLAB_CELLS + 1])
+        assert forks == [1]
+
+    def test_memory_is_set_by_the_block_not_the_cell_count(self, monkeypatch):
+        force_workers(monkeypatch, 1)  # every slab is traced in this process
         search_best_interval(resolution=0.5, refine=False)  # first-use allocations
         peaks = []
         for resolution in (0.01, 0.005):

@@ -292,9 +292,12 @@ def run_probe(probe):
 
 
 def test_import_leaves_scipy_unloaded():
-    # The runtime needs only numpy; scipy is a test-only oracle.
+    # The runtime needs only numpy; scipy is a test-only oracle.  The
+    # workers are forked with os.fork and share an mmap, so no process pool
+    # is imported either.
     probe = ("import sys, thresholdgame.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('scipy', 'multiprocessing', 'concurrent')))")
     assert run_probe(probe) == "[]"
 
 

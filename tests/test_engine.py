@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 import random
 import sys
 import threading
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholdgame import engine
+from thresholdgame import _workers, engine
 from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import (
     FixedThresholds,
@@ -30,6 +31,7 @@ from thresholdgame.engine import (
 )
 from thresholdgame.inversion import inversion_fixed, inversion_rule
 
+from conftest import count_forks, no_child_left
 from oracles import quantile_reference
 
 
@@ -617,7 +619,26 @@ def _reference_hex(spec, n, seed, trials):
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    """``workers`` CPUs, and no floor of trials per worker."""
+    monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
+    monkeypatch.setattr(engine, "_MIN_WORKER_TRIALS", 1)
+
+
+def _chunk_log(path):
+    """A ``_simulate_chunk`` stand-in that appends its chunk to ``path`` (a
+    list would not see the forked workers' chunks) and runs the real one."""
+    real = engine._simulate_chunk
+
+    def chunk(rule, n, seed, c, m, arrays):
+        with open(path, "a") as log:
+            log.write(f"{c}\n")
+        return real(rule, n, seed, c, m, arrays)
+
+    return chunk
+
+
+def _logged(path):
+    return sorted(int(line) for line in path.read_text().split())
 
 
 class TestSimulate:
@@ -675,20 +696,15 @@ class TestSimulate:
             _force_workers(monkeypatch, workers)
             assert _summary_hex(simulate(rule, n_firms=n, trials=trials, seed=seed)) == want
 
-    def test_many_workers_switching_often_lose_no_chunk(self, monkeypatch):
-        # Four workers on nine chunks, switching threads every microsecond:
+    def test_more_workers_than_cpus_lose_no_chunk(self, monkeypatch):
+        # Four workers on nine chunks, more workers than this machine's CPUs:
         # a chunk written to the wrong slot, or not at all, changes the sums.
         rule = parse_rule("iid:eq")
         trials = 8 * engine.CHUNK_TRIALS + 12_345
-        want = _summary_hex(simulate(rule, trials=trials, seed=4))
+        want = _reference_hex("iid:eq", 2, 4, trials)
         _force_workers(monkeypatch, 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = _summary_hex(simulate(rule, trials=trials, seed=4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
+        assert _summary_hex(simulate(rule, trials=trials, seed=4)) == want
+        no_child_left()
 
     @pytest.mark.parametrize("spec, n, trials", [
         ("iid:eq:0,0.79", 3, engine.CHUNK_TRIALS + 12_345),
@@ -751,6 +767,7 @@ class TestSimulate:
             calls.append(t.shape[1])
             return real(t, scratch)
 
+        _force_workers(monkeypatch, 1)  # the calls are recorded in this process
         monkeypatch.setattr(engine, "_ties", ties)
         monkeypatch.setattr(engine, "_BLOCK_VALUES", 3 * 4096)
         trials = engine.CHUNK_TRIALS + 12_345
@@ -760,84 +777,115 @@ class TestSimulate:
     @pytest.mark.parametrize("n, workers", [(2, 2), (16, 2), (17, 1), (64, 1)])
     def test_small_blocks_get_one_worker(self, monkeypatch, n, workers):
         # Two CPUs, but blocks under 2**14 plays per worker stay on one.
-        threads = set()
-
+        # Each chunk writes the process it ran in as its sum.
         def chunk(rule, n, seed, c, m, arrays):
-            threads.add(threading.get_ident())
-            return 0.0, 0.0, np.zeros(n, dtype=np.int64)
+            return float(os.getpid()), 0.0, np.zeros(n, dtype=np.int64)
 
         _force_workers(monkeypatch, 2)
         monkeypatch.setattr(engine, "_simulate_chunk", chunk)
-        simulate(SameTest(0.5), n_firms=n, trials=4 * engine.CHUNK_TRIALS)
-        assert len(threads) == workers
+        pids, _, _ = engine._run_chunks(SameTest(0.5), n, 0, 4 * engine.CHUNK_TRIALS)
+        assert len(set(pids.tolist())) == workers
+        assert os.getpid() in pids
 
     def test_workers_share_the_block_budget(self, monkeypatch):
         # Two workers at n = 64 split the 2**19 values into blocks of 4,096
-        # plays each, so two chunks at once stay under the bound of one
-        # (unsplit, each worker's arrays alone would take about 25 MiB).
+        # plays each, so the two processes together peak near 15 MiB
+        # (unsplit, each worker's arrays alone would take about 14 MiB).
+        # Each chunk reports its process and that process's traced peak.
         # Blocks this small get one worker unless the floor is lifted.
         # Chunks of 8,192 plays keep the test short and the blocks as they
         # are with full chunks.
+        real = engine._simulate_chunk
+
+        def chunk(rule, n, seed, c, m, arrays):
+            real(rule, n, seed, c, m, arrays)
+            return float(os.getpid()), float(tracemalloc.get_traced_memory()[1]), np.zeros(n)
+
         _force_workers(monkeypatch, 2)
         monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
         monkeypatch.setattr(engine, "CHUNK_TRIALS", 8192)
+        monkeypatch.setattr(engine, "_simulate_chunk", chunk)
         tracemalloc.start()
         try:
-            simulate(FixedThresholds(tuple(np.linspace(0.01, 0.99, 64))),
-                     trials=2 * 8192, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
+            pids, peaks, _ = engine._run_chunks(
+                FixedThresholds(tuple(np.linspace(0.01, 0.99, 64))), 64, 1, 2 * 8192)
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert len(set(pids.tolist())) == 2
+        assert sum(peaks) < 24 * 2**20
 
-    def test_a_failing_chunk_stops_every_worker(self, monkeypatch):
-        # Chunk 1 runs on the second worker and raises once chunk 0 has
-        # started.  The calling thread holds chunk 0 until that worker has
-        # ended, then stops at its chunk boundary, so no later chunk runs and
-        # no thread is left behind.
-        threads = threading.active_count()
-        real = engine._simulate_chunk
-        ran = []
-        first = threading.Event()
+    def test_a_failing_chunk_stops_every_worker(self, monkeypatch, tmp_path):
+        # Chunk 1 runs on the forked worker and raises; the calling process
+        # holds chunk 0 until that worker has ended, then stops at its next
+        # chunk, so no later chunk runs and no process is left behind.
+        log = tmp_path / "chunks"
+        logged = _chunk_log(log)
 
         def chunk(rule, n, seed, c, m, arrays):
-            ran.append(c)
             if c == 1:
-                first.wait(60)
-                raise RuntimeError("chunk 1 failed")
-            first.set()
+                logged(rule, n, seed, c, m, arrays)
+                raise ValueError("chunk 1 failed")
             deadline = time.monotonic() + 60
-            while threading.active_count() > threads and time.monotonic() < deadline:
+            # Wait, without reaping, for a child to end.
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None \
+                    and time.monotonic() < deadline:
                 time.sleep(1e-3)
-            return real(rule, n, seed, c, m, arrays)
+            return logged(rule, n, seed, c, m, arrays)
 
         _force_workers(monkeypatch, 2)
         monkeypatch.setattr(engine, "_simulate_chunk", chunk)
-        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        with pytest.raises(ValueError, match="^chunk 1 failed$"):
             simulate(parse_rule("iid:eq"), trials=6 * engine.CHUNK_TRIALS, seed=1)
-        assert sorted(ran) == [0, 1]
-        assert threading.active_count() == threads
+        assert _logged(log) == [0, 1]
+        no_child_left()
 
-    def test_an_interrupt_stops_the_workers(self, monkeypatch):
-        # The calling thread is interrupted in its first chunk; the two other
-        # workers stop at their next chunk boundary instead of running all
-        # 30 chunks, and none outlives the call.
-        threads = threading.active_count()
-        real = engine._simulate_chunk
-        ran = []
+    def test_an_interrupt_stops_the_workers(self, monkeypatch, tmp_path):
+        # The calling process is interrupted in its first chunk; the two
+        # other workers are killed instead of running all 30 chunks, and
+        # none outlives the call.
+        log = tmp_path / "chunks"
+        logged = _chunk_log(log)
 
         def chunk(rule, n, seed, c, m, arrays):
-            ran.append(c)
             if c == 0:
                 raise KeyboardInterrupt
-            return real(rule, n, seed, c, m, arrays)
+            return logged(rule, n, seed, c, m, arrays)
 
         _force_workers(monkeypatch, 3)
         monkeypatch.setattr(engine, "_simulate_chunk", chunk)
         with pytest.raises(KeyboardInterrupt):
             simulate(parse_rule("iid:eq"), trials=30 * engine.CHUNK_TRIALS, seed=1)
-        assert len(ran) < 30
-        assert threading.active_count() == threads
+        assert not {c for c in _logged(log) if c % 3 == 0}
+        no_child_left()
+
+    def test_a_multithreaded_caller_gets_one_worker(self, monkeypatch):
+        # A fork copies the calling thread only, so while another thread runs
+        # the call forks nothing, and keeps its bits.
+        rule, trials = parse_rule("iid:eq:0,0.79"), 3 * engine.CHUNK_TRIALS + 12_345
+        want = _reference_hex("iid:eq:0,0.79", 2, 5, trials)
+        _force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            got = _summary_hex(simulate(rule, trials=trials, seed=5))
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert got == want
+        assert forks == []
+        assert _summary_hex(simulate(rule, trials=trials, seed=5)) == want
+        assert forks == [1]
+
+    @pytest.mark.parametrize("trials, forked", [(engine._MIN_WORKER_TRIALS * 2 - 1, False),
+                                                (engine._MIN_WORKER_TRIALS * 2, True)])
+    def test_calls_below_the_floor_do_not_fork(self, monkeypatch, trials, forked):
+        monkeypatch.setattr(_workers, "cpu_count", lambda: 2)
+        forks = count_forks(monkeypatch)
+        simulate(parse_rule("iid:eq"), trials=trials, seed=2)
+        assert forks == ([1] if forked else [])
 
     def test_threads_sharing_a_rule_get_the_serial_results(self):
         # Each call owns its arrays and MixedCdf is immutable, so concurrent

@@ -6,7 +6,10 @@ eq[0.2, 0.5] (step regime) and eq[0, 1], at the same theta: the error
 probability and support at every theta, and the ``verify_equilibrium``
 margins at grids 1000 and 10,000 (of ``candidate_solution`` on [0, 1], and
 of an equilibrium on its own interval).  The batched interval search's
-values and margins are captured for every cell of the 0.05 grid.
+values and margins are captured for every cell of the 0.05 grid.  The
+uniform cdf on [0, 1], added later, has a support margin set by a critical
+point of its line piece, 1/2 - sqrt(1/12), which its theta includes with
+the other one: a verifier that missed those points would change its bits.
 """
 
 import json
