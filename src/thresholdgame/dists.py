@@ -223,6 +223,10 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         count = (theta > lows if left else theta >= lows).sum(axis=0)
         return count + np.arange(0, self.lo.size, self.lo.shape[1])[:, None]
 
+    def cells(self, k):
+        """The table of the cells at ``k``, a slice."""
+        return type(self)(*(values[k] for values in self))
+
     def rows(self, piece):
         """The rows ``(c0, c1, c2)`` of the pieces at flat indices ``piece``."""
         return self.c0.ravel()[piece], self.c1.ravel()[piece], self.c2.ravel()[piece]
@@ -258,7 +262,7 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         # The lows are sorted, so a point's left piece is its piece unless the
         # point is that piece's low: only there count again, past any empty
         # pieces that share the low.
-        cell, point = np.nonzero(theta == self.lo.ravel()[piece])
+        cell, point = np.divmod(np.flatnonzero(theta == self.lo.ravel()[piece]), theta.shape[1])
         left = ((theta[cell, point, None] > self.lo[cell, 1:]).sum(axis=1)
                 + cell * self.lo.shape[1])
         out[cell, point] |= rising[left]

@@ -345,6 +345,19 @@ _MIN_WORKER_ROWS = 1 << 14
 _MIN_WORKER_TRIALS = 1 << 18
 
 
+#: Fewest trials times pairs of firms per worker for a rule that draws no
+#: thresholds, whose plays cost least.  On a 2-vCPU Xeon two workers took
+#: 0.81-1.38 (median 1.06, five sets) of one worker's time on two-firm
+#: ``same:0.5`` at 2**19 trials and 0.85-0.99 on two fixed steps, against
+#: 0.68-1.12 (median 0.73) and 0.71-0.76 at 2**20 and 0.69-0.80 at 2**21.
+#: At n = 3 they took 0.98-1.16 on ``fixed:0.2,0.5,0.8`` at 2**18 trials
+#: and 0.65-0.89 at 2**19, and at n = 5 (``fixed:0.1,0.3,0.5,0.7,0.9``)
+#: 0.61-0.65 at 2**19, so from three firms on this floor is below
+#: ``_MIN_WORKER_TRIALS``'s and only two firms wait for 2**19 trials a
+#: worker.
+_MIN_WORKER_PAIR_TRIALS = 1 << 19
+
+
 def _seeded_state(seed: int, chunk: int) -> dict:
     """The start state of chunk ``chunk``'s stream: that of
     ``PCG64DXSM(SeedSequence(seed, spawn_key=(chunk,)))``, child ``chunk`` of
@@ -569,14 +582,17 @@ def _run_chunks(rule: Rule, n: int, seed: int, trials: int):
     :mod:`thresholdgame._workers`): worker 0 is the calling process and the
     others are forked.  W is one per CPU, but at most one per chunk, one
     per ``_MIN_WORKER_ROWS`` plays of the block budget and one per
-    ``_MIN_WORKER_TRIALS`` trials.  A chunk that raises stops every later
-    one, and the exception of the lowest such chunk is raised here once no
-    worker is left.
+    ``_MIN_WORKER_TRIALS`` trials, and for a rule that draws no thresholds
+    one per ``_MIN_WORKER_PAIR_TRIALS`` trials times pairs of firms.  A
+    chunk that raises stops every later one, and the exception of the
+    lowest such chunk is raised here once no worker is left.
     """
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     plays = min(CHUNK_TRIALS, trials)
-    workers = max(1, min(_workers.available(), n_chunks, trials // _MIN_WORKER_TRIALS,
-                         min(plays, _BLOCK_VALUES // n) // _MIN_WORKER_ROWS))
+    floors = [trials // _MIN_WORKER_TRIALS, min(plays, _BLOCK_VALUES // n) // _MIN_WORKER_ROWS]
+    if _fixed_thresholds(rule, n) is not None:
+        floors.append(trials * (n * (n - 1) // 2) // _MIN_WORKER_PAIR_TRIALS)
+    workers = max(1, min(_workers.available(), n_chunks, *floors))
 
     def work(chunks, sums, sq_sums, win_counts):
         arrays = _ChunkArrays(n, plays, workers)

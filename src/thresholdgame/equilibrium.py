@@ -16,12 +16,19 @@ game on [0, 1] and for games restricted to an interval [a, b]:
 
 The construction is verified numerically: on the support the selection
 probability must equal 1/2 and off the support it must not exceed 1/2.
-Payoffs read the opponent's piece table (see :mod:`thresholdgame.dists`), so
-one verifier, ``_verify``, checks a single cdf and blocks of interval cells.
-On each piece of the opponent's cdf the payoff is linear (arcs and flat
-pieces) or a cubic (line pieces), so besides a grid the verifier scores the
-few points where it can peak (``_peaks``), and these alone give the exact
-best response against any distribution.
+Against a cdf ``T`` with failure probability ``phi`` the selection
+probability is ``(1 - t) phi + r^2 T + (1 - 2t) Gamma``, with ``r^2 = t^2 +
+(1 - t)^2`` and ``Gamma = int_0^t T``.  On a piece ``(c0, c1, c2)`` of the
+opponent's table (see :mod:`thresholdgame.dists`) the arc terms cancel and
+the ``c0`` terms reduce to ``c0 (1 - t)``, as ``r^2 + t - 2t^2 = 1 - t``,
+so the payoff is the piece's linear form ``A - B t`` plus the cubic
+``c1 t (t^2 - 3t/2 + 1)`` of a line piece, less ``r^2 m / 2`` at an atom of
+mass m (an exact tie is won half the time).  That form (``_linear_form``,
+``_payoff``) is the one payoff formula.  One verifier, ``_verify``, checks a
+single cdf and blocks of interval cells with it.  As the payoff is linear
+on arcs and flat pieces and a cubic on line pieces, besides a grid the
+verifier scores the few points where it can peak (``_peaks``), and these
+alone give the exact best response against any distribution.
 """
 
 from __future__ import annotations
@@ -69,37 +76,53 @@ class PayoffProfile:
     win_total: float
 
 
-def _opponent_terms(thetas, table, piece=None):
-    """The arguments of :func:`_payoff` at ``thetas``, a (cells, points) array,
-    against each cell's cdf in ``table``: its failure probability ``phi``,
-    ``T = cdf - atom_mass / 2`` (an exact tie is won half the time) and
-    ``Gamma = int_0^theta cdf``; ``piece`` as for ``table.evaluate``.  Also
-    returns whether each point is an atom of its cell, for ``table.support``.
-    A cell's atoms sit at distinct points, so each point loses at most one
-    half mass."""
-    t_val, gamma = table.evaluate(thetas, integral=True, piece=piece)
+def _linear_form(table):
+    """``(A, B)`` of every piece of ``table``, (cells, pieces) arrays: on a
+    piece the payoff is ``A - B t + c1 t (t^2 - 3t/2 + 1)`` off its atoms,
+    with ``K = prefix - anti_lo`` (so ``Gamma = K + c0 t + c1 t^2 / 2 + c2
+    r``), ``A = phi + c0 + K`` and ``B = phi + c0 + 2K``."""
+    k = table.prefix - table.anti_lo
+    base = (1.0 - table.total) + table.c0
+    return base + k, base + 2.0 * k
+
+
+def _payoff(thetas, table, form=None, piece=None):
+    """The one payoff formula: the selection probability at ``thetas``, a
+    (cells, points) array, against each cell's cdf in ``table``, and whether
+    each point is an atom of its cell (for ``table.support``).  ``form`` is
+    :func:`_linear_form` of the table and ``piece`` ``table.piece(thetas)``,
+    each computed when not given.  The cubic is added only when the table
+    has a line piece: on the others it is exactly 0.  At t = 1 the cdf reads
+    1, so the payoff there is ``phi``.  A cell's atoms sit at distinct
+    points, so each point loses at most one half tie."""
+    piece = table.piece(thetas) if piece is None else piece
+    lin, slope = _linear_form(table) if form is None else form
+    out = slope.ravel()[piece]
+    out *= thetas
+    np.subtract(lin.ravel()[piece], out, out=out)
+    if table.c1.any():
+        cubic = thetas - 1.5
+        cubic *= thetas
+        cubic += 1.0
+        cubic *= thetas
+        cubic *= table.c1.ravel()[piece]
+        out += cubic
+    np.copyto(out, 1.0 - table.total, where=thetas == 1.0)
     at_atom = np.zeros(thetas.shape, dtype=bool)
     for at, mass in zip(table.atom_at.T, table.atom_mass.T):
         hit = thetas == at[:, None]
-        np.subtract(t_val, 0.5 * mass[:, None], out=t_val, where=hit)
+        cell, point = np.divmod(np.flatnonzero(hit), hit.shape[1])  # 2-D nonzero is slower
+        x = thetas[cell, point]
+        out[cell, point] -= (x * x + (1.0 - x) * (1.0 - x)) * (0.5 * mass[cell])
         at_atom |= hit
-    return (thetas, 1.0 - table.total, t_val, gamma), at_atom
+    return out, at_atom
 
 
-def _payoff(thetas, phi, t_val, gamma):
-    """The one payoff formula: the selection probability at ``thetas``."""
-    # Expanded, not (1-theta) win_pass + theta win_fail, which rounds
-    # differently: verify prints these bits.
-    return ((1.0 - thetas) * phi
-            + ((1.0 - thetas) ** 2 + thetas**2) * t_val
-            + (1.0 - 2.0 * thetas) * gamma)
-
-
-def _margins(thetas, phi, t_val, gamma, on_support, tol):
+def _margins(payoff, on_support, tol):
     """The one verdict on payoffs, along the last axis: the largest
     ``|payoff - 1/2|`` on the support, the largest ``payoff - 1/2`` off it
     (at least 0) and whether both are within ``tol``."""
-    excess = _payoff(thetas, phi, t_val, gamma) - 0.5
+    excess = payoff - 0.5
     support_dev = np.where(on_support, np.abs(excess), 0.0).max(axis=-1)
     outside_gain = np.maximum(np.where(on_support, 0.0, excess).max(axis=-1), 0.0)
     return support_dev, outside_gain, (support_dev <= tol) & (outside_gain <= tol)
@@ -112,17 +135,19 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     strictly easier tests, plus half of the exact ties; failing only beats
     failers with strictly easier tests, plus half of those ties.
     """
-    terms, _ = _opponent_terms(_unit_points(float(theta)).reshape(1, 1), opponent._table)
-    theta, phi, t_val, gamma = (value.item() for value in terms)
+    theta = float(_unit_points(float(theta)))
+    table, point = opponent._table, np.array([[theta]])
+    cdf, gamma = (value.item() for value in table.evaluate(point, integral=True))
+    phi, t_val = 1.0 - table.total.item(), cdf - 0.5 * opponent.atom_mass(theta)
     return PayoffProfile(theta=theta, win_pass=phi + (1.0 - theta) * t_val + gamma,
-                         win_fail=theta * t_val - gamma, win_total=_payoff(*terms).item())
+                         win_fail=theta * t_val - gamma,
+                         win_total=_payoff(point, table)[0].item())
 
 
 def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
     """Vectorized overall selection probability for each ``theta``."""
     arr = _unit_points(thetas)
-    terms, _ = _opponent_terms(arr.reshape(1, -1), opponent._table)
-    return _payoff(*terms).reshape(arr.shape)[()]
+    return _payoff(arr.reshape(1, -1), opponent._table)[0].reshape(arr.shape)[()]
 
 
 def selection_probability(theta: float, opponent: MixedCdf) -> float:
@@ -284,25 +309,25 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
         raise ValueError("grid_size must be at least 1000")
     _check_nonnegative("tol", tol)
     table = sol.dist._table
+    form = _linear_form(table)
     a, b = (np.array([end]) for end in sol.interval)
-    dev, gain, passed = _verify(table, a, b, _peaks(table, a, b), grid_size, tol)
+    dev, gain, passed = _verify(table, form, a, b, _peaks(table, form, a, b), grid_size, tol)
     return VerificationReport(dev.item(), gain.item(), bool(passed[0]), grid_size, tol)
 
 
-def _peaks(table, a, b):
+def _peaks(table, form, a, b):
     """The points of [a, b] (arrays of cells) besides the piece lows where
-    the payoff against each cell's cdf in ``table`` can peak, clipped into
-    [a, b]: just right of each atom, where a tie is won in full, and the
-    critical points of each line piece, or its low when they lie outside it.
+    the payoff against each cell's cdf in ``table``, of
+    :func:`_linear_form` ``form``, can peak, clipped into [a, b]: just
+    right of each atom, where a tie is won in full, and the critical points
+    of each line piece, or its low when they lie outside it.
 
-    On a piece, with ``K = prefix - anti_lo`` so that ``Gamma = K + c0 t +
-    c1 t^2 / 2 + c2 r``, the payoff ``(1 - t) phi + r^2 T + (1 - 2t) Gamma``
-    has the derivative ``3 c1 (t^2 - t) + g`` with ``g = c1 - phi - c0 -
-    2K``: the arc terms cancel, as ``(2t - 1)^2 = 2 r^2 - 1``.  So the
-    payoff is linear on an arc or flat piece and peaks at one of its ends,
-    and on a line piece it is a cubic with critical points
-    ``1/2 +- sqrt(1/4 - g / (3 c1))``."""
-    g = table.c1 - (1.0 - table.total) - table.c0 - 2.0 * (table.prefix - table.anti_lo)
+    On a piece the payoff ``A - B t + c1 t (t^2 - 3t/2 + 1)`` has the
+    derivative ``3 c1 (t^2 - t) + g`` with ``g = c1 - B``.  So it is linear
+    on an arc or flat piece and peaks at one of its ends, and on a line
+    piece it is a cubic with critical points ``1/2 +- sqrt(1/4 - g / (3
+    c1))``."""
+    g = table.c1 - form[1]
     with np.errstate(divide="ignore", invalid="ignore"):  # arcs and flat pieces
         half = np.sqrt(0.25 - g / (3.0 * table.c1))
     roots = [np.where((table.lo < x) & (x < table.hi), x, table.lo)
@@ -330,24 +355,36 @@ def _grid(a, b, size: int) -> np.ndarray:
     return grid
 
 
-def _verify(table, a, b, peaks, grid_size: int, tol: float):
-    """:func:`_margins` against each cell's cdf in the piece ``table`` on
-    [a, b] (arrays of cells): at a ``grid_size``-point grid, which holds a
-    and b, every piece low, piece midpoint and atom clipped into [a, b] and
-    the cells' :func:`_peaks` ``peaks``."""
+def _verify(table, form, a, b, peaks, grid_size: int, tol: float):
+    """:func:`_margins` against each cell's cdf in the piece ``table``, of
+    :func:`_linear_form` ``form``, on [a, b] (arrays of cells): at a
+    ``grid_size``-point grid, which holds a and b, every piece low, piece
+    midpoint and atom clipped into [a, b] and the cells' :func:`_peaks`
+    ``peaks``.  Each point gathers its piece's A and B, so it reads no cdf,
+    integral or radius."""
     special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
     thetas = np.concatenate([_grid(a, b, grid_size), np.clip(special, a[:, None], b[:, None]),
                              peaks], axis=1)
-    piece = table.piece(thetas)  # shared by the terms and the support
-    terms, at_atom = _opponent_terms(thetas, table, piece)
-    return _margins(*terms, table.support(thetas, piece, at_atom), tol)
+    piece = table.piece(thetas)  # shared by the payoff and the support
+    payoff, at_atom = _payoff(thetas, table, form, piece)
+    return _margins(payoff, table.support(thetas, piece, at_atom), tol)
 
 
-#: Cells per block of :func:`_interval_cells`: about 2**13 points, 1,132 a cell.
-_BLOCK_CELLS = 7
+#: Cells per block :func:`_interval_cells` verifies at once: 10,180 points,
+#: 1,018 a cell, and a Newton stencil of 9 cells is one block.  On a 2-vCPU
+#: Xeon the 0.01 grid phase on one worker took a median 58.5 ms of CPU time
+#: at 10 cells a block, 68.1 ms at 7 and 68.5 ms at 14 (8 fresh processes
+#: each, best of 5 calls), and the whole search 75.7 ms at 10, 80.9 ms at 8,
+#: 83.6 ms at 7 and 86.4 ms at 12.
+_BLOCK_CELLS = 10
 
 #: Cells per slab of :func:`_interval_cells`, a whole number of blocks.
-_SLAB_CELLS = 32 * _BLOCK_CELLS
+_SLAB_CELLS = 22 * _BLOCK_CELLS
+
+#: Cells per group :func:`_interval_cells` values at once: fewer calls of
+#: :func:`_pair_error` than one a block, and valuing a whole slab at once
+#: raised the search's peak RSS by 1.8 MiB.
+_VALUE_CELLS = 4 * _BLOCK_CELLS
 
 
 def _interval_cells(a, b):
@@ -356,13 +393,14 @@ def _interval_cells(a, b):
     and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure, in
     cell order, raises ``RuntimeError``) and valued by :func:`_pair_error`.
     Every result is the cell's own, whatever cells come with it.  The closed
-    forms are built a slab of :data:`_SLAB_CELLS` cells at a time, and each
-    slab is verified and valued in blocks of :data:`_BLOCK_CELLS` cells: a
-    slab bounds the tables held and a block the verification points, so
-    beyond the cells and results memory does not grow with the number of
-    cells.  Slab s runs on worker s mod W of :mod:`thresholdgame._workers`,
-    with W one per CPU but at most one per slab, and writes its results in
-    place, so W changes no bit."""
+    forms and their linear forms are built a slab of :data:`_SLAB_CELLS`
+    cells at a time, and each slab is verified in blocks of
+    :data:`_BLOCK_CELLS` cells and then valued in groups of
+    :data:`_VALUE_CELLS`: a slab bounds the tables held and a block or group
+    the points, so beyond the cells and results memory does not grow with
+    the number of cells.  Slab s runs on worker s mod W of
+    :mod:`thresholdgame._workers`, with W one per CPU but at most one per
+    slab, and writes its results in place, so W changes no bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
@@ -375,18 +413,21 @@ def _interval_cells(a, b):
             value, support_dev, outside_gain = (r[slab] for r in results)  # views
             _, _, rows, _, _, sound = _interval_params(sa, sb)
             table = _piece_table(*rows)
-            peaks = _peaks(table, sa, sb)
+            form = _linear_form(table)
+            peaks = _peaks(table, form, sa, sb)
             for s in range(0, len(sa), _BLOCK_CELLS):
                 k = slice(s, s + _BLOCK_CELLS)
-                block = type(table)(*(values[k] for values in table))
-                support_dev[k], outside_gain[k], passed = _verify(block, sa[k], sb[k], peaks[k],
-                                                                  1000, 1e-8)
-                value[k] = _pair_error(block.lo, block.hi, block)
+                support_dev[k], outside_gain[k], passed = _verify(
+                    table.cells(k), [values[k] for values in form], sa[k], sb[k], peaks[k],
+                    1000, 1e-8)
                 if not np.all(passed & sound[k]):
                     i = s + np.argmin(passed & sound[k])
                     raise RuntimeError(
                         f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
                         f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
+            for s in range(0, len(sa), _VALUE_CELLS):
+                group = table.cells(slice(s, s + _VALUE_CELLS))
+                value[s:s + _VALUE_CELLS] = _pair_error(group.lo, group.hi, group)
 
     workers = min(_workers.available(), n_slabs)
     return tuple(_workers.run(work, n_slabs, workers, [(a.shape, np.float64)] * 3))
@@ -399,8 +440,10 @@ def best_response_value(opponent: MixedCdf, interval: tuple[float, float] = (0.0
     or at an atom approached to within one ulp of theta."""
     lo, hi = _unit_interval("interval bound", interval[0], interval[1])
     table, a, b = opponent._table, np.array([lo]), np.array([hi])
-    thetas = np.unique(np.concatenate([a, b, np.clip(table.lo[0], lo, hi), _peaks(table, a, b)[0]]))
-    payoff = selection_probabilities(thetas, opponent)
+    form = _linear_form(table)
+    peaks = _peaks(table, form, a, b)[0]
+    thetas = np.unique(np.concatenate([a, b, np.clip(table.lo[0], lo, hi), peaks]))
+    payoff = _payoff(thetas[None, :], table, form)[0][0]
     k = int(np.argmax(payoff))
     return float(thetas[k]), float(payoff[k])
 

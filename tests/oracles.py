@@ -4,11 +4,12 @@ The library evaluates the error functional through one-dimensional
 reductions; the tests check those against an adaptive tensor quadrature of
 the original double integrals, which shares no code with them.  The quantile
 function is checked against a per-record loop over ``searchsorted`` indices,
-which shares only the table of quantile records with it.  The verifier's
-opponent terms and support are checked against the direct formula: every
-atom's mass summed over an (atoms, cells, points) array and a second full
-piece lookup for the left limits.  The row formulas, which work in place,
-are checked against the plain expressions.
+which shares only the table of quantile records with it.  The payoff,
+which the library takes from each piece's linear form, and the verifier's
+support are checked against the direct formula: the cdf and its running
+integral at every point, every atom's mass summed over an (atoms, cells,
+points) array and a second full piece lookup for the left limits.  The row
+formulas, which work in place, are checked against the plain expressions.
 """
 
 from functools import lru_cache
@@ -50,19 +51,23 @@ def row_integral_reference(c0, c1, c2, theta):
     return (c0 + 0.5 * c1 * theta) * theta + c2 * r
 
 
-def opponent_terms_reference(thetas, table):
-    """The arguments of ``equilibrium._payoff`` at ``thetas``, a (cells,
-    points) array, and whether each point is in the support: ``T`` subtracts
-    half of every atom's mass at the point, summed over all atoms, and a
-    point is in the support when it is an atom or its piece or its left
-    piece (both looked up in full) is rising."""
+def payoff_reference(thetas, table):
+    """The selection probability at ``thetas``, a (cells, points) array,
+    against each cell's cdf in ``table`` by the direct formula ``(1 - t) phi
+    + r^2 T + (1 - 2t) Gamma``, and whether each point is in the support.
+    ``T`` subtracts half of every atom's mass at the point, summed over all
+    atoms, and a point is in the support when it is an atom or its piece or
+    its left piece (both looked up in full) is rising."""
     cdf, gamma = table.evaluate(thetas, integral=True)
     at_atom = thetas == table.atom_at.T[:, :, None]
     mass = np.where(at_atom, table.atom_mass.T[:, :, None], 0.0)
+    t_val = cdf - 0.5 * mass.sum(axis=0)
+    payoff = ((1.0 - thetas) * (1.0 - table.total)
+              + ((1.0 - thetas) ** 2 + thetas**2) * t_val + (1.0 - 2.0 * thetas) * gamma)
     rising = ((table.c1 > 1e-12) | (table.c2 > 0.0)).ravel()
     support = (rising[table.piece(thetas)] | rising[table.piece(thetas, left=True)]
                | at_atom.any(axis=0))
-    return (thetas, 1.0 - table.total, cdf - 0.5 * mass.sum(axis=0), gamma), support
+    return payoff, support
 
 
 @lru_cache(maxsize=None)

@@ -188,23 +188,21 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
 
 
-def patch_margins(monkeypatch, fail=()):
-    """Record the cells whose margins are reduced, each named by its verification
-    points' ends (a, b), with the tolerance; report the cells in ``fail`` as
-    failed.  Returns the record, which sees only this process's cells."""
+def patch_verify(monkeypatch, fail=()):
+    """Record the cells ``_verify`` checks, each named by its ends (a, b),
+    with the grid and tolerance; report the cells in ``fail`` as failed.
+    Returns the record, which sees only this process's cells."""
     seen = []
-    original = equilibrium._margins
+    original = equilibrium._verify
 
-    def margins(thetas, *args):
-        assert args[-1] == 1e-8
-        dev, gain, passed = original(thetas, *args)
-        cells = list(zip(np.min(thetas, axis=-1).ravel().tolist(),
-                         np.max(thetas, axis=-1).ravel().tolist()))
+    def verify(table, form, a, b, peaks, grid_size, tol):
+        assert (grid_size, tol) == (1000, 1e-8)
+        dev, gain, passed = original(table, form, a, b, peaks, grid_size, tol)
+        cells = list(zip(a.tolist(), b.tolist()))
         seen.extend(cells)
-        hit = np.array([cell in fail for cell in cells]).reshape(np.shape(passed))
-        return dev, gain, passed & ~hit
+        return dev, gain, passed & ~np.array([cell in fail for cell in cells])
 
-    monkeypatch.setattr(equilibrium, "_margins", margins)
+    monkeypatch.setattr(equilibrium, "_verify", verify)
     return seen
 
 
@@ -241,8 +239,8 @@ class TestBatchedCells:
 
     def test_verifies_on_the_points_verify_equilibrium_uses(self, monkeypatch):
         points = []
-        original = equilibrium._margins
-        monkeypatch.setattr(equilibrium, "_margins",
+        original = equilibrium._payoff
+        monkeypatch.setattr(equilibrium, "_payoff",
                             lambda thetas, *args: points.append(thetas) or original(thetas, *args))
         cells = [(0.0, 1.0), (0.0, 0.79), (0.3, 0.9), (0.1, 1.0), (0.2, 0.5), (0.3, 0.5)]
         for a, b in cells:
@@ -261,7 +259,7 @@ class TestBatchedCells:
     @pytest.mark.parametrize("resolution", [0.01, 0.053, 0.35, 0.6])
     def test_grid_phase_visits_the_same_cells(self, monkeypatch, resolution):
         force_workers(monkeypatch, 1)  # the cells are recorded in this process
-        seen = patch_margins(monkeypatch)
+        seen = patch_verify(monkeypatch)
         search_best_interval(resolution=resolution, refine=False)
         assert seen == grid_cells(resolution)
 
@@ -282,17 +280,17 @@ class TestBatchedCells:
     def test_a_failing_grid_cell_raises(self, monkeypatch):
         cells = grid_cells(0.05)
         a, b = cell = cells[len(cells) // 2]
-        patch_margins(monkeypatch, fail={cell})
+        patch_verify(monkeypatch, fail={cell})
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
             search_best_interval(resolution=0.05)
 
     def test_a_failing_refinement_cell_raises(self, monkeypatch):
-        seen = patch_margins(monkeypatch)
+        seen = patch_verify(monkeypatch)
         search_best_interval(resolution=0.05)
         refined = [cell for cell in seen if cell not in set(grid_cells(0.05))]
         assert len(refined) >= 9  # a stencil at least
         a, b = cell = refined[-1]
-        patch_margins(monkeypatch, fail={cell})
+        patch_verify(monkeypatch, fail={cell})
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
             search_best_interval(resolution=0.05)
 
@@ -301,10 +299,14 @@ class TestBatchedCells:
         cells = grid_cells(resolution)
         rows = [np.array(list(row)).T for _, row in itertools.groupby(cells, lambda c: c[0])]
         want = [np.concatenate(parts) for parts in zip(*(_interval_cells(*row) for row in rows))]
-        # The default slab, and slabs of one and two blocks, which cross rows.
-        for slab in (equilibrium._SLAB_CELLS, equilibrium._BLOCK_CELLS,
-                     2 * equilibrium._BLOCK_CELLS):
-            monkeypatch.setattr(equilibrium, "_SLAB_CELLS", slab)
+        # The default slab and value groups, slabs of one and two blocks,
+        # which cross rows, groups of one cell and a whole slab.
+        block, slab, group = (equilibrium._BLOCK_CELLS, equilibrium._SLAB_CELLS,
+                              equilibrium._VALUE_CELLS)
+        for cells_a_slab, cells_a_group in ((slab, group), (block, group), (2 * block, 1),
+                                            (slab, slab)):
+            monkeypatch.setattr(equilibrium, "_SLAB_CELLS", cells_a_slab)
+            monkeypatch.setattr(equilibrium, "_VALUE_CELLS", cells_a_group)
             got = _interval_cells(*np.array(cells).T)
             for name, g, w in zip(("value", "support_dev", "outside_gain"), got, want):
                 assert list(map(float.hex, g.tolist())) == list(map(float.hex, w.tolist())), name
@@ -347,7 +349,7 @@ class TestBatchedCells:
         slab = equilibrium._SLAB_CELLS
         a, b = cells[slab + 100]
         force_workers(monkeypatch, workers)
-        patch_margins(monkeypatch, fail={cells[6 * slab + 3], cells[2 * slab + 5],
+        patch_verify(monkeypatch, fail={cells[6 * slab + 3], cells[2 * slab + 5],
                                          cells[slab + 100], cells[slab + 200]})
         with pytest.raises(RuntimeError, match="^" + re.escape(
                 f"constructed equilibrium on [{a}, {b}] failed verification (")):

@@ -622,6 +622,7 @@ def _force_workers(monkeypatch, workers):
     """``workers`` CPUs, and no floor of trials per worker."""
     monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
     monkeypatch.setattr(engine, "_MIN_WORKER_TRIALS", 1)
+    monkeypatch.setattr(engine, "_MIN_WORKER_PAIR_TRIALS", 1)
 
 
 def _chunk_log(path):
@@ -886,6 +887,35 @@ class TestSimulate:
         forks = count_forks(monkeypatch)
         simulate(parse_rule("iid:eq"), trials=trials, seed=2)
         assert forks == ([1] if forked else [])
+
+    @pytest.mark.parametrize("text", ["same:0.5", "indep:step:0.2928932;step:0.7071068"])
+    @pytest.mark.parametrize("trials, forked", [(engine._MIN_WORKER_PAIR_TRIALS * 2 - 1, False),
+                                                (engine._MIN_WORKER_PAIR_TRIALS * 2, True)])
+    def test_two_firms_drawing_no_thresholds_fork_from_their_own_floor(self, monkeypatch, text,
+                                                                        trials, forked):
+        monkeypatch.setattr(_workers, "cpu_count", lambda: 2)
+        forks = count_forks(monkeypatch)
+        simulate(parse_rule(text), n_firms=2, trials=trials, seed=2)
+        assert forks == ([1] if forked else [])
+
+    # The operations of the benchmark's mc_pair and mc_field workloads.
+    @pytest.mark.parametrize("text, n, trials", [
+        ("iid:eq", 2, 10**7), ("iid:eq:0,0.79", 2, 10**7),
+        ("indep:step:0.2928932;step:0.7071068", 2, 10**7), ("same:0.5", 2, 10**7),
+        ("iid:eq", 3, 2**20), ("fixed:0.1,0.3,0.5,0.7,0.9", 5, 2**20),
+        ("iid:uniform:0.25,0.75", 8, 2**20),
+    ])
+    def test_benchmark_operations_keep_two_workers(self, monkeypatch, text, n, trials):
+        monkeypatch.setattr(_workers, "cpu_count", lambda: 2)
+        seen = []
+
+        def run(work, units, workers, outputs):
+            seen.append(workers)
+            return [np.zeros(shape, dtype) for shape, dtype in outputs]
+
+        monkeypatch.setattr(_workers, "run", run)
+        engine._run_chunks(parse_rule(text), n, 0, trials)
+        assert seen == [2]
 
     def test_threads_sharing_a_rule_get_the_serial_results(self):
         # Each call owns its arrays and MixedCdf is immutable, so concurrent

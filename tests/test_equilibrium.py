@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from conftest import random_mixed_piecewise_linear
-from oracles import opponent_terms_reference
+from oracles import payoff_reference
 from thresholdgame import equilibrium
 from thresholdgame.dists import MixedCdf, _piece_table
 from thresholdgame.engine import parse_rule, simulate
@@ -16,7 +16,9 @@ from thresholdgame.equilibrium import (
     _grid,
     _interval_cells,
     _interval_params,
+    _linear_form,
     _margins,
+    _payoff,
     _peaks,
     _verify,
     best_response_value,
@@ -252,13 +254,18 @@ class TestVerifyEquilibrium:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_an_underflowing_cell_leaves_its_block_alone(self):
+    def test_an_underflowing_cell_leaves_its_block_alone(self, monkeypatch):
         # The step of [0, 5e-322] underflows to 0 on a 1000-point grid; the
-        # cell beside it keeps its own grid and margins (linspace's other
-        # branch on its grid would give 0x1.8p-52).
+        # cell beside it keeps its own points, not those of linspace's other
+        # branch, and its own margins.
+        points = []
+        original = equilibrium._payoff
+        monkeypatch.setattr(equilibrium, "_payoff",
+                            lambda thetas, *args: points.append(thetas) or original(thetas, *args))
         alone = verify_equilibrium(equilibrium_interval(0.05, 0.8), grid_size=1000, tol=1e-8)
         _, support_dev, outside_gain = _interval_cells([0.0, 0.05], [5e-322, 0.8])
-        assert support_dev[1].hex() == alone.max_support_deviation.hex() == "0x1.4000000000000p-52"
+        assert points[1][1].tobytes() == points[0][0].tobytes()
+        assert support_dev[1].hex() == alone.max_support_deviation.hex() == "0x1.8000000000000p-53"
         assert outside_gain[1].hex() == alone.max_outside_gain.hex()
 
     def test_rejects_small_grid(self):
@@ -332,26 +339,105 @@ VERIFIED_CELLS = [(0.2, 0.5), (0.3, 0.5), (0.0, 5e-322), (0.0, 0.79), (0.0, 1.0)
                   (0.3, 0.9), (0.1, 1.0)]
 
 
+#: The largest gap allowed between the payoff from each piece's linear form
+#: and the direct formula.  The largest gap measured on the cdfs and cells
+#: here, at the points of :func:`payoff_points`, was 5.3e-15 (random1).
+PAYOFF_TOL = 1e-14
+
+
+def payoff_points(table, a, b):
+    """A 10,000-point grid of each cell's [a, b], and every piece end, atom
+    and right limit of an atom or a piece low clipped into it, and the
+    :func:`_peaks`."""
+    special = np.concatenate([table.lo, table.hi, table.atom_at, np.nextafter(table.atom_at, 2.0),
+                              np.nextafter(table.lo, 2.0)], axis=1)
+    return np.concatenate([_grid(a, b, 10_000), np.clip(special, a[:, None], b[:, None]),
+                           _peaks(table, _linear_form(table), a, b)], axis=1)
+
+
+def interval_cells_table():
+    """The piece table of the :data:`VERIFIED_CELLS` and their ends."""
+    a, b = np.array(VERIFIED_CELLS).T
+    step, _, rows, _, _, _ = _interval_params(a, b)
+    table = _piece_table(*rows)
+    assert step.any() and (table.lo == table.hi).any()
+    return table, a, b
+
+
+class TestPayoff:
+    """The payoff from each piece's linear form agrees with the direct
+    formula, and its atom flags give the support the direct lookup gives,
+    bit for bit."""
+
+    def check(self, table, a, b):
+        thetas = payoff_points(table, a, b)
+        got, at_atom = _payoff(thetas, table)
+        want, want_support = payoff_reference(thetas, table)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=PAYOFF_TOL)
+        np.testing.assert_array_equal(table.support(thetas, at_atom=at_atom), want_support)
+        return thetas, got
+
+    @pytest.mark.parametrize("name", VERIFIED_CDFS)
+    def test_a_cdf(self, name):
+        d = VERIFIED_CDFS[name]
+        thetas, got = self.check(d._table, np.array([0.0]), np.array([1.0]))
+        assert 1.0 in thetas
+        assert selection_probabilities(thetas[0], d).tobytes() == got[0].tobytes()
+
+    def test_interval_cells(self):
+        # The underflowing cell [0, 5e-322] and the massless atom at 1 of
+        # the [0, 1] cell among them.
+        table, a, b = interval_cells_table()
+        self.check(table, a, b)
+
+    @pytest.mark.parametrize("name", ["five_atoms", "random2"])
+    def test_at_one_the_cdf_reads_one(self, name):
+        # The payoff at 1 is phi less the half tie of an atom at 1, whatever
+        # the last piece's row reads there.
+        d = VERIFIED_CDFS[name]
+        phi, mass = d.failure_probability(), d.atom_mass(1.0)
+        assert mass > 0.0
+        assert selection_probability(1.0, d) == pytest.approx(phi - mass / 2, abs=1e-15)
+
+    def test_without_line_pieces_it_is_a_less_b_theta(self):
+        # Off the atoms and 1, bit for bit: no cubic term is added.
+        table, a, b = interval_cells_table()
+        assert not table.c1.any()
+        thetas = payoff_points(table, a, b)
+        got = _payoff(thetas, table)[0]
+        lin, slope = _linear_form(table)
+        piece = table.piece(thetas)
+        want = lin.ravel()[piece] - slope.ravel()[piece] * thetas
+        off = (thetas != 1.0) & ~(thetas == table.atom_at.T[:, :, None]).any(axis=0)
+        assert got[off].tobytes() == want[off].tobytes()
+
+
 class TestVerifierTerms:
-    """``_verify`` reads one atom test and one full piece lookup per point;
-    its terms, support and margins equal the direct formula bit for bit."""
+    """``_verify`` scores every piece low, atom and peak in [a, b] with
+    :func:`_payoff`; its payoff agrees with the direct formula and its
+    support is the direct one, bit for bit."""
 
     def check(self, monkeypatch, table, a, b):
         seen = []
+        original = equilibrium._payoff
+        monkeypatch.setattr(equilibrium, "_payoff",
+                            lambda thetas, *args: seen.append(thetas) or original(thetas, *args))
         monkeypatch.setattr(equilibrium, "_margins",
                             lambda *args: seen.append(args) or _margins(*args))
-        got = _verify(table, a, b, _peaks(table, a, b), 1000, 1e-8)
-        (thetas, phi, t_val, gamma, support, tol), = seen
+        form = _linear_form(table)
+        got = _verify(table, form, a, b, _peaks(table, form, a, b), 1000, 1e-8)
+        thetas, (payoff, support, tol) = seen
         # The points include every piece low and atom in [a, b], and the peaks.
-        for values in (table.lo, table.atom_at, _peaks(table, a, b)):
+        for values in (table.lo, table.atom_at, _peaks(table, form, a, b)):
             inside = (a[:, None] <= values) & (values <= b[:, None])
             assert all(np.isin(v[m], t).all() for v, m, t in zip(values, inside, thetas))
-        terms, want_support = opponent_terms_reference(thetas, table)
-        for name, value, want in zip(("phi", "T", "Gamma"), (phi, t_val, gamma), terms[1:]):
-            assert value.tobytes() == want.tobytes(), name
+        want_payoff, want_support = payoff_reference(thetas, table)
+        np.testing.assert_allclose(payoff, want_payoff, rtol=0.0, atol=PAYOFF_TOL)
         np.testing.assert_array_equal(support, want_support)
-        want = _margins(*terms, want_support, tol)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        want = _margins(want_payoff, want_support, tol)
+        for value, reference in zip(got[:2], want[:2]):
+            np.testing.assert_allclose(value, reference, rtol=0.0, atol=PAYOFF_TOL)
+        np.testing.assert_array_equal(got[2], want[2])
 
     @pytest.mark.parametrize("name", VERIFIED_CDFS)
     def test_a_cdf_on_the_unit_interval(self, monkeypatch, name):
@@ -359,17 +445,13 @@ class TestVerifierTerms:
         self.check(monkeypatch, table, np.array([0.0]), np.array([1.0]))
 
     def test_interval_cells(self, monkeypatch):
-        a, b = np.array(VERIFIED_CELLS).T
-        step, _, rows, _, _, _ = _interval_params(a, b)
-        table = _piece_table(*rows)
-        assert step.any() and (table.lo == table.hi).any()
-        self.check(monkeypatch, table, a, b)
+        self.check(monkeypatch, *interval_cells_table())
 
     def test_support_mask_of_a_cdf(self):
         thetas = np.linspace(0.0, 1.0, 101)
         for d in VERIFIED_CDFS.values():
             points = np.concatenate([thetas, d._table.lo.ravel(), d._table.atom_at.ravel()])
-            want = opponent_terms_reference(points.reshape(1, -1), d._table)[1]
+            want = payoff_reference(points.reshape(1, -1), d._table)[1]
             np.testing.assert_array_equal(d.support_mask(points), want.ravel())
 
 
@@ -435,7 +517,7 @@ class TestBestResponse:
         # interior maximum that search finds is one of the critical points.
         d = random_mixed_piecewise_linear(np.random.default_rng(seed))
         table = d._table
-        peaks = _peaks(table, np.array([0.0]), np.array([1.0]))[0]
+        peaks = _peaks(table, _linear_form(table), np.array([0.0]), np.array([1.0]))[0]
         for lo, hi in zip(table.lo[0][table.c1[0] > 0], table.hi[0][table.c1[0] > 0]):
             inside = peaks[(lo < peaks) & (peaks < hi)]
             ends = [np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)]
@@ -450,13 +532,16 @@ class TestBestResponse:
 class TestPayoffOnPieces:
     """The payoff on a piece, with ``K = prefix - anti_lo`` and ``g = c1 -
     phi - c0 - 2K``, has the derivative ``3 c1 (t^2 - t) + g``: it is linear
-    on an arc or flat piece (c1 = 0) and a cubic on a line piece."""
+    on an arc or flat piece (c1 = 0) and a cubic on a line piece.  ``g`` is
+    ``c1 - B`` of the linear form, the slope ``_peaks`` reads."""
 
     @pytest.mark.parametrize("name", PAYOFF_CDFS)
     def test_is_linear_on_arcs_and_flats_and_cubic_on_lines(self, name):
         d = PAYOFF_CDFS[name]
         table = d._table
-        g = table.c1 - (1.0 - table.total) - table.c0 - 2.0 * (table.prefix - table.anti_lo)
+        g = table.c1 - _linear_form(table)[1]
+        expanded = table.c1 - (1.0 - table.total) - table.c0 - 2.0 * (table.prefix - table.anti_lo)
+        np.testing.assert_allclose(g, expanded, rtol=1e-15, atol=1e-15)
         for lo, hi, c1, slope in zip(table.lo[0], table.hi[0], table.c1[0], g[0]):
             x = np.linspace(lo, hi, 12)[1:-1]  # inside the piece, off its atoms
             payoff = selection_probabilities(x, d)
