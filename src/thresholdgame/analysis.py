@@ -160,7 +160,8 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     a's rows in order.  The whole grid is one batch, and so is each stencil
     (``_interval_cells`` spreads a batch's slabs over forked workers);
     every cell scored is verified by ``verify_equilibrium``'s routine at
-    grid size 1000 and tol 1e-8, and a failure raises ``RuntimeError``.  The
+    grid size 1000 and tol 1e-8, its margins the whole grid's, computed from
+    the grid's run ends, and a failure raises ``RuntimeError``.  The
     objective is flat to about 1e-16 near the optimum, so a and b are good
     to about 1e-8 only, whatever digits they carry.
     """

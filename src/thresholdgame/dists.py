@@ -258,15 +258,9 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         piece = self.piece(theta) if piece is None else piece
         if at_atom is None:
             at_atom = (theta == self.atom_at.T[:, :, None]).any(axis=0)
-        out = rising[piece] | at_atom
-        # The lows are sorted, so a point's left piece is its piece unless the
-        # point is that piece's low: only there count again, past any empty
-        # pieces that share the low.
-        cell, point = np.divmod(np.flatnonzero(theta == self.lo.ravel()[piece]), theta.shape[1])
-        left = ((theta[cell, point, None] > self.lo[cell, 1:]).sum(axis=1)
-                + cell * self.lo.shape[1])
-        out[cell, point] |= rising[left]
-        return out
+        # The verifier's points sit mostly at piece lows, where the left
+        # piece differs, so the left pieces are looked up in full.
+        return rising[piece] | rising[self.piece(theta, left=True)] | at_atom
 
 
 def _piece_table(lo, hi, c0, c1, c2, atom_at, atom_mass) -> _PieceTable:

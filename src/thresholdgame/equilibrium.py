@@ -25,10 +25,12 @@ so the payoff is the piece's linear form ``A - B t`` plus the cubic
 ``c1 t (t^2 - 3t/2 + 1)`` of a line piece, less ``r^2 m / 2`` at an atom of
 mass m (an exact tie is won half the time).  That form (``_linear_form``,
 ``_payoff``) is the one payoff formula.  One verifier, ``_verify``, checks a
-single cdf and blocks of interval cells with it.  As the payoff is linear
+single cdf and slabs of interval cells with it.  As the payoff is linear
 on arcs and flat pieces and a cubic on line pieces, besides a grid the
 verifier scores the few points where it can peak (``_peaks``), and these
-alone give the exact best response against any distribution.
+alone give the exact best response against any distribution.  On arcs and
+flat pieces the verifier gets the whole grid's margins, bit for bit, from
+the ends of each run of grid points between two breakpoints.
 """
 
 from __future__ import annotations
@@ -302,7 +304,12 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
 
     On the support of the distribution the selection probability against it
     must equal 1/2 (within ``tol``); everywhere else on the allowed interval
-    it must not exceed 1/2 + ``tol``.
+    it must not exceed 1/2 + ``tol``.  The margins are those of a
+    ``grid_size``-point grid on the interval with its special points and
+    peaks (``_verify``).  Against a cdf of arcs and flat pieces they are
+    computed from the grid's run ends, so time and memory barely grow with
+    ``grid_size``; a cdf with a line piece is scored at every grid point, a
+    chunk at a time, so memory does not grow with it.
     """
     grid_size = _as_count(grid_size, "grid_size")
     if grid_size < 1000:
@@ -336,23 +343,78 @@ def _peaks(table, form, a, b):
                    a[:, None], b[:, None])
 
 
-def _grid(a, b, size: int) -> np.ndarray:
-    """Row i is ``np.linspace(a[i], b[i], size)`` for arrays of cells and
-    ``size >= 2``, bit for bit, in one multiply-add: ``a + k * step`` with
-    the exact b last, or ``a + (k / (size - 1)) * (b - a)`` in a cell whose
-    step underflows to 0, as linspace does.  So no cell's grid depends on
-    the cells beside it."""
+def _grid(a, b, size: int, k) -> np.ndarray:
+    """Points ``k`` of ``np.linspace(a[i], b[i], size)`` in row i, for
+    arrays of cells, ``size >= 2`` and float indices ``k``, one row shared
+    by every cell or one row a cell; ``k = 0 ... size - 1`` is the whole
+    grid.  Bit for bit linspace's, in one multiply-add: ``a + k * step``
+    with the exact b at ``k = size - 1``, or ``a + (k / (size - 1)) * (b -
+    a)`` in a cell whose step underflows to 0, as linspace does.  So no
+    cell's grid depends on the cells beside it, and a point is the same
+    whichever others are asked for."""
     div = size - 1
-    k = np.arange(size, dtype=float)
     delta = b - a
     step = delta / div
     grid = np.multiply(step[:, None], k)
     under = step == 0
     if under.any():
-        grid[under] = np.multiply(delta[under, None], k / div)
+        grid[under] = np.multiply(delta[under, None], np.broadcast_to(k, grid.shape)[under] / div)
     grid += a[:, None]
-    grid[:, -1] = b
+    np.copyto(grid, b[:, None], where=k == div)
     return grid
+
+
+def _run_ends(table, a, b, size: int) -> np.ndarray:
+    """Indices into each cell's ``size``-point :func:`_grid` of its ends and
+    of the last point below and the first point above each breakpoint of
+    the cell's cdf in ``table``: each piece low, where the piece and the
+    support flag change, each atom, and 1, where the payoff reads ``phi``.
+
+    The count of points at or below x is the count below the next float up.
+    """
+    x = np.concatenate([table.lo, table.atom_at, np.ones((len(a), 1))], axis=1)
+    x = np.concatenate([x, np.nextafter(x, 2.0)], axis=1)
+    count = _count_below(a, b, size, x)
+    count[:, :x.shape[1] // 2] -= 1.0  # the last point below; the rest are the first above
+    ends = np.broadcast_to([0.0, size - 1.0], (len(a), 2))
+    return np.clip(np.concatenate([ends, count], axis=1), 0.0, size - 1.0)
+
+
+def _count_below(a, b, size: int, x) -> np.ndarray:
+    """The count of points of each cell's ``size``-point :func:`_grid`
+    below each of its x, a (cells, m) array, exactly.  The grid is
+    nondecreasing in k, as rounding is monotone, so the count is one more
+    than the last k whose point is below x.  Points k = g - 2 ... g + 1
+    about the guess ``g = ceil((x - a) / step)``, clipped to the grid and
+    read with the grid's own formula, give it when the first is below x (or
+    is point 0) and the last is not (or is the last point).  A cell where
+    that fails, or whose guess is NaN (0 / 0 in a step that underflows), is
+    counted by binary lifting on k: several k may give one point, so that
+    no window about the guess need hold the count."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a step that underflows to 0
+        guess = np.ceil((x - a[:, None]) / ((b - a) / (size - 1))[:, None])
+    k = np.clip(guess[:, None] + np.array([-2.0, -1.0, 0.0, 1.0])[:, None], 0.0, size - 1.0)
+    below = _grid(a, b, size, k.reshape(len(a), -1)).reshape(k.shape) < x[:, None]
+    count = np.where(below, k + 1.0, 0.0).max(axis=1)
+    cells = ((~below[:, 0] & ~(k[:, 0] == 0.0))  # NaN included
+             | (below[:, -1] & (k[:, -1] < size - 1))).any(axis=1)
+    if cells.any():
+        a, b, x = a[cells], b[cells], x[cells]
+        lifted = np.zeros_like(x)
+        step = 1 << (size.bit_length() - 1)  # the steps sum to at least size
+        while step:
+            k = lifted + step
+            below = _grid(a, b, size, np.minimum(k, size) - 1.0) < x
+            lifted += np.where(below & (k <= size), step, 0.0)
+            step >>= 1
+        count[cells] = lifted
+    return count
+
+
+#: Points :func:`_verify` scores at once on a table with a line piece, a
+#: whole grid of 10,000 with its special points among them: beyond it the
+#: grid is scored in chunks, so memory does not grow with the grid size.
+_CHUNK_POINTS = 1 << 14
 
 
 def _verify(table, form, a, b, peaks, grid_size: int, tol: float):
@@ -361,30 +423,52 @@ def _verify(table, form, a, b, peaks, grid_size: int, tol: float):
     ``grid_size``-point grid, which holds a and b, every piece low, piece
     midpoint and atom clipped into [a, b] and the cells' :func:`_peaks`
     ``peaks``.  Each point gathers its piece's A and B, so it reads no cdf,
-    integral or radius."""
+    integral or radius.
+
+    The margins are the whole grid's, bit for bit, but on a table of arcs
+    and flat pieces they are computed from the grid's run ends
+    (:func:`_run_ends`).  Between two breakpoints a grid point's piece,
+    support flag and atom flag do not change, and its payoff ``fl(A -
+    fl(B t))`` is monotone in t, as rounding is; so are ``payoff - 1/2``
+    and its size on either side of 1/2.  The largest of either over a run
+    is at its first or last point.  The cubic of a line piece is not
+    monotone bit for bit, so a table with one scores every grid point, in
+    chunks of :data:`_CHUNK_POINTS` points with a running max."""
     special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
-    thetas = np.concatenate([_grid(a, b, grid_size), np.clip(special, a[:, None], b[:, None]),
-                             peaks], axis=1)
+    fixed = np.concatenate([np.clip(special, a[:, None], b[:, None]), peaks], axis=1)
+    if not table.c1.any():
+        grid = _grid(a, b, grid_size, _run_ends(table, a, b, grid_size))
+        return _score(table, form, np.concatenate([grid, fixed], axis=1), tol)
+    width = max(_CHUNK_POINTS // len(a) - fixed.shape[1], 1)
+    support_dev = outside_gain = 0.0
+    for start in range(0, grid_size, width):
+        grid = _grid(a, b, grid_size, np.arange(start, min(start + width, grid_size), dtype=float))
+        thetas = np.concatenate([grid, fixed], axis=1) if start == 0 else grid
+        dev, gain, _ = _score(table, form, thetas, tol)
+        support_dev, outside_gain = np.maximum(support_dev, dev), np.maximum(outside_gain, gain)
+    return support_dev, outside_gain, (support_dev <= tol) & (outside_gain <= tol)
+
+
+def _score(table, form, thetas, tol: float):
+    """:func:`_margins` of the payoff at ``thetas`` against ``table``."""
     piece = table.piece(thetas)  # shared by the payoff and the support
     payoff, at_atom = _payoff(thetas, table, form, piece)
     return _margins(payoff, table.support(thetas, piece, at_atom), tol)
 
 
-#: Cells per block :func:`_interval_cells` verifies at once: 10,180 points,
-#: 1,018 a cell, and a Newton stencil of 9 cells is one block.  On a 2-vCPU
-#: Xeon the 0.01 grid phase on one worker took a median 58.5 ms of CPU time
-#: at 10 cells a block, 68.1 ms at 7 and 68.5 ms at 14 (8 fresh processes
-#: each, best of 5 calls), and the whole search 75.7 ms at 10, 80.9 ms at 8,
-#: 83.6 ms at 7 and 86.4 ms at 12.
-_BLOCK_CELLS = 10
+#: Cells per slab of :func:`_interval_cells`, verified in one call of
+#: :func:`_verify` at 32 points a cell: 7,040 points.  On a 2-vCPU Xeon the
+#: search at resolution 0.01 took a median 30.9 ms at 220 cells a slab, 32.1
+#: at 110, 32.3 at 170 and 28.6 at 300 (12 fresh processes each), and 23.7,
+#: 22.9 and 21.6 ms at 220, 256 and 300 in a second set of 16, within each
+#: other's quartiles.  Its traced peak on one worker was 0.66 MiB at 220
+#: cells and 0.86 MiB at 300, against 0.74 MiB when slabs were verified in
+#: 10-cell blocks of 10,180 points.
+_SLAB_CELLS = 220
 
-#: Cells per slab of :func:`_interval_cells`, a whole number of blocks.
-_SLAB_CELLS = 22 * _BLOCK_CELLS
-
-#: Cells per group :func:`_interval_cells` values at once: fewer calls of
-#: :func:`_pair_error` than one a block, and valuing a whole slab at once
-#: raised the search's peak RSS by 1.8 MiB.
-_VALUE_CELLS = 4 * _BLOCK_CELLS
+#: Cells per group :func:`_interval_cells` values at once: valuing a whole
+#: slab at once raised the search's peak RSS by 1.8 MiB.
+_VALUE_CELLS = 40
 
 
 def _interval_cells(a, b):
@@ -392,13 +476,14 @@ def _interval_cells(a, b):
     equilibrium for arrays of cells, each checked by :func:`_interval_params`
     and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure, in
     cell order, raises ``RuntimeError``) and valued by :func:`_pair_error`.
-    Every result is the cell's own, whatever cells come with it.  The closed
-    forms and their linear forms are built a slab of :data:`_SLAB_CELLS`
-    cells at a time, and each slab is verified in blocks of
-    :data:`_BLOCK_CELLS` cells and then valued in groups of
-    :data:`_VALUE_CELLS`: a slab bounds the tables held and a block or group
-    the points, so beyond the cells and results memory does not grow with
-    the number of cells.  Slab s runs on worker s mod W of
+    Every result is the cell's own, whatever cells come with it; the margins
+    are those of the whole 1000-point grid, computed from its run ends.  The
+    closed forms and their linear forms are built a slab of
+    :data:`_SLAB_CELLS` cells at a time, and each slab is verified in one
+    call and then valued in groups of :data:`_VALUE_CELLS`: a slab bounds
+    the tables held and the points verified and a group the points valued,
+    so beyond the cells and results memory does not grow with the number
+    of cells.  Slab s runs on worker s mod W of
     :mod:`thresholdgame._workers`, with W one per CPU but at most one per
     slab, and writes its results in place, so W changes no bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -414,17 +499,13 @@ def _interval_cells(a, b):
             _, _, rows, _, _, sound = _interval_params(sa, sb)
             table = _piece_table(*rows)
             form = _linear_form(table)
-            peaks = _peaks(table, form, sa, sb)
-            for s in range(0, len(sa), _BLOCK_CELLS):
-                k = slice(s, s + _BLOCK_CELLS)
-                support_dev[k], outside_gain[k], passed = _verify(
-                    table.cells(k), [values[k] for values in form], sa[k], sb[k], peaks[k],
-                    1000, 1e-8)
-                if not np.all(passed & sound[k]):
-                    i = s + np.argmin(passed & sound[k])
-                    raise RuntimeError(
-                        f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
-                        f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
+            support_dev[:], outside_gain[:], passed = _verify(
+                table, form, sa, sb, _peaks(table, form, sa, sb), 1000, 1e-8)
+            if not np.all(passed & sound):
+                i = np.argmin(passed & sound)
+                raise RuntimeError(
+                    f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
+                    f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
             for s in range(0, len(sa), _VALUE_CELLS):
                 group = table.cells(slice(s, s + _VALUE_CELLS))
                 value[s:s + _VALUE_CELLS] = _pair_error(group.lo, group.hi, group)

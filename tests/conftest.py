@@ -1,12 +1,14 @@
-"""Shared test helpers: seeded random mixed piecewise-linear cdfs, and
-checks on the forked workers of a call."""
+"""Shared test helpers: seeded random mixed piecewise-linear cdfs, the
+verifier's inputs for a batch of interval cells, and checks on the forked
+workers of a call."""
 
 import os
 
 import numpy as np
 import pytest
 
-from thresholdgame.dists import MixedCdf
+from thresholdgame.dists import MixedCdf, _piece_table
+from thresholdgame.equilibrium import _interval_params, _linear_form, _peaks
 
 
 def random_mixed_piecewise_linear(rng: np.random.Generator) -> MixedCdf:
@@ -41,6 +43,15 @@ def random_mixed_piecewise_linear(rng: np.random.Generator) -> MixedCdf:
             knots.append((float(xs[i]), float(v)))
     knots[-1] = (1.0, 1.0)
     return MixedCdf.piecewise_linear(knots)
+
+
+def verifier_inputs(cells):
+    """``(table, form, a, b, peaks)`` of the interval cells ``cells``, (a, b)
+    pairs, as the interval search passes them to ``equilibrium._verify``."""
+    a, b = np.array(cells, dtype=float).reshape(-1, 2).T
+    table = _piece_table(*_interval_params(a, b)[2])
+    form = _linear_form(table)
+    return table, form, a, b, _peaks(table, form, a, b)
 
 
 def no_child_left() -> None:

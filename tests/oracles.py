@@ -8,8 +8,11 @@ which shares only the table of quantile records with it.  The payoff,
 which the library takes from each piece's linear form, and the verifier's
 support are checked against the direct formula: the cdf and its running
 integral at every point, every atom's mass summed over an (atoms, cells,
-points) array and a second full piece lookup for the left limits.  The row
-formulas, which work in place, are checked against the plain expressions.
+points) array and a second full piece lookup for the left limits.  The
+verifier, which scores only the ends of each run of grid points between two
+breakpoints, is checked against scoring every point of the grid, built by
+``np.linspace`` cell by cell.  The row formulas, which work in place, are
+checked against the plain expressions.
 """
 
 from functools import lru_cache
@@ -18,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from thresholdgame.dists import _unit_points
+from thresholdgame.equilibrium import _margins, _payoff
 
 
 def quantile_reference(d, u):
@@ -68,6 +72,24 @@ def payoff_reference(thetas, table):
     support = (rising[table.piece(thetas)] | rising[table.piece(thetas, left=True)]
                | at_atom.any(axis=0))
     return payoff, support
+
+
+def reference_points(table, a, b, peaks, grid_size):
+    """Every point the verifier's margins range over in each cell [a, b]
+    (arrays of cells): ``np.linspace(a, b, grid_size)``, every piece low,
+    piece midpoint and atom clipped into [a, b], and the ``peaks``."""
+    special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
+    grid = np.array([np.linspace(lo, hi, grid_size) for lo, hi in zip(a.tolist(), b.tolist())])
+    return np.concatenate([grid, np.clip(special, a[:, None], b[:, None]), peaks], axis=1)
+
+
+def verify_reference(table, form, a, b, peaks, grid_size, tol):
+    """``equilibrium._verify`` by scoring every one of the
+    :func:`reference_points` with the library's payoff and verdict."""
+    thetas = reference_points(table, a, b, peaks, grid_size)
+    piece = table.piece(thetas)
+    payoff, at_atom = _payoff(thetas, table, form, piece)
+    return _margins(payoff, table.support(thetas, piece, at_atom), tol)
 
 
 @lru_cache(maxsize=None)

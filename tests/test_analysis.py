@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import count_forks, no_child_left
+from conftest import count_forks, no_child_left, verifier_inputs
+from oracles import reference_points, verify_reference
 from thresholdgame import _workers, analysis, equilibrium
 from thresholdgame.analysis import (
     EQUILIBRIUM_FLOOR,
@@ -237,18 +238,31 @@ class TestBatchedCells:
             assert support_dev[i] == report.max_support_deviation
             assert outside_gain[i] == report.max_outside_gain
 
-    def test_verifies_on_the_points_verify_equilibrium_uses(self, monkeypatch):
+    def test_one_cell_and_batched_margins_are_the_full_grids(self, monkeypatch):
+        # A cdf alone drops the empty pieces the batched table keeps, so the
+        # two paths may score different run ends; both give the margins of
+        # the whole grid, and each point they score is a grid, special or
+        # peak point of its cell.
         points = []
         original = equilibrium._payoff
         monkeypatch.setattr(equilibrium, "_payoff",
                             lambda thetas, *args: points.append(thetas) or original(thetas, *args))
         cells = [(0.0, 1.0), (0.0, 0.79), (0.3, 0.9), (0.1, 1.0), (0.2, 0.5), (0.3, 0.5)]
-        for a, b in cells:
-            verify_equilibrium(equilibrium_interval(a, b), grid_size=1000, tol=1e-8)
-        _interval_cells(*np.array(cells).T)
+        reports = [verify_equilibrium(equilibrium_interval(a, b), grid_size=1000, tol=1e-8)
+                   for a, b in cells]
+        _, support_dev, outside_gain = _interval_cells(*np.array(cells).T)
         assert len(points) == len(cells) + 1
-        for single, row in zip(points, points[-1]):
-            np.testing.assert_array_equal(np.unique(row), np.unique(single))
+        table, form, a, b, peaks = verifier_inputs(cells)
+        want_dev, want_gain, want_passed = verify_reference(table, form, a, b, peaks, 1000, 1e-8)
+        scored = reference_points(table, a, b, peaks, 1000)
+        for i, (report, single) in enumerate(zip(reports, points)):
+            assert report.max_support_deviation.hex() == want_dev[i].hex()
+            assert report.max_outside_gain.hex() == want_gain[i].hex()
+            assert report.passed == want_passed[i]
+            assert np.isin(single, scored[i]).all()
+            assert np.isin(points[-1][i], scored[i]).all()
+        assert support_dev.tobytes() == want_dev.tobytes()
+        assert outside_gain.tobytes() == want_gain.tobytes()
 
     def test_one_cell_view(self):
         alone = _interval_cells([0.0], [0.79])[0][0]
@@ -299,12 +313,10 @@ class TestBatchedCells:
         cells = grid_cells(resolution)
         rows = [np.array(list(row)).T for _, row in itertools.groupby(cells, lambda c: c[0])]
         want = [np.concatenate(parts) for parts in zip(*(_interval_cells(*row) for row in rows))]
-        # The default slab and value groups, slabs of one and two blocks,
-        # which cross rows, groups of one cell and a whole slab.
-        block, slab, group = (equilibrium._BLOCK_CELLS, equilibrium._SLAB_CELLS,
-                              equilibrium._VALUE_CELLS)
-        for cells_a_slab, cells_a_group in ((slab, group), (block, group), (2 * block, 1),
-                                            (slab, slab)):
+        # The default slab and value groups, slabs of 10 and 20 cells, which
+        # cross rows, groups of one cell and a whole slab.
+        slab, group = equilibrium._SLAB_CELLS, equilibrium._VALUE_CELLS
+        for cells_a_slab, cells_a_group in ((slab, group), (10, group), (20, 1), (slab, slab)):
             monkeypatch.setattr(equilibrium, "_SLAB_CELLS", cells_a_slab)
             monkeypatch.setattr(equilibrium, "_VALUE_CELLS", cells_a_group)
             got = _interval_cells(*np.array(cells).T)
@@ -365,7 +377,7 @@ class TestBatchedCells:
         _interval_cells(*cells[:, :equilibrium._SLAB_CELLS + 1])
         assert forks == [1]
 
-    def test_memory_is_set_by_the_block_not_the_cell_count(self, monkeypatch):
+    def test_memory_is_set_by_the_slab_not_the_cell_count(self, monkeypatch):
         force_workers(monkeypatch, 1)  # every slab is traced in this process
         search_best_interval(resolution=0.5, refine=False)  # first-use allocations
         peaks = []

@@ -1,21 +1,24 @@
 """Tests for equilibrium construction, payoffs, and verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from conftest import random_mixed_piecewise_linear
-from oracles import payoff_reference
+from conftest import random_mixed_piecewise_linear, verifier_inputs
+from oracles import payoff_reference, reference_points, verify_reference
 from thresholdgame import equilibrium
-from thresholdgame.dists import MixedCdf, _piece_table
+from thresholdgame.dists import MixedCdf, _row_cdf
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
+    _count_below,
     _grid,
     _interval_cells,
-    _interval_params,
     _linear_form,
     _margins,
     _payoff,
@@ -243,16 +246,21 @@ class TestVerifyEquilibrium:
     def test_grid_is_linspace_bit_for_bit(self, size):
         # Random cells, [0, 1], and a cell whose step underflows to 0, which
         # takes linspace's other branch; each row is linspace on its own cell,
-        # whatever cells share the block.
+        # whatever cells share the call.
         rng = np.random.default_rng(size)
         a = rng.random(64)
         b = a + (1.0 - a) * rng.random(64)
         for lo, hi in ((a, b), (np.array([0.0]), np.array([1.0])),
                        (np.append(a, 0.0), np.append(b, 5e-324))):
-            got = _grid(lo, hi, size)
+            got = _grid(lo, hi, size, np.arange(size, dtype=float))
             want = np.array([np.linspace(x, y, size) for x, y in zip(lo, hi)])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            # Any points asked for, a row a cell, b at size - 1 among them.
+            k = np.concatenate([rng.integers(0, size, (len(lo), 5)),
+                                np.full((len(lo), 1), size - 1)], axis=1)
+            picked = _grid(lo, hi, size, k.astype(float))
+            assert picked.tobytes() == np.take_along_axis(want, k, axis=1).tobytes()
 
     def test_an_underflowing_cell_leaves_its_block_alone(self, monkeypatch):
         # The step of [0, 5e-322] underflows to 0 on a 1000-point grid; the
@@ -351,16 +359,15 @@ def payoff_points(table, a, b):
     :func:`_peaks`."""
     special = np.concatenate([table.lo, table.hi, table.atom_at, np.nextafter(table.atom_at, 2.0),
                               np.nextafter(table.lo, 2.0)], axis=1)
-    return np.concatenate([_grid(a, b, 10_000), np.clip(special, a[:, None], b[:, None]),
+    return np.concatenate([_grid(a, b, 10_000, np.arange(10_000.0)),
+                           np.clip(special, a[:, None], b[:, None]),
                            _peaks(table, _linear_form(table), a, b)], axis=1)
 
 
 def interval_cells_table():
     """The piece table of the :data:`VERIFIED_CELLS` and their ends."""
-    a, b = np.array(VERIFIED_CELLS).T
-    step, _, rows, _, _, _ = _interval_params(a, b)
-    table = _piece_table(*rows)
-    assert step.any() and (table.lo == table.hi).any()
+    table, _, a, b, _ = verifier_inputs(VERIFIED_CELLS)
+    assert ((1.0 - a) * b <= 0.5).any() and (table.lo == table.hi).any()  # step cells
     return table, a, b
 
 
@@ -453,6 +460,150 @@ class TestVerifierTerms:
             points = np.concatenate([thetas, d._table.lo.ravel(), d._table.atom_at.ravel()])
             want = payoff_reference(points.reshape(1, -1), d._table)[1]
             np.testing.assert_array_equal(d.support_mask(points), want.ravel())
+
+
+#: Cells of a few ulps, where several grid points round to one, and
+#: cells whose step underflows.
+NARROW_CELLS = [(0.3, 0.3 + 1e-14), (0.9, 0.9 + 1e-14), (0.5, 0.5 + 2**-52),
+                (1.0 - 2**-53, 1.0), (0.0, 5e-324), (0.0, 5e-322)]
+
+
+@st.composite
+def arc_flat_cdfs(draw):
+    """A cdf of arcs and flat pieces, with atoms wherever it jumps; at times
+    it ends up to 1e-10 short of 1 with no atom at 1, so that the payoff at
+    1, which reads phi, is off its piece's linear form."""
+    n = draw(st.integers(1, 5))
+    cuts = sorted(set(draw(st.lists(st.floats(0.001, 0.999), min_size=n - 1, max_size=n - 1))))
+    ends = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * len(cuts) + 2,
+                                max_size=2 * len(cuts) + 2)))
+    short = draw(st.booleans())
+    if short:
+        ends[-1] = 1.0 - draw(st.floats(0.0, 1e-10))
+    pieces, atoms, reached = [], [], 0.0
+    for lo, hi, v_lo, v_hi, arc in zip([0.0, *cuts], [*cuts, 1.0], ends[::2], ends[1::2],
+                                       draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        q_lo, q_hi = ((2.0 * t - 1.0) / math.hypot(t, 1.0 - t) for t in (lo, hi))
+        scale = (v_hi - v_lo) / (q_hi - q_lo) if arc else 0.0
+        row = (lo, hi, v_lo - scale * q_lo, 0.0, scale) if scale > 0.0 else (lo, hi, v_hi, 0, 0)
+        pieces.append(row)
+        start, end = (float(_row_cdf(*row[2:], t)) for t in (lo, hi))
+        if start - reached > 1e-12:
+            atoms.append((lo, start - reached))
+        reached = end
+    if not short and 1.0 - reached > 1e-12:
+        atoms.append((1.0, 1.0 - reached))
+    return MixedCdf(tuple(pieces), tuple(atoms))
+
+
+class TestRunEnds:
+    """``_verify`` scores the grid's run ends, and its margins and verdicts
+    are the whole grid's (:func:`verify_reference`), bit for bit; every point
+    it scores is a point of the whole grid, a special point or a peak."""
+
+    def check(self, monkeypatch, table, a, b, grid_size):
+        points = []
+        original = equilibrium._payoff
+        monkeypatch.setattr(equilibrium, "_payoff",
+                            lambda thetas, *args: points.append(thetas) or original(thetas, *args))
+        form = _linear_form(table)
+        peaks = _peaks(table, form, a, b)
+        got = _verify(table, form, a, b, peaks, grid_size, 1e-8)
+        want = verify_reference(table, form, a, b, peaks, grid_size, 1e-8)
+        for name, g, w in zip(("support_dev", "outside_gain", "passed"), got, want):
+            assert g.tobytes() == w.tobytes(), name
+        scored = reference_points(table, a, b, peaks, grid_size)
+        assert all(np.isin(row, scored[i]).all()
+                   for thetas in points for i, row in enumerate(thetas))
+        return points
+
+    def test_every_cell_of_the_search_grid(self, monkeypatch):
+        grid = [round(x, 12) for x in np.arange(0.0, 1.0 + 0.005, 0.01)]
+        cells = [(a, b) for a in grid for b in grid if a < b]
+        assert len(cells) == 5050
+        for start in range(0, len(cells), 600):
+            table, _, a, b, _ = verifier_inputs(cells[start:start + 600])
+            points = self.check(monkeypatch, table, a, b, 1000)
+            monkeypatch.undo()
+            assert points[-1].shape[1] < 40  # against 1,018 a cell on the whole grid
+
+    @pytest.mark.parametrize("grid_size", [1000, 10_000, 12_345])
+    def test_interval_cells(self, monkeypatch, grid_size):
+        # The underflowing cell [0, 5e-322], the massless atom at 1 of the
+        # [0, 1] cell and cells where several grid points round to one.
+        table, _, a, b, _ = verifier_inputs(VERIFIED_CELLS + NARROW_CELLS)
+        self.check(monkeypatch, table, a, b, grid_size)
+
+    @pytest.mark.parametrize("grid_size", [1000, 10_000, 12_345, 40_001])
+    @pytest.mark.parametrize("name", VERIFIED_CDFS)
+    def test_a_cdf(self, monkeypatch, name, grid_size):
+        # At 40,001 points a cdf with a line piece is scored in three chunks.
+        table = VERIFIED_CDFS[name]._table
+        for a, b in ((0.0, 1.0), (0.2, 0.5), (0.1, 0.1 + 1e-14)):
+            self.check(monkeypatch, table, np.array([a]), np.array([b]), grid_size)
+
+    @given(arc_flat_cdfs(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.sampled_from([1000, 1001, 4099]))
+    @settings(max_examples=150, deadline=None)
+    def test_arcs_flat_pieces_and_atoms(self, d, x, y, grid_size):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            table = d._table
+            assert not table.c1.any()  # scored from its run ends
+            a, b = (np.array([v]) for v in sorted((x, y)))
+            if a[0] < b[0]:
+                self.check(monkeypatch, table, a, b, grid_size)
+            self.check(monkeypatch, table, np.array([0.0]), np.array([1.0]), grid_size)
+
+    @pytest.mark.parametrize("grid_size", [1000, 4099])
+    def test_scores_the_last_point_below_one(self, monkeypatch, grid_size):
+        # An arc that ends 5e-10 short of 1, with no atom at 1: the payoff at
+        # 1 reads phi, off the arc's linear form, so 1 ends a run, and the
+        # largest support deviation is at the last grid point below it.
+        beta = 0.49999
+        alpha = 1.0 - 5e-10 - beta
+        table = MixedCdf(((0.0, 1.0, alpha, 0.0, beta),), ((0.0, alpha - beta),))._table
+        a, b = np.array([0.99]), np.array([1.0])
+        self.check(monkeypatch, table, a, b, grid_size)
+        payoff = _payoff(_grid(a, b, grid_size, np.arange(grid_size, dtype=float)), table)[0][0]
+        assert np.argmax(np.abs(payoff - 0.5)) == grid_size - 2
+
+    @pytest.mark.parametrize("size", [1000, 4099, 10**9])
+    def test_counts_the_points_below_exactly(self, size):
+        # Against a search of the whole grid; in the narrow cells the guess
+        # from (x - a) / step is wrong by more than one point.
+        a, b = np.array(VERIFIED_CELLS + NARROW_CELLS).T
+        x = np.concatenate([np.linspace(a - 1e-15, b + 1e-15, 41, axis=1),
+                            np.nextafter(np.stack([a, b], axis=1), 2.0)], axis=1)
+        got = _count_below(a, b, size, x)
+        for i, (lo, hi) in enumerate(zip(a, b)):
+            if size < 10**5:
+                grid = np.linspace(lo, hi, size)
+                assert got[i].tolist() == np.searchsorted(grid, x[i], side="left").tolist()
+            # Point c - 1 is below x and point c is not.
+            c = got[i]
+            below = _grid(a[i:i + 1], b[i:i + 1], size, np.maximum(c - 1.0, 0.0)[None])[0]
+            above = _grid(a[i:i + 1], b[i:i + 1], size, np.minimum(c, size - 1.0)[None])[0]
+            assert np.all((c == 0) | (below < x[i])) and np.all((c == size) | (above >= x[i]))
+
+    def test_memory_does_not_grow_with_a_line_pieces_grid(self):
+        # A line piece's cubic is not monotone bit for bit, so every grid
+        # point is scored, a chunk at a time.
+        sol = candidate_solution(MixedCdf.uniform(0.25, 0.75))
+        verify_equilibrium(sol, grid_size=1000)  # first-use allocations
+        peaks = []
+        for grid_size in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                verify_equilibrium(sol, grid_size=grid_size)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_a_billion_point_grid_from_its_run_ends(self):
+        report = verify_equilibrium(candidate_solution(MixedCdf.step(0.5)), grid_size=10**9)
+        assert report.max_outside_gain == 0.25 and not report.passed
+        assert report.grid_size == 10**9
 
 
 #: An arc that is no equilibrium: the cdf 0.5 + 0.3 (2t - 1) / r on
