@@ -298,6 +298,11 @@ class VerificationReport:
                 for name, value in asdict(self).items()}
 
 
+#: The largest grid :func:`verify_equilibrium` takes: grid indices are
+#: floats, exact up to 2**53, so that the run ends are those of the grid.
+_MAX_GRID = 2**53
+
+
 def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
                        tol: float = 1e-8) -> VerificationReport:
     """Check the equilibrium property of ``sol`` by payoff evaluation.
@@ -309,11 +314,12 @@ def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
     peaks (``_verify``).  Against a cdf of arcs and flat pieces they are
     computed from the grid's run ends, so time and memory barely grow with
     ``grid_size``; a cdf with a line piece is scored at every grid point, a
-    chunk at a time, so memory does not grow with it.
+    chunk at a time, so memory does not grow with it.  ``grid_size`` lies
+    in [1000, 2**53].
     """
     grid_size = _as_count(grid_size, "grid_size")
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
+    if not 1000 <= grid_size <= _MAX_GRID:
+        raise ValueError(f"grid_size must be between 1000 and {_MAX_GRID}")
     _check_nonnegative("tol", tol)
     table = sol.dist._table
     form = _linear_form(table)
@@ -382,32 +388,18 @@ def _run_ends(table, a, b, size: int) -> np.ndarray:
 
 def _count_below(a, b, size: int, x) -> np.ndarray:
     """The count of points of each cell's ``size``-point :func:`_grid`
-    below each of its x, a (cells, m) array, exactly.  The grid is
-    nondecreasing in k, as rounding is monotone, so the count is one more
-    than the last k whose point is below x.  Points k = g - 2 ... g + 1
-    about the guess ``g = ceil((x - a) / step)``, clipped to the grid and
-    read with the grid's own formula, give it when the first is below x (or
-    is point 0) and the last is not (or is the last point).  A cell where
-    that fails, or whose guess is NaN (0 / 0 in a step that underflows), is
-    counted by binary lifting on k: several k may give one point, so that
-    no window about the guess need hold the count."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # a step that underflows to 0
-        guess = np.ceil((x - a[:, None]) / ((b - a) / (size - 1))[:, None])
-    k = np.clip(guess[:, None] + np.array([-2.0, -1.0, 0.0, 1.0])[:, None], 0.0, size - 1.0)
-    below = _grid(a, b, size, k.reshape(len(a), -1)).reshape(k.shape) < x[:, None]
-    count = np.where(below, k + 1.0, 0.0).max(axis=1)
-    cells = ((~below[:, 0] & ~(k[:, 0] == 0.0))  # NaN included
-             | (below[:, -1] & (k[:, -1] < size - 1))).any(axis=1)
-    if cells.any():
-        a, b, x = a[cells], b[cells], x[cells]
-        lifted = np.zeros_like(x)
-        step = 1 << (size.bit_length() - 1)  # the steps sum to at least size
-        while step:
-            k = lifted + step
-            below = _grid(a, b, size, np.minimum(k, size) - 1.0) < x
-            lifted += np.where(below & (k <= size), step, 0.0)
-            step >>= 1
-        count[cells] = lifted
+    below each of its x, a (cells, m) array, exactly, by binary lifting on
+    k with the grid's own formula.  The grid is nondecreasing in k, as
+    rounding is monotone, so the count is the largest c with point c - 1
+    below x; no guess from ``(x - a) / step`` is used, as several k may
+    give one point (on [0.3, 0.3 + 1e-14], say)."""
+    count = np.zeros_like(x)
+    step = 1 << (size.bit_length() - 1)  # the steps sum to at least size
+    while step:
+        k = count + step
+        below = _grid(a, b, size, np.minimum(k, size) - 1.0) < x
+        count += np.where(below & (k <= size), step, 0.0)
+        step >>= 1
     return count
 
 

@@ -280,6 +280,13 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError):
             verify_equilibrium(equilibrium_unrestricted(), grid_size=100)
 
+    def test_rejects_a_grid_beyond_exact_float_indices(self):
+        # Above 2**53 a float index k no longer names one grid point.
+        step = candidate_solution(MixedCdf.step(0.5))
+        with pytest.raises(ValueError, match="grid_size"):
+            verify_equilibrium(step, grid_size=2**53 + 1)
+        assert verify_equilibrium(step, grid_size=2**53).max_outside_gain == 0.25
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-9, -1e-300])
     def test_rejects_tol_outside_zero_to_infinity(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -484,7 +491,7 @@ def arc_flat_cdfs(draw):
     for lo, hi, v_lo, v_hi, arc in zip([0.0, *cuts], [*cuts, 1.0], ends[::2], ends[1::2],
                                        draw(st.lists(st.booleans(), min_size=n, max_size=n))):
         q_lo, q_hi = ((2.0 * t - 1.0) / math.hypot(t, 1.0 - t) for t in (lo, hi))
-        scale = (v_hi - v_lo) / (q_hi - q_lo) if arc else 0.0
+        scale = (v_hi - v_lo) / (q_hi - q_lo) if arc and q_hi > q_lo else 0.0  # cuts an ulp apart
         row = (lo, hi, v_lo - scale * q_lo, 0.0, scale) if scale > 0.0 else (lo, hi, v_hi, 0, 0)
         pieces.append(row)
         start, end = (float(_row_cdf(*row[2:], t)) for t in (lo, hi))
@@ -569,8 +576,8 @@ class TestRunEnds:
 
     @pytest.mark.parametrize("size", [1000, 4099, 10**9])
     def test_counts_the_points_below_exactly(self, size):
-        # Against a search of the whole grid; in the narrow cells the guess
-        # from (x - a) / step is wrong by more than one point.
+        # Against a search of the whole grid; in the narrow cells several k
+        # give one point, so (x - a) / step is wrong by more than one point.
         a, b = np.array(VERIFIED_CELLS + NARROW_CELLS).T
         x = np.concatenate([np.linspace(a - 1e-15, b + 1e-15, 41, axis=1),
                             np.nextafter(np.stack([a, b], axis=1), 2.0)], axis=1)
