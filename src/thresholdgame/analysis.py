@@ -158,10 +158,11 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     rounded to 12 digits, and the result is the cell scored with the lowest
     error, no worse than the grid's best, which is its first strict minimum,
     a's rows in order.  The whole grid is one batch, and so is each stencil
-    (``_interval_cells`` spreads a batch's slabs over forked workers);
-    every cell scored is verified by ``verify_equilibrium``'s routine at
-    grid size 1000 and tol 1e-8, its margins the whole grid's, computed from
-    the grid's run ends, and a failure raises ``RuntimeError``.  The
+    (``_interval_cells`` spreads a batch's slabs over forked workers once
+    each worker gets enough cells to pay for its fork); every cell scored
+    is verified by ``verify_equilibrium``'s routine at tol 1e-8, its
+    margins the exact suprema over [a, b], which bound those of any grid,
+    and a failure raises ``RuntimeError``.  The
     objective is flat to about 1e-16 near the optimum, so a and b are good
     to about 1e-8 only, whatever digits they carry.
     """

@@ -250,17 +250,12 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         out[theta == 0.0] = 0.0
         return out
 
-    def support(self, theta, piece=None, at_atom=None) -> np.ndarray:
+    def support(self, theta) -> np.ndarray:
         """Whether each point is an atom or lies in a rising piece, ends
-        included; ``piece`` as for :meth:`evaluate`, and ``at_atom``, when
-        given, whether each point is an atom."""
+        included: its own piece or, at a piece's low, the piece before."""
         rising = ((self.c1 > 1e-12) | (self.c2 > 0.0)).ravel()
-        piece = self.piece(theta) if piece is None else piece
-        if at_atom is None:
-            at_atom = (theta == self.atom_at.T[:, :, None]).any(axis=0)
-        # The verifier's points sit mostly at piece lows, where the left
-        # piece differs, so the left pieces are looked up in full.
-        return rising[piece] | rising[self.piece(theta, left=True)] | at_atom
+        at_atom = (theta == self.atom_at.T[:, :, None]).any(axis=0)
+        return rising[self.piece(theta)] | rising[self.piece(theta, left=True)] | at_atom
 
 
 def _piece_table(lo, hi, c0, c1, c2, atom_at, atom_mass) -> _PieceTable:

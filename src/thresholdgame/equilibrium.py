@@ -24,13 +24,15 @@ the ``c0`` terms reduce to ``c0 (1 - t)``, as ``r^2 + t - 2t^2 = 1 - t``,
 so the payoff is the piece's linear form ``A - B t`` plus the cubic
 ``c1 t (t^2 - 3t/2 + 1)`` of a line piece, less ``r^2 m / 2`` at an atom of
 mass m (an exact tie is won half the time).  That form (``_linear_form``,
-``_payoff``) is the one payoff formula.  One verifier, ``_verify``, checks a
-single cdf and slabs of interval cells with it.  As the payoff is linear
-on arcs and flat pieces and a cubic on line pieces, besides a grid the
-verifier scores the few points where it can peak (``_peaks``), and these
-alone give the exact best response against any distribution.  On arcs and
-flat pieces the verifier gets the whole grid's margins, bit for bit, from
-the ends of each run of grid points between two breakpoints.
+``_payoff``) is the one payoff formula.  As the payoff is linear on arcs and
+flat pieces and a cubic on line pieces, its supremum over any stretch of a
+piece lies at the stretch's ends or at a line piece's critical points
+(``_roots``).  So one verifier, ``_verify``, which checks a single cdf and
+slabs of interval cells, scores each piece clipped to [a, b] at those few
+points with the piece's own form, and its margins are the exact suprema
+over [a, b], which bound those of any grid; the same points, and those just
+right of each atom (``_peaks``), give the exact best response against any
+distribution.
 """
 
 from __future__ import annotations
@@ -88,10 +90,26 @@ def _linear_form(table):
     return base + k, base + 2.0 * k
 
 
+def _on_piece(thetas, lin, slope, c1=None):
+    """A piece's payoff ``A - B t`` at ``thetas``, from its :func:`_linear_form`
+    ``lin`` and ``slope``, plus the cubic ``c1 t (t^2 - 3t/2 + 1)`` of a line
+    piece when ``c1`` is given; arrays of one shape."""
+    out = slope * thetas
+    np.subtract(lin, out, out=out)
+    if c1 is not None:
+        cubic = thetas - 1.5
+        cubic *= thetas
+        cubic += 1.0
+        cubic *= thetas
+        cubic *= c1
+        out += cubic
+    return out
+
+
 def _payoff(thetas, table, form=None, piece=None):
     """The one payoff formula: the selection probability at ``thetas``, a
     (cells, points) array, against each cell's cdf in ``table``, and whether
-    each point is an atom of its cell (for ``table.support``).  ``form`` is
+    each point is an atom of its cell.  ``form`` is
     :func:`_linear_form` of the table and ``piece`` ``table.piece(thetas)``,
     each computed when not given.  The cubic is added only when the table
     has a line piece: on the others it is exactly 0.  At t = 1 the cdf reads
@@ -99,16 +117,8 @@ def _payoff(thetas, table, form=None, piece=None):
     points, so each point loses at most one half tie."""
     piece = table.piece(thetas) if piece is None else piece
     lin, slope = _linear_form(table) if form is None else form
-    out = slope.ravel()[piece]
-    out *= thetas
-    np.subtract(lin.ravel()[piece], out, out=out)
-    if table.c1.any():
-        cubic = thetas - 1.5
-        cubic *= thetas
-        cubic += 1.0
-        cubic *= thetas
-        cubic *= table.c1.ravel()[piece]
-        out += cubic
+    c1 = table.c1.ravel()[piece] if table.c1.any() else None
+    out = _on_piece(thetas, lin.ravel()[piece], slope.ravel()[piece], c1)
     np.copyto(out, 1.0 - table.total, where=thetas == 1.0)
     at_atom = np.zeros(thetas.shape, dtype=bool)
     for at, mass in zip(table.atom_at.T, table.atom_mass.T):
@@ -298,42 +308,31 @@ class VerificationReport:
                 for name, value in asdict(self).items()}
 
 
-#: The largest grid :func:`verify_equilibrium` takes: grid indices are
-#: floats, exact up to 2**53, so that the run ends are those of the grid.
-_MAX_GRID = 2**53
-
-
 def verify_equilibrium(sol: EquilibriumSolution, grid_size: int = 10_000,
                        tol: float = 1e-8) -> VerificationReport:
     """Check the equilibrium property of ``sol`` by payoff evaluation.
 
     On the support of the distribution the selection probability against it
     must equal 1/2 (within ``tol``); everywhere else on the allowed interval
-    it must not exceed 1/2 + ``tol``.  The margins are those of a
-    ``grid_size``-point grid on the interval with its special points and
-    peaks (``_verify``).  Against a cdf of arcs and flat pieces they are
-    computed from the grid's run ends, so time and memory barely grow with
-    ``grid_size``; a cdf with a line piece is scored at every grid point, a
-    chunk at a time, so memory does not grow with it.  ``grid_size`` lies
-    in [1000, 2**53].
+    it must not exceed 1/2 + ``tol``.  The margins are the exact suprema of
+    ``|payoff - 1/2|`` on the support and of ``payoff - 1/2`` off it over
+    the whole interval (:func:`_verify`), so they bound those of any grid on
+    it.  ``grid_size``, an integer of at least 1000, is validated and echoed
+    in the report only: no grid is scored.
     """
     grid_size = _as_count(grid_size, "grid_size")
-    if not 1000 <= grid_size <= _MAX_GRID:
-        raise ValueError(f"grid_size must be between 1000 and {_MAX_GRID}")
+    if grid_size < 1000:
+        raise ValueError("grid_size must be at least 1000")
     _check_nonnegative("tol", tol)
-    table = sol.dist._table
-    form = _linear_form(table)
     a, b = (np.array([end]) for end in sol.interval)
-    dev, gain, passed = _verify(table, form, a, b, _peaks(table, form, a, b), grid_size, tol)
+    dev, gain, passed = _verify(sol.dist._table, a, b, tol)
     return VerificationReport(dev.item(), gain.item(), bool(passed[0]), grid_size, tol)
 
 
-def _peaks(table, form, a, b):
-    """The points of [a, b] (arrays of cells) besides the piece lows where
-    the payoff against each cell's cdf in ``table``, of
-    :func:`_linear_form` ``form``, can peak, clipped into [a, b]: just
-    right of each atom, where a tie is won in full, and the critical points
-    of each line piece, or its low when they lie outside it.
+def _roots(table, form):
+    """The critical points of each piece's payoff against ``table``, of
+    :func:`_linear_form` ``form``: two (cells, pieces) arrays holding each
+    line piece's two, or the piece's low where one lies outside the piece.
 
     On a piece the payoff ``A - B t + c1 t (t^2 - 3t/2 + 1)`` has the
     derivative ``3 c1 (t^2 - t) + g`` with ``g = c1 - B``.  So it is linear
@@ -343,141 +342,100 @@ def _peaks(table, form, a, b):
     g = table.c1 - form[1]
     with np.errstate(divide="ignore", invalid="ignore"):  # arcs and flat pieces
         half = np.sqrt(0.25 - g / (3.0 * table.c1))
-    roots = [np.where((table.lo < x) & (x < table.hi), x, table.lo)
-             for x in (0.5 - half, 0.5 + half)]
-    return np.clip(np.concatenate([np.nextafter(table.atom_at, 2.0), *roots], axis=1),
-                   a[:, None], b[:, None])
+    return [np.where((table.lo < x) & (x < table.hi), x, table.lo)
+            for x in (0.5 - half, 0.5 + half)]
 
 
-def _grid(a, b, size: int, k) -> np.ndarray:
-    """Points ``k`` of ``np.linspace(a[i], b[i], size)`` in row i, for
-    arrays of cells, ``size >= 2`` and float indices ``k``, one row shared
-    by every cell or one row a cell; ``k = 0 ... size - 1`` is the whole
-    grid.  Bit for bit linspace's, in one multiply-add: ``a + k * step``
-    with the exact b at ``k = size - 1``, or ``a + (k / (size - 1)) * (b -
-    a)`` in a cell whose step underflows to 0, as linspace does.  So no
-    cell's grid depends on the cells beside it, and a point is the same
-    whichever others are asked for."""
-    div = size - 1
-    delta = b - a
-    step = delta / div
-    grid = np.multiply(step[:, None], k)
-    under = step == 0
-    if under.any():
-        grid[under] = np.multiply(delta[under, None], np.broadcast_to(k, grid.shape)[under] / div)
-    grid += a[:, None]
-    np.copyto(grid, b[:, None], where=k == div)
-    return grid
+def _peaks(table, form, a, b):
+    """The points of [a, b] (arrays of cells) besides the piece lows where
+    the payoff against each cell's cdf in ``table``, of
+    :func:`_linear_form` ``form``, can peak, clipped into [a, b]: just
+    right of each atom, where a tie is won in full, and the :func:`_roots`
+    of each line piece."""
+    return np.clip(np.concatenate([np.nextafter(table.atom_at, 2.0), *_roots(table, form)],
+                                  axis=1), a[:, None], b[:, None])
 
 
-def _run_ends(table, a, b, size: int) -> np.ndarray:
-    """Indices into each cell's ``size``-point :func:`_grid` of its ends and
-    of the last point below and the first point above each breakpoint of
-    the cell's cdf in ``table``: each piece low, where the piece and the
-    support flag change, each atom, and 1, where the payoff reads ``phi``.
+def _verify(table, a, b, tol: float):
+    """:func:`_margins` of the exact suprema of the payoff against each
+    cell's cdf in the piece ``table`` over [a, b] (arrays of cells).
 
-    The count of points at or below x is the count below the next float up.
-    """
-    x = np.concatenate([table.lo, table.atom_at, np.ones((len(a), 1))], axis=1)
-    x = np.concatenate([x, np.nextafter(x, 2.0)], axis=1)
-    count = _count_below(a, b, size, x)
-    count[:, :x.shape[1] // 2] -= 1.0  # the last point below; the rest are the first above
-    ends = np.broadcast_to([0.0, size - 1.0], (len(a), 2))
-    return np.clip(np.concatenate([ends, count], axis=1), 0.0, size - 1.0)
+    Each piece that meets [a, b] in more than a point is clipped to it and
+    scored with its own :func:`_linear_form` at both clipped ends, and at
+    its :func:`_roots` clipped likewise when the table has a line piece,
+    with no piece lookup; at a piece's right end that is the left limit,
+    which no point reaches.  On an arc or flat piece ``fl(A - fl(B t))`` is
+    monotone in t, as rounding is, so no point of the piece scores beyond
+    its ends, bit for bit; a line piece's cubic may, by a few ulps.  A
+    rising piece counts toward the support deviation and a flat one toward
+    the outside gain.  The support is closed, so a flat piece's low in
+    [a, b] after a rising piece, with no atom there, counts toward both.
 
-
-def _count_below(a, b, size: int, x) -> np.ndarray:
-    """The count of points of each cell's ``size``-point :func:`_grid`
-    below each of its x, a (cells, m) array, exactly, by binary lifting on
-    k with the grid's own formula.  The grid is nondecreasing in k, as
-    rounding is monotone, so the count is the largest c with point c - 1
-    below x; no guess from ``(x - a) / step`` is used, as several k may
-    give one point (on [0.3, 0.3 + 1e-14], say)."""
-    count = np.zeros_like(x)
-    step = 1 << (size.bit_length() - 1)  # the steps sum to at least size
-    while step:
-        k = count + step
-        below = _grid(a, b, size, np.minimum(k, size) - 1.0) < x
-        count += np.where(below & (k <= size), step, 0.0)
-        step >>= 1
-    return count
-
-
-#: Points :func:`_verify` scores at once on a table with a line piece, a
-#: whole grid of 10,000 with its special points among them: beyond it the
-#: grid is scored in chunks, so memory does not grow with the grid size.
-_CHUNK_POINTS = 1 << 14
-
-
-def _verify(table, form, a, b, peaks, grid_size: int, tol: float):
-    """:func:`_margins` against each cell's cdf in the piece ``table``, of
-    :func:`_linear_form` ``form``, on [a, b] (arrays of cells): at a
-    ``grid_size``-point grid, which holds a and b, every piece low, piece
-    midpoint and atom clipped into [a, b] and the cells' :func:`_peaks`
-    ``peaks``.  Each point gathers its piece's A and B, so it reads no cdf,
-    integral or radius.
-
-    The margins are the whole grid's, bit for bit, but on a table of arcs
-    and flat pieces they are computed from the grid's run ends
-    (:func:`_run_ends`).  Between two breakpoints a grid point's piece,
-    support flag and atom flag do not change, and its payoff ``fl(A -
-    fl(B t))`` is monotone in t, as rounding is; so are ``payoff - 1/2``
-    and its size on either side of 1/2.  The largest of either over a run
-    is at its first or last point.  The cubic of a line piece is not
-    monotone bit for bit, so a table with one scores every grid point, in
-    chunks of :data:`_CHUNK_POINTS` points with a running max."""
-    special = np.concatenate([table.lo, 0.5 * (table.lo + table.hi), table.atom_at], axis=1)
-    fixed = np.concatenate([np.clip(special, a[:, None], b[:, None]), peaks], axis=1)
-    if not table.c1.any():
-        grid = _grid(a, b, grid_size, _run_ends(table, a, b, grid_size))
-        return _score(table, form, np.concatenate([grid, fixed], axis=1), tol)
-    width = max(_CHUNK_POINTS // len(a) - fixed.shape[1], 1)
-    support_dev = outside_gain = 0.0
-    for start in range(0, grid_size, width):
-        grid = _grid(a, b, grid_size, np.arange(start, min(start + width, grid_size), dtype=float))
-        thetas = np.concatenate([grid, fixed], axis=1) if start == 0 else grid
-        dev, gain, _ = _score(table, form, thetas, tol)
-        support_dev, outside_gain = np.maximum(support_dev, dev), np.maximum(outside_gain, gain)
-    return support_dev, outside_gain, (support_dev <= tol) & (outside_gain <= tol)
-
-
-def _score(table, form, thetas, tol: float):
-    """:func:`_margins` of the payoff at ``thetas`` against ``table``."""
-    piece = table.piece(thetas)  # shared by the payoff and the support
-    payoff, at_atom = _payoff(thetas, table, form, piece)
-    return _margins(payoff, table.support(thetas, piece, at_atom), tol)
+    The forms miss the half ties and 1, where the payoff reads ``phi``: the
+    point b and each atom in [a, b] are scored by :func:`_payoff`, the only
+    piece lookups.  An atom is in the support, and b is when its piece or
+    the last piece before it is rising."""
+    form = _linear_form(table)
+    lo, hi = (np.clip(x, a[:, None], b[:, None]) for x in (table.lo, table.hi))
+    inside = lo < hi
+    rising = (table.c1 > 1e-12) | (table.c2 > 0.0)
+    c1 = table.c1 if table.c1.any() else None
+    ends = [lo, hi] + ([np.clip(x, lo, hi) for x in _roots(table, form)] if c1 is not None else [])
+    values = [_on_piece(x, *form, c1) for x in ends]
+    flags = rising.ravel()
+    closes = (~rising & (table.lo >= a[:, None]) & flags[table.piece(table.lo, left=True)]
+              & ~(table.lo[:, :, None] == table.atom_at[:, None, :]).any(axis=2))
+    points = np.concatenate([b[:, None], np.clip(table.atom_at, a[:, None], b[:, None])], axis=1)
+    piece = table.piece(points)
+    at_points, at_atom = _payoff(points, table, form, piece)
+    b_support = flags[piece[:, :1]] | flags[table.piece(b[:, None], left=True)] | at_atom[:, :1]
+    atom_in = (a[:, None] <= table.atom_at) & (table.atom_at <= b[:, None])
+    payoff = np.concatenate([*values, values[0], at_points], axis=1)
+    scored = np.concatenate([*[inside] * len(values), inside & closes,
+                             np.ones_like(b_support), atom_in], axis=1)
+    on_support = np.concatenate([*[rising] * len(values), closes, b_support, atom_in], axis=1)
+    return _margins(np.where(scored, payoff, 0.5), on_support, tol)
 
 
 #: Cells per slab of :func:`_interval_cells`, verified in one call of
-#: :func:`_verify` at 32 points a cell: 7,040 points.  On a 2-vCPU Xeon the
-#: search at resolution 0.01 took a median 30.9 ms at 220 cells a slab, 32.1
-#: at 110, 32.3 at 170 and 28.6 at 300 (12 fresh processes each), and 23.7,
-#: 22.9 and 21.6 ms at 220, 256 and 300 in a second set of 16, within each
-#: other's quartiles.  Its traced peak on one worker was 0.66 MiB at 220
-#: cells and 0.86 MiB at 300, against 0.74 MiB when slabs were verified in
-#: 10-cell blocks of 10,180 points.
-_SLAB_CELLS = 220
+#: :func:`_verify`.  On a 2-vCPU Xeon the search at resolution 0.01 on one
+#: worker took a median 16.9 ms at 220 cells a slab against 15.6 at 440
+#: (440 lower in 10 of 12 fresh-process pairs), 19.9 at 110 and 15.3 at
+#: 880; the grid phase's traced peak was 0.53, 0.71 and 1.23 MiB at 220,
+#: 440 and 880 cells.
+_SLAB_CELLS = 440
 
-#: Cells per group :func:`_interval_cells` values at once: valuing a whole
-#: slab at once raised the search's peak RSS by 1.8 MiB.
+#: Cells per group :func:`_interval_cells` values at once.  The search at
+#: 0.01 on one worker took a median 17.5 ms at 40 cells a group against
+#: 19.5 at 20 and 19.4 at 80 (40 lower in 12 and 10 of 12 pairs).
 _VALUE_CELLS = 40
+
+#: Fewest cells per worker of :func:`_interval_cells`: a fork, exit and
+#: wait round trip costs about as much as verifying and valuing 1,500
+#: cells.  On a 2-vCPU Xeon the search on one worker against two took a
+#: median 15.6 against 17.0 ms at resolution 0.01 (1,684 cells; one lower
+#: in 10 of 10 fresh-process pairs), 21.5 against 21.5 at 0.008 (2,582
+#: cells; 4 of 10), 24.7 against 24.0 at 0.007 (3,279; 5 of 10), 46.8
+#: against 43.4 at 0.005 (6,437; 2 of 10) and 236 against 151 ms at 0.002
+#: (39,095; 0 of 10).
+_MIN_WORKER_CELLS = 1500
 
 
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
     equilibrium for arrays of cells, each checked by :func:`_interval_params`
-    and by :func:`_verify` at grid 1000 and tol 1e-8 (the first failure, in
-    cell order, raises ``RuntimeError``) and valued by :func:`_pair_error`.
-    Every result is the cell's own, whatever cells come with it; the margins
-    are those of the whole 1000-point grid, computed from its run ends.  The
-    closed forms and their linear forms are built a slab of
-    :data:`_SLAB_CELLS` cells at a time, and each slab is verified in one
-    call and then valued in groups of :data:`_VALUE_CELLS`: a slab bounds
-    the tables held and the points verified and a group the points valued,
-    so beyond the cells and results memory does not grow with the number
-    of cells.  Slab s runs on worker s mod W of
-    :mod:`thresholdgame._workers`, with W one per CPU but at most one per
-    slab, and writes its results in place, so W changes no bit."""
+    and by :func:`_verify` at tol 1e-8 (the first failure, in cell order,
+    raises ``RuntimeError``) and valued by :func:`_pair_error`.  Every
+    result is the cell's own, whatever cells come with it; the margins are
+    the exact suprema over the cell's interval.  The closed forms and their
+    linear forms are built a slab of :data:`_SLAB_CELLS` cells at a time,
+    and each slab is verified in one call and then valued in groups of
+    :data:`_VALUE_CELLS`: a slab bounds the tables held and the points
+    verified and a group the points valued, so beyond the cells and results
+    memory does not grow with the number of cells.  Slab s runs on worker s
+    mod W of :mod:`thresholdgame._workers`, with W one per CPU but at most
+    one per slab and one per :data:`_MIN_WORKER_CELLS` cells, and writes
+    its results in place, so W changes no bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
@@ -490,9 +448,7 @@ def _interval_cells(a, b):
             value, support_dev, outside_gain = (r[slab] for r in results)  # views
             _, _, rows, _, _, sound = _interval_params(sa, sb)
             table = _piece_table(*rows)
-            form = _linear_form(table)
-            support_dev[:], outside_gain[:], passed = _verify(
-                table, form, sa, sb, _peaks(table, form, sa, sb), 1000, 1e-8)
+            support_dev[:], outside_gain[:], passed = _verify(table, sa, sb, 1e-8)
             if not np.all(passed & sound):
                 i = np.argmin(passed & sound)
                 raise RuntimeError(
@@ -502,7 +458,7 @@ def _interval_cells(a, b):
                 group = table.cells(slice(s, s + _VALUE_CELLS))
                 value[s:s + _VALUE_CELLS] = _pair_error(group.lo, group.hi, group)
 
-    workers = min(_workers.available(), n_slabs)
+    workers = max(1, min(_workers.available(), n_slabs, len(a) // _MIN_WORKER_CELLS))
     return tuple(_workers.run(work, n_slabs, workers, [(a.shape, np.float64)] * 3))
 
 

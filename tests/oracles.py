@@ -9,10 +9,11 @@ which the library takes from each piece's linear form, and the verifier's
 support are checked against the direct formula: the cdf and its running
 integral at every point, every atom's mass summed over an (atoms, cells,
 points) array and a second full piece lookup for the left limits.  The
-verifier, which scores only the ends of each run of grid points between two
-breakpoints, is checked against scoring every point of the grid, built by
-``np.linspace`` cell by cell.  The row formulas, which work in place, are
-checked against the plain expressions.
+verifier, which takes the exact suprema from the ends of each piece clipped
+to [a, b], is checked against scoring every point of a grid, built by
+``np.linspace`` cell by cell: its margins must bound the grid's, by little.
+The row formulas, which work in place, are checked against the plain
+expressions.
 """
 
 from functools import lru_cache
@@ -84,12 +85,12 @@ def reference_points(table, a, b, peaks, grid_size):
 
 
 def verify_reference(table, form, a, b, peaks, grid_size, tol):
-    """``equilibrium._verify`` by scoring every one of the
-    :func:`reference_points` with the library's payoff and verdict."""
+    """The margins and verdicts of a ``grid_size``-point grid, which those
+    of ``equilibrium._verify``, the exact suprema over [a, b], bound: every
+    one of the :func:`reference_points` scored with the library's payoff,
+    support and verdict."""
     thetas = reference_points(table, a, b, peaks, grid_size)
-    piece = table.piece(thetas)
-    payoff, at_atom = _payoff(thetas, table, form, piece)
-    return _margins(payoff, table.support(thetas, piece, at_atom), tol)
+    return _margins(_payoff(thetas, table, form)[0], table.support(thetas), tol)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import count_forks, no_child_left, verifier_inputs
-from oracles import reference_points, verify_reference
+from oracles import verify_reference
 from thresholdgame import _workers, analysis, equilibrium
 from thresholdgame.analysis import (
     EQUILIBRIUM_FLOOR,
@@ -189,16 +189,24 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
 
 
+def fork_every_slab(monkeypatch):
+    """Cut the 0.01 grid into eight slabs of 220 cells and let
+    :func:`_interval_cells` fork for any number of cells, so that the slabs
+    spread over every forced worker."""
+    monkeypatch.setattr(equilibrium, "_SLAB_CELLS", 220)
+    monkeypatch.setattr(equilibrium, "_MIN_WORKER_CELLS", 1)
+
+
 def patch_verify(monkeypatch, fail=()):
     """Record the cells ``_verify`` checks, each named by its ends (a, b),
-    with the grid and tolerance; report the cells in ``fail`` as failed.
-    Returns the record, which sees only this process's cells."""
+    with the tolerance; report the cells in ``fail`` as failed.  Returns
+    the record, which sees only this process's cells."""
     seen = []
     original = equilibrium._verify
 
-    def verify(table, form, a, b, peaks, grid_size, tol):
-        assert (grid_size, tol) == (1000, 1e-8)
-        dev, gain, passed = original(table, form, a, b, peaks, grid_size, tol)
+    def verify(table, a, b, tol):
+        assert tol == 1e-8
+        dev, gain, passed = original(table, a, b, tol)
         cells = list(zip(a.tolist(), b.tolist()))
         seen.extend(cells)
         return dev, gain, passed & ~np.array([cell in fail for cell in cells])
@@ -238,31 +246,22 @@ class TestBatchedCells:
             assert support_dev[i] == report.max_support_deviation
             assert outside_gain[i] == report.max_outside_gain
 
-    def test_one_cell_and_batched_margins_are_the_full_grids(self, monkeypatch):
-        # A cdf alone drops the empty pieces the batched table keeps, so the
-        # two paths may score different run ends; both give the margins of
-        # the whole grid, and each point they score is a grid, special or
-        # peak point of its cell.
-        points = []
-        original = equilibrium._payoff
-        monkeypatch.setattr(equilibrium, "_payoff",
-                            lambda thetas, *args: points.append(thetas) or original(thetas, *args))
+    def test_one_cell_and_batched_margins_bound_the_full_grids(self):
+        # A cdf alone drops the empty pieces the batched table keeps; both
+        # paths give the same exact margins, the grid's support deviations
+        # and outside gains at least the grid's, by at most an ulp.
         cells = [(0.0, 1.0), (0.0, 0.79), (0.3, 0.9), (0.1, 1.0), (0.2, 0.5), (0.3, 0.5)]
         reports = [verify_equilibrium(equilibrium_interval(a, b), grid_size=1000, tol=1e-8)
                    for a, b in cells]
         _, support_dev, outside_gain = _interval_cells(*np.array(cells).T)
-        assert len(points) == len(cells) + 1
         table, form, a, b, peaks = verifier_inputs(cells)
         want_dev, want_gain, want_passed = verify_reference(table, form, a, b, peaks, 1000, 1e-8)
-        scored = reference_points(table, a, b, peaks, 1000)
-        for i, (report, single) in enumerate(zip(reports, points)):
-            assert report.max_support_deviation.hex() == want_dev[i].hex()
-            assert report.max_outside_gain.hex() == want_gain[i].hex()
+        for i, report in enumerate(reports):
+            assert report.max_support_deviation == support_dev[i]
+            assert report.max_outside_gain == outside_gain[i]
             assert report.passed == want_passed[i]
-            assert np.isin(single, scored[i]).all()
-            assert np.isin(points[-1][i], scored[i]).all()
         assert support_dev.tobytes() == want_dev.tobytes()
-        assert outside_gain.tobytes() == want_gain.tobytes()
+        assert np.all((want_gain <= outside_gain) & (outside_gain <= want_gain + 2.0**-52))
 
     def test_one_cell_view(self):
         alone = _interval_cells([0.0], [0.79])[0][0]
@@ -343,6 +342,7 @@ class TestBatchedCells:
     def test_any_worker_count_keeps_the_bits(self, monkeypatch):
         # At 0.01 the grid is 8 slabs, so three workers take 3, 3 and 2.
         cells = np.array(grid_cells(0.01)).T
+        fork_every_slab(monkeypatch)
         runs = []
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
@@ -358,9 +358,10 @@ class TestBatchedCells:
         # forked worker when there are several, and its first failing cell
         # is the one the error names, with the serial error's type and text.
         cells = grid_cells(0.01)
+        force_workers(monkeypatch, workers)
+        fork_every_slab(monkeypatch)
         slab = equilibrium._SLAB_CELLS
         a, b = cells[slab + 100]
-        force_workers(monkeypatch, workers)
         patch_verify(monkeypatch, fail={cells[6 * slab + 3], cells[2 * slab + 5],
                                          cells[slab + 100], cells[slab + 200]})
         with pytest.raises(RuntimeError, match="^" + re.escape(
@@ -370,12 +371,24 @@ class TestBatchedCells:
 
     def test_one_slab_forks_nothing(self, monkeypatch):
         force_workers(monkeypatch, 2)
+        fork_every_slab(monkeypatch)
         forks = count_forks(monkeypatch)
         cells = np.array(grid_cells(0.01)).T
         _interval_cells(*cells[:, :equilibrium._SLAB_CELLS])
         assert forks == []
         _interval_cells(*cells[:, :equilibrium._SLAB_CELLS + 1])
         assert forks == [1]
+
+    @pytest.mark.parametrize("resolution, forks_wanted", [(0.01, []), (0.002, [1])])
+    def test_forks_only_when_each_worker_gets_its_floor(self, monkeypatch, resolution,
+                                                        forks_wanted):
+        # 1,684 cells at 0.01 stay on one worker; 0.002 gives each of two
+        # workers at least _MIN_WORKER_CELLS.
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        search_best_interval(resolution=resolution, refine=False)
+        assert forks == forks_wanted
+        no_child_left()
 
     def test_memory_is_set_by_the_slab_not_the_cell_count(self, monkeypatch):
         force_workers(monkeypatch, 1)  # every slab is traced in this process
