@@ -530,7 +530,7 @@ class TestExactVerifier:
         table, _, a, b, _ = verifier_inputs(VERIFIED_CELLS + NARROW_CELLS)
         self.check(table, a, b, grid_size)
 
-    @pytest.mark.parametrize("grid_size", [1000, 10_000])
+    @pytest.mark.parametrize("grid_size", [1000, 10_000, 12_345, 40_001])
     @pytest.mark.parametrize("name", VERIFIED_CDFS)
     def test_a_cdf(self, name, grid_size):
         table = VERIFIED_CDFS[name]._table
