@@ -9,8 +9,8 @@ the principal likes best.  The search scores every cell of its grid, row by
 row in order, in one batch, and refines the best cell by Newton steps in
 (a, b) jointly, each scoring a 3x3 stencil of cells in one batch and the
 Newton candidate in another: piece tables built from the equilibrium's
-closed form (``equilibrium._interval_cells``), verified and summed by the
-same routines as a single ``MixedCdf``.
+closed form (``equilibrium._interval_cells``), verified by the same routine
+as a single ``MixedCdf`` and valued by the error's own closed form.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     a's rows in order.  The whole grid is one batch, and so is each stencil
     (``_interval_cells`` spreads a batch's slabs over forked workers once
     each worker gets enough cells to pay for its fork); every cell scored
-    is verified by ``verify_equilibrium``'s routine at tol 1e-8, its
+    is valued by the error's closed form (``equilibrium._interval_error``)
+    and verified by ``verify_equilibrium``'s routine at tol 1e-8, its
     margins the exact suprema over [a, b], which bound those of any grid,
     and a failure raises ``RuntimeError``.  The
     objective is flat to about 1e-16 near the optimum, so a and b are good

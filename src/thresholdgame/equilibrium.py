@@ -44,8 +44,7 @@ import numpy as np
 
 from thresholdgame import _workers
 from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _as_count, _check_nonnegative,
-                                 _piece_table, _row_cdf, _unit_interval, _unit_points)
-from thresholdgame.inversion import _pair_error
+                                 _piece_table, _radius, _row_cdf, _unit_interval, _unit_points)
 
 __all__ = [
     "EquilibriumSolution",
@@ -255,6 +254,40 @@ def _interval_params(a, b):
     return step, phi, rows, cut, atom, sound
 
 
+def _interval_error(rows):
+    """The error ``int_0^1 x (1 - G)^2 + 2 (1 - G) Gamma + (1 - x) G^2 dx``
+    (:func:`thresholdgame.inversion.inversion_iid`) of the [a, b]
+    equilibrium's cdf G for arrays of cells, in closed form from
+    :func:`_interval_params`'s ``rows``, piece by piece.
+
+    On [0, a) it is ``a^2 / 2`` and on [b, 1] ``(1 - b)^2 / 2``.  On the arc
+    [a, cut), with ``s = 2x - 1``, ``r = sqrt(x^2 + (1 - x)^2)``, ``G = c0 +
+    c2 s / r`` and ``Gamma = c0 x + c2 r - g0``, ``g0 = c0 a + c2 r(a)``,
+    the integrand is ``(1 - 2 c0^2 - 4 c2^2) x + c0^2 + 2 c2^2 - 2 (1 - c0)
+    g0 + c2^2 u^2 - 2 c2 (1 + c0) x u + 2 c2 (g0 + c0) u + 2 (1 - c0) c2 r``
+    with ``u = s / r``, as ``u r = s``; by ``int u^2 = 2x - atan s``, ``int u
+    = r``, ``int r = s r / 4 + asinh(s) / (4 sqrt 2)`` and ``int x u = int r
+    + r / 2 - asinh(s) / (2 sqrt 2)`` its antiderivative is ``arc`` below.
+    On the plateau [cut, b), where G is ``p = G(cut)``, the integrand is
+    ``(1 - 2p^2) x + 2 (1 - p) (Gamma(cut) - p cut) + p^2``.  In the step
+    regime the arc starts at 0 with ``c0 = c2 = 0`` and ends at b, so the
+    error is ``(b^2 + (1 - b)^2) / 2``."""
+    lo, _, level, _, scale = rows[:5]
+    a, cut, b = lo[:, 1], lo[:, 2], lo[:, 3]
+    c0, p, c2 = level[:, 1], level[:, 2], scale[:, 1]
+    x = np.stack([a, cut])
+    s = 2.0 * x - 1.0
+    r = _radius(x)
+    g0 = c0 * a + c2 * r[0]
+    arc = (((0.5 - c0 * c0 - 2.0 * c2 * c2) * x + c0 * c0 + 4.0 * c2 * c2 - 2.0 * (1.0 - c0) * g0)
+           * x - c2 * c2 * np.arctan(s)
+           + c2 * (np.arcsinh(s) / math.sqrt(2.0) + (2.0 * g0 + c0 - 1.0 - c0 * s) * r))
+    gamma_cut = c0 * cut + c2 * r[1] - g0
+    plateau = (b - cut) * ((0.5 - p * p) * (b + cut) + 2.0 * (1.0 - p) * (gamma_cut - p * cut)
+                          + p * p)
+    return 0.5 * a * a + (arc[1] - arc[0]) + plateau + 0.5 * (1.0 - b) ** 2
+
+
 def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
     """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
     step, phi, rows, cut, atom_b, sound = _interval_params(np.array([a]), np.array([b]))
@@ -397,45 +430,40 @@ def _verify(table, a, b, tol: float):
     return _margins(np.where(scored, payoff, 0.5), on_support, tol)
 
 
-#: Cells per slab of :func:`_interval_cells`, verified in one call of
-#: :func:`_verify`.  On a 2-vCPU Xeon the search at resolution 0.01 on one
-#: worker took a median 16.9 ms at 220 cells a slab against 15.6 at 440
-#: (440 lower in 10 of 12 fresh-process pairs), 19.9 at 110 and 15.3 at
-#: 880; the grid phase's traced peak was 0.53, 0.71 and 1.23 MiB at 220,
-#: 440 and 880 cells.
+#: Cells per slab of :func:`_interval_cells`, verified and valued in one
+#: call each.  On a 2-vCPU Xeon the search at resolution 0.01 on one worker
+#: took a median 9.8 ms at 440 cells a slab against 11.1 at 220 (440 lower
+#: in 12 of 12 fresh-process pairs), 9.7 against 10.0 at 880 (6 of 12) and
+#: 9.8 against 9.4 at 1,760, one slab (3 of 12); the grid phase's traced
+#: peak was 0.34, 0.58, 1.07 and 1.95 MiB at 220, 440, 880 and 1,760 cells.
 _SLAB_CELLS = 440
 
-#: Cells per group :func:`_interval_cells` values at once.  The search at
-#: 0.01 on one worker took a median 17.5 ms at 40 cells a group against
-#: 19.5 at 20 and 19.4 at 80 (40 lower in 12 and 10 of 12 pairs).
-_VALUE_CELLS = 40
-
 #: Fewest cells per worker of :func:`_interval_cells`: a fork, exit and
-#: wait round trip costs about as much as verifying and valuing 1,500
+#: wait round trip costs about as much as verifying and valuing 4,000
 #: cells.  On a 2-vCPU Xeon the search on one worker against two took a
-#: median 15.6 against 17.0 ms at resolution 0.01 (1,684 cells; one lower
-#: in 10 of 10 fresh-process pairs), 21.5 against 21.5 at 0.008 (2,582
-#: cells; 4 of 10), 24.7 against 24.0 at 0.007 (3,279; 5 of 10), 46.8
-#: against 43.4 at 0.005 (6,437; 2 of 10) and 236 against 151 ms at 0.002
-#: (39,095; 0 of 10).
-_MIN_WORKER_CELLS = 1500
+#: median 9.1 against 14.5 ms at resolution 0.01 (1,684 cells; one lower in
+#: 10 of 12 fresh-process pairs), 18.0 against 20.1 at 0.005 (6,437 cells;
+#: 10 of 12), 20.3 against 20.3 at 0.0045 (7,876; 6 of 10), 22.3 against
+#: 21.2 at 0.0042 (9,043; 0 of 10), 27.4 against 25.3 at 0.004 (9,960; 2
+#: of 10) and 77.5 against 64.3 ms at 0.002 (39,095; 0 of 10).
+_MIN_WORKER_CELLS = 4000
 
 
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
     equilibrium for arrays of cells, each checked by :func:`_interval_params`
     and by :func:`_verify` at tol 1e-8 (the first failure, in cell order,
-    raises ``RuntimeError``) and valued by :func:`_pair_error`.  Every
-    result is the cell's own, whatever cells come with it; the margins are
-    the exact suprema over the cell's interval.  The closed forms and their
-    linear forms are built a slab of :data:`_SLAB_CELLS` cells at a time,
-    and each slab is verified in one call and then valued in groups of
-    :data:`_VALUE_CELLS`: a slab bounds the tables held and the points
-    verified and a group the points valued, so beyond the cells and results
-    memory does not grow with the number of cells.  Slab s runs on worker s
-    mod W of :mod:`thresholdgame._workers`, with W one per CPU but at most
-    one per slab and one per :data:`_MIN_WORKER_CELLS` cells, and writes
-    its results in place, so W changes no bit."""
+    raises ``RuntimeError``) and valued in closed form by
+    :func:`_interval_error`.  Every result is the cell's own, whatever cells
+    come with it; the margins are the exact suprema over the cell's
+    interval.  The closed forms and their linear forms are built a slab of
+    :data:`_SLAB_CELLS` cells at a time, and each slab is verified and then
+    valued in one call each: a slab bounds the tables held and the points
+    verified, so beyond the cells and results memory does not grow with the
+    number of cells.  Slab s runs on worker s mod W of
+    :mod:`thresholdgame._workers`, with W one per CPU but at most one per
+    slab and one per :data:`_MIN_WORKER_CELLS` cells, and writes its results
+    in place, so W changes no bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
@@ -447,16 +475,13 @@ def _interval_cells(a, b):
             sa, sb = a[slab], b[slab]
             value, support_dev, outside_gain = (r[slab] for r in results)  # views
             _, _, rows, _, _, sound = _interval_params(sa, sb)
-            table = _piece_table(*rows)
-            support_dev[:], outside_gain[:], passed = _verify(table, sa, sb, 1e-8)
+            support_dev[:], outside_gain[:], passed = _verify(_piece_table(*rows), sa, sb, 1e-8)
             if not np.all(passed & sound):
                 i = np.argmin(passed & sound)
                 raise RuntimeError(
                     f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
                     f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
-            for s in range(0, len(sa), _VALUE_CELLS):
-                group = table.cells(slice(s, s + _VALUE_CELLS))
-                value[s:s + _VALUE_CELLS] = _pair_error(group.lo, group.hi, group)
+            value[:] = _interval_error(rows)
 
     workers = max(1, min(_workers.available(), n_slabs, len(a) // _MIN_WORKER_CELLS))
     return tuple(_workers.run(work, n_slabs, workers, [(a.shape, np.float64)] * 3))

@@ -13,10 +13,11 @@ whose integrand is smooth on every piece of the cdf (atoms sit only at piece
 junctions), so a fixed-order Gauss-Legendre sum per piece evaluates it to
 rounding error.  One node layout (``_gauss_nodes``) over the pieces of a
 piece table, or of merged breakpoints, serves ``inversion_iid``,
-``inversion_rule``, ``hybrid_decompose`` and the batched interval search,
-which sums the error of many cells at once (``_pair_error``).  The same
-reduction serves every integrand over the triangle that separates into
-functions of ``x`` alone and of ``y`` alone (:func:`_separable_triangle`).
+``inversion_rule`` and ``hybrid_decompose``, and in the tests checks the
+closed form that values the interval search's cells
+(``equilibrium._interval_error``).  The same reduction serves every
+integrand over the triangle that separates into functions of ``x`` alone
+and of ``y`` alone (:func:`_separable_triangle`).
 The tests check these reductions against adaptive 2-D quadrature of the
 original integrands.
 

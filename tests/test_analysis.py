@@ -113,6 +113,19 @@ class TestSearch:
             # The objective is flat to ~1e-16 here, so the cell is good to ~1e-8.
             assert np.max(np.abs(np.array([result.a, result.b]) - oracle.x)) <= 1e-7
 
+    @pytest.mark.parametrize("resolution, a, b, value", [
+        (0.01, 0.014708151359, 0.799743030598, 0.22968347274434364),
+        (0.05, 0.0147081535, 0.79974302132, 0.22968347274434367),
+    ])
+    def test_the_closed_form_moves_only_noise_digits(self, refined_searches, resolution,
+                                                     a, b, value):
+        # The optimum the search found when it valued its cells by Gauss
+        # sums: the closed form moves a and b below 1e-7, where the
+        # objective is flat, and the value below 1e-15.
+        result = refined_searches[resolution]
+        assert max(abs(result.a - a), abs(result.b - b)) <= 1e-7
+        assert abs(result.value - value) <= 1e-15
+
     def test_refinement_takes_few_batches(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(analysis, "_interval_cells",
@@ -240,8 +253,8 @@ class TestBatchedCells:
             sol = equilibrium_interval(lo, hi)
             report = verify_equilibrium(sol, grid_size=1000, tol=1e-8)
             assert report.passed  # and _interval_cells did not raise: passed alike
-            # The two code paths sum the same Gauss-Legendre terms in a
-            # different order, so the values may round apart.
+            # The batch values by the closed form and inversion_iid by the
+            # Gauss-Legendre sum, so the values may round apart.
             assert abs(value[i] - inversion_iid(sol.dist).value) <= 1e-15
             assert support_dev[i] == report.max_support_deviation
             assert outside_gain[i] == report.max_outside_gain
@@ -312,12 +325,10 @@ class TestBatchedCells:
         cells = grid_cells(resolution)
         rows = [np.array(list(row)).T for _, row in itertools.groupby(cells, lambda c: c[0])]
         want = [np.concatenate(parts) for parts in zip(*(_interval_cells(*row) for row in rows))]
-        # The default slab and value groups, slabs of 10 and 20 cells, which
-        # cross rows, groups of one cell and a whole slab.
-        slab, group = equilibrium._SLAB_CELLS, equilibrium._VALUE_CELLS
-        for cells_a_slab, cells_a_group in ((slab, group), (10, group), (20, 1), (slab, slab)):
+        # The default slab, slabs of 10 and 20 cells, which cross rows, and
+        # slabs of one cell.
+        for cells_a_slab in (equilibrium._SLAB_CELLS, 10, 20, 1):
             monkeypatch.setattr(equilibrium, "_SLAB_CELLS", cells_a_slab)
-            monkeypatch.setattr(equilibrium, "_VALUE_CELLS", cells_a_group)
             got = _interval_cells(*np.array(cells).T)
             for name, g, w in zip(("value", "support_dev", "outside_gain"), got, want):
                 assert list(map(float.hex, g.tolist())) == list(map(float.hex, w.tolist())), name
@@ -379,11 +390,12 @@ class TestBatchedCells:
         _interval_cells(*cells[:, :equilibrium._SLAB_CELLS + 1])
         assert forks == [1]
 
-    @pytest.mark.parametrize("resolution, forks_wanted", [(0.01, []), (0.002, [1])])
+    @pytest.mark.parametrize("resolution, forks_wanted", [(0.01, []), (0.005, []),
+                                                          (0.002, [1])])
     def test_forks_only_when_each_worker_gets_its_floor(self, monkeypatch, resolution,
                                                         forks_wanted):
-        # 1,684 cells at 0.01 stay on one worker; 0.002 gives each of two
-        # workers at least _MIN_WORKER_CELLS.
+        # 1,684 cells at 0.01 and 6,437 at 0.005 stay on one worker; 0.002
+        # gives each of two workers at least _MIN_WORKER_CELLS.
         force_workers(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         search_best_interval(resolution=resolution, refine=False)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -12,10 +12,13 @@ from scipy.optimize import minimize_scalar
 from conftest import random_mixed_piecewise_linear, verifier_inputs
 from oracles import payoff_reference, verify_reference
 from thresholdgame import equilibrium
-from thresholdgame.dists import MixedCdf, _row_cdf
+from thresholdgame.analysis import EQUILIBRIUM_FLOOR
+from thresholdgame.dists import MixedCdf, _piece_table, _row_cdf
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
     _interval_cells,
+    _interval_error,
+    _interval_params,
     _linear_form,
     _margins,
     _payoff,
@@ -31,7 +34,7 @@ from thresholdgame.equilibrium import (
     verify_equilibrium,
     win_probabilities,
 )
-from thresholdgame.inversion import inversion_iid
+from thresholdgame.inversion import _pair_error, inversion_iid
 
 OPPONENTS = {
     "uniform": MixedCdf.uniform(0.25, 0.75),
@@ -589,6 +592,88 @@ class TestExactVerifier:
         reports = [verify_equilibrium(sol, grid_size=g) for g in (1000, 10_000, 10**9)]
         assert len({(r.max_support_deviation, r.max_outside_gain, r.passed)
                     for r in reports}) == 1
+
+
+def closed_form_and_sum(cells):
+    """:func:`_interval_error` and :func:`_pair_error`'s Gauss sum of the
+    equilibria on ``cells``, pairs (a, b), from one :func:`_interval_params`."""
+    a, b = np.array(cells, dtype=float).T
+    rows = _interval_params(a, b)[2]
+    table = _piece_table(*rows)
+    return _interval_error(rows), _pair_error(table.lo, table.hi, table)
+
+
+@st.composite
+def crowded_cells(draw):
+    """A cell (a, b) near the regime boundary ``(1 - a) b = 1/2`` on either
+    side, where on the mixed side the cut point nears a; near b = 1; or
+    anywhere."""
+    a = draw(st.floats(0.0, 0.98))
+    near = draw(st.sampled_from(["boundary", "one", "anywhere"]))
+    gap = 10.0 ** -draw(st.floats(1.0, 15.0))
+    if near == "boundary":
+        b = 0.5 / (1.0 - a) * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap)
+    elif near == "one":
+        b = 1.0 - gap
+    else:
+        b = draw(st.floats(a, 1.0))
+    assume(a < b <= 1.0)
+    return a, b
+
+
+class TestClosedFormError:
+    """:func:`_interval_error`, the error of the interval equilibria in
+    closed form, agrees with the Gauss sum of :func:`_pair_error` within
+    1e-14 and with adaptive quadrature of the integrand, and respects the
+    symmetric floor."""
+
+    def check(self, cells):
+        got, want = closed_form_and_sum(cells)
+        assert np.all(np.abs(got - want) <= 1e-14)
+        assert np.all(got >= float(EQUILIBRIUM_FLOOR))
+
+    def test_every_cell_of_the_search_grid(self):
+        grid = [round(x, 12) for x in np.arange(0.0, 1.0 + 0.005, 0.01)]
+        cells = [(a, b) for a in grid for b in grid if a < b]
+        assert len(cells) == 5050
+        self.check(cells)
+
+    def test_verified_and_narrow_cells(self):
+        self.check(VERIFIED_CELLS + NARROW_CELLS)
+
+    @given(st.lists(crowded_cells(), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_near_the_boundary_and_one(self, cells):
+        self.check(cells)
+
+    def test_step_regime_is_a_polynomial_in_b(self):
+        cells = [(0.0, 5e-324), (0.1, 0.2), (0.2, 0.5), (0.1, 0.55)]
+        b = np.array(cells)[:, 1]
+        got, _ = closed_form_and_sum(cells)
+        assert np.all(np.abs(got - (b * b + (1.0 - b) ** 2) / 2.0) <= 2**-53)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.79), (0.0, 1.0), (0.3, 0.9), (0.1, 1.0),
+                                      (0.0147, 0.7997), (0.45, 0.95)])
+    def test_agrees_with_quad_of_the_integrand(self, a, b):
+        sol = equilibrium_interval(a, b)
+        d = sol.dist
+
+        def integrand(x):
+            g, gamma = float(d.cdf(x)), float(d.cdf_integral(x))
+            return x * (1.0 - g) ** 2 + 2.0 * (1.0 - g) * gamma + (1.0 - x) * g * g
+
+        ends = sorted({0.0, a, sol.cut_point, b, 1.0})
+        want = sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
+                   for lo, hi in zip(ends, ends[1:]))
+        assert abs(_interval_cells([a], [b])[0][0] - want) <= 1e-14
+
+    def test_acceptance_6a_exact_witness(self):
+        """I(eq[0, 0.79]), which acceptance 6a bounds by 0.22975: 40-digit
+        mpmath quadrature of the integrand on each piece gives
+        0.229771030029991012, so the exact value does not meet the bound."""
+        value = _interval_cells([0.0], [0.79])[0][0]
+        assert abs(value - 0.229771030029991) <= 1e-15
+        assert value > 0.22975
 
 
 #: An arc that is no equilibrium: the cdf 0.5 + 0.3 (2t - 1) / r on
