@@ -7,10 +7,10 @@ the Price-of-Anarchy ratios between the equilibrium and the principal's
 optima.  Also searches over restriction intervals [a, b] for the equilibrium
 the principal likes best.  The search scores every cell of its grid, row by
 row in order, in one batch, and refines the best cell by Newton steps in
-(a, b) jointly, each scoring a 3x3 stencil of cells in one batch and the
-Newton candidate in another: piece tables built from the equilibrium's
-closed form (``equilibrium._interval_cells``), verified by the same routine
-as a single ``MixedCdf`` and valued by the error's own closed form.
+(a, b) jointly, each scoring one batch, a 3x3 stencil of cells centred on
+the last step's target: piece tables built from the equilibrium's closed
+form (``equilibrium._interval_cells``), verified by the same routine as a
+single ``MixedCdf`` and valued by the error's own closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ __all__ = [
     "symmetric_equilibrium_floor_check",
 ]
 
-#: Error floor for every symmetric equilibrium, on any restriction set.
+#: Error floor for every symmetric equilibrium, on any restriction set:
+#: 5/24 + (1/24)**3/6.  It does not follow from ``suboptimality_bound``'s
+#: proven eps**3/48, which gives less than 1/82944 even at eps = 1/16.
 EQUILIBRIUM_FLOOR = Fraction(5, 24) + Fraction(1, 82944)
 
 #: Best known restriction interval (from the grid search; see Fig-1 ordering).
@@ -93,31 +95,33 @@ def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, f
     """Minimize the equilibrium error jointly in (a, b), from the cell (a, b)
     of error ``value``, by Newton steps on stencils of half-width ``h``.
 
-    Each iteration scores a 3x3 stencil of cells around the best cell in one
-    batch, shifted inward so that every cell keeps 0 <= a < b <= 1 (h
-    shrinks by 4 while none fits); the best cell, the centre unless the
-    stencil was shifted, keeps its known error instead of being scored
-    again.  It takes the central-difference gradient and Hessian from the
-    nine values and scores the Newton candidate, clipped to 4h in each
-    coordinate, as one more cell.  A step inside the stencil shrinks h to
-    the step's size, by a factor of 64 at most; a Hessian that is not
-    positive definite, or a step outside the stencil whose candidate is no
-    better, shrinks h by 4.  The refinement stops below h = 1e-8.  Returns
-    the best cell scored, replaced only by a strictly lower error, and its
-    error.
+    Each step scores one batch: a 3x3 stencil of cells centred on the last
+    step's target (the cell (a, b) at first), shifted inward so that every
+    cell keeps 0 <= a < b <= 1.  The best cell scored so far keeps its
+    known error instead of being scored again.  The step takes the
+    central-difference gradient and Hessian from the nine values and moves
+    the target to the Newton point, clipped to 4h in each coordinate, where
+    the next stencil is centred.  A step inside the stencil shrinks h to the
+    step's size, by a factor of 64 at most, and a step outside it shrinks h
+    by 4 when the stencil improved on no cell.  A Hessian that is not
+    positive definite, or a target with no room for a stencil, recentres
+    the target on the best cell and shrinks h by 4.  The refinement stops
+    below h = 1e-8.  Returns the best cell scored, replaced only by a
+    strictly lower error, and its error.
     """
+    ta, tb = a, b
     while h >= 1e-8:
-        sa = _round_cells(max(a, h) + _STENCIL * h)
-        sb = _round_cells(min(b, 1.0 - h) + _STENCIL * h)
+        sa = _round_cells(max(ta, h) + _STENCIL * h)
+        sb = _round_cells(min(tb, 1.0 - h) + _STENCIL * h)
         if sa[2] >= sb[0]:
-            h /= 4.0
+            ta, tb, h = a, b, h / 4.0
             continue
         cells_a, cells_b = np.repeat(sa, 3), np.tile(sb, 3)
         new = (cells_a != a) | (cells_b != b)  # all but the best cell, scored already
         f = np.full(9, value)
         f[new] = _interval_cells(cells_a[new], cells_b[new])[0]
         k = int(np.argmin(f))
-        if f[k] < value:
+        if improved := f[k] < value:
             value, a, b = float(f[k]), float(sa[k // 3]), float(sb[k % 3])
         f = f.reshape(3, 3).tolist()  # f[i][j] is the cell (sa[i], sb[j])
         ga, gb = (f[2][1] - f[0][1]) / (2.0 * h), (f[1][2] - f[1][0]) / (2.0 * h)
@@ -126,23 +130,16 @@ def _newton(a: float, b: float, value: float, h: float) -> tuple[float, float, f
         hab = (f[2][2] - f[2][0] - f[0][2] + f[0][0]) / (4.0 * h**2)
         det = haa * hbb - hab * hab
         if not (haa > 0.0 and det > 0.0):
-            h /= 4.0
+            ta, tb, h = a, b, h / 4.0
             continue
         step_a, step_b = (hab * gb - hbb * ga) / det, (hab * ga - haa * gb) / det
         size = max(abs(step_a), abs(step_b))
         if size > 4.0 * h:
             step_a, step_b = step_a * 4.0 * h / size, step_b * 4.0 * h / size
-        ta, tb = _round_cells([min(max(sa[1] + step_a, 0.0), 1.0),
-                               min(max(sb[1] + step_b, 0.0), 1.0)])
-        better = False
-        if ta < tb:
-            candidate = float(_interval_cells([ta], [tb])[0][0])
-            better = candidate < value
-            if better:
-                value, a, b = candidate, float(ta), float(tb)
+        ta, tb = sa[1] + step_a, sb[1] + step_b
         if size <= h:
             h = max(size, h / 64.0)
-        elif not better:
+        elif not improved:
             h /= 4.0
     return a, b, value
 

@@ -223,10 +223,6 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
         count = (theta > lows if left else theta >= lows).sum(axis=0)
         return count + np.arange(0, self.lo.size, self.lo.shape[1])[:, None]
 
-    def cells(self, k):
-        """The table of the cells at ``k``, a slice."""
-        return type(self)(*(values[k] for values in self))
-
     def rows(self, piece):
         """The rows ``(c0, c1, c2)`` of the pieces at flat indices ``piece``."""
         return self.c0.ravel()[piece], self.c1.ravel()[piece], self.c2.ravel()[piece]

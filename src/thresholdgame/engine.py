@@ -12,8 +12,7 @@ spawn_key=(c,)))`` from its start, child c of ``SeedSequence(s).spawn``, in a
 fixed draw order, so results are reproducible bit-for-bit for a given seed
 and independent of how chunks are scheduled.  A ``simulate`` call runs its
 chunks on W workers, one per CPU available to the process, but no more than
-there are chunks, than leave each worker blocks of 2**14 plays (so W = 1
-beyond 16 firms) or than give each worker 2**18 trials.  The calling
+there are chunks or than give each worker 2**18 trials.  The calling
 process is worker 0, the others are forked processes (see
 :mod:`thresholdgame._workers`; a process running other threads gets one
 worker), and worker w runs chunks w, w + W, w + 2W, ...  Each chunk writes
@@ -329,14 +328,6 @@ _BLOCK_VALUES = 1 << 19
 _TILE_VALUES = 1 << 15
 
 
-#: Fewest plays a worker's block may hold, so W = 1 beyond 16 firms.  Forked
-#: workers share no interpreter lock: on a 2-vCPU Xeon two of them took
-#: 0.49, 0.52 and 0.57 of one worker's time at n = 16, 17 and 32 (2**19
-#: trials of ``iid:uniform:0.25,0.75``), so the floor could be lowered; it
-#: stays until a workload runs more than 8 firms to measure that on.
-_MIN_WORKER_ROWS = 1 << 14
-
-
 #: Fewest trials per worker.  A fork, exit and wait round trip took about
 #: 4 ms on a 2-vCPU Xeon, against 1.7 ms (``same:0.5``) to 4.4 ms
 #: (``iid:eq:0,0.79``) for a two-firm chunk.  Two workers took 0.65-0.81 of
@@ -580,16 +571,17 @@ def _run_chunks(rule: Rule, n: int, seed: int, trials: int):
 
     Worker w of W runs chunks w, w + W, ... through arrays of its own (see
     :mod:`thresholdgame._workers`): worker 0 is the calling process and the
-    others are forked.  W is one per CPU, but at most one per chunk, one
-    per ``_MIN_WORKER_ROWS`` plays of the block budget and one per
-    ``_MIN_WORKER_TRIALS`` trials, and for a rule that draws no thresholds
-    one per ``_MIN_WORKER_PAIR_TRIALS`` trials times pairs of firms.  A
+    others are forked.  W is one per CPU, but at most one per chunk and
+    one per ``_MIN_WORKER_TRIALS`` trials, and for a rule that draws no
+    thresholds one per ``_MIN_WORKER_PAIR_TRIALS`` trials times pairs of
+    firms; the firm count sets no floor, as forked workers share no
+    interpreter lock and their blocks shrink with W.  A
     chunk that raises stops every later one, and the exception of the
     lowest such chunk is raised here once no worker is left.
     """
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     plays = min(CHUNK_TRIALS, trials)
-    floors = [trials // _MIN_WORKER_TRIALS, min(plays, _BLOCK_VALUES // n) // _MIN_WORKER_ROWS]
+    floors = [trials // _MIN_WORKER_TRIALS]
     if _fixed_thresholds(rule, n) is not None:
         floors.append(trials * (n * (n - 1) // 2) // _MIN_WORKER_PAIR_TRIALS)
     workers = max(1, min(_workers.available(), n_chunks, *floors))

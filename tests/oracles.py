@@ -11,7 +11,8 @@ integral at every point, every atom's mass summed over an (atoms, cells,
 points) array and a second full piece lookup for the left limits.  The
 verifier, which takes the exact suprema from the ends of each piece clipped
 to [a, b], is checked against scoring every point of a grid, built by
-``np.linspace`` cell by cell: its margins must bound the grid's, by little.
+``np.linspace`` cell by cell, and the right limit at every piece low: its
+margins must bound the grid's, by little.
 The row formulas, which work in place, are checked against the plain
 expressions.
 """
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from thresholdgame.dists import _unit_points
-from thresholdgame.equilibrium import _margins, _payoff
+from thresholdgame.equilibrium import _margins, _on_piece, _payoff
 
 
 def quantile_reference(d, u):
@@ -84,13 +85,27 @@ def reference_points(table, a, b, peaks, grid_size):
     return np.concatenate([grid, np.clip(special, a[:, None], b[:, None]), peaks], axis=1)
 
 
+def right_limits(table, form, a, b):
+    """The payoff's right limit at the low of every piece that is not empty
+    and starts in [a, b) (arrays of cells), scored with that piece's own
+    row, and whether the piece rises.  No point may lie inside a piece an
+    ulp wide, so no grid point reaches its limit.  Every other entry scores
+    1/2 off the support, which moves no margin."""
+    c1 = table.c1 if table.c1.any() else None
+    keep = (a[:, None] <= table.lo) & (table.lo < b[:, None]) & (table.lo < table.hi)
+    rising = (table.c1 > 1e-12) | (table.c2 > 0.0)
+    return np.where(keep, _on_piece(table.lo, *form, c1), 0.5), keep & rising
+
+
 def verify_reference(table, form, a, b, peaks, grid_size, tol):
     """The margins and verdicts of a ``grid_size``-point grid, which those
     of ``equilibrium._verify``, the exact suprema over [a, b], bound: every
     one of the :func:`reference_points` scored with the library's payoff,
-    support and verdict."""
+    support and verdict, and the :func:`right_limits`."""
     thetas = reference_points(table, a, b, peaks, grid_size)
-    return _margins(_payoff(thetas, table, form)[0], table.support(thetas), tol)
+    limits, rising = right_limits(table, form, a, b)
+    return _margins(np.concatenate([_payoff(thetas, table, form)[0], limits], axis=1),
+                    np.concatenate([table.support(thetas), rising], axis=1), tol)
 
 
 @lru_cache(maxsize=None)

@@ -134,11 +134,23 @@ class TestSearch:
         assert sizes[0] == len(grid_cells(0.01))
         assert 1 <= len(sizes[1:]) <= 30
 
-    @pytest.mark.parametrize("resolution, cells", [(0.01, 45), (0.6, 82)])
+    @pytest.mark.parametrize("resolution, steps", [(0.01, [8, 9, 9, 9, 9]),
+                                                   (0.6, [8, 8, 9, 9, 9, 9, 9, 9, 9])])
+    def test_each_newton_step_scores_one_stencil(self, monkeypatch, resolution, steps):
+        # One batch a step: a stencil of 9 cells, or 8 where it holds the
+        # best cell, and no one-cell batch for a separate Newton candidate.
+        sizes = []
+        monkeypatch.setattr(analysis, "_interval_cells",
+                            lambda a, b: sizes.append(len(a)) or _interval_cells(a, b))
+        search_best_interval(resolution=resolution)
+        assert sizes[1:] == steps
+
+    @pytest.mark.parametrize("resolution, cells", [(0.01, 44), (0.6, 79)])
     def test_refinement_scores_no_cell_twice(self, monkeypatch, resolution, cells):
         # The best cell so far keeps its known error, whether it is the
         # stencil's centre or, in a stencil shifted inward at 0.6, an edge
-        # cell; at 0.01 that leaves 45 cells of 50.
+        # cell; at 0.01 only the first stencil holds it, which leaves 44
+        # cells of 45.
         batches = []
 
         def record(a, b):

@@ -671,7 +671,6 @@ class TestSimulate:
         seed, trials = 13, 2 * engine.CHUNK_TRIALS + 12_345
         want = _reference_hex(SMALL_ATOM, n, seed, trials)
         monkeypatch.setattr(engine, "_BLOCK_VALUES", 512)
-        monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
         for workers in (1, 2, 3):
             _force_workers(monkeypatch, workers)
             assert _summary_hex(simulate(SMALL_ATOM, n_firms=n, trials=trials, seed=seed)) == want
@@ -686,7 +685,6 @@ class TestSimulate:
         seed = 17
         monkeypatch.setattr(engine, "CHUNK_TRIALS", 2000)
         monkeypatch.setattr(engine, "_BLOCK_VALUES", 512)
-        monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
         monkeypatch.setattr(engine, "_TILE_VALUES", 3 * n)
         trials = 3 * 2000 + 1001
         want = _reference_hex(spec, n, seed, trials)
@@ -775,9 +773,11 @@ class TestSimulate:
         simulate(parse_rule(spec), n_firms=n, trials=trials, seed=3)
         assert sum(calls) == (trials if compared else 0)
 
-    @pytest.mark.parametrize("n, workers", [(2, 2), (16, 2), (17, 1), (64, 1)])
-    def test_small_blocks_get_one_worker(self, monkeypatch, n, workers):
-        # Two CPUs, but blocks under 2**14 plays per worker stay on one.
+    @pytest.mark.parametrize("n", [2, 16, 17, 64])
+    def test_many_firms_fork(self, monkeypatch, n):
+        # Two CPUs give two workers whatever the firm count, though beyond
+        # 16 firms a worker's block holds fewer than 2**14 plays: forked
+        # workers share no interpreter lock, so small blocks still pay.
         # Each chunk writes the process it ran in as its sum.
         def chunk(rule, n, seed, c, m, arrays):
             return float(os.getpid()), 0.0, np.zeros(n, dtype=np.int64)
@@ -785,7 +785,7 @@ class TestSimulate:
         _force_workers(monkeypatch, 2)
         monkeypatch.setattr(engine, "_simulate_chunk", chunk)
         pids, _, _ = engine._run_chunks(SameTest(0.5), n, 0, 4 * engine.CHUNK_TRIALS)
-        assert len(set(pids.tolist())) == workers
+        assert len(set(pids.tolist())) == 2
         assert os.getpid() in pids
 
     def test_workers_share_the_block_budget(self, monkeypatch):
@@ -793,7 +793,6 @@ class TestSimulate:
         # plays each, so the two processes together peak near 15 MiB
         # (unsplit, each worker's arrays alone would take about 14 MiB).
         # Each chunk reports its process and that process's traced peak.
-        # Blocks this small get one worker unless the floor is lifted.
         # Chunks of 8,192 plays keep the test short and the blocks as they
         # are with full chunks.
         real = engine._simulate_chunk
@@ -803,7 +802,6 @@ class TestSimulate:
             return float(os.getpid()), float(tracemalloc.get_traced_memory()[1]), np.zeros(n)
 
         _force_workers(monkeypatch, 2)
-        monkeypatch.setattr(engine, "_MIN_WORKER_ROWS", 1)
         monkeypatch.setattr(engine, "CHUNK_TRIALS", 8192)
         monkeypatch.setattr(engine, "_simulate_chunk", chunk)
         tracemalloc.start()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -542,6 +542,11 @@ class TestExactVerifier:
 
     @given(arc_flat_cdfs(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.sampled_from([1000, 1001, 4099]))
+    # A flat piece an ulp wide after an atom: no float lies inside it, so
+    # only the oracle's right limit at its low sees its outside gain.
+    @example(MixedCdf(((0.0, 0.001, 0.0, 0.0, 0.0), (0.001, 0.0010000000000000002, 0.5, 0.0, 0.0),
+                       (0.0010000000000000002, 0.5, 1.0, 0.0, 0.500501252755699),
+                       (0.5, 1.0, 1.0, 0.0, 0.0)), ((0.001, 0.5),)), 0.0, 0.0, 1000)
     @settings(max_examples=150, deadline=None)
     def test_arcs_flat_pieces_and_atoms(self, d, x, y, grid_size):
         a, b = (np.array([v]) for v in sorted((x, y)))

