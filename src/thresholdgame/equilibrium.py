@@ -288,6 +288,16 @@ def _interval_error(rows):
     return 0.5 * a * a + (arc[1] - arc[0]) + plateau + 0.5 * (1.0 - b) ** 2
 
 
+def _interval_values(a, b):
+    """``(value, rows, sound)`` of the [a, b] equilibrium for arrays of
+    cells: its error valued by :func:`_interval_error` from
+    :func:`_interval_params`'s closed form, with that form's ``rows`` and
+    ``sound``.  The one path by which cells are valued; it verifies
+    nothing."""
+    _, _, rows, _, _, sound = _interval_params(a, b)
+    return _interval_error(rows), rows, sound
+
+
 def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
     """The [a, b] equilibrium, its cdf built once and labelled ``family``."""
     step, phi, rows, cut, atom_b, sound = _interval_params(np.array([a]), np.array([b]))
@@ -451,14 +461,14 @@ _MIN_WORKER_CELLS = 4000
 
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
-    equilibrium for arrays of cells, each checked by :func:`_interval_params`
-    and by :func:`_verify` at tol 1e-8 (the first failure, in cell order,
-    raises ``RuntimeError``) and valued in closed form by
-    :func:`_interval_error`.  Every result is the cell's own, whatever cells
-    come with it; the margins are the exact suprema over the cell's
-    interval.  The closed forms and their linear forms are built a slab of
-    :data:`_SLAB_CELLS` cells at a time, and each slab is verified and then
-    valued in one call each: a slab bounds the tables held and the points
+    equilibrium for arrays of cells, each valued in closed form by
+    :func:`_interval_values` and checked by its ``sound`` and by
+    :func:`_verify` at tol 1e-8 (the first failure, in cell order, raises
+    ``RuntimeError``).  Every result is the cell's own, whatever cells come
+    with it; the margins are the exact suprema over the cell's interval.
+    The closed forms and their linear forms are built a slab of
+    :data:`_SLAB_CELLS` cells at a time, and each slab is valued and then
+    verified in one call each: a slab bounds the tables held and the points
     verified, so beyond the cells and results memory does not grow with the
     number of cells.  Slab s runs on worker s mod W of
     :mod:`thresholdgame._workers`, with W one per CPU but at most one per
@@ -474,14 +484,13 @@ def _interval_cells(a, b):
             slab = slice(j * _SLAB_CELLS, (j + 1) * _SLAB_CELLS)
             sa, sb = a[slab], b[slab]
             value, support_dev, outside_gain = (r[slab] for r in results)  # views
-            _, _, rows, _, _, sound = _interval_params(sa, sb)
+            value[:], rows, sound = _interval_values(sa, sb)
             support_dev[:], outside_gain[:], passed = _verify(_piece_table(*rows), sa, sb, 1e-8)
             if not np.all(passed & sound):
                 i = np.argmin(passed & sound)
                 raise RuntimeError(
                     f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
                     f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
-            value[:] = _interval_error(rows)
 
     workers = max(1, min(_workers.available(), n_slabs, len(a) // _MIN_WORKER_CELLS))
     return tuple(_workers.run(work, n_slabs, workers, [(a.shape, np.float64)] * 3))

@@ -21,6 +21,7 @@ from thresholdgame.analysis import (
 )
 from thresholdgame.equilibrium import (
     _interval_cells,
+    _interval_values,
     equilibrium_interval,
     equilibrium_unrestricted,
     verify_equilibrium,
@@ -33,6 +34,19 @@ EQ_INVERSION_REFERENCE = 0.23052615844150636
 #: grids whose last b step overshoots 1 (0.35, 0.6) or that hold 0.954 twice
 #: (0.053), and the one-cell grid (1.0).
 RESOLUTIONS = (0.01, 0.013, 0.05, 0.053, 0.1, 0.2, 0.35, 0.5, 0.6, 1.0)
+
+
+def record_batches(monkeypatch, name, original):
+    """Record the cells (a, b) of each call of ``analysis.<name>``, a list
+    a call."""
+    batches = []
+
+    def record(a, b):
+        batches.append(list(zip(np.asarray(a).tolist(), np.asarray(b).tolist())))
+        return original(a, b)
+
+    monkeypatch.setattr(analysis, name, record)
+    return batches
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +89,13 @@ class TestPoaReport:
     def test_rejects_single_firm(self):
         with pytest.raises(ValueError):
             poa_report(n=1)
+
+    @pytest.mark.parametrize("run_search", [False, True])
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, 5, float("nan"), float("inf"), "0.1"])
+    def test_rejects_resolution_outside_unit_interval(self, run_search, resolution):
+        # Checked whether or not the search runs.
+        with pytest.raises(ValueError, match="resolution"):
+            poa_report(run_search=run_search, resolution=resolution)
 
 
 class TestSearch:
@@ -127,23 +148,22 @@ class TestSearch:
         assert abs(result.value - value) <= 1e-15
 
     def test_refinement_takes_few_batches(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(analysis, "_interval_cells",
-                            lambda a, b: sizes.append(len(a)) or _interval_cells(a, b))
+        # One verified batch for the grid and one for the refinement, which
+        # values its stencils in a few batches of its own.
+        scored = record_batches(monkeypatch, "_interval_cells", _interval_cells)
+        valued = record_batches(monkeypatch, "_interval_values", _interval_values)
         search_best_interval(resolution=0.01)
-        assert sizes[0] == len(grid_cells(0.01))
-        assert 1 <= len(sizes[1:]) <= 30
+        assert [len(batch) for batch in scored] == [len(grid_cells(0.01)), 44]
+        assert 1 <= len(valued) <= 30
 
     @pytest.mark.parametrize("resolution, steps", [(0.01, [8, 9, 9, 9, 9]),
                                                    (0.6, [8, 8, 9, 9, 9, 9, 9, 9, 9])])
     def test_each_newton_step_scores_one_stencil(self, monkeypatch, resolution, steps):
         # One batch a step: a stencil of 9 cells, or 8 where it holds the
         # best cell, and no one-cell batch for a separate Newton candidate.
-        sizes = []
-        monkeypatch.setattr(analysis, "_interval_cells",
-                            lambda a, b: sizes.append(len(a)) or _interval_cells(a, b))
+        valued = record_batches(monkeypatch, "_interval_values", _interval_values)
         search_best_interval(resolution=resolution)
-        assert sizes[1:] == steps
+        assert [len(batch) for batch in valued] == steps
 
     @pytest.mark.parametrize("resolution, cells", [(0.01, 44), (0.6, 79)])
     def test_refinement_scores_no_cell_twice(self, monkeypatch, resolution, cells):
@@ -151,18 +171,34 @@ class TestSearch:
         # stencil's centre or, in a stencil shifted inward at 0.6, an edge
         # cell; at 0.01 only the first stencil holds it, which leaves 44
         # cells of 45.
-        batches = []
-
-        def record(a, b):
-            batches.append(list(zip(np.asarray(a).tolist(), np.asarray(b).tolist())))
-            return _interval_cells(a, b)
-
-        monkeypatch.setattr(analysis, "_interval_cells", record)
+        scored = record_batches(monkeypatch, "_interval_cells", _interval_cells)
+        valued = record_batches(monkeypatch, "_interval_values", _interval_values)
         search_best_interval(resolution=resolution)
-        refined = [cell for batch in batches[1:] for cell in batch]
+        refined = [cell for batch in valued for cell in batch]
         assert len(refined) == cells
         assert len(set(refined)) == len(refined)
-        assert not set(refined) & set(batches[0])
+        assert not set(refined) & set(scored[0])
+
+    @pytest.mark.parametrize("resolution", [0.01, 0.05, 0.6])
+    def test_refinement_verifies_every_cell_it_valued_in_one_batch(self, monkeypatch,
+                                                                   resolution):
+        # After the grid, one verified batch: the stencils' cells, in the
+        # order the steps valued them.
+        scored = record_batches(monkeypatch, "_interval_cells", _interval_cells)
+        valued = record_batches(monkeypatch, "_interval_values", _interval_values)
+        search_best_interval(resolution=resolution)
+        assert scored[1:] == [[cell for batch in valued for cell in batch]]
+
+    def test_a_search_verifies_a_slab_at_a_time(self, monkeypatch):
+        # The grid's slabs and one batch for the whole refinement: no
+        # verification per Newton step.
+        force_workers(monkeypatch, 1)  # every call is made in this process
+        calls = []
+        original = equilibrium._verify
+        monkeypatch.setattr(equilibrium, "_verify",
+                            lambda *args: calls.append(1) or original(*args))
+        search_best_interval(resolution=0.01)
+        assert len(calls) <= math.ceil(len(grid_cells(0.01)) / equilibrium._SLAB_CELLS) + 1
 
     def test_objective_continuity_along_b(self):
         # Regime misclassification would show up as a jump between adjacent
@@ -294,7 +330,7 @@ class TestBatchedCells:
         with pytest.raises(ValueError):
             _interval_cells([0.5], [0.5])
 
-    @pytest.mark.parametrize("resolution", [0.01, 0.053, 0.35, 0.6])
+    @pytest.mark.parametrize("resolution", RESOLUTIONS + (0.0137, 0.007, 0.003, 0.33))
     def test_grid_phase_visits_the_same_cells(self, monkeypatch, resolution):
         force_workers(monkeypatch, 1)  # the cells are recorded in this process
         seen = patch_verify(monkeypatch)
@@ -330,6 +366,18 @@ class TestBatchedCells:
         a, b = cell = refined[-1]
         patch_verify(monkeypatch, fail={cell})
         with pytest.raises(RuntimeError, match=re.escape(f"[{a}, {b}] failed verification")):
+            search_best_interval(resolution=0.05)
+
+    def test_the_first_failing_refinement_cell_visited_raises(self, monkeypatch):
+        # The refinement values on past failing cells and verifies them all
+        # at the end; the error names the first one it visited.
+        valued = record_batches(monkeypatch, "_interval_values", _interval_values)
+        search_best_interval(resolution=0.05)
+        refined = [cell for batch in valued for cell in batch]
+        a, b = first = refined[3]
+        patch_verify(monkeypatch, fail={refined[-2], first})
+        with pytest.raises(RuntimeError, match="^" + re.escape(
+                f"constructed equilibrium on [{a}, {b}] failed verification (")):
             search_best_interval(resolution=0.05)
 
     @pytest.mark.parametrize("resolution", [0.05, 0.01])

@@ -222,9 +222,9 @@ class TestPoaAndSearch:
         best = data.get("eq_restricted_best", data)
         assert 0.0 <= best["a"] < best["b"] <= 1.0
 
-    @pytest.mark.parametrize("resolution", ["0", "-0.1", "2", "nan", "inf"])
-    @pytest.mark.parametrize("command", [("search",), ("poa", "--search")],
-                             ids=["search", "poa"])
+    @pytest.mark.parametrize("resolution", ["0", "-0.1", "2", "5", "nan", "inf"])
+    @pytest.mark.parametrize("command", [("search",), ("poa", "--search"), ("poa",)],
+                             ids=["search", "poa", "poa_no_search"])
     def test_bad_resolution_exits_2(self, capsys, command, resolution):
         code, out = run_cli(capsys, *command, "--resolution", resolution)
         assert code == 2
