@@ -203,9 +203,8 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     step, must be a number in (0, 1], and ``refine`` a bool.  Cells are
     rounded to 12 digits, and the result is the cell valued with the lowest
     error, no worse than the grid's best, which is its first strict minimum,
-    a's rows in order.  The whole grid is one ``_interval_cells`` batch
-    (which spreads its slabs over forked workers once each worker gets
-    enough cells to pay for its fork); each Newton step values its stencil
+    a's rows in order.  The whole grid is one ``_interval_cells`` batch,
+    run slab by slab in this process; each Newton step values its stencil
     by the closed form alone, and the cells of all the stencils are one
     more batch, verified after the refinement.  Every cell valued is valued
     by the error's closed form (``equilibrium._interval_error``) and

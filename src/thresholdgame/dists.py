@@ -43,7 +43,9 @@ Conventions:
 * an evaluation point, a ``theta`` where a cdf, integral, density, atom
   mass, support or payoff is read or the ``u`` of :meth:`MixedCdf.inverse`,
   may lie up to 1e-12 outside [0, 1]: it is clipped to the nearest end once,
-  before anything reads it, and NaN or a point further out raises;
+  before anything reads it, and NaN, a point further out, a bool or a string
+  raises (a bool inside a list of floats, such as ``[True, 0.5]``, is
+  already a float when it is checked, and passes as 1.0);
 * a parameter (a rule threshold, a quality, a step or atom location, a
   bound of a uniform or of an equilibrium's interval, a threshold of
   ``inversion_fixed``) must lie in [0, 1] exactly, as a real number such as
@@ -71,7 +73,10 @@ __all__ = [
 def _unit_points(values, name: str = "threshold") -> np.ndarray:
     """``values`` as evaluation points (see Conventions): a float array on
     [0, 1], copied only when a point needs clipping."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values)
+    if arr.dtype.kind in "bSU":
+        raise ValueError(f"{name} must be a number, got {values!r}")
+    arr = arr.astype(float, copy=False)
     if arr.size:
         lo, hi = np.min(arr), np.max(arr)
         # Phrased as "not inside" so that NaN, which fails every comparison,
@@ -401,15 +406,16 @@ class MixedCdf:
         return self._on_table(self._table.left_limit, theta)
 
     def atom_mass(self, theta: float) -> float:
-        return dict(self.atoms).get(float(_unit_points(float(theta))), 0.0)
+        return dict(self.atoms).get(float(_unit_points(theta)), 0.0)
 
     def pdf(self, theta: float) -> float | None:
         """Density at ``theta`` (right-sided at kinks), or ``None`` at an atom."""
-        theta = _unit_points(float(theta)).reshape(1, 1)
-        if self.atom_mass(theta.item()) > 0.0:
+        theta = float(_unit_points(theta))
+        if self.atom_mass(theta) > 0.0:
             return None
-        _, c1, c2 = self._table.rows(self._table.piece(theta))
-        r = _radius(theta)
+        point = np.array([[theta]])
+        _, c1, c2 = self._table.rows(self._table.piece(point))
+        r = _radius(point)
         return (c1 + c2 / (r * r * r)).item()
 
     def cdf_integral(self, theta):
@@ -433,7 +439,7 @@ class MixedCdf:
 
     def support_contains(self, theta: float) -> bool:
         """Scalar form of :meth:`support_mask`."""
-        return bool(self.support_mask(float(theta)))
+        return bool(self.support_mask(float(_unit_points(theta))))
 
     # -- sampling -----------------------------------------------------------
 
@@ -644,7 +650,7 @@ def quantile_to_quality(theta: float, prior_inverse_cdf: Callable[[float], float
     atoms or flat stretches are rejected rather than silently resolved) and
     never NaN; its ends may be infinite.
     """
-    theta = float(_unit_points(float(theta)))
+    theta = float(_unit_points(theta))
     probe = np.linspace(0.0, 1.0, 101)
     values = np.array([prior_inverse_cdf(p) for p in probe], dtype=float)
     # "Not all increasing", so that a NaN, failing every comparison, fails.

@@ -12,7 +12,8 @@ spawn_key=(c,)))`` from its start, child c of ``SeedSequence(s).spawn``, in a
 fixed draw order, so results are reproducible bit-for-bit for a given seed
 and independent of how chunks are scheduled.  A ``simulate`` call runs its
 chunks on W workers, one per CPU available to the process, but no more than
-there are chunks or than give each worker 2**18 trials.  The calling
+there are chunks or than give each worker 2**18 trials (2**19 for two
+firms on a rule that draws no thresholds).  The calling
 process is worker 0, the others are forked processes (see
 :mod:`thresholdgame._workers`; a process running other threads gets one
 worker), and worker w runs chunks w, w + W, w + 2W, ...  Each chunk writes
@@ -328,25 +329,17 @@ _BLOCK_VALUES = 1 << 19
 _TILE_VALUES = 1 << 15
 
 
-#: Fewest trials per worker.  A fork, exit and wait round trip took about
-#: 4 ms on a 2-vCPU Xeon, against 1.7 ms (``same:0.5``) to 4.4 ms
-#: (``iid:eq:0,0.79``) for a two-firm chunk.  Two workers took 0.65-0.81 of
-#: one worker's time on drawn rules at 2**19 trials but 1.4 on
-#: ``same:0.5``, 0.57-0.70 at 2**20 and 0.51-0.53 at 10**7.
+#: Fewest trials per worker, doubled for two firms on a rule that draws no
+#: thresholds, whose plays cost least.  A fork, exit and wait round trip
+#: took about 4 ms on a 2-vCPU Xeon, against 1.7 ms (``same:0.5``) to
+#: 4.4 ms (``iid:eq:0,0.79``) for a two-firm chunk.  Two workers took
+#: 0.65-0.81 of one worker's time on drawn rules at 2**19 trials, 0.57-0.70
+#: at 2**20 and 0.51-0.53 at 10**7, but 0.81-1.38 (median 1.06) on two-firm
+#: ``same:0.5`` at 2**19 and 0.68-1.12 (median 0.73) at 2**20.  From three
+#: firms on the plain floor holds: at n = 3 they took 0.98-1.16 on
+#: ``fixed:0.2,0.5,0.8`` at 2**18 trials and 0.65-0.89 at 2**19, and at
+#: n = 5 (``fixed:0.1,0.3,0.5,0.7,0.9``) 0.61-0.65 at 2**19.
 _MIN_WORKER_TRIALS = 1 << 18
-
-
-#: Fewest trials times pairs of firms per worker for a rule that draws no
-#: thresholds, whose plays cost least.  On a 2-vCPU Xeon two workers took
-#: 0.81-1.38 (median 1.06, five sets) of one worker's time on two-firm
-#: ``same:0.5`` at 2**19 trials and 0.85-0.99 on two fixed steps, against
-#: 0.68-1.12 (median 0.73) and 0.71-0.76 at 2**20 and 0.69-0.80 at 2**21.
-#: At n = 3 they took 0.98-1.16 on ``fixed:0.2,0.5,0.8`` at 2**18 trials
-#: and 0.65-0.89 at 2**19, and at n = 5 (``fixed:0.1,0.3,0.5,0.7,0.9``)
-#: 0.61-0.65 at 2**19, so from three firms on this floor is below
-#: ``_MIN_WORKER_TRIALS``'s and only two firms wait for 2**19 trials a
-#: worker.
-_MIN_WORKER_PAIR_TRIALS = 1 << 19
 
 
 def _seeded_state(seed: int, chunk: int) -> dict:
@@ -572,19 +565,16 @@ def _run_chunks(rule: Rule, n: int, seed: int, trials: int):
     Worker w of W runs chunks w, w + W, ... through arrays of its own (see
     :mod:`thresholdgame._workers`): worker 0 is the calling process and the
     others are forked.  W is one per CPU, but at most one per chunk and
-    one per ``_MIN_WORKER_TRIALS`` trials, and for a rule that draws no
-    thresholds one per ``_MIN_WORKER_PAIR_TRIALS`` trials times pairs of
-    firms; the firm count sets no floor, as forked workers share no
-    interpreter lock and their blocks shrink with W.  A
-    chunk that raises stops every later one, and the exception of the
+    one per ``_MIN_WORKER_TRIALS`` trials, or twice that for two firms on a
+    rule that draws no thresholds; the firm count sets no other floor, as
+    forked workers share no interpreter lock and their blocks shrink with
+    W.  A chunk that raises stops every later one, and the exception of the
     lowest such chunk is raised here once no worker is left.
     """
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     plays = min(CHUNK_TRIALS, trials)
-    floors = [trials // _MIN_WORKER_TRIALS]
-    if _fixed_thresholds(rule, n) is not None:
-        floors.append(trials * (n * (n - 1) // 2) // _MIN_WORKER_PAIR_TRIALS)
-    workers = max(1, min(_workers.available(), n_chunks, *floors))
+    fixed = n == 2 and _fixed_thresholds(rule, n) is not None
+    workers = max(1, min(_workers.available(), n_chunks, trials // (_MIN_WORKER_TRIALS << fixed)))
 
     def work(chunks, sums, sq_sums, win_counts):
         arrays = _ChunkArrays(n, plays, workers)

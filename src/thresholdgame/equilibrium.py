@@ -42,7 +42,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame import _workers
 from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _as_count, _check_nonnegative,
                                  _piece_table, _radius, _row_cdf, _unit_interval, _unit_points)
 
@@ -146,7 +145,7 @@ def win_probabilities(theta: float, opponent: MixedCdf) -> PayoffProfile:
     strictly easier tests, plus half of the exact ties; failing only beats
     failers with strictly easier tests, plus half of those ties.
     """
-    theta = float(_unit_points(float(theta)))
+    theta = float(_unit_points(theta))
     table, point = opponent._table, np.array([[theta]])
     cdf, gamma = (value.item() for value in table.evaluate(point, integral=True))
     phi, t_val = 1.0 - table.total.item(), cdf - 0.5 * opponent.atom_mass(theta)
@@ -163,7 +162,7 @@ def selection_probabilities(thetas, opponent: MixedCdf) -> np.ndarray:
 
 def selection_probability(theta: float, opponent: MixedCdf) -> float:
     """Overall probability of being selected when playing ``theta``."""
-    return float(selection_probabilities([float(theta)], opponent)[0])
+    return float(selection_probabilities(theta, opponent))
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +447,6 @@ def _verify(table, a, b, tol: float):
 #: peak was 0.34, 0.58, 1.07 and 1.95 MiB at 220, 440, 880 and 1,760 cells.
 _SLAB_CELLS = 440
 
-#: Fewest cells per worker of :func:`_interval_cells`: a fork, exit and
-#: wait round trip costs about as much as verifying and valuing 4,000
-#: cells.  On a 2-vCPU Xeon the search on one worker against two took a
-#: median 9.1 against 14.5 ms at resolution 0.01 (1,684 cells; one lower in
-#: 10 of 12 fresh-process pairs), 18.0 against 20.1 at 0.005 (6,437 cells;
-#: 10 of 12), 20.3 against 20.3 at 0.0045 (7,876; 6 of 10), 22.3 against
-#: 21.2 at 0.0042 (9,043; 0 of 10), 27.4 against 25.3 at 0.004 (9,960; 2
-#: of 10) and 77.5 against 64.3 ms at 0.002 (39,095; 0 of 10).
-_MIN_WORKER_CELLS = 4000
-
 
 def _interval_cells(a, b):
     """``(value, max_support_deviation, max_outside_gain)`` of the [a, b]
@@ -470,30 +459,22 @@ def _interval_cells(a, b):
     :data:`_SLAB_CELLS` cells at a time, and each slab is valued and then
     verified in one call each: a slab bounds the tables held and the points
     verified, so beyond the cells and results memory does not grow with the
-    number of cells.  Slab s runs on worker s mod W of
-    :mod:`thresholdgame._workers`, with W one per CPU but at most one per
-    slab and one per :data:`_MIN_WORKER_CELLS` cells, and writes its results
-    in place, so W changes no bit."""
+    number of cells."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):  # NaN included
         raise ValueError("need 0 <= a < b <= 1")
-    n_slabs = -(-len(a) // _SLAB_CELLS)
-
-    def work(slabs, *results):
-        for j in slabs:
-            slab = slice(j * _SLAB_CELLS, (j + 1) * _SLAB_CELLS)
-            sa, sb = a[slab], b[slab]
-            value, support_dev, outside_gain = (r[slab] for r in results)  # views
-            value[:], rows, sound = _interval_values(sa, sb)
-            support_dev[:], outside_gain[:], passed = _verify(_piece_table(*rows), sa, sb, 1e-8)
-            if not np.all(passed & sound):
-                i = np.argmin(passed & sound)
-                raise RuntimeError(
-                    f"constructed equilibrium on [{sa[i]}, {sb[i]}] failed verification"
-                    f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i]})")
-
-    workers = max(1, min(_workers.available(), n_slabs, len(a) // _MIN_WORKER_CELLS))
-    return tuple(_workers.run(work, n_slabs, workers, [(a.shape, np.float64)] * 3))
+    value, support_dev, outside_gain = results = tuple(np.empty(a.shape) for _ in range(3))
+    for start in range(0, len(a), _SLAB_CELLS):
+        slab = slice(start, start + _SLAB_CELLS)
+        sa, sb = a[slab], b[slab]
+        value[slab], rows, sound = _interval_values(sa, sb)
+        support_dev[slab], outside_gain[slab], passed = _verify(_piece_table(*rows), sa, sb, 1e-8)
+        if not np.all(passed & sound):
+            i = start + np.argmin(passed & sound)
+            raise RuntimeError(
+                f"constructed equilibrium on [{a[i]}, {b[i]}] failed verification"
+                f" ({support_dev[i]}, {outside_gain[i]}, sound: {sound[i - start]})")
+    return results
 
 
 def best_response_value(opponent: MixedCdf, interval: tuple[float, float] = (0.0, 1.0)):
@@ -517,8 +498,10 @@ def two_point_payoff_check(pair: tuple[float, float] = TWO_POINT_SET,
 
     For the set {1 - sqrt(2)/2, sqrt(2)/2} every ordered pure pair gives each
     firm selection probability 1/2, so *any* pair of mixtures over the set is
-    an equilibrium.
+    an equilibrium.  ``pair`` must hold exactly two points.
     """
     _check_nonnegative("tol", tol)
+    if len(pair) != 2:
+        raise ValueError(f"pair must hold exactly two points, got {len(pair)}")
     return all(abs(selection_probability(theta_x, MixedCdf.step(theta_y)) - 0.5) <= tol
                for theta_x in pair for theta_y in pair)

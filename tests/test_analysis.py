@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import count_forks, no_child_left, verifier_inputs
+from conftest import count_forks, verifier_inputs
 from oracles import verify_reference
 from thresholdgame import _workers, analysis, equilibrium
 from thresholdgame.analysis import (
@@ -192,7 +192,6 @@ class TestSearch:
     def test_a_search_verifies_a_slab_at_a_time(self, monkeypatch):
         # The grid's slabs and one batch for the whole refinement: no
         # verification per Newton step.
-        force_workers(monkeypatch, 1)  # every call is made in this process
         calls = []
         original = equilibrium._verify
         monkeypatch.setattr(equilibrium, "_verify",
@@ -244,18 +243,6 @@ def grid_cells(resolution):
         boundary = [b for b in above if (1.0 - a) * b <= 0.5]
         cells += [(round(float(a), 12), round(float(b), 12)) for b in interior + boundary[-1:]]
     return cells
-
-
-def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
-
-
-def fork_every_slab(monkeypatch):
-    """Cut the 0.01 grid into eight slabs of 220 cells and let
-    :func:`_interval_cells` fork for any number of cells, so that the slabs
-    spread over every forced worker."""
-    monkeypatch.setattr(equilibrium, "_SLAB_CELLS", 220)
-    monkeypatch.setattr(equilibrium, "_MIN_WORKER_CELLS", 1)
 
 
 def patch_verify(monkeypatch, fail=()):
@@ -332,7 +319,6 @@ class TestBatchedCells:
 
     @pytest.mark.parametrize("resolution", RESOLUTIONS + (0.0137, 0.007, 0.003, 0.33))
     def test_grid_phase_visits_the_same_cells(self, monkeypatch, resolution):
-        force_workers(monkeypatch, 1)  # the cells are recorded in this process
         seen = patch_verify(monkeypatch)
         search_best_interval(resolution=resolution, refine=False)
         assert seen == grid_cells(resolution)
@@ -401,7 +387,6 @@ class TestBatchedCells:
         assert (result.value, (result.a, result.b)) == best
 
     def test_grid_phase_builds_closed_forms_a_slab_at_a_time(self, monkeypatch):
-        force_workers(monkeypatch, 1)  # the slabs are recorded in this process
         sizes = []
         original = equilibrium._interval_params
         monkeypatch.setattr(equilibrium, "_interval_params",
@@ -410,27 +395,12 @@ class TestBatchedCells:
         assert sum(sizes) == len(grid_cells(0.01)) == 1684
         assert len(sizes) <= math.ceil(1684 / equilibrium._SLAB_CELLS)
 
-    def test_any_worker_count_keeps_the_bits(self, monkeypatch):
-        # At 0.01 the grid is 8 slabs, so three workers take 3, 3 and 2.
-        cells = np.array(grid_cells(0.01)).T
-        fork_every_slab(monkeypatch)
-        runs = []
-        for workers in (1, 2, 3):
-            force_workers(monkeypatch, workers)
-            runs.append(([list(map(float.hex, r.tolist())) for r in _interval_cells(*cells)],
-                         search_best_interval(resolution=0.01)))
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
-        no_child_left()
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_the_first_failing_cell_in_order_raises(self, monkeypatch, workers):
-        # Cells fail in slabs 1, 2 and 6 of the 0.01 grid.  Slab 1 runs on a
-        # forked worker when there are several, and its first failing cell
-        # is the one the error names, with the serial error's type and text.
+    def test_the_first_failing_cell_in_order_raises(self, monkeypatch):
+        # Cells fail in slabs 1, 2 and 6 of the 0.01 grid cut into eight
+        # slabs of 220 cells, and slab 1's first failing cell is the one the
+        # error names.
         cells = grid_cells(0.01)
-        force_workers(monkeypatch, workers)
-        fork_every_slab(monkeypatch)
+        monkeypatch.setattr(equilibrium, "_SLAB_CELLS", 220)
         slab = equilibrium._SLAB_CELLS
         a, b = cells[slab + 100]
         patch_verify(monkeypatch, fail={cells[6 * slab + 3], cells[2 * slab + 5],
@@ -438,32 +408,21 @@ class TestBatchedCells:
         with pytest.raises(RuntimeError, match="^" + re.escape(
                 f"constructed equilibrium on [{a}, {b}] failed verification (")):
             _interval_cells(*np.array(cells).T)
-        no_child_left()
 
-    def test_one_slab_forks_nothing(self, monkeypatch):
-        force_workers(monkeypatch, 2)
-        fork_every_slab(monkeypatch)
+    @pytest.mark.parametrize("resolution, want", [
+        (0.01, ("0x1.e1f4ea89b466dp-7", "0x1.9977eb23453bep-1", "0x1.d66449def305fp-3")),
+        (0.005, ("0x1.e1f4ef18d616ep-7", "0x1.9977ead48263cp-1", "0x1.d66449def305cp-3")),
+        (0.002, ("0x1.e1f4ef0b17a70p-7", "0x1.9977ead3c5460p-1", "0x1.d66449def3061p-3"))])
+    def test_a_search_forks_nothing(self, monkeypatch, resolution, want):
+        # 1,684 cells at 0.01 and 39,095 at 0.002 all run in this process,
+        # however many CPUs there are, and the result keeps its bits.
+        monkeypatch.setattr(_workers, "cpu_count", lambda: 2)
         forks = count_forks(monkeypatch)
-        cells = np.array(grid_cells(0.01)).T
-        _interval_cells(*cells[:, :equilibrium._SLAB_CELLS])
+        result = search_best_interval(resolution=resolution)
         assert forks == []
-        _interval_cells(*cells[:, :equilibrium._SLAB_CELLS + 1])
-        assert forks == [1]
-
-    @pytest.mark.parametrize("resolution, forks_wanted", [(0.01, []), (0.005, []),
-                                                          (0.002, [1])])
-    def test_forks_only_when_each_worker_gets_its_floor(self, monkeypatch, resolution,
-                                                        forks_wanted):
-        # 1,684 cells at 0.01 and 6,437 at 0.005 stay on one worker; 0.002
-        # gives each of two workers at least _MIN_WORKER_CELLS.
-        force_workers(monkeypatch, 2)
-        forks = count_forks(monkeypatch)
-        search_best_interval(resolution=resolution, refine=False)
-        assert forks == forks_wanted
-        no_child_left()
+        assert (result.a.hex(), result.b.hex(), result.value.hex()) == want
 
     def test_memory_is_set_by_the_slab_not_the_cell_count(self, monkeypatch):
-        force_workers(monkeypatch, 1)  # every slab is traced in this process
         search_best_interval(resolution=0.5, refine=False)  # first-use allocations
         peaks = []
         for resolution in (0.01, 0.005):

@@ -55,6 +55,24 @@ class TestCdfEval:
         with pytest.raises(ValueError):
             getattr(d, method)(theta)
 
+    EVALUATIONS = {
+        **{name: lambda d, t, name=name: getattr(d, name)(t)
+           for name in ["cdf", "left_limit", "cdf_integral", "atom_mass", "pdf",
+                        "support_mask", "support_contains", "inverse"]},
+        "quantile_to_quality": lambda d, t: quantile_to_quality(t, lambda p: p),
+        "win_probabilities": lambda d, t: equilibrium.win_probabilities(t, d),
+        "selection_probability": lambda d, t: equilibrium.selection_probability(t, d),
+        "selection_probabilities": lambda d, t: equilibrium.selection_probabilities(t, d),
+    }
+
+    @pytest.mark.parametrize("entry", EVALUATIONS)
+    @pytest.mark.parametrize("theta", [True, np.False_, "0.5", b"0.5", [True, False], ["0.5"]],
+                             ids=repr)
+    def test_rejects_bools_and_strings(self, entry, theta):
+        # As parameters do: True read as 1.0 and "0.5" as 0.5 before.
+        with pytest.raises(ValueError, match="must be a number"):
+            self.EVALUATIONS[entry](equilibrium_interval(0.0, 0.79).dist, theta)
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         d = random_mixed_piecewise_linear(rng)

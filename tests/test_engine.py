@@ -622,7 +622,6 @@ def _force_workers(monkeypatch, workers):
     """``workers`` CPUs, and no floor of trials per worker."""
     monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
     monkeypatch.setattr(engine, "_MIN_WORKER_TRIALS", 1)
-    monkeypatch.setattr(engine, "_MIN_WORKER_PAIR_TRIALS", 1)
 
 
 def _chunk_log(path):
@@ -878,17 +877,19 @@ class TestSimulate:
         assert _summary_hex(simulate(rule, trials=trials, seed=5)) == want
         assert forks == [1]
 
+    # From three firms on, a rule that draws no thresholds has the plain floor.
+    @pytest.mark.parametrize("text, n", [("iid:eq", 2), ("fixed:0.2,0.5,0.8", 3)])
     @pytest.mark.parametrize("trials, forked", [(engine._MIN_WORKER_TRIALS * 2 - 1, False),
                                                 (engine._MIN_WORKER_TRIALS * 2, True)])
-    def test_calls_below_the_floor_do_not_fork(self, monkeypatch, trials, forked):
+    def test_calls_below_the_floor_do_not_fork(self, monkeypatch, text, n, trials, forked):
         monkeypatch.setattr(_workers, "cpu_count", lambda: 2)
         forks = count_forks(monkeypatch)
-        simulate(parse_rule("iid:eq"), trials=trials, seed=2)
+        simulate(parse_rule(text), n_firms=n, trials=trials, seed=2)
         assert forks == ([1] if forked else [])
 
     @pytest.mark.parametrize("text", ["same:0.5", "indep:step:0.2928932;step:0.7071068"])
-    @pytest.mark.parametrize("trials, forked", [(engine._MIN_WORKER_PAIR_TRIALS * 2 - 1, False),
-                                                (engine._MIN_WORKER_PAIR_TRIALS * 2, True)])
+    @pytest.mark.parametrize("trials, forked", [(engine._MIN_WORKER_TRIALS * 4 - 1, False),
+                                                (engine._MIN_WORKER_TRIALS * 4, True)])
     def test_two_firms_drawing_no_thresholds_fork_from_their_own_floor(self, monkeypatch, text,
                                                                         trials, forked):
         monkeypatch.setattr(_workers, "cpu_count", lambda: 2)

@@ -804,6 +804,12 @@ class TestTwoPointSet:
     def test_generic_pair_fails(self):
         assert not two_point_payoff_check(pair=(0.3, 0.6))
 
+    @pytest.mark.parametrize("pair", [(), (0.3,), (0.2, 0.5, 0.8)])
+    def test_rejects_a_pair_of_other_than_two_points(self, pair):
+        # An empty or one-point pair passed vacuously.
+        with pytest.raises(ValueError, match="exactly two points"):
+            two_point_payoff_check(pair)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_rejects_tol_outside_zero_to_infinity(self, tol):
         # NaN would fail every comparison and so pass every pair.
