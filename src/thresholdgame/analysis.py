@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from thresholdgame.dists import _as_count, _check_nonnegative, _check_real
+from thresholdgame._checks import _as_count, _check_nonnegative, _check_real
 from thresholdgame.equilibrium import EquilibriumSolution, _interval_cells, _interval_values
 from thresholdgame.equilibrium import verify_equilibrium  # noqa: F401  (read by benchmarks/)
-from thresholdgame.inversion import OPTIMAL_IID_VALUE, inversion_iid, optimal_value_correlated
+from thresholdgame.optimal import OPTIMAL_IID_VALUE, optimal_value_correlated
 
 __all__ = [
     "EQUILIBRIUM_FLOOR",
@@ -84,13 +84,21 @@ def _check_flag(name: str, value) -> None:
         raise ValueError(f"{name} must be a bool, not {value!r}")
 
 
+#: The finest search grid step.  ``_grid_cells`` holds O(1/resolution**2)
+#: values at once: at 0.001 (154,909 cells) a search peaks at 13 MiB traced
+#: and takes 0.3 s, and at 1e-5 it would ask for 9.3 GiB before valuing any
+#: cell.  The Newton refinement finds the optimum to about 1e-8 from any
+#: grid, so a finer one would buy nothing.
+MIN_RESOLUTION = 1e-3
+
+
 def _check_resolution(resolution) -> float:
     """``resolution`` as a float; raise ``ValueError`` unless it is a real
-    number in (0, 1]."""
+    number in [``MIN_RESOLUTION``, 1], that is [0.001, 1]."""
     _check_real("resolution", resolution)
     resolution = float(resolution)
-    if not 0.0 < resolution <= 1.0:
-        raise ValueError("resolution must lie in (0, 1]")
+    if not MIN_RESOLUTION <= resolution <= 1.0:
+        raise ValueError(f"resolution must lie in [{MIN_RESOLUTION:g}, 1]")
     return resolution
 
 
@@ -200,7 +208,8 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     the step-regime boundary cell of each a) followed by a joint Newton
     refinement in (a, b) from the best cell (:func:`_newton`), its stencil's
     half-width starting at ``resolution / 8``.  ``resolution``, the grid
-    step, must be a number in (0, 1], and ``refine`` a bool.  Cells are
+    step, must be a number in [0.001, 1] (``MIN_RESOLUTION``: a finer grid
+    would hold too many cells at once), and ``refine`` a bool.  Cells are
     rounded to 12 digits, and the result is the cell valued with the lowest
     error, no worse than the grid's best, which is its first strict minimum,
     a's rows in order.  The whole grid is one ``_interval_cells`` batch,
@@ -232,7 +241,7 @@ def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -
 
     The restricted-equilibrium entry is the one on ``BEST_KNOWN_INTERVAL``;
     pass ``run_search=True`` to find it by grid search instead.
-    ``resolution``, the search's grid step, must be a number in (0, 1]
+    ``resolution``, the search's grid step, must be a number in [0.001, 1]
     whether or not the search runs.
     """
     _check_flag("run_search", run_search)
@@ -261,5 +270,8 @@ def poa_report(n: int = 2, run_search: bool = False, resolution: float = 0.01) -
 def symmetric_equilibrium_floor_check(sol: EquilibriumSolution,
                                       slack: float = 1e-9) -> bool:
     """True when the equilibrium's error respects the symmetric floor."""
+    # Imported here: poa and the search need neither inversion nor engine.
+    from thresholdgame.inversion import inversion_iid
+
     _check_nonnegative("slack", slack)
     return inversion_iid(sol.dist).value >= float(EQUILIBRIUM_FLOOR) - slack

@@ -7,21 +7,18 @@ values that are exact rationals additionally appear as "p/q" strings.
 
 Exit codes: 0 on success, 1 when a ``verify`` run rejects its candidate,
 2 on argument errors.
+
+Modules load on first use: importing this module loads neither numpy nor
+any other module of the package, and each handler imports what it needs,
+so ``optimal same`` and ``optimal correlated`` run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import asdict
-from fractions import Fraction
-
-import numpy as np
-
-from thresholdgame import analysis, engine, equilibrium, inversion, optimal
 
 DEFAULT_GRID = 10_000
 DEFAULT_TOL = 1e-8
@@ -37,7 +34,8 @@ def _round12(value):
     return value
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f) -> str:
+    """The ``Fraction`` ``f`` as "p/q"."""
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -46,6 +44,8 @@ def _emit(payload: dict, fmt: str, rows_key: str | None = None) -> str:
     if fmt == "json":
         return json.dumps(payload)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if rows_key is not None:
@@ -88,6 +88,8 @@ def _flatten(payload, prefix=""):
 
 
 def _cmd_optimal(args) -> int:
+    from thresholdgame import optimal
+
     if args.which == "same":
         theta, value = optimal.optimal_same_test()
         payload = {
@@ -100,8 +102,8 @@ def _cmd_optimal(args) -> int:
         dist = optimal.optimal_iid()
         payload = {
             "dist": dist.to_dict(),
-            "value": float(inversion.OPTIMAL_IID_VALUE),
-            "value_exact": _frac_str(inversion.OPTIMAL_IID_VALUE),
+            "value": float(optimal.OPTIMAL_IID_VALUE),
+            "value_exact": _frac_str(optimal.OPTIMAL_IID_VALUE),
         }
     else:
         thresholds, value = optimal.optimal_correlated(args.n)
@@ -116,6 +118,10 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
+    import numpy as np
+
+    from thresholdgame import equilibrium
+
     if args.a == 0.0 and args.b == 1.0:
         sol = equilibrium.equilibrium_unrestricted()
     else:
@@ -137,11 +143,20 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
+def _trials(args, engine) -> int:
+    """``--trials``, or ``engine.DEFAULT_TRIALS`` when it is not given."""
+    return engine.DEFAULT_TRIALS if args.trials is None else args.trials
+
+
 def _cmd_inversion(args) -> int:
+    from dataclasses import asdict
+
+    from thresholdgame import engine, inversion
+
     rule = engine.parse_rule(args.rule)
     engine._rule_firm_count(rule, args.n_firms)
     if args.mc:
-        est = engine.mc_inversion(rule, n_firms=args.n_firms, trials=args.trials,
+        est = engine.mc_inversion(rule, n_firms=args.n_firms, trials=_trials(args, engine),
                                   seed=args.seed)
     else:
         est = inversion.inversion_rule(rule)
@@ -151,6 +166,8 @@ def _cmd_inversion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from thresholdgame import engine, equilibrium
+
     rule = engine.parse_rule(args.rule)
     if not isinstance(rule, engine.IidRule):
         raise ValueError("verify applies to iid rules only (e.g. iid:eq:0,0.79)")
@@ -166,6 +183,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poa(args) -> int:
+    from thresholdgame import analysis
+
     report = analysis.poa_report(n=args.n, run_search=args.search,
                                  resolution=args.resolution)
     if args.format == "text":
@@ -182,11 +201,17 @@ def _cmd_poa(args) -> int:
         lines.append(f"poa_vs_correlated = {report.poa_vs_correlated:.12g}")
         print("\n".join(lines))
         return 0
+    from dataclasses import asdict
+
     print(_emit(asdict(report), args.format))
     return 0
 
 
 def _cmd_search(args) -> int:
+    from dataclasses import asdict
+
+    from thresholdgame import analysis
+
     result = analysis.search_best_interval(refine=not args.no_refine,
                                            resolution=args.resolution)
     print(_emit(asdict(result), args.format))
@@ -194,8 +219,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from dataclasses import asdict
+
+    from thresholdgame import engine
+
     rule = engine.parse_rule(args.rule)
-    summary = engine.simulate(rule, n_firms=args.n_firms, trials=args.trials,
+    summary = engine.simulate(rule, n_firms=args.n_firms, trials=_trials(args, engine),
                               seed=args.seed)
     payload = {"rule": args.rule, **asdict(summary)}
     print(_emit(payload, args.format))
@@ -205,6 +234,9 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+_RESOLUTION_HELP = "grid step of the interval search, in [0.001, 1] (default 0.01)"
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -240,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inversion", help="error probability of a rule")
     p.add_argument("--rule", required=True)
     p.add_argument("--mc", action="store_true", help="estimate by simulation")
-    p.add_argument("--trials", type=int, default=engine.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int)  # None: engine.DEFAULT_TRIALS
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-firms", type=int, default=None)
     _add_format(p)
@@ -259,19 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "entries and the PoA numerators stay two-firm values")
     p.add_argument("--search", action="store_true",
                    help="search for the best restriction interval")
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument("--resolution", type=float, default=0.01, help=_RESOLUTION_HELP)
     _add_format(p)
     p.set_defaults(handler=_cmd_poa)
 
     p = sub.add_parser("search", help="best restriction interval for the principal")
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument("--resolution", type=float, default=0.01, help=_RESOLUTION_HELP)
     p.add_argument("--no-refine", action="store_true")
     _add_format(p)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("simulate", help="seeded game simulation summary")
     p.add_argument("--rule", required=True)
-    p.add_argument("--trials", type=int, default=engine.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int)  # None: engine.DEFAULT_TRIALS
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-firms", type=int, default=None)
     _add_format(p)

@@ -64,9 +64,8 @@ from typing import Sequence
 
 import numpy as np
 
-from thresholdgame import _workers
-from thresholdgame.dists import (_FAMILY_FIELDS, MixedCdf, _as_count, _check_nonnegative,
-                                 _check_unit_params, _unit_points)
+from thresholdgame._checks import _as_count, _check_nonnegative, _check_unit_params
+from thresholdgame.dists import _FAMILY_FIELDS, MixedCdf, _unit_points
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -571,6 +570,9 @@ def _run_chunks(rule: Rule, n: int, seed: int, trials: int):
     W.  A chunk that raises stops every later one, and the exception of the
     lowest such chunk is raised here once no worker is left.
     """
+    # Imported here, so that only Monte Carlo loads the fork machinery.
+    from thresholdgame import _workers
+
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     plays = min(CHUNK_TRIALS, trials)
     fixed = n == 2 and _fixed_thresholds(rule, n) is not None

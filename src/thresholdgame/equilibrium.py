@@ -42,8 +42,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _as_count, _check_nonnegative,
-                                 _piece_table, _radius, _row_cdf, _unit_interval, _unit_points)
+from thresholdgame._checks import _as_count, _check_nonnegative, _unit_interval
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _piece_table, _radius, _row_cdf,
+                                 _unit_points)
 
 __all__ = [
     "EquilibriumSolution",

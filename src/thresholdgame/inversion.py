@@ -24,10 +24,12 @@ original integrands.
 :func:`inversion_rule` values every test-assignment rule as the mean of the
 pair sum over its pairs of firms, by the exact pairwise formula for
 deterministic threshold lists when no firm draws its test.  The module also
-provides the optimal-value formula for correlated tests, the decomposition
-of the error of an arbitrary cdf into linear and quadratic coefficients of
-its mixture with the optimal cdf, and the cubic-in-deviation lower bound
-those coefficients imply.
+provides the decomposition of the error of an arbitrary cdf into linear and
+quadratic coefficients of its mixture with the optimal cdf, and the
+cubic-in-deviation lower bound those coefficients imply.  It re-exports the
+exact optimal values, ``OPTIMAL_IID_VALUE`` and
+:func:`optimal_value_correlated`, from the numpy-free
+:mod:`thresholdgame.optimal`.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from thresholdgame.dists import MixedCdf, _as_count, _check_unit_params
+from thresholdgame._checks import _as_count, _check_unit_params
+from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import (FixedThresholds, IidRule, IndependentRule, InversionEstimate,
                                   SameTest, _single_atom)
+from thresholdgame.optimal import OPTIMAL_IID_VALUE, optimal_value_correlated
 
 __all__ = [
     "HybridCoefficients",
@@ -54,9 +58,6 @@ __all__ = [
     "optimal_value_correlated",
     "suboptimality_bound",
 ]
-
-#: Error probability of the optimal i.i.d. rule (uniform tests on [1/4, 3/4]).
-OPTIMAL_IID_VALUE = Fraction(5, 24)
 
 #: The positive half of the 30-node Gauss-Legendre rule on [-1, 1]
 #: (``numpy.polynomial.legendre.leggauss(30)``, to the last bit), nodes
@@ -184,14 +185,6 @@ def inversion_fixed(thresholds) -> float | Fraction:
             total += lo * lo + (hi - lo) * (hi - lo) + (1 - hi) * (1 - hi)
     n_pairs = n * (n - 1) // 2
     return total / (2 * n_pairs)
-
-
-def optimal_value_correlated(n: int) -> Fraction:
-    """Best achievable fraction of inverted pairs with n correlated tests."""
-    n = _as_count(n, "n")
-    if n < 2:
-        raise ValueError("need at least two firms")
-    return Fraction(5 * n - 4, 12 * (2 * n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,29 @@
 """Shared test helpers: seeded random mixed piecewise-linear cdfs, the
-verifier's inputs for a batch of interval cells, and checks on the forked
-workers of a call."""
+verifier's inputs for a batch of interval cells, checks on the forked
+workers of a call, and probes run in a fresh interpreter."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thresholdgame
 from thresholdgame.dists import MixedCdf, _piece_table
 from thresholdgame.equilibrium import _interval_params, _linear_form, _peaks
+
+
+def run_probe(probe: str) -> str:
+    """Stdout of ``python -c probe`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(thresholdgame.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
 
 
 def random_mixed_piecewise_linear(rng: np.random.Generator) -> MixedCdf:

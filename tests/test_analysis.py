@@ -91,7 +91,8 @@ class TestPoaReport:
             poa_report(n=1)
 
     @pytest.mark.parametrize("run_search", [False, True])
-    @pytest.mark.parametrize("resolution", [0.0, -0.1, 5, float("nan"), float("inf"), "0.1"])
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, 5, float("nan"), float("inf"), "0.1",
+                                            1e-5, 0.000999])
     def test_rejects_resolution_outside_unit_interval(self, run_search, resolution):
         # Checked whether or not the search runs.
         with pytest.raises(ValueError, match="resolution"):
@@ -106,7 +107,8 @@ class TestSearch:
         assert result.value < 0.22975  # the true optimum beats the [0, 0.79] value
         assert result.value > float(EQUILIBRIUM_FLOOR)
 
-    @pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5, 2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5, 2.0, float("nan"), float("inf"),
+                                            1e-5, 1e-9, 0.000999])
     def test_rejects_resolution_outside_unit_interval(self, resolution):
         with pytest.raises(ValueError, match="resolution"):
             search_best_interval(resolution=resolution)
@@ -412,9 +414,11 @@ class TestBatchedCells:
     @pytest.mark.parametrize("resolution, want", [
         (0.01, ("0x1.e1f4ea89b466dp-7", "0x1.9977eb23453bep-1", "0x1.d66449def305fp-3")),
         (0.005, ("0x1.e1f4ef18d616ep-7", "0x1.9977ead48263cp-1", "0x1.d66449def305cp-3")),
-        (0.002, ("0x1.e1f4ef0b17a70p-7", "0x1.9977ead3c5460p-1", "0x1.d66449def3061p-3"))])
+        (0.002, ("0x1.e1f4ef0b17a70p-7", "0x1.9977ead3c5460p-1", "0x1.d66449def3061p-3")),
+        (0.001, ("0x1.e1f4ef505c936p-7", "0x1.9977ead498614p-1", "0x1.d66449def3060p-3"))])
     def test_a_search_forks_nothing(self, monkeypatch, resolution, want):
-        # 1,684 cells at 0.01 and 39,095 at 0.002 all run in this process,
+        # 1,684 cells at 0.01 and 154,909 at 0.001, the finest grid
+        # accepted, all run in this process,
         # however many CPUs there are, and the result keeps its bits.
         monkeypatch.setattr(_workers, "cpu_count", lambda: 2)
         forks = count_forks(monkeypatch)

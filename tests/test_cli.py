@@ -1,14 +1,14 @@
 """Tests for the command-line frontend."""
 
+import contextlib
+import io
 import json
-import os
-import subprocess
-import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-import thresholdgame
+from conftest import run_probe
 from thresholdgame.cli import main
 from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import parse_rule
@@ -230,6 +230,26 @@ class TestPoaAndSearch:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("resolution", ["1e-5", "1e-9", "0.000999"])
+    @pytest.mark.parametrize("command", [("search",), ("poa", "--search")],
+                             ids=["search", "poa"])
+    def test_too_fine_resolution_exits_2_before_allocating(self, command, resolution):
+        # The grid holds O(1/resolution**2) values at once: 1e-5 asked for
+        # 9.3 GiB and died with numpy's MemoryError.  It is rejected first.
+        import thresholdgame.analysis  # noqa: F401  (its import is not traced)
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*command, "--resolution", resolution])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == "error: resolution must lie in [0.001, 1]\n"
+        assert peak < 2**20
+
 
 class TestSimulate:
     def test_summary_fields(self, capsys):
@@ -280,17 +300,6 @@ class TestReproducibility:
         assert first == second
 
 
-def run_probe(probe):
-    """Stdout of ``python -c probe`` in a fresh interpreter that imports this
-    checkout's package."""
-    src = str(Path(thresholdgame.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    return result.stdout.strip()
-
-
 def test_import_leaves_scipy_unloaded():
     # The runtime needs only numpy; scipy is a test-only oracle.  The
     # workers are forked with os.fork and share an mmap, so no process pool
@@ -299,6 +308,42 @@ def test_import_leaves_scipy_unloaded():
              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
              "('scipy', 'multiprocessing', 'concurrent')))")
     assert run_probe(probe) == "[]"
+
+
+# Cold start: names resolve on first use, so a command loads only what it
+# runs, and the exact-rational answers load no numpy.
+def test_package_import_loads_no_submodule_and_no_numpy():
+    probe = ("import sys, thresholdgame; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('thresholdgame.') or m.split('.')[0] == 'numpy'))")
+    assert run_probe(probe) == "[]"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    probe = "import sys, thresholdgame.cli; print('numpy' in sys.modules)"
+    assert run_probe(probe) == "False"
+
+
+@pytest.mark.parametrize("argv", [["optimal", "same"], ["optimal", "correlated", "--n", "5"]],
+                         ids=" ".join)
+def test_exact_optima_load_neither_numpy_nor_dataclasses(argv):
+    probe = ("import contextlib, io, sys, thresholdgame.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = thresholdgame.cli.main({argv!r})\n"
+             "print(code, [m for m in ('numpy', 'dataclasses') if m in sys.modules])")
+    assert run_probe(probe) == "0 []"
+
+
+def test_every_name_resolves_after_a_bare_import():
+    # dir() first, before anything is loaded; then every submodule, then every
+    # public name, each through the package's __getattr__.
+    probe = ("import pkgutil, sys, thresholdgame as tg\n"
+             "subs = [m.name for m in pkgutil.iter_modules(tg.__path__)]\n"
+             "unlisted = sorted(set(subs + tg.__all__) - set(dir(tg)))\n"
+             "wrong = [s for s in subs if getattr(tg, s) is not sys.modules['thresholdgame.' + s]]\n"
+             "missing = [n for n in tg.__all__ if not callable(getattr(tg, n, None))]\n"
+             "print(len(subs), unlisted, wrong, missing, hasattr(tg, 'no_such_name'))")
+    assert run_probe(probe) == "9 [] [] [] False"
 
 
 def test_quadrature_leaves_numpy_polynomial_unloaded():

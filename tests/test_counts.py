@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_probe
 from thresholdgame.analysis import poa_report
 from thresholdgame.dists import MixedCdf
 from thresholdgame.engine import IidRule, InversionEstimate, simulate
@@ -63,3 +64,28 @@ def test_rejects_a_bool(name, flag):
     call, _ = CALLS[name]
     with pytest.raises(ValueError, match="must be a whole number"):
         call(flag)
+
+
+# The count check lives in a module without numpy, so it can tell a numpy
+# bool only by finding numpy loaded; these pin its messages.
+@pytest.mark.parametrize("call, flag, message", [
+    (optimal_correlated, True, "n must be a whole number, got True"),
+    (optimal_correlated, np.True_, "n must be a whole number, got np.True_"),
+    (lambda v: simulate(RULE, trials=v), np.True_, "trials must be a whole number, got np.True_"),
+])
+def test_bool_messages(call, flag, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(flag)
+    assert str(excinfo.value) == message
+
+
+def test_numpy_bool_is_rejected_when_numpy_loads_after_the_check():
+    probe = ("import sys\n"
+             "from thresholdgame.optimal import optimal_correlated\n"
+             "before = 'numpy' in sys.modules\n"
+             "import numpy as np\n"
+             "try:\n"
+             "    optimal_correlated(np.True_)\n"
+             "except ValueError as exc:\n"
+             "    print(before, exc)\n")
+    assert run_probe(probe) == "False n must be a whole number, got np.True_"
