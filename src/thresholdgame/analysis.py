@@ -9,7 +9,7 @@ the principal likes best.  The search builds its grid's cells in one
 vectorised pass, row by row in order, and scores them in one batch
 (``equilibrium._interval_cells``): piece tables built from the
 equilibrium's closed form, verified by the same routine as a single
-``MixedCdf`` and valued by the error's own closed form.  It refines the best
+``MixedCdf`` and valued by the pair error's closed form, as every error is.  It refines the best
 cell by Newton steps in (a, b) jointly, each valuing a 3x3 stencil of cells
 centred on the last step's target by that closed form alone
 (``equilibrium._interval_values``), and then verifies every cell it valued
@@ -216,14 +216,14 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     run slab by slab in this process; each Newton step values its stencil
     by the closed form alone, and the cells of all the stencils are one
     more batch, verified after the refinement.  Every cell valued is valued
-    by the error's closed form (``equilibrium._interval_error``) and
-    verified by ``verify_equilibrium``'s routine at tol 1e-8, its margins
-    the exact suprema over [a, b], which bound those of any grid, and a
-    failure raises ``RuntimeError``, naming the first failing cell.  At
-    resolution 0.01 that is 1,684 grid cells in 4 slabs and 44 stencil
-    cells in 5 steps and one slab.  The objective is flat to about 1e-16
-    near the optimum, so a and b are good to about 1e-8 only, whatever
-    digits they carry.
+    by the pair error of its cdf with itself, in closed form
+    (``dists._pair_error``), and verified by ``verify_equilibrium``'s
+    routine at tol 1e-8, its margins the exact suprema over [a, b], which
+    bound those of any grid, and a failure raises ``RuntimeError``, naming
+    the first failing cell.  At resolution 0.01 that is 1,684 grid cells in
+    4 slabs and 44 stencil cells in 5 steps and one slab.  The objective is
+    flat to about 1e-16 near the optimum, so a and b are good to about 1e-8
+    only, whatever digits they carry.
     """
     _check_flag("refine", refine)
     resolution = _check_resolution(resolution)

@@ -27,8 +27,10 @@ one formula.  The quantile function inverts each atom, line or arc in closed
 form from records built with the cdf, evaluating one record over all of u in
 place and patching the other records' stretches, read from comparisons of u
 against their upper ends.  Storing formulas rather than sampled grids keeps
-breakpoints exact, which the per-piece quadrature in
-:mod:`thresholdgame.inversion` relies on to split its integration domain.
+breakpoints exact, and the pair error (``_pair_error``), the one error
+functional of :mod:`thresholdgame.inversion` and of the interval search,
+integrates each piece of one table, or of two split at their merged
+breakpoints (``_PieceTable.split``), in closed form.
 
 A cdf built from a named family (uniform, step, the unrestricted equilibrium
 or its restriction to [a, b]) records that recipe in ``MixedCdf.family``.
@@ -130,6 +132,79 @@ def _row_integral(c0, c1, c2, theta, r=None):
     return out
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _pair_error(table, other=None):
+    """The pair error ``B(G_A, G_B)`` of every cell, in closed form: the
+    chance that the principal selects the worse product when one firm draws
+    its test from ``table``'s cdf and the other from ``other``'s, or
+    ``table``'s again when None.  The two piece tables share their pieces.
+
+    B is ``int_0^1 f`` with ``f = x (1 - G_A)(1 - G_B) + (1 - G_A) Gamma_B +
+    (1 - G_B) Gamma_A + (1 - x) G_A G_B`` and ``Gamma = int_0^x G`` (see
+    :mod:`thresholdgame.inversion`).  On a piece [lo, hi) of width w, with
+    x = lo + t, a row reads ``G = g + c1 t + c2 u`` and ``Gamma = h + g t +
+    c1 t^2 / 2 + c2 r``, where ``u = (2x - 1) / r = dr / dx``, ``g = c0 + c1
+    lo`` and ``h = Gamma(lo) - c2 r(lo)``.  As ``u r = 2x - 1`` and ``u^2 =
+    2 - 1 / r^2``, f is a cubic in t, integrated over [0, w] in t, plus the
+    terms of arcs.  The cubic's coefficients are of the order of G(lo),
+    Gamma(lo) and c1 w, all at most 1, where in powers of x a steep line's
+    would cancel.  The arcs' terms integrate by ``int u = r``, ``int t u = t
+    r - int r``, ``int r = (2x - 1) r / 4 + sqrt2 asinh(2x - 1) / 8`` and
+    ``int 1 / r^2 = atan(2x - 1)``, and are differences of antiderivatives
+    in x, so a steep arc of offset c0 and scale c2 loses about eps (c0^2 +
+    c2^2): the library's own arcs have ``|c0|, |c2| <= 1``.  A line's terms
+    are formed only when a table has a line piece, and an arc's only when
+    one has an arc piece: on the other tables they are exactly 0."""
+    other = table if other is None else other
+    lines = table.c1.any() or other.c1.any()
+    arcs = table.c2.any() or other.c2.any()
+    lo, hi = table.lo, table.hi
+    w = hi - lo
+    aa, ab, sa, sb = table.c1, other.c1, table.c2, other.c2
+    ga, gb = (table.c0 + aa * lo, other.c0 + ab * lo) if lines else (table.c0, other.c0)
+    ha, hb = table.prefix, other.prefix
+    if arcs:
+        x = np.stack([lo, hi])
+        r = _radius(x)
+        ha, hb = ha - sa * r[0], hb - sb * r[0]
+    # The cubic p0 + p1 t + p2 t^2 + p3 t^3, integrated as w (p0 + w half)
+    # with half = p1 / 2 + w (p2 / 3 + w p3 / 4) and p3 = -c1_A c1_B.
+    cross = ga * gb
+    p0 = lo * (1.0 - (ga + gb)) + cross + (ha * (1.0 - gb) + hb * (1.0 - ga))
+    half = 0.5 - cross
+    if lines:
+        half += 0.5 * ((ga * ab + gb * aa) - (aa * hb + ab * ha) - lo * (aa + ab))
+        half += w * ((aa * ab - 0.5 * (aa + ab) - 1.5 * (ga * ab + gb * aa)) / 3.0
+                     - 0.25 * w * (aa * ab))
+    if arcs:
+        both = sa * sb
+        p0 += 4.0 * both * (1.0 - lo)
+        half -= 2.0 * both
+    cubic = w * (p0 + w * half)
+    if not arcs:
+        return np.sum(cubic, axis=-1)
+    # What is left is u (m (1 - t) - k) - m r + (c2_A + c2_B) (1 - x) / r,
+    # with m = g_A c2_B + g_B c2_A and k = h_A c2_B + h_B c2_A, of
+    # antiderivative r (m (1 - t) - k - (c2_A + c2_B) / 2) + sqrt2 (c2_A +
+    # c2_B) asinh(2x - 1) / 4, and on a line against an arc q (t r - t u +
+    # t^2 u / 2), q = -(c1_A c2_B + c1_B c2_A), of antiderivative q (r (t^2 /
+    # 2 - t + (2x - 1) / 4) + sqrt2 asinh(2x - 1) / 8), its t^2 part in the
+    # cubic.
+    scale, mixed = sa + sb, ga * sb + gb * sa
+    coeff = mixed * ((1.0 + lo) - x) - (ha * sb + hb * sa + 0.5 * scale)
+    asinh = (0.25 * _SQRT2) * scale
+    if lines:
+        q = -(aa * sb + ab * sa)
+        cubic += 0.5 * q * w * w * r[1]
+        coeff += q * ((lo - 0.25) - 0.5 * x)
+        asinh += (0.125 * _SQRT2) * q
+    s = 2.0 * x - 1.0
+    anti = r * coeff + asinh * np.arcsinh(s) - both * np.arctan(s)
+    return np.sum(cubic + (anti[1] - anti[0]), axis=-1)
+
+
 def _quantile_record(record, u, out, scratch=None) -> None:
     """Write the quantile of one record ``(upper, c0, s, kind)`` of
     ``MixedCdf._quantile_table`` at ``u`` into ``out``, which may be ``u``;
@@ -184,6 +259,11 @@ class _PieceTable(namedtuple("_PieceTable", ["lo", "hi", "c0", "c1", "c2", "anti
     def rows(self, piece):
         """The rows ``(c0, c1, c2)`` of the pieces at flat indices ``piece``."""
         return self.c0.ravel()[piece], self.c1.ravel()[piece], self.c2.ravel()[piece]
+
+    def split(self, lo, hi) -> "_PieceTable":
+        """The same cdfs on the pieces [lo, hi), (cells, pieces) arrays that
+        tile [0, 1], each within one of this table's pieces."""
+        return _piece_table(lo, hi, *self.rows(self.piece(lo)), self.atom_at, self.atom_mass)
 
     def evaluate(self, theta, integral: bool = False, piece=None):
         """The cdf at ``theta``, and ``int_0^theta cdf`` too with ``integral``;

@@ -95,7 +95,7 @@ class InversionEstimate:
     """A value of the principal's error probability with its provenance."""
 
     value: float
-    method: str  # "closed_form" | "quadrature" | "monte_carlo"
+    method: str  # "closed_form" | "monte_carlo"
     std_error: float = 0.0
     trials: int = 0
 
@@ -104,7 +104,7 @@ class InversionEstimate:
         _check_nonnegative("std_error", self.std_error)
         if _as_count(self.trials, "trials") < 0:
             raise ValueError("trials must be nonnegative")
-        if self.method not in ("closed_form", "quadrature", "monte_carlo"):
+        if self.method not in ("closed_form", "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
 
 

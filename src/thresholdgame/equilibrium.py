@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from thresholdgame._checks import _as_count, _check_nonnegative, _unit_interval
-from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _piece_table, _radius, _row_cdf,
+from thresholdgame.dists import (_JUNCTION_TOL, MixedCdf, _pair_error, _piece_table, _row_cdf,
                                  _unit_points)
 
 __all__ = [
@@ -254,48 +254,16 @@ def _interval_params(a, b):
     return step, phi, rows, cut, atom, sound
 
 
-def _interval_error(rows):
-    """The error ``int_0^1 x (1 - G)^2 + 2 (1 - G) Gamma + (1 - x) G^2 dx``
-    (:func:`thresholdgame.inversion.inversion_iid`) of the [a, b]
-    equilibrium's cdf G for arrays of cells, in closed form from
-    :func:`_interval_params`'s ``rows``, piece by piece.
-
-    On [0, a) it is ``a^2 / 2`` and on [b, 1] ``(1 - b)^2 / 2``.  On the arc
-    [a, cut), with ``s = 2x - 1``, ``r = sqrt(x^2 + (1 - x)^2)``, ``G = c0 +
-    c2 s / r`` and ``Gamma = c0 x + c2 r - g0``, ``g0 = c0 a + c2 r(a)``,
-    the integrand is ``(1 - 2 c0^2 - 4 c2^2) x + c0^2 + 2 c2^2 - 2 (1 - c0)
-    g0 + c2^2 u^2 - 2 c2 (1 + c0) x u + 2 c2 (g0 + c0) u + 2 (1 - c0) c2 r``
-    with ``u = s / r``, as ``u r = s``; by ``int u^2 = 2x - atan s``, ``int u
-    = r``, ``int r = s r / 4 + asinh(s) / (4 sqrt 2)`` and ``int x u = int r
-    + r / 2 - asinh(s) / (2 sqrt 2)`` its antiderivative is ``arc`` below.
-    On the plateau [cut, b), where G is ``p = G(cut)``, the integrand is
-    ``(1 - 2p^2) x + 2 (1 - p) (Gamma(cut) - p cut) + p^2``.  In the step
-    regime the arc starts at 0 with ``c0 = c2 = 0`` and ends at b, so the
-    error is ``(b^2 + (1 - b)^2) / 2``."""
-    lo, _, level, _, scale = rows[:5]
-    a, cut, b = lo[:, 1], lo[:, 2], lo[:, 3]
-    c0, p, c2 = level[:, 1], level[:, 2], scale[:, 1]
-    x = np.stack([a, cut])
-    s = 2.0 * x - 1.0
-    r = _radius(x)
-    g0 = c0 * a + c2 * r[0]
-    arc = (((0.5 - c0 * c0 - 2.0 * c2 * c2) * x + c0 * c0 + 4.0 * c2 * c2 - 2.0 * (1.0 - c0) * g0)
-           * x - c2 * c2 * np.arctan(s)
-           + c2 * (np.arcsinh(s) / math.sqrt(2.0) + (2.0 * g0 + c0 - 1.0 - c0 * s) * r))
-    gamma_cut = c0 * cut + c2 * r[1] - g0
-    plateau = (b - cut) * ((0.5 - p * p) * (b + cut) + 2.0 * (1.0 - p) * (gamma_cut - p * cut)
-                          + p * p)
-    return 0.5 * a * a + (arc[1] - arc[0]) + plateau + 0.5 * (1.0 - b) ** 2
-
-
 def _interval_values(a, b):
-    """``(value, rows, sound)`` of the [a, b] equilibrium for arrays of
-    cells: its error valued by :func:`_interval_error` from
-    :func:`_interval_params`'s closed form, with that form's ``rows`` and
+    """``(value, table, sound)`` of the [a, b] equilibrium for arrays of
+    cells: each cell's error, the pair error of its cdf with itself
+    (``_pair_error``), the piece table of :func:`_interval_params`'s closed
+    form that it is valued on, which the verifier reuses, and that form's
     ``sound``.  The one path by which cells are valued; it verifies
     nothing."""
     _, _, rows, _, _, sound = _interval_params(a, b)
-    return _interval_error(rows), rows, sound
+    table = _piece_table(*rows)
+    return _pair_error(table), table, sound
 
 
 def _equilibrium(a: float, b: float, family: tuple) -> EquilibriumSolution:
@@ -468,8 +436,8 @@ def _interval_cells(a, b):
     for start in range(0, len(a), _SLAB_CELLS):
         slab = slice(start, start + _SLAB_CELLS)
         sa, sb = a[slab], b[slab]
-        value[slab], rows, sound = _interval_values(sa, sb)
-        support_dev[slab], outside_gain[slab], passed = _verify(_piece_table(*rows), sa, sb, 1e-8)
+        value[slab], table, sound = _interval_values(sa, sb)
+        support_dev[slab], outside_gain[slab], passed = _verify(table, sa, sb, 1e-8)
         if not np.all(passed & sound):
             i = start + np.argmin(passed & sound)
             raise RuntimeError(

@@ -7,29 +7,27 @@ over the ordered-quality triangle ``{0 <= y <= x <= 1}`` of the pair sum
 ``(1 - G(x) + G(y))^2`` when both draw from ``G``.  Integrating out ``y``
 with ``Gamma(x) = int_0^x G`` leaves the one-dimensional form
 
-    I(G) = int_0^1 [x (1 - G)^2 + 2 (1 - G) Gamma + (1 - x) G^2] dx,
+    B(G_A, G_B) = int_0^1 [x (1 - G_A)(1 - G_B) + (1 - G_A) Gamma_B
+                           + (1 - G_B) Gamma_A + (1 - x) G_A G_B] dx,
 
-whose integrand is smooth on every piece of the cdf (atoms sit only at piece
-junctions), so a fixed-order Gauss-Legendre sum per piece evaluates it to
-rounding error.  One node layout (``_gauss_nodes``) over the pieces of a
-piece table, or of merged breakpoints, serves ``inversion_iid``,
-``inversion_rule`` and ``hybrid_decompose``, and in the tests checks the
-closed form that values the interval search's cells
-(``equilibrium._interval_error``).  The same reduction serves every
-integrand over the triangle that separates into functions of ``x`` alone
-and of ``y`` alone (:func:`_separable_triangle`).
-The tests check these reductions against adaptive 2-D quadrature of the
-original integrands.
+whose integrand is smooth on every piece of the cdfs (atoms sit only at
+piece junctions).  This pair error is the one error functional:
+``thresholdgame.dists._pair_error`` integrates it in closed form piece by
+piece, over the pieces of one piece table or of two cut at their merged
+breakpoints.  ``inversion_iid`` is ``I(G) = B(G, G)``, ``inversion_rule``
+the mean of B over a rule's pairs of firms, ``hybrid_decompose`` three
+values of B, and the interval search values its cells by it too.  B is
+linear in each cdf's measure, so against any cdf the best reply is a point
+mass.  The tests check B against adaptive 2-D quadrature of the original
+integrand and against a Gauss-Legendre sum of the one-dimensional form.
 
-:func:`inversion_rule` values every test-assignment rule as the mean of the
-pair sum over its pairs of firms, by the exact pairwise formula for
-deterministic threshold lists when no firm draws its test.  The module also
-provides the decomposition of the error of an arbitrary cdf into linear and
-quadratic coefficients of its mixture with the optimal cdf, and the
-cubic-in-deviation lower bound those coefficients imply.  It re-exports the
-exact optimal values, ``OPTIMAL_IID_VALUE`` and
-:func:`optimal_value_correlated`, from the numpy-free
-:mod:`thresholdgame.optimal`.
+:func:`inversion_rule` uses the exact pairwise formula for deterministic
+threshold lists when no firm draws its test.  The module also provides the
+decomposition of the error of an arbitrary cdf into linear and quadratic
+coefficients of its mixture with the optimal cdf, and the cubic-in-deviation
+lower bound those coefficients imply.  It re-exports the exact optimal
+values, ``OPTIMAL_IID_VALUE`` and :func:`optimal_value_correlated`, from the
+numpy-free :mod:`thresholdgame.optimal`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from thresholdgame._checks import _as_count, _check_unit_params
-from thresholdgame.dists import MixedCdf
+from thresholdgame.dists import MixedCdf, _pair_error
 from thresholdgame.engine import (FixedThresholds, IidRule, IndependentRule, InversionEstimate,
                                   SameTest, _single_atom)
 from thresholdgame.optimal import OPTIMAL_IID_VALUE, optimal_value_correlated
@@ -59,57 +57,17 @@ __all__ = [
     "suboptimality_bound",
 ]
 
-#: The positive half of the 30-node Gauss-Legendre rule on [-1, 1]
-#: (``numpy.polynomial.legendre.leggauss(30)``, to the last bit), nodes
-#: ascending with their weights; the rule is exactly symmetric, so mirroring
-#: restores all of it.  Per cdf piece it is exact on polynomial pieces (the
-#: integrand of a degree-k piece has degree 2k + 1 <= 59 for k <= 29).  The
-#: arc pieces' nearest singularities, at (1 +- i) / 2, lie 1/2 away from
-#: [0, 1], so the rule converges far below rounding error on them.
-_HALF_NODES = (
-    0.0514718425553177, 0.15386991360858354, 0.25463692616788985, 0.3527047255308781,
-    0.44703376953808915, 0.5366241481420199, 0.6205261829892429, 0.6978504947933158,
-    0.7677774321048262, 0.8295657623827684, 0.8825605357920527, 0.9262000474292743,
-    0.9600218649683075, 0.9836681232797472, 0.9968934840746495,
-)
-_HALF_WEIGHTS = (
-    0.10285265289355859, 0.10176238974840528, 0.09959342058679493, 0.09636873717464392,
-    0.09212252223778594, 0.08689978720108285, 0.08075589522941996, 0.0737559747377049,
-    0.06597422988218044, 0.05749315621761923, 0.04840267283059379, 0.03879919256962683,
-    0.02878470788332254, 0.01846646831109169, 0.007968192496169034,
-)
-
-#: The rule's nodes and weights rescaled to [0, 1].
-_UNIT_NODES = 0.5 * (np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES]) + 1.0)
-_UNIT_WEIGHTS = 0.5 * np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
-
-
-def _gauss_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the pieces [lo, hi) along the
-    last axis, piece by piece; an empty piece gets nodes of weight 0."""
-    width = (hi - lo)[..., None]
-    shape = (*lo.shape[:-1], -1)
-    return ((lo[..., None] + width * _UNIT_NODES).reshape(shape),
-            (width * _UNIT_WEIGHTS).reshape(shape))
-
 
 def _merged_edges(*dists) -> np.ndarray:
     """The sorted union of the breakpoints of ``dists``, as a (1, k) array."""
     return np.array([sorted(set().union(*(d.breakpoints for d in dists)))], dtype=float)
 
 
-def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
-    """Integral over ``{0 <= y <= x <= 1}`` of a separable integrand.
-
-    The integrand is ``P(x)R(x) + P(x)S(y) + Q(y)R(x) + Q(y)S(y)``; ``p``,
-    ``r``, ``q``, ``s`` hold those functions at the nodes ``x``, and
-    ``gamma_q``, ``gamma_s`` their running integrals ``int_0^x Q`` and
-    ``int_0^x S``.  Integrating out ``y`` leaves
-    ``int_0^1 [x P R + P Gamma_S + R Gamma_Q + (1 - x) Q S] dx``, which the
-    weights ``w`` evaluate.  Each row of nodes along the last axis is one
-    integral; ``vecdot`` sums a row exactly as ``np.dot`` sums a vector.
-    """
-    return np.vecdot(x * p * r + p * gamma_s + r * gamma_q + (1.0 - x) * q * s, w)
+def _merged_tables(*dists) -> list:
+    """The piece table of each of ``dists`` on the pieces cut by all their
+    breakpoints, as ``_pair_error`` pairs them."""
+    edges = _merged_edges(*dists)
+    return [d._table.split(edges[:, :-1], edges[:, 1:]) for d in dists]
 
 
 # ---------------------------------------------------------------------------
@@ -118,32 +76,20 @@ def _separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
 
 
 def inversion_iid(d: MixedCdf) -> InversionEstimate:
-    """Error probability when both firms draw tests i.i.d. from ``d``; a
-    single atom is valued in closed form."""
+    """Error probability when both firms draw tests i.i.d. from ``d``, the
+    pair error of ``d`` with itself; a single atom is valued by
+    :func:`inversion_fixed`."""
     atom = _single_atom(d)
-    if atom is not None:
-        return InversionEstimate(value=float(inversion_fixed([atom, atom])), method="closed_form")
-    table = d._table
-    return InversionEstimate(value=float(_pair_error(table.lo, table.hi, table)[0]),
-                             method="quadrature")
-
-
-def _pair_error(lo, hi, table, other=None):
-    """The pair sum for every cell, on the nodes of the pieces [lo, hi):
-    ``G_A`` is ``table``'s cdf and ``G_B`` is ``other``'s, or ``G_A`` when
-    ``other`` is None.  It is separable, with ``P = 1 - G_A``,
-    ``R = 1 - G_B``, ``Q = G_A`` and ``S = G_B``."""
-    x, w = _gauss_nodes(lo, hi)
-    g, gamma = table.evaluate(x, integral=True)
-    h, eta = (g, gamma) if other is None else other.evaluate(x, integral=True)
-    return _separable_triangle(x, w, 1.0 - g, 1.0 - h, g, h, gamma, eta)
+    value = inversion_fixed([atom, atom]) if atom is not None else _pair_error(d._table)[0]
+    return InversionEstimate(value=float(value), method="closed_form")
 
 
 def inversion_rule(rule) -> InversionEstimate:
     """Expected fraction of inverted pairs under a test-assignment rule: the
     mean over its pairs of firms, so for any firm count the rule admits.
     A rule whose every firm takes a fixed test, or draws it from a single
-    atom, is valued in closed form."""
+    atom, is valued by :func:`inversion_fixed`, any other by the pair
+    error."""
     if isinstance(rule, IidRule):
         return inversion_iid(rule.dist)
     if isinstance(rule, SameTest):
@@ -153,10 +99,9 @@ def inversion_rule(rule) -> InversionEstimate:
     elif isinstance(rule, IndependentRule):
         thresholds = [_single_atom(d) for d in rule.dists]
         if None in thresholds:
-            edges = _merged_edges(*rule.dists)
-            pairs = list(combinations([d._table for d in rule.dists], 2))
-            total = sum(_pair_error(edges[:, :-1], edges[:, 1:], a, b)[0] for a, b in pairs)
-            return InversionEstimate(value=float(total / len(pairs)), method="quadrature")
+            pairs = list(combinations(_merged_tables(*rule.dists), 2))
+            total = sum(_pair_error(a, b)[0] for a, b in pairs)
+            return InversionEstimate(value=float(total / len(pairs)), method="closed_form")
         thresholds.sort()
     else:
         raise ValueError(f"not a test-assignment rule: {rule!r}")
@@ -223,27 +168,28 @@ def _optimal_cdf() -> MixedCdf:
 def hybrid_decompose(d: MixedCdf) -> HybridCoefficients:
     """Linear and quadratic error coefficients of ``d`` against the optimum.
 
-    With ``D = G_opt - d``, the coefficients are triangle integrals of
-    ``(1 - G_opt(x) + G_opt(y)) (D(x) - D(y))`` (times 2) and of
-    ``(D(x) - D(y))^2``, both separable.
+    The pair error B is bilinear, so mixing at weight t gives ``I(t G + (1 -
+    t) G_0) = B(G_0, G_0) + 2t (B(G, G_0) - B(G_0, G_0)) + t^2 (B(G, G) -
+    2 B(G, G_0) + B(G_0, G_0))``: three pair errors give both coefficients.
     """
-    g0 = _optimal_cdf()
-    edges = _merged_edges(d, g0)
-    x, w = _gauss_nodes(edges[:, :-1], edges[:, 1:])
-    (g0_x, g0_gamma), (d_x, d_gamma) = (h._table.evaluate(x, integral=True) for h in (g0, d))
-    delta, delta_gamma = g0_x - d_x, g0_gamma - d_gamma
+    table, opt = _merged_tables(d, _optimal_cdf())
+    own, cross, base = _pair_error(table)[0], _pair_error(table, opt)[0], _pair_error(opt)[0]
+    return HybridCoefficients(a_coeff=float(2.0 * (cross - base)),
+                              b_coeff=float(own - 2.0 * cross + base))
 
-    a = 2.0 * _separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
-                                  g0_gamma, -delta_gamma)[0]
-    b = _separable_triangle(x, w, delta, delta, -delta, -delta, -delta_gamma, -delta_gamma)[0]
-    return HybridCoefficients(a_coeff=float(a), b_coeff=float(b))
+
+#: The finest scan of :func:`suboptimality_bound`: its grid of 10**6 + 1
+#: points peaks at 76 MiB traced (0.15 s) on a cdf of six pieces, and 10**12
+#: points would ask for 7.3 TiB.  Any scan keeps the floor sound.
+MAX_GRID_SIZE = 10**6
 
 
 def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBound:
     """Sup-distance ``eps`` of ``d`` from the optimal cdf and the error floor
     ``5/24 + eps^3/48`` it implies.
 
-    The scan covers a uniform grid plus every breakpoint of either cdf, with
+    The scan covers a uniform grid of ``grid_size`` steps, a whole number in
+    [1, 10**6] (``MAX_GRID_SIZE``), plus every breakpoint of either cdf, with
     left limits at the breakpoints so jumps are measured from both sides.
 
     Proof.  Write ``D = G_opt - G``.  ``hybrid_decompose`` gives ``I = 5/24
@@ -259,6 +205,8 @@ def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBo
     true supremum, so the scanned eps keeps the floor sound.
     """
     grid_size = _as_count(grid_size, "grid_size")
+    if not 1 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must lie in [1, {MAX_GRID_SIZE}]")
     g0 = _optimal_cdf()
     special = _merged_edges(d, g0)[0]
     grid = np.linspace(0.0, 1.0, grid_size + 1)

@@ -1,8 +1,11 @@
 """Reference implementations the tests check the library against.
 
-The library evaluates the error functional through one-dimensional
-reductions; the tests check those against an adaptive tensor quadrature of
-the original double integrals, which shares no code with them.  The quantile
+The library evaluates the error functional, the pair error, in closed form
+on a one-dimensional reduction; the tests check it against an adaptive
+tensor quadrature of the original double integrals, which shares no code
+with it, against a 30-node Gauss-Legendre sum of the same reduction, which
+shares only the cdf's evaluation, and on the interval equilibria against a
+closed form derived for that family alone.  The quantile
 function is checked against a per-record loop over ``searchsorted`` indices,
 which shares only the table of quantile records with it.  The payoff,
 which the library takes from each piece's linear form, and the verifier's
@@ -22,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from thresholdgame.dists import _unit_points
+from thresholdgame.dists import _radius, _unit_points
 from thresholdgame.equilibrium import _margins, _on_piece, _payoff
+from thresholdgame.inversion import _merged_edges
 
 
 def quantile_reference(d, u):
@@ -113,6 +117,100 @@ def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights rescaled to [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def gauss_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """30-node Gauss-Legendre nodes and weights on the pieces [lo, hi) along
+    the last axis, piece by piece; an empty piece gets nodes of weight 0.
+    Per piece the rule is exact on lines, and the arcs' nearest
+    singularities, at (1 +- i) / 2, lie 1/2 away from [0, 1], so it
+    converges far below rounding error on them."""
+    nodes, weights = _unit_nodes(30)
+    width = (hi - lo)[..., None]
+    shape = (*lo.shape[:-1], -1)
+    return (lo[..., None] + width * nodes).reshape(shape), (width * weights).reshape(shape)
+
+
+def separable_triangle(x, w, p, r, q, s, gamma_q, gamma_s):
+    """Integral over ``{0 <= y <= x <= 1}`` of a separable integrand.
+
+    The integrand is ``P(x)R(x) + P(x)S(y) + Q(y)R(x) + Q(y)S(y)``; ``p``,
+    ``r``, ``q``, ``s`` hold those functions at the nodes ``x``, and
+    ``gamma_q``, ``gamma_s`` their running integrals ``int_0^x Q`` and
+    ``int_0^x S``.  Integrating out ``y`` leaves
+    ``int_0^1 [x P R + P Gamma_S + R Gamma_Q + (1 - x) Q S] dx``, which the
+    weights ``w`` evaluate, one integral per row along the last axis.
+    """
+    return np.vecdot(x * p * r + p * gamma_s + r * gamma_q + (1.0 - x) * q * s, w)
+
+
+def gauss_pair_error(lo, hi, table, other=None):
+    """The pair error of every cell by the Gauss sum on the pieces [lo, hi),
+    which must hold the breakpoints of both cdfs: ``G_A`` is ``table``'s
+    cdf and ``G_B`` is ``other``'s, or ``G_A`` when ``other`` is None.  It
+    is separable, with ``P = 1 - G_A``, ``R = 1 - G_B``, ``Q = G_A`` and
+    ``S = G_B``."""
+    x, w = gauss_nodes(lo, hi)
+    g, gamma = table.evaluate(x, integral=True)
+    h, eta = (g, gamma) if other is None else other.evaluate(x, integral=True)
+    return separable_triangle(x, w, 1.0 - g, 1.0 - h, g, h, gamma, eta)
+
+
+def gauss_pair_value(d_a, d_b=None) -> float:
+    """:func:`gauss_pair_error` of two cdfs, or of one cdf with itself, on
+    their merged breakpoints."""
+    edges = _merged_edges(d_a, *([] if d_b is None else [d_b]))
+    other = None if d_b is None else d_b._table
+    return float(gauss_pair_error(edges[:, :-1], edges[:, 1:], d_a._table, other)[0])
+
+
+def gauss_hybrid(d, g0):
+    """The hybrid coefficients ``(a, b)`` of ``d`` against ``g0`` by two
+    separable Gauss sums: with ``D = G_0 - G``, the triangle integrals of
+    ``(1 - G_0(x) + G_0(y)) (D(x) - D(y))`` (times 2) and of
+    ``(D(x) - D(y))^2``."""
+    edges = _merged_edges(d, g0)
+    x, w = gauss_nodes(edges[:, :-1], edges[:, 1:])
+    (g0_x, g0_gamma), (d_x, d_gamma) = (h._table.evaluate(x, integral=True) for h in (g0, d))
+    delta, delta_gamma = g0_x - d_x, g0_gamma - d_gamma
+    a = 2.0 * separable_triangle(x, w, 1.0 - g0_x, delta, g0_x, -delta,
+                                 g0_gamma, -delta_gamma)[0]
+    b = separable_triangle(x, w, delta, delta, -delta, -delta, -delta_gamma, -delta_gamma)[0]
+    return float(a), float(b)
+
+
+def interval_error(rows):
+    """The error ``int_0^1 x (1 - G)^2 + 2 (1 - G) Gamma + (1 - x) G^2 dx``
+    of the [a, b] equilibrium's cdf G for arrays of cells, in closed form
+    from ``equilibrium._interval_params``'s ``rows``, piece by piece: a form
+    derived for this family alone.
+
+    On [0, a) it is ``a^2 / 2`` and on [b, 1] ``(1 - b)^2 / 2``.  On the arc
+    [a, cut), with ``s = 2x - 1``, ``r = sqrt(x^2 + (1 - x)^2)``, ``G = c0 +
+    c2 s / r`` and ``Gamma = c0 x + c2 r - g0``, ``g0 = c0 a + c2 r(a)``,
+    the integrand is ``(1 - 2 c0^2 - 4 c2^2) x + c0^2 + 2 c2^2 - 2 (1 - c0)
+    g0 + c2^2 u^2 - 2 c2 (1 + c0) x u + 2 c2 (g0 + c0) u + 2 (1 - c0) c2 r``
+    with ``u = s / r``, as ``u r = s``; by ``int u^2 = 2x - atan s``, ``int u
+    = r``, ``int r = s r / 4 + asinh(s) / (4 sqrt 2)`` and ``int x u = int r
+    + r / 2 - asinh(s) / (2 sqrt 2)`` its antiderivative is ``arc`` below.
+    On the plateau [cut, b), where G is ``p = G(cut)``, the integrand is
+    ``(1 - 2p^2) x + 2 (1 - p) (Gamma(cut) - p cut) + p^2``.  In the step
+    regime the arc starts at 0 with ``c0 = c2 = 0`` and ends at b, so the
+    error is ``(b^2 + (1 - b)^2) / 2``."""
+    lo, _, level, _, scale = rows[:5]
+    a, cut, b = lo[:, 1], lo[:, 2], lo[:, 3]
+    c0, p, c2 = level[:, 1], level[:, 2], scale[:, 1]
+    x = np.stack([a, cut])
+    s = 2.0 * x - 1.0
+    r = _radius(x)
+    g0 = c0 * a + c2 * r[0]
+    arc = (((0.5 - c0 * c0 - 2.0 * c2 * c2) * x + c0 * c0 + 4.0 * c2 * c2 - 2.0 * (1.0 - c0) * g0)
+           * x - c2 * c2 * np.arctan(s)
+           + c2 * (np.arcsinh(s) / np.sqrt(2.0) + (2.0 * g0 + c0 - 1.0 - c0 * s) * r))
+    gamma_cut = c0 * cut + c2 * r[1] - g0
+    plateau = (b - cut) * ((0.5 - p * p) * (b + cut) + 2.0 * (1.0 - p) * (gamma_cut - p * cut)
+                          + p * p)
+    return 0.5 * a * a + (arc[1] - arc[0]) + plateau + 0.5 * (1.0 - b) ** 2
 
 
 def _rect(f, x0, x1, y0, y1, order):

@@ -92,10 +92,10 @@ class TestInversion:
         assert data["value"] == 0.25
         assert data["method"] == "closed_form"
 
-    def test_iid_quadrature(self, capsys):
+    def test_iid_pair_error_closed_form(self, capsys):
         code, out = run_cli(capsys, "inversion", "--rule", "iid:uniform:0.25,0.75")
         data = json.loads(out)
-        assert data["method"] == "quadrature"
+        assert data["method"] == "closed_form"
         assert data["value"] == pytest.approx(5 / 24, abs=1e-8)
 
     def test_iid_atom_closed_form(self, capsys):
@@ -113,14 +113,14 @@ class TestInversion:
         assert data["method"] == "closed_form"
         assert data["value"] == pytest.approx(0.5 * (0.09 + 0.16 + 0.09), abs=1e-12)
 
-    def test_indep_general_quadrature(self, capsys):
+    def test_indep_general_pair_error_closed_form(self, capsys):
         # The pair sum is linear in each cdf: the mean over the uniform's
         # thresholds a of inversion_fixed((a, 0.5)) is 61/300.
         code, out = run_cli(capsys, "inversion", "--rule",
                             "indep:uniform:0.1,0.9;step:0.5")
         data = json.loads(out)
         assert code == 0
-        assert data["method"] == "quadrature"
+        assert data["method"] == "closed_form"
         assert data["value"] == pytest.approx(61 / 300, abs=1e-12)
 
     def test_mc_estimate(self, capsys):
@@ -334,6 +334,17 @@ def test_exact_optima_load_neither_numpy_nor_dataclasses(argv):
     assert run_probe(probe) == "0 []"
 
 
+@pytest.mark.parametrize("argv", [["search", "--resolution", "0.05"], ["poa"]], ids=" ".join)
+def test_search_and_poa_load_neither_engine_nor_inversion(argv):
+    # They value every equilibrium by the pair error, which lives in dists.
+    probe = ("import contextlib, io, sys, thresholdgame.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = thresholdgame.cli.main({argv!r})\n"
+             "print(code, [m for m in ('thresholdgame.engine', 'thresholdgame.inversion')\n"
+             "             if m in sys.modules])")
+    assert run_probe(probe) == "0 []"
+
+
 def test_every_name_resolves_after_a_bare_import():
     # dir() first, before anything is loaded; then every submodule, then every
     # public name, each through the package's __getattr__.
@@ -347,7 +358,8 @@ def test_every_name_resolves_after_a_bare_import():
 
 
 def test_quadrature_leaves_numpy_polynomial_unloaded():
-    # The Gauss-Legendre rule is stored as literals, not built by leggauss.
+    # The error is a closed form: no quadrature rule is built, by leggauss
+    # or otherwise.
     probe = ("import contextlib, io, sys, thresholdgame.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = thresholdgame.cli.main(['inversion', '--rule', 'iid:eq'])\n"

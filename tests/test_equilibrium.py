@@ -10,15 +10,15 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from conftest import random_mixed_piecewise_linear, verifier_inputs
-from oracles import payoff_reference, verify_reference
+from oracles import gauss_pair_error, interval_error, payoff_reference, verify_reference
 from thresholdgame import equilibrium
 from thresholdgame.analysis import EQUILIBRIUM_FLOOR
-from thresholdgame.dists import MixedCdf, _piece_table, _row_cdf
+from thresholdgame.dists import MixedCdf, _row_cdf
 from thresholdgame.engine import parse_rule, simulate
 from thresholdgame.equilibrium import (
     _interval_cells,
-    _interval_error,
     _interval_params,
+    _interval_values,
     _linear_form,
     _margins,
     _payoff,
@@ -34,7 +34,7 @@ from thresholdgame.equilibrium import (
     verify_equilibrium,
     win_probabilities,
 )
-from thresholdgame.inversion import _pair_error, inversion_iid
+from thresholdgame.inversion import inversion_iid
 
 OPPONENTS = {
     "uniform": MixedCdf.uniform(0.25, 0.75),
@@ -600,12 +600,11 @@ class TestExactVerifier:
 
 
 def closed_form_and_sum(cells):
-    """:func:`_interval_error` and :func:`_pair_error`'s Gauss sum of the
-    equilibria on ``cells``, pairs (a, b), from one :func:`_interval_params`."""
-    a, b = np.array(cells, dtype=float).T
-    rows = _interval_params(a, b)[2]
-    table = _piece_table(*rows)
-    return _interval_error(rows), _pair_error(table.lo, table.hi, table)
+    """The error of the equilibria on ``cells``, pairs (a, b), as the search
+    values it (:func:`_interval_values`, the pair error in closed form), and
+    the Gauss sum of the pair error on the same piece table."""
+    value, table, _ = _interval_values(*np.array(cells, dtype=float).T)
+    return value, gauss_pair_error(table.lo, table.hi, table)
 
 
 @st.composite
@@ -627,14 +626,16 @@ def crowded_cells(draw):
 
 
 class TestClosedFormError:
-    """:func:`_interval_error`, the error of the interval equilibria in
-    closed form, agrees with the Gauss sum of :func:`_pair_error` within
-    1e-14 and with adaptive quadrature of the integrand, and respects the
-    symmetric floor."""
+    """The error of the interval equilibria, the pair error in closed form,
+    agrees with its Gauss sum within 1e-14, with the closed form derived for
+    this family alone and with adaptive quadrature of the integrand, and
+    respects the symmetric floor."""
 
     def check(self, cells):
         got, want = closed_form_and_sum(cells)
         assert np.all(np.abs(got - want) <= 1e-14)
+        a, b = np.array(cells, dtype=float).T
+        assert np.all(np.abs(got - interval_error(_interval_params(a, b)[2])) <= 1e-15)
         assert np.all(got >= float(EQUILIBRIUM_FLOOR))
 
     def test_every_cell_of_the_search_grid(self):

@@ -2,23 +2,25 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from conftest import random_mixed_piecewise_linear
-from oracles import triangle_integral
-from thresholdgame.dists import MixedCdf
-from thresholdgame.engine import IidRule, InversionEstimate, mc_inversion, parse_rule, simulate
+from oracles import gauss_hybrid, gauss_pair_value, triangle_integral
+from thresholdgame.dists import MixedCdf, _pair_error
+from thresholdgame.engine import (IidRule, InversionEstimate, _single_atom, mc_inversion,
+                                  parse_rule, simulate)
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import (
-    _UNIT_NODES,
-    _UNIT_WEIGHTS,
-    _merged_edges,
-    _pair_error,
+    MAX_GRID_SIZE,
+    _merged_tables,
     hybrid_decompose,
     inversion_fixed,
     inversion_iid,
@@ -30,13 +32,6 @@ from thresholdgame.inversion import (
 # Reference value computed independently at 30-digit precision by nested
 # tanh-sinh quadrature of the closed-form equilibrium cdf.
 EQ_INVERSION_REFERENCE = 0.23052615844150636
-
-
-def test_gauss_rule_is_leggauss_to_the_bit():
-    # The stored half rule, mirrored and rescaled to [0, 1], is numpy's.
-    x, w = np.polynomial.legendre.leggauss(30)
-    for got, want in ((_UNIT_NODES, 0.5 * (x + 1.0)), (_UNIT_WEIGHTS, 0.5 * w)):
-        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 
 
 class TestTriangleIntegral:
@@ -94,7 +89,7 @@ class TestOneDimensionalReductions:
 class TestInversionIid:
     def test_optimal_uniform(self):
         est = inversion_iid(MixedCdf.uniform(0.25, 0.75))
-        assert est.method == "quadrature"
+        assert est.method == "closed_form"
         assert est.std_error == 0.0 and est.trials == 0
         assert est.value == pytest.approx(5 / 24, abs=1e-8)
 
@@ -131,10 +126,9 @@ class TestInversionIid:
 
 
 def _pair_value(d_a: MixedCdf, d_b: MixedCdf) -> float:
-    """The pair sum of firms drawing from ``d_a`` and ``d_b``, on the nodes
-    that ``inversion_rule`` lays out for them."""
-    edges = _merged_edges(d_a, d_b)
-    return float(_pair_error(edges[:, :-1], edges[:, 1:], d_a._table, d_b._table)[0])
+    """The pair sum of firms drawing from ``d_a`` and ``d_b``, on the merged
+    pieces that ``inversion_rule`` lays out for them."""
+    return float(_pair_error(*_merged_tables(d_a, d_b))[0])
 
 
 #: The cdfs of the golden evaluations and 20 seeded random ones.
@@ -152,14 +146,14 @@ HALF_AND_HALF = MixedCdf.piecewise_linear(
 class TestPairError:
     @pytest.mark.parametrize("d", PAIR_CASES)
     def test_one_cdf_twice_is_inversion_iid(self, d):
-        # Two evaluations on the merged edges, the layout of an independent
-        # rule, give the float of one on the cdf's own pieces, which is
-        # inversion_iid's unless the cdf is one atom, valued in closed form.
-        table = d._table
-        own = float(_pair_error(table.lo, table.hi, table)[0])
+        # Two tables on the merged edges, the layout of an independent rule,
+        # give the float of one on the cdf's own pieces, which is
+        # inversion_iid's unless the cdf is one atom, valued by
+        # inversion_fixed.
+        own = float(_pair_error(d._table)[0])
         assert _pair_value(d, d) == own
         est = inversion_iid(d)
-        if est.method == "quadrature":
+        if _single_atom(d) is None:
             assert own == est.value
         else:
             assert own == pytest.approx(est.value, abs=1e-15)
@@ -198,6 +192,110 @@ class TestPairError:
             1 / 6, abs=1e-15)
 
 
+#: Ramps from 0 to 1 on [1/2, 1/2 + w]: lines of slope 1/w.
+STEEP_RAMPS = {w: MixedCdf.piecewise_linear([(0.0, 0.0), (0.5, 0.0), (0.5 + w, 1.0), (1.0, 1.0)])
+               for w in (1e-12, 1e-6, 1e-3)}
+
+#: The draws of acceptance criterion 8, with slopes up to 91.
+_RNG_8088 = np.random.default_rng(8088)
+DRAWS_8088 = [random_mixed_piecewise_linear(_RNG_8088) for _ in range(100)]
+
+#: The arcs a line is paired with.
+ARC_OPPONENTS = (equilibrium_unrestricted().dist, equilibrium_interval(0.3, 0.9).dist)
+
+
+def _steepest(*dists) -> float:
+    """The largest slope of a line piece of ``dists``."""
+    return max(abs(c1) for d in dists for _, _, _, c1, _ in d.pieces)
+
+
+def _magnitude(*dists) -> float:
+    """1 plus the largest slope of a line piece, or ``c0^2 + c2^2`` of an arc
+    piece, of ``dists``: the order of the closed form's largest terms.  A
+    line's terms are formed in the piece's own coordinate and an arc's in
+    powers of x, so a steep arc loses about eps (c0^2 + c2^2); the
+    library's own arcs have ``|c0|, |c2| <= 1``."""
+    return 1.0 + max(c0 * c0 + c2 * c2 if c2 else abs(c1)
+                     for d in dists for _, _, c0, c1, c2 in d.pieces)
+
+
+@st.composite
+def piece_tables(draw):
+    """A cdf of lines, arcs and atoms: up to five pieces between sorted
+    breakpoints, each a line, an arc or flat, and atoms at the breakpoints,
+    with masses drawn and normalised to 1."""
+    cuts = draw(st.lists(st.floats(0.001, 0.999), max_size=4, unique=True))
+    edges = [0.0, *sorted(cuts), 1.0]
+    if min(hi - lo for lo, hi in zip(edges, edges[1:])) <= 1e-6:
+        edges = [0.0, 1.0]
+    n = len(edges) - 1
+    kinds = draw(st.lists(st.sampled_from(["line", "arc", "flat"]), min_size=n, max_size=n))
+    masses = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    for i, kind in enumerate(kinds):
+        if kind == "flat":
+            masses[i] = 0.0
+    if sum(masses) < 1e-3:
+        masses[-1] += 1.0
+    total = sum(masses)
+    masses = [m / total for m in masses]
+    pieces, atoms, v = [], [], 0.0
+    for lo, hi, kind, mass, atom in zip(edges, edges[1:], kinds, masses, masses[n:]):
+        if atom > 1e-9:
+            atoms.append((lo, atom))
+            v += atom
+        if kind == "arc":
+            u_lo, u_hi = ((2.0 * t - 1.0) / math.hypot(t, 1.0 - t) for t in (lo, hi))
+            scale = mass / (u_hi - u_lo)
+            pieces.append((lo, hi, v - scale * u_lo, 0.0, scale))
+        else:
+            slope = mass / (hi - lo)
+            pieces.append((lo, hi, v - slope * lo, slope, 0.0))
+        v += mass
+    if 1.0 - v > 1e-9:
+        atoms.append((1.0, 1.0 - v))
+    return MixedCdf(tuple(pieces), tuple(atoms))
+
+
+class TestPairErrorClosedForm:
+    """The closed-form pair error against the Gauss sum of the same
+    one-dimensional form, and its exact properties."""
+
+    @pytest.mark.parametrize("w", STEEP_RAMPS)
+    def test_a_steep_ramp_loses_nothing_to_cancellation(self, w):
+        d = STEEP_RAMPS[w]
+        assert abs(_pair_error(d._table)[0] - gauss_pair_value(d)) <= 1e-15
+        for other in ARC_OPPONENTS:
+            tol = 1e-15 * (1.0 + _steepest(d))
+            assert abs(_pair_value(d, other) - gauss_pair_value(d, other)) <= tol
+
+    def test_the_draws_of_criterion_8(self):
+        for d in DRAWS_8088:
+            assert abs(_pair_error(d._table)[0] - gauss_pair_value(d)) <= 1e-15
+            for other in ARC_OPPONENTS:
+                tol = 1e-15 * (1.0 + _steepest(d))
+                assert abs(_pair_value(d, other) - gauss_pair_value(d, other)) <= tol
+
+    @pytest.mark.parametrize("d_a", PAIR_CASES[:12])
+    def test_symmetric(self, d_a):
+        for d_b in [*PAIR_CASES[:12], *STEEP_RAMPS.values(), *ARC_OPPONENTS]:
+            assert abs(_pair_value(d_a, d_b) - _pair_value(d_b, d_a)) <= 2**-52
+
+    def test_point_masses_are_inversion_fixed(self):
+        thetas = np.linspace(0.0, 1.0, 21).tolist()
+        for s in thetas:
+            for t in thetas:
+                want = float(inversion_fixed(sorted((s, t))))
+                assert _pair_value(MixedCdf.step(s), MixedCdf.step(t)) == pytest.approx(
+                    want, abs=2**-53)
+
+    @given(piece_tables(), piece_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables_against_the_gauss_sum(self, d_a, d_b):
+        tol = 1e-15 * _magnitude(d_a, d_b)
+        assert abs(_pair_error(d_a._table)[0] - gauss_pair_value(d_a)) <= tol
+        assert abs(_pair_value(d_a, d_b) - gauss_pair_value(d_a, d_b)) <= tol
+
+
 class TestInversionRule:
     @pytest.mark.parametrize("spec, n", [
         ("indep:step:0.5;eq", 2),
@@ -209,7 +307,7 @@ class TestInversionRule:
         rule = parse_rule(spec)
         est = inversion_rule(rule)
         summary = simulate(rule, trials=1_000_000, seed=23)
-        assert est.method == "quadrature" and summary.n_firms == n
+        assert est.method == "closed_form" and summary.n_firms == n
         assert abs(est.value - summary.inversion_mean) < 3 * summary.inversion_std_error
 
     @pytest.mark.parametrize("spec, thresholds", [
@@ -335,7 +433,7 @@ class TestHybridDecompose:
 
     def test_median_step_consistency(self):
         # A is exactly 0 here (the step sits inside [1/4, 3/4]); allow the
-        # quadrature's floating-point dust.
+        # floating-point dust of the difference of two pair errors.
         coeffs = hybrid_decompose(MixedCdf.step(0.5))
         assert coeffs.a_coeff >= -1e-9
         assert coeffs.b_coeff >= 0.0
@@ -350,6 +448,13 @@ class TestHybridDecompose:
         assert coeffs.b_coeff >= 0.0
         assert inversion_iid(d).value == pytest.approx(coeffs.total, abs=1e-6)
 
+    @pytest.mark.parametrize("d", PAIR_CASES)
+    def test_against_the_separable_gauss_sums(self, d):
+        coeffs = hybrid_decompose(d)
+        a, b = gauss_hybrid(d, MixedCdf.uniform(0.25, 0.75))
+        assert abs(coeffs.a_coeff - a) <= 1e-15
+        assert abs(coeffs.b_coeff - b) <= 1e-15
+
     @pytest.mark.parametrize("seed", range(4))
     def test_against_one_dimensional_oracles(self, seed):
         # The double integrals collapse to closed 1-d reductions; both
@@ -362,6 +467,23 @@ class TestHybridDecompose:
 
 
 class TestSuboptimalityBound:
+    @pytest.mark.parametrize("grid_size", [0, -3, MAX_GRID_SIZE + 1, 10**12])
+    def test_rejects_a_grid_outside_its_range_before_allocating(self, grid_size):
+        d = equilibrium_unrestricted().dist
+        suboptimality_bound(d, grid_size=1000)  # first-use allocations
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid_size must lie in"):
+                suboptimality_bound(d, grid_size=grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_the_finest_grid_is_accepted(self):
+        eps, _ = suboptimality_bound(MixedCdf.uniform(0.25, 0.75), grid_size=MAX_GRID_SIZE)
+        assert eps == 0.0
+
     def test_optimum_itself(self):
         eps, bound = suboptimality_bound(MixedCdf.uniform(0.25, 0.75))
         assert eps == 0.0
