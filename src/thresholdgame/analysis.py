@@ -221,7 +221,7 @@ def search_best_interval(refine: bool = True, resolution: float = 0.01) -> Searc
     routine at tol 1e-8, its margins the exact suprema over [a, b], which
     bound those of any grid, and a failure raises ``RuntimeError``, naming
     the first failing cell.  At resolution 0.01 that is 1,684 grid cells in
-    4 slabs and 44 stencil cells in 5 steps and one slab.  The objective is
+    2 slabs and 44 stencil cells in 5 steps and one slab.  The objective is
     flat to about 1e-16 near the optimum, so a and b are good to about 1e-8
     only, whatever digits they carry.
     """

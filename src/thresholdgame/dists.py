@@ -134,6 +134,51 @@ def _row_integral(c0, c1, c2, theta, r=None):
 
 _SQRT2 = math.sqrt(2.0)
 
+#: The odd tails ``x^3 sum_j c_j x^(2j)`` of :func:`_arc_terms`, c_j stacked
+#: highest power first: ``sin h - h cos h``, ``c_j = (-1)^j (2j + 2) / (2j +
+#: 3)!``, for h <= pi / 4, and ``sinh L - L``, ``c_j = 1 / (2j + 3)!``, for L
+#: <= 2 asinh(1); the first term left out is below 2^-56 of either sum.
+_ODD_TAILS = np.array([[(-1) ** j * (2 * j + 2) / math.factorial(2 * j + 3),
+                        1.0 / math.factorial(2 * j + 3)]
+                       for j in range(10, -1, -1)])[..., None, None]
+
+
+def _arc_terms(lo, hi, w):
+    """``(E(w), int_0^w E, int_0^w D^2, u(lo))`` on the pieces [lo, hi) of
+    width w, where x = lo + t, ``r = sqrt(x^2 + (1 - x)^2)``, ``u = (2x - 1)
+    / r``, ``D = u - u(lo)`` and ``E = int_lo^x D``: each to a few ulps of
+    itself however narrow the piece.
+
+    With s = 2x - 1 = tan phi, ``u = sqrt2 sin phi`` and ``r = sec phi /
+    sqrt2``.  A piece sweeps the angle 2h, ``tan 2h = 2w / (1 + s0 s1)``, so
+    ``E(w) = 2 r1 sin^2 h`` and ``int D^2 = 2 r1 / r0 ((sin h - h cos h) (cos
+    h - 2 s0 sin h) + h sin^2 h)``.  With the secant slope m = (r - r0) / t
+    as the variable, ``t = 2 r0 (m - u0) / (2 - m^2)`` and ``E = (m - u0)
+    t``, so ``int E = w E(w) / 2 - int t^2 / 2 dm``, and ``m = sqrt2 tanh``
+    makes the last ``sqrt2 (sinh L - L) / 8``, where ``L = asinh(s1) -
+    asinh(s0) = log1p((2w + sqrt2 (r1 - r0)) / (s0 + sqrt2 r0))`` and ``r1 -
+    r0 = w (s0 + s1) / (r0 + r1)``.  Both differences of third order are
+    :data:`_ODD_TAILS`."""
+    s0, s1, r0, r1 = 2.0 * lo - 1.0, 2.0 * hi - 1.0, _radius(lo), _radius(hi)
+    width = 2.0 * w
+    # Half the angle swept and L, side by side for their tails.
+    x = np.empty((2, *w.shape))
+    np.arctan2(width, 1.0 + s0 * s1, out=x[0])
+    np.log1p(((s0 + s1) * w / (r0 + r1) * _SQRT2 + width) / (s0 + _SQRT2 * r0), out=x[1])
+    x[0] *= 0.5
+    y = x * x
+    tails = np.broadcast_to(_ODD_TAILS[0], y.shape).copy()
+    for c in _ODD_TAILS[1:]:
+        tails *= y
+        tails += c
+    tails *= x * y
+    half = x[0]
+    sin, cos = np.sin(half), np.cos(half)
+    sin2 = sin * sin
+    ew = 2.0 * r1 * sin2
+    k = ((cos - 2.0 * s0 * sin) * tails[0] + half * sin2) * (2.0 * r1 / r0)
+    return ew, 0.5 * w * ew - (0.125 * _SQRT2) * tails[1], k, s0 / r0
+
 
 def _pair_error(table, other=None):
     """The pair error ``B(G_A, G_B)`` of every cell, in closed form: the
@@ -144,31 +189,36 @@ def _pair_error(table, other=None):
     B is ``int_0^1 f`` with ``f = x (1 - G_A)(1 - G_B) + (1 - G_A) Gamma_B +
     (1 - G_B) Gamma_A + (1 - x) G_A G_B`` and ``Gamma = int_0^x G`` (see
     :mod:`thresholdgame.inversion`).  On a piece [lo, hi) of width w, with
-    x = lo + t, a row reads ``G = g + c1 t + c2 u`` and ``Gamma = h + g t +
-    c1 t^2 / 2 + c2 r``, where ``u = (2x - 1) / r = dr / dx``, ``g = c0 + c1
-    lo`` and ``h = Gamma(lo) - c2 r(lo)``.  As ``u r = 2x - 1`` and ``u^2 =
-    2 - 1 / r^2``, f is a cubic in t, integrated over [0, w] in t, plus the
-    terms of arcs.  The cubic's coefficients are of the order of G(lo),
-    Gamma(lo) and c1 w, all at most 1, where in powers of x a steep line's
-    would cancel.  The arcs' terms integrate by ``int u = r``, ``int t u = t
-    r - int r``, ``int r = (2x - 1) r / 4 + sqrt2 asinh(2x - 1) / 8`` and
-    ``int 1 / r^2 = atan(2x - 1)``, and are differences of antiderivatives
-    in x, so a steep arc of offset c0 and scale c2 loses about eps (c0^2 +
-    c2^2): the library's own arcs have ``|c0|, |c2| <= 1``.  A line's terms
-    are formed only when a table has a line piece, and an arc's only when
-    one has an arc piece: on the other tables they are exactly 0."""
-    other = table if other is None else other
-    lines = table.c1.any() or other.c1.any()
-    arcs = table.c2.any() or other.c2.any()
-    lo, hi = table.lo, table.hi
+    x = lo + t, a row reads ``G = g + c1 t + c2 D`` and ``Gamma = P + g t +
+    c1 t^2 / 2 + c2 E``, where ``g = G(lo+)``, ``P = Gamma(lo)`` and D, E are
+    :func:`_arc_terms`'.  Without arcs f is a cubic in t, integrated over [0,
+    w]; its coefficients are of the order of g, P and c1 w, all at most 1,
+    where in powers of x a steep line's would cancel.  An arc adds ``c2_A (D
+    (G_B - x - Gamma_B)_lin + E (1 - G_B)_lin)``, the same with A and B
+    swapped, and ``c2_A c2_B (D^2 - 2 D E)``, _lin being the cubic's line
+    part.  As E' = D and D(lo) = E(lo) = 0, integrating by parts leaves
+    ``c2_A (E(w) Q_B + (2 - c1_B) int E)``, ``Q = (G - x - Gamma)_lin(hi)``,
+    and ``c2_A c2_B (int D^2 - E(w)^2)``: a steep arc's c2, about 1 / w,
+    multiplies terms of order w and smaller, each formed to its own
+    rounding.  A line's terms are formed only when a table has a line piece,
+    and an arc's only where one has an arc piece: elsewhere they are 0."""
+    same = other is None
+    other = table if same else other
+    lines = table.c1.any() or not same and other.c1.any()
+    arcs = table.c2.any() or not same and other.c2.any()
+    lo, hi, ha, hb = table.lo, table.hi, table.prefix, other.prefix
     w = hi - lo
     aa, ab, sa, sb = table.c1, other.c1, table.c2, other.c2
-    ga, gb = (table.c0 + aa * lo, other.c0 + ab * lo) if lines else (table.c0, other.c0)
-    ha, hb = table.prefix, other.prefix
+    ga = table.c0 + aa * lo if lines else table.c0.copy()
+    gb = ga if same else other.c0 + ab * lo if lines else other.c0.copy()
     if arcs:
-        x = np.stack([lo, hi])
-        r = _radius(x)
-        ha, hb = ha - sa * r[0], hb - sb * r[0]
+        # The arc terms, on the run of pieces where either table has an arc.
+        cols = np.flatnonzero(sa.any(axis=0) if same else sa.any(axis=0) | sb.any(axis=0))
+        arc = slice(cols[0], cols[-1] + 1)
+        ew, j0, k, u0 = _arc_terms(lo[:, arc], hi[:, arc], w[:, arc])
+        ga[:, arc] += sa[:, arc] * u0
+        if not same:
+            gb[:, arc] += sb[:, arc] * u0
     # The cubic p0 + p1 t + p2 t^2 + p3 t^3, integrated as w (p0 + w half)
     # with half = p1 / 2 + w (p2 / 3 + w p3 / 4) and p3 = -c1_A c1_B.
     cross = ga * gb
@@ -178,31 +228,20 @@ def _pair_error(table, other=None):
         half += 0.5 * ((ga * ab + gb * aa) - (aa * hb + ab * ha) - lo * (aa + ab))
         half += w * ((aa * ab - 0.5 * (aa + ab) - 1.5 * (ga * ab + gb * aa)) / 3.0
                      - 0.25 * w * (aa * ab))
-    if arcs:
-        both = sa * sb
-        p0 += 4.0 * both * (1.0 - lo)
-        half -= 2.0 * both
-    cubic = w * (p0 + w * half)
+    total = np.add.reduce(w * (p0 + w * half), axis=-1)
     if not arcs:
-        return np.sum(cubic, axis=-1)
-    # What is left is u (m (1 - t) - k) - m r + (c2_A + c2_B) (1 - x) / r,
-    # with m = g_A c2_B + g_B c2_A and k = h_A c2_B + h_B c2_A, of
-    # antiderivative r (m (1 - t) - k - (c2_A + c2_B) / 2) + sqrt2 (c2_A +
-    # c2_B) asinh(2x - 1) / 4, and on a line against an arc q (t r - t u +
-    # t^2 u / 2), q = -(c1_A c2_B + c1_B c2_A), of antiderivative q (r (t^2 /
-    # 2 - t + (2x - 1) / 4) + sqrt2 asinh(2x - 1) / 8), its t^2 part in the
-    # cubic.
-    scale, mixed = sa + sb, ga * sb + gb * sa
-    coeff = mixed * ((1.0 + lo) - x) - (ha * sb + hb * sa + 0.5 * scale)
-    asinh = (0.25 * _SQRT2) * scale
-    if lines:
-        q = -(aa * sb + ab * sa)
-        cubic += 0.5 * q * w * w * r[1]
-        coeff += q * ((lo - 0.25) - 0.5 * x)
-        asinh += (0.125 * _SQRT2) * q
-    s = 2.0 * x - 1.0
-    anti = r * coeff + asinh * np.arcsinh(s) - both * np.arctan(s)
-    return np.sum(cubic + (anti[1] - anti[0]), axis=-1)
+        return total
+    hi, w, sa, sb = hi[:, arc], w[:, arc], sa[:, arc], sb[:, arc]
+    line = ew * w * (1.0 - 0.5 * w) - j0 if lines else None
+
+    def side(g, h, c1):
+        """E(w) Q + (2 - c1) int E of one table."""
+        out = (g[:, arc] * (1.0 - w) - (hi + h[:, arc])) * ew + 2.0 * j0
+        return out + c1[:, arc] * line if lines else out
+
+    side_a = side(ga, ha, aa)
+    side_b = side_a if same else side(gb, hb, ab)
+    return total + np.add.reduce(sb * side_a + sa * side_b + sa * sb * (k - ew * ew), axis=-1)
 
 
 def _quantile_record(record, u, out, scratch=None) -> None:

@@ -246,12 +246,15 @@ def _interval_params(a, b):
     sound = step | ((np.abs(plateau - (1.0 - mass)) <= 1e-9)
                     & (np.abs(_row_cdf(offset, 0.0, scale, a)) <= 1e-9)
                     & ((atom > 0.0) | continuous) & (a < cut) & (cut <= b))
-    zero, one, start = np.zeros_like(a), np.ones_like(a), np.where(step, 0.0, a)
-    c0 = np.stack([zero, offset, plateau, one], axis=-1)
-    rows = (np.stack([zero, start, cut, b], axis=-1), np.stack([start, cut, b, one], axis=-1),
-            c0, np.zeros_like(c0), np.stack([zero, scale, zero, zero], axis=-1),
-            b[:, None], atom[:, None])
-    return step, phi, rows, cut, atom, sound
+    # The five piece columns, filled in one block: four np.stack calls took
+    # three times as long on the search's slabs and stencils.
+    lo, hi, c0, c1, c2 = columns = np.zeros((5, *a.shape, 4))
+    lo[:, 1] = hi[:, 0] = np.where(step, 0.0, a)
+    lo[:, 2] = hi[:, 1] = cut
+    lo[:, 3] = hi[:, 2] = b
+    hi[:, 3] = c0[:, 3] = 1.0
+    c0[:, 1], c0[:, 2], c2[:, 1] = offset, plateau, scale
+    return step, phi, (*columns, b[:, None], atom[:, None]), cut, atom, sound
 
 
 def _interval_values(a, b):
@@ -409,12 +412,12 @@ def _verify(table, a, b, tol: float):
 
 
 #: Cells per slab of :func:`_interval_cells`, verified and valued in one
-#: call each.  On a 2-vCPU Xeon the search at resolution 0.01 on one worker
-#: took a median 9.8 ms at 440 cells a slab against 11.1 at 220 (440 lower
-#: in 12 of 12 fresh-process pairs), 9.7 against 10.0 at 880 (6 of 12) and
-#: 9.8 against 9.4 at 1,760, one slab (3 of 12); the grid phase's traced
-#: peak was 0.34, 0.58, 1.07 and 1.95 MiB at 220, 440, 880 and 1,760 cells.
-_SLAB_CELLS = 440
+#: call each.  On a 2-vCPU Xeon a fresh-process search at resolution 0.01
+#: took a median 5.2 ms at 880 cells a slab against 5.8 at 440 (880 lower
+#: in 10 of 10 rotations) and 5.0 at 1,760, one slab (880 lower in 3 of
+#: 10); the grid phase's traced peak was 0.55, 1.03 and 1.90 MiB at 440,
+#: 880 and 1,760 cells, and the process's peak RSS 31.4, 31.3 and 32.0 MiB.
+_SLAB_CELLS = 880
 
 
 def _interval_cells(a, b):

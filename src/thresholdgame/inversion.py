@@ -77,19 +77,16 @@ def _merged_tables(*dists) -> list:
 
 def inversion_iid(d: MixedCdf) -> InversionEstimate:
     """Error probability when both firms draw tests i.i.d. from ``d``, the
-    pair error of ``d`` with itself; a single atom is valued by
-    :func:`inversion_fixed`."""
-    atom = _single_atom(d)
-    value = inversion_fixed([atom, atom]) if atom is not None else _pair_error(d._table)[0]
-    return InversionEstimate(value=float(value), method="closed_form")
+    pair error of ``d`` with itself."""
+    return InversionEstimate(value=float(_pair_error(d._table)[0]), method="closed_form")
 
 
 def inversion_rule(rule) -> InversionEstimate:
     """Expected fraction of inverted pairs under a test-assignment rule: the
     mean over its pairs of firms, so for any firm count the rule admits.
-    A rule whose every firm takes a fixed test, or draws it from a single
-    atom, is valued by :func:`inversion_fixed`, any other by the pair
-    error."""
+    A rule whose every firm takes a fixed test, or draws it independently
+    from a single atom, is valued by :func:`inversion_fixed`, any other by
+    the pair error."""
     if isinstance(rule, IidRule):
         return inversion_iid(rule.dist)
     if isinstance(rule, SameTest):
@@ -189,8 +186,9 @@ def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBo
     ``5/24 + eps^3/48`` it implies.
 
     The scan covers a uniform grid of ``grid_size`` steps, a whole number in
-    [1, 10**6] (``MAX_GRID_SIZE``), plus every breakpoint of either cdf, with
-    left limits at the breakpoints so jumps are measured from both sides.
+    [0, 10**6] (``MAX_GRID_SIZE``; 0 scans the point 0 alone), plus every
+    breakpoint of either cdf, with left limits at the breakpoints so jumps
+    are measured from both sides.
 
     Proof.  Write ``D = G_opt - G``.  ``hybrid_decompose`` gives ``I = 5/24
     + a + Var(D)`` with ``a >= 0``, the variance under a uniform x (its
@@ -205,8 +203,8 @@ def suboptimality_bound(d: MixedCdf, grid_size: int = 10_000) -> SuboptimalityBo
     true supremum, so the scanned eps keeps the floor sound.
     """
     grid_size = _as_count(grid_size, "grid_size")
-    if not 1 <= grid_size <= MAX_GRID_SIZE:
-        raise ValueError(f"grid_size must lie in [1, {MAX_GRID_SIZE}]")
+    if not 0 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must lie in [0, {MAX_GRID_SIZE}]")
     g0 = _optimal_cdf()
     special = _merged_edges(d, g0)[0]
     grid = np.linspace(0.0, 1.0, grid_size + 1)

@@ -413,10 +413,10 @@ class TestBatchedCells:
             _interval_cells(*np.array(cells).T)
 
     @pytest.mark.parametrize("resolution, want", [
-        (0.01, ("0x1.e1f4ea878173ap-7", "0x1.9977eb234308ep-1", "0x1.d66449def305dp-3")),
-        (0.005, ("0x1.e1f4ef1d3bfd4p-7", "0x1.9977ead416a33p-1", "0x1.d66449def3061p-3")),
-        (0.002, ("0x1.e1f4ef382c205p-7", "0x1.9977ead4639a7p-1", "0x1.d66449def3067p-3")),
-        (0.001, ("0x1.e1f4ef34dfb39p-7", "0x1.9977ead345bafp-1", "0x1.d66449def306ap-3"))])
+        (0.01, ("0x1.e1f4ea8927aa1p-7", "0x1.9977eb233ea30p-1", "0x1.d66449def3062p-3")),
+        (0.005, ("0x1.e1f4ef34dfb39p-7", "0x1.9977ead461678p-1", "0x1.d66449def3064p-3")),
+        (0.002, ("0x1.e1f4ef394599fp-7", "0x1.9977ead409718p-1", "0x1.d66449def3068p-3")),
+        (0.001, ("0x1.e1f4ef40f7ed1p-7", "0x1.9977ead44fcfep-1", "0x1.d66449def3065p-3"))])
     def test_a_search_forks_nothing(self, monkeypatch, resolution, want):
         # 1,684 cells at 0.01 and 154,909 at 0.001, the finest grid
         # accepted, all run in this process,

@@ -15,7 +15,7 @@ from scipy.integrate import dblquad, quad
 from conftest import random_mixed_piecewise_linear
 from oracles import gauss_hybrid, gauss_pair_value, triangle_integral
 from thresholdgame.dists import MixedCdf, _pair_error
-from thresholdgame.engine import (IidRule, InversionEstimate, _single_atom, mc_inversion,
+from thresholdgame.engine import (IidRule, InversionEstimate, mc_inversion,
                                   parse_rule, simulate)
 from thresholdgame.equilibrium import equilibrium_interval, equilibrium_unrestricted
 from thresholdgame.inversion import (
@@ -148,15 +148,10 @@ class TestPairError:
     def test_one_cdf_twice_is_inversion_iid(self, d):
         # Two tables on the merged edges, the layout of an independent rule,
         # give the float of one on the cdf's own pieces, which is
-        # inversion_iid's unless the cdf is one atom, valued by
-        # inversion_fixed.
+        # inversion_iid's.
         own = float(_pair_error(d._table)[0])
         assert _pair_value(d, d) == own
-        est = inversion_iid(d)
-        if _single_atom(d) is None:
-            assert own == est.value
-        else:
-            assert own == pytest.approx(est.value, abs=1e-15)
+        assert own == inversion_iid(d).value
 
     @pytest.mark.parametrize("d_a, d_b", [
         (MixedCdf.uniform(0.1, 0.9), equilibrium_unrestricted().dist),
@@ -196,6 +191,20 @@ class TestPairError:
 STEEP_RAMPS = {w: MixedCdf.piecewise_linear([(0.0, 0.0), (0.5, 0.0), (0.5 + w, 1.0), (1.0, 1.0)])
                for w in (1e-12, 1e-6, 1e-3)}
 
+
+def _arc_on(lo: float, hi: float) -> MixedCdf:
+    """The cdf whose whole mass is one arc piece on [lo, hi)."""
+    u_lo, u_hi = ((2.0 * t - 1.0) / math.hypot(t, 1.0 - t) for t in (lo, hi))
+    scale = 1.0 / (u_hi - u_lo)
+    return MixedCdf(((0.0, lo, 0.0, 0.0, 0.0), (lo, hi, -scale * u_lo, 0.0, scale),
+                     (hi, 1.0, 1.0, 0.0, 0.0)))
+
+
+#: Full-mass arcs on [lo, lo + w], whose scale is about 1 / w.  None starts
+#: at 0: against eq the rest of [0, 1] pairs the cdf 1 with eq, where the
+#: Gauss sum is itself 7e-16 off a 40-digit value, as on step(0) against eq.
+NARROW_ARCS = {(lo, w): _arc_on(lo, lo + w) for lo in (0.5, 0.7) for w in (1e-5, 1e-7, 1e-9)}
+
 #: The draws of acceptance criterion 8, with slopes up to 91.
 _RNG_8088 = np.random.default_rng(8088)
 DRAWS_8088 = [random_mixed_piecewise_linear(_RNG_8088) for _ in range(100)]
@@ -207,16 +216,6 @@ ARC_OPPONENTS = (equilibrium_unrestricted().dist, equilibrium_interval(0.3, 0.9)
 def _steepest(*dists) -> float:
     """The largest slope of a line piece of ``dists``."""
     return max(abs(c1) for d in dists for _, _, _, c1, _ in d.pieces)
-
-
-def _magnitude(*dists) -> float:
-    """1 plus the largest slope of a line piece, or ``c0^2 + c2^2`` of an arc
-    piece, of ``dists``: the order of the closed form's largest terms.  A
-    line's terms are formed in the piece's own coordinate and an arc's in
-    powers of x, so a steep arc loses about eps (c0^2 + c2^2); the
-    library's own arcs have ``|c0|, |c2| <= 1``."""
-    return 1.0 + max(c0 * c0 + c2 * c2 if c2 else abs(c1)
-                     for d in dists for _, _, c0, c1, c2 in d.pieces)
 
 
 @st.composite
@@ -260,6 +259,22 @@ class TestPairErrorClosedForm:
     """The closed-form pair error against the Gauss sum of the same
     one-dimensional form, and its exact properties."""
 
+    @pytest.mark.parametrize("lo, w", NARROW_ARCS)
+    def test_a_narrow_arc_loses_nothing_to_cancellation(self, lo, w):
+        # Its scale is about 1 / w: terms formed in powers of x would lose
+        # about eps / w^2.
+        d = NARROW_ARCS[lo, w]
+        assert abs(_pair_error(d._table)[0] - gauss_pair_value(d)) <= 1e-15
+        for other in [*ARC_OPPONENTS, *NARROW_ARCS.values()]:
+            assert abs(_pair_value(d, other) - gauss_pair_value(d, other)) <= 1e-15
+        for other in STEEP_RAMPS.values():
+            tol = 1e-15 * (1.0 + _steepest(other))
+            assert abs(_pair_value(d, other) - gauss_pair_value(d, other)) <= tol
+        # A ramp over the arc's own piece, of slope 1 / w: the arc's terms
+        # against a line's stay at rounding level too.
+        ramp = MixedCdf.piecewise_linear([(0.0, 0.0), (lo, 0.0), (lo + w, 1.0), (1.0, 1.0)])
+        assert abs(_pair_value(d, ramp) - gauss_pair_value(d, ramp)) <= 1e-15
+
     @pytest.mark.parametrize("w", STEEP_RAMPS)
     def test_a_steep_ramp_loses_nothing_to_cancellation(self, w):
         d = STEEP_RAMPS[w]
@@ -288,11 +303,17 @@ class TestPairErrorClosedForm:
                 assert _pair_value(MixedCdf.step(s), MixedCdf.step(t)) == pytest.approx(
                     want, abs=2**-53)
 
+    def test_an_atom_drawn_iid_is_its_fixed_test(self):
+        # inversion_iid values a single atom by the pair error alone.
+        for s in [*np.linspace(0.0, 1.0, 101).tolist(), 1 / 3, 0.7]:
+            assert inversion_iid(MixedCdf.step(s)).value == float(inversion_fixed([s, s]))
+
     @given(piece_tables(), piece_tables())
     @settings(max_examples=200, deadline=None)
     def test_random_tables_against_the_gauss_sum(self, d_a, d_b):
-        tol = 1e-15 * _magnitude(d_a, d_b)
-        assert abs(_pair_error(d_a._table)[0] - gauss_pair_value(d_a)) <= tol
+        assert abs(_pair_error(d_a._table)[0] - gauss_pair_value(d_a)) <= 1e-15 * (
+            1.0 + _steepest(d_a))
+        tol = 1e-15 * (1.0 + _steepest(d_a, d_b))
         assert abs(_pair_value(d_a, d_b) - gauss_pair_value(d_a, d_b)) <= tol
 
 
@@ -467,7 +488,7 @@ class TestHybridDecompose:
 
 
 class TestSuboptimalityBound:
-    @pytest.mark.parametrize("grid_size", [0, -3, MAX_GRID_SIZE + 1, 10**12])
+    @pytest.mark.parametrize("grid_size", [-1, -3, MAX_GRID_SIZE + 1, 10**12])
     def test_rejects_a_grid_outside_its_range_before_allocating(self, grid_size):
         d = equilibrium_unrestricted().dist
         suboptimality_bound(d, grid_size=1000)  # first-use allocations
@@ -483,6 +504,12 @@ class TestSuboptimalityBound:
     def test_the_finest_grid_is_accepted(self):
         eps, _ = suboptimality_bound(MixedCdf.uniform(0.25, 0.75), grid_size=MAX_GRID_SIZE)
         assert eps == 0.0
+
+    def test_an_empty_grid_scans_the_breakpoints(self):
+        # The step's jump at 1/2 lies on a breakpoint: its left limit is 0
+        # there, where the optimal cdf reads 1/2.
+        assert suboptimality_bound(MixedCdf.step(0.5), grid_size=0).epsilon == 0.5
+        assert suboptimality_bound(MixedCdf.uniform(0.25, 0.75), grid_size=0).epsilon == 0.0
 
     def test_optimum_itself(self):
         eps, bound = suboptimality_bound(MixedCdf.uniform(0.25, 0.75))
